@@ -13,8 +13,8 @@ the fundamental solution satisfies P(d) F = delta with F-hat = 1/P.
 from .capacity import (AnnulusCapacitySeries, CapacityValue, annulus_series,
                        bessel_capacity, cap_m, exact_ball_capacity)
 from .energy import EnergyForm, HardyForm, assemble, hardy_weighted_energy
-from .errors import (ConfigurationError, InconclusiveError, InputError,
-                     UnsupportedRegimeError)
+from .errors import (ConfigurationError, ConvergenceError, InconclusiveError,
+                     InputError, UnsupportedRegimeError)
 from .fundsol import SphereProfile, compute_profile, riesz_constant, sign_summary
 from .grids import (Ball, Box, Cone, Cusp, Grid, Intersection, Mask, Ray, Region,
                     Shell, Union, mask_from_csv, region_from_dict)

@@ -3,7 +3,8 @@
 Every run validates its configuration, writes a manifest echoing the
 resolved settings next to its outputs, and emits JSON summaries plus CSV
 tables.  Exit codes: 0 success, 2 invalid input or configuration, 3
-unsupported regime, 4 inconclusive where the run demanded a hard verdict.
+unsupported regime, 4 inconclusive where the run demanded a hard verdict or
+an iterative solve did not converge.
 """
 
 import argparse
@@ -312,7 +313,6 @@ def _build_parser():
         sp.add_argument("--require-verdict", dest="require_verdict", action="store_true")
         sp.add_argument("--out")
         sp.add_argument("--jobs", type=int, default=1)
-        sp.add_argument("--seed", type=int, default=0)
     return p
 
 

@@ -16,3 +16,8 @@ class UnsupportedRegimeError(RuntimeError):
 
 class InconclusiveError(RuntimeError):
     """A hard verdict was demanded but the computation is inconclusive (exit code 4)."""
+
+
+class ConvergenceError(InconclusiveError):
+    """An iterative solver stopped at its iteration limit short of the requested
+    tolerance, after every fallback it has (exit code 4)."""

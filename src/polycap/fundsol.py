@@ -14,7 +14,12 @@ Two backends compute that restriction:
 * ``subordination``: F(theta) = 2m * int_0^inf u^(n-2m-1) H_1(u theta) du
   where H_1 is the kernel of exp(-P(d)); for symbols that are rotation
   invariant around one axis H_1 reduces to an absolutely convergent double
-  quadrature in any dimension, which is what makes n = 8 reachable.
+  quadrature in any dimension, which is what makes n = 8 reachable.  The
+  profile then depends only on the angle alpha from the axis and is
+  evaluated on 121 angles in [0, pi/2]; the Gauss nodes and exp(-P) on
+  their grid are built once per profile and shared by all angles.  A fully
+  isotropic symbol has a constant profile, which is evaluated by the same
+  quadrature at the single angle pi/4.
 
 For (-Delta)^m the exact positive constant Gamma(n/2-m)/(4^m pi^(n/2) (m-1)!)
 is the calibration oracle.
@@ -23,6 +28,7 @@ is the calibration oracle.
 import csv as _csv
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gamma as _gamma, jv
@@ -297,29 +303,44 @@ def _axis_symbol_2d(op, axis):
     return sym
 
 
-def _subordination_alpha_profile(op, axis, alphas, rtol=1e-7):
-    """F(theta) on rays at angles alpha from the symmetry axis."""
+class _SubordinationSetup(NamedTuple):
+    """Angle-independent part of the subordination quadrature: the Gauss
+    nodes in transverse radius and axial frequency up to the cutoff, and the
+    heat symbol exp(-P) on their tensor grid."""
+
+    n: int
+    m: int
+    nu: float
+    rho: np.ndarray  # transverse radius nodes (also the axial frequency nodes)
+    w_rho: np.ndarray  # radial weights times the Jacobian rho^(d-1)
+    w_xi: np.ndarray  # axial frequency weights
+    E: np.ndarray  # exp(-P) on the (rho, xi) grid
+    pref: float
+
+
+def _subordination_setup(op, axis):
+    """Build once per profile; every angle and the error probe share it."""
     n, m = op.n, op.m
     d = n - 1
     nu = d / 2.0 - 1.0
-    sym = _axis_symbol_2d(op, axis)
     # frequency cutoff from the symbol floor on the sphere
-    dirs = unit_directions(n, 256)
-    pmin = float(op.symbol(dirs).min())
+    pmin = float(op.symbol(unit_directions(n, 256)).min())
     if pmin <= 0:
         raise InputError("operator is not elliptic; no homogeneous kernel exists")
     XI = (50.0 / pmin) ** (1.0 / (2 * m)) * 1.1
-    NXI = 480
-    x, w = np.polynomial.legendre.leggauss(NXI)
+    x, w = np.polynomial.legendre.leggauss(480)
     rho = 0.5 * XI * (x + 1.0)
     wr = 0.5 * XI * w
-    xin = rho.copy()
-    wx = wr.copy()
-    R, X = np.meshgrid(rho, xin, indexing="ij")
-    E = np.exp(-sym(R, X))
+    R, X = np.meshgrid(rho, rho, indexing="ij")
+    E = np.exp(-_axis_symbol_2d(op, axis)(R, X))
     c_d = (2.0 * math.pi) ** (d / 2.0) / (2.0**nu * _gamma(nu + 1.0))
     pref = (2.0 * math.pi) ** (-n) * c_d * 2.0
+    return _SubordinationSetup(n, m, nu, rho, wr * rho ** (d - 1), wr, E, pref)
 
+
+def _subordination_alpha_profile(setup, alphas, rtol=1e-7):
+    """F(theta) on rays at angles alpha from the symmetry axis."""
+    n, m, nu, rho = setup.n, setup.m, setup.nu, setup.rho
     out = np.empty(len(alphas))
     block, npts = 10.0, 240
     xg, wg = np.polynomial.legendre.leggauss(npts)
@@ -329,11 +350,10 @@ def _subordination_alpha_profile(op, axis, alphas, rtol=1e-7):
         for _ in range(12):
             u = u_lo + 0.5 * block * (xg + 1.0)
             wu = 0.5 * block * wg
-            K = _lam_kernel(nu, np.outer(rho, u) * sa)
-            W = (wr * rho ** (d - 1))[:, None] * K
-            Gu = np.einsum("ru,rx->ux", W, E)
-            cosz = np.cos(np.outer(u * ca, xin))
-            H = pref * (cosz * Gu * wx[None, :]).sum(axis=1)
+            W = setup.w_rho[:, None] * _lam_kernel(nu, np.outer(rho, u) * sa)
+            Gu = W.T @ setup.E
+            cosz = np.cos(np.outer(u * ca, rho))
+            H = setup.pref * (cosz * Gu * setup.w_xi[None, :]).sum(axis=1)
             piece = float(np.sum(wu * u ** (n - 2 * m - 1) * H) * 2 * m)
             total += piece
             u_lo += block
@@ -343,14 +363,22 @@ def _subordination_alpha_profile(op, axis, alphas, rtol=1e-7):
     return out
 
 
-def _compute_subordination(op, axis, direction_count, alpha_count=121):
-    alphas = np.linspace(0.0, math.pi / 2.0, alpha_count)
-    f_alpha = _subordination_alpha_profile(op, axis, alphas)
-    # error gauge: repeat three angles at a finer angular quadrature budget
-    probe = _subordination_alpha_profile(op, axis, alphas[[0, alpha_count // 2, -1]],
-                                         rtol=1e-9)
-    est = 1.5 * float(np.max(np.abs(probe - f_alpha[[0, alpha_count // 2, -1]])))
+# angles from the symmetry axis at which axisymmetric profiles are evaluated;
+# a fully isotropic profile is evaluated at the middle one only
+_ALPHAS = np.linspace(0.0, math.pi / 2.0, 121)
+
+
+def _compute_subordination(op, axis, direction_count, isotropic):
+    setup = _subordination_setup(op, axis)
+    alphas = _ALPHAS[[len(_ALPHAS) // 2]] if isotropic else _ALPHAS
+    f_alpha = _subordination_alpha_profile(setup, alphas)
+    # error gauge: repeat the end and middle angles at a tighter tail tolerance
+    probe_idx = np.unique([0, len(alphas) // 2, len(alphas) - 1])
+    probe = _subordination_alpha_profile(setup, alphas[probe_idx], rtol=1e-9)
+    est = 1.5 * float(np.max(np.abs(probe - f_alpha[probe_idx])))
     dirs = unit_directions(op.n, direction_count)
+    if isotropic:
+        return dirs, np.full(dirs.shape[0], f_alpha[0]), est, alphas, f_alpha
     ang = np.arccos(np.clip(np.abs(dirs[:, axis]), 0.0, 1.0))
     vals = np.interp(ang, alphas, f_alpha)
     return dirs, vals, est, alphas, f_alpha
@@ -366,6 +394,14 @@ def compute_profile(op, resolution=None, extrapolation_levels=2, backend="auto",
     resolution: per-axis node count of the fft box (defaults by dimension);
     extrapolation_levels: number of nested lattice shells used to strip the
     periodic background (2 removes the constant, 3 also removes the r^2 term).
+
+    With backend "auto", n <= 4 and anisotropic symbols take the fft backend
+    and rotation-invariant symbols in n >= 5 the subordination backend.  A
+    fully isotropic symbol gives angular_model "constant"; under
+    subordination its quadrature runs at one angle, pi/4, and that value
+    fills every direction, with error_estimate from re-running the angle at a
+    tighter tail tolerance.  An axisymmetric symbol gives angular_model
+    "axisymmetric", interpolated from 121 angles.
     """
     n, m = op.n, op.m
     if n <= 2 * m:
@@ -405,12 +441,12 @@ def compute_profile(op, resolution=None, extrapolation_levels=2, backend="auto",
                 "about some coordinate axis"
             )
         use_axis = n - 1 if axis == n else axis
-        dirs, vals, est, alphas, f_alpha = _compute_subordination(op, use_axis,
-                                                                 direction_count)
+        dirs, vals, est, alphas, f_alpha = _compute_subordination(
+            op, use_axis, direction_count, isotropic=axis == n)
         if axis == n:
             return SphereProfile(dirs, vals, 2 * m - n, op.name or "operator",
                                  "subordination", est, "constant",
-                                 {"constant": float(np.median(vals))})
+                                 {"constant": float(f_alpha[0])})
         return SphereProfile(dirs, vals, 2 * m - n, op.name or "operator",
                              "subordination", est, "axisymmetric",
                              {"axis": use_axis, "alpha": alphas, "f_alpha": f_alpha})

@@ -3,17 +3,20 @@
 Capacity and potential problems reduce to: minimize u.A u over grid functions
 with prescribed values on a node set.  The free-node system is solved by
 conjugate gradients; for the polyharmonic energy kinds the unconstrained
-operator is an exact power of the compact discrete Laplacian, so one DST
-round per iteration applies its exact inverse, which after restriction to
-the free nodes is the inverse Schur complement.  That keeps iteration counts
-nearly independent of the grid size.
+operator is a power of the compact discrete Laplacian, so one DST round per
+iteration inverts the matching power of the Dirichlet Laplacian -Delta_h^D
+on the box.  For m = 1 that is the unconstrained operator itself, and its
+inverse restricted to the free nodes is the exact inverse Schur complement.
+For m >= 2 the zero-extended (-Delta_h)^m differs from (-Delta_h^D)^m near
+the box faces, so the DST round is only spectrally equivalent to it.
+That keeps iteration counts nearly independent of the grid size.
 """
 
 import numpy as np
 import scipy.fft as sfft
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .errors import InputError
+from .errors import ConvergenceError, InputError
 
 
 def _dst_solve(v, spec):
@@ -27,6 +30,8 @@ def solve_constrained(form, fixed_where, fixed_values, rhs=None, rtol=1e-8, maxi
 
     rhs, if given, adds a linear term -<rhs, u> so the stationarity system is
     A u = rhs on the free nodes.  The residual is driven to `rtol` relative.
+    Raises ConvergenceError when CG misses `rtol` within `maxiter` and an
+    unpreconditioned retry misses it within 4 * `maxiter` as well.
     """
     grid = form.grid
     fixed_where = np.asarray(fixed_where, dtype=bool)
@@ -70,7 +75,9 @@ def solve_constrained(form, fixed_where, fixed_values, rhs=None, rtol=1e-8, maxi
         # one retry without preconditioning before giving up
         w, code = cg(A, b, rtol=rtol, atol=0.0, maxiter=4 * maxiter, callback=cb)
         if code > 0:
-            raise RuntimeError(f"conjugate gradient failed to converge (code {code})")
+            raise ConvergenceError(
+                f"conjugate gradient missed rtol={rtol:g} after {iters[0]} iterations, "
+                "with and without the preconditioner")
     u = u0.copy()
     u[free] = w
     res = float(np.linalg.norm(form.apply(u)[free] - (rhs[free] if rhs is not None else 0.0))
@@ -95,7 +102,7 @@ def stationarity_residual(form, u, fixed_where, rhs=None):
 def smallest_generalized_eig(A, B, x0=None, tol=1e-9, maxiter=600):
     """Smallest eigenpair of A x = lambda B x for symmetric A, SPD B.
 
-    Dense path below 1500 unknowns (deterministic LAPACK), LOBPCG above it
+    Dense path up to 3000 unknowns (deterministic LAPACK), LOBPCG above it
     with a fixed deterministic start.
     """
     from scipy.sparse import issparse

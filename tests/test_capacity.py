@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from polycap import (Ball, Box, Cone, Grid, InputError, Mask, Ray, UnsupportedRegimeError,
+from polycap import (Ball, Box, Cone, ConvergenceError, EnergyForm, Grid,
+                     InconclusiveError, InputError, Mask, Ray, UnsupportedRegimeError,
                      annulus_series, bessel_capacity, cap_m, exact_ball_capacity,
-                     laplacian)
+                     laplacian, solve_constrained)
 from polycap.radial import axisym_capacity, radial_ball_capacity
 
 
@@ -12,6 +13,15 @@ def test_empty_target_is_zero():
     empty = Mask(grid, np.zeros(grid.shape, dtype=bool))
     assert cap_m(empty, 1, grid).value == 0.0
     assert bessel_capacity(empty, 1, grid).value == 0.0
+
+
+def test_cg_non_convergence_is_typed_and_inconclusive():
+    # one preconditioned and four plain CG steps cannot reach rtol on 13^3 nodes
+    grid = Grid(3, 0.25, 6)
+    form = EnergyForm("homogeneous_m", grid, 1)
+    with pytest.raises(ConvergenceError) as exc:
+        solve_constrained(form, Ball(0.5).mask(grid).where, 1.0, maxiter=1)
+    assert isinstance(exc.value, InconclusiveError)
 
 
 def test_regime_guard():

@@ -3,7 +3,8 @@ import pytest
 
 from polycap import (InputError, UnsupportedRegimeError, compute_profile, laplacian,
                      mn8_operator, polyharmonic, riesz_constant, sign_summary)
-from polycap.fundsol import SphereProfile
+from polycap.fundsol import (SphereProfile, _subordination_alpha_profile,
+                             _subordination_setup)
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +43,19 @@ def test_biharmonic5_profile_positive_and_calibrated():
     prof = compute_profile(polyharmonic(5, 2))
     assert prof.values.min() > 0.0
     assert np.abs(prof.values / riesz_constant(2, 5) - 1.0).max() <= 1e-6
+
+
+def test_isotropic_subordination_is_one_constant():
+    op = laplacian(5)
+    prof = compute_profile(op)
+    assert (prof.method, prof.angular_model) == ("subordination", "constant")
+    assert np.all(prof.values == prof.values[0])
+    assert prof.model_data["constant"] == prof.values[0]
+    assert abs(prof.values[0] / riesz_constant(1, 5) - 1.0) <= 1e-6
+    # the angle the constant is taken at does not matter: on and across the
+    # axis the quadrature agrees to its own accuracy (5e-10 on the axis)
+    ends = _subordination_alpha_profile(_subordination_setup(op, 4), [0.0, np.pi / 2])
+    assert np.abs(ends / prof.values[0] - 1.0).max() <= 1e-9
 
 
 def test_laplacian4_fft_calibrated():

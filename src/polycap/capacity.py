@@ -57,6 +57,7 @@ class CapacityValue:
             "grid_extent": self.grid_extent,
             "refinement_estimate": self.refinement_estimate,
             "raw_values": dict(self.raw_values),
+            "iterations": self.iterations,
         }
 
 

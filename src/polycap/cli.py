@@ -17,14 +17,14 @@ import numpy as np
 from .capacity import annulus_series, bessel_capacity, cap_m, series_to_csv
 from .errors import ConfigurationError, InconclusiveError, InputError, UnsupportedRegimeError
 from .fundsol import compute_profile, sign_summary
-from .grids import Grid, Mask, mask_from_csv, region_from_dict
+from .grids import Grid, Mask, dilate, mask_from_csv, region_from_dict
 from .operators import (check_ellipticity, eval_symbol, load_operator, preset_operator,
                         unit_directions)
 from .positivity import channel_positivity, grid_positivity
 from .potential import (capacitary_potential, gradient_decay_check, lower_bound_check,
                         range_check)
 from .regularity import CuspProfile, cusp_criterion, decay_check, dirichlet_solve, \
-    regularity_probe, wiener_classify, bump, _dilate_times
+    regularity_probe, wiener_classify, bump
 from .reporting import write_csv, write_json, write_manifest, load_manifest_config
 
 
@@ -119,12 +119,8 @@ def _run_capacity(cfg):
     else:
         raise ConfigurationError(f"unknown capacity kind {kind!r}")
     out = _outdir(cfg)
-    write_json(os.path.join(out, "summary.json"), {
-        "operator": op.name, "n": op.n, "m": m, "kind": value.kind,
-        "value": value.value, "grid_h": value.grid_h, "grid_extent": value.grid_extent,
-        "refinement_estimate": value.refinement_estimate,
-        "raw_values": {k: v for k, v in value.raw_values.items() if k != "field"},
-    })
+    write_json(os.path.join(out, "summary.json"),
+               {"operator": op.name, "n": op.n, "m": m, **value.as_dict()})
     return 0
 
 
@@ -228,7 +224,7 @@ def _run_dirichlet(cfg):
     center = np.zeros(grid.n)
     center[0] = float(cfg.get("source_offset", 0.4)) * grid.box_radius
     f = bump(grid, center, float(cfg.get("source_radius", 0.15)) * grid.box_radius)
-    f[_dilate_times(~omega.where, 2 * op.m)] = 0.0
+    f[dilate(~omega.where, 2 * op.m)] = 0.0
     u, info = dirichlet_solve(op, omega, f)
     out = _outdir(cfg)
     coords = grid.coords().reshape(-1, grid.n)

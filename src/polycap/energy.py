@@ -7,23 +7,32 @@ Four kinds are assembled:
   operator         sum_{a,b} c[a,b] <d^a u, d^b u>
   weighted         sum_x  (sum_{a,b} c[a,b] d^(a+b) u)(x) * u(x) * F(x) h^n
 
-The first three are positive semidefinite by construction (the operator kind
-by ellipticity); the weighted kind carries no definiteness guarantee, its
-sign behavior is exactly what the positivity module investigates.  Energies
-are evaluated as sums of stencil products, so the forms are symmetric by
-construction; `apply` realizes the matching symmetric operator matrix-free
-and `tosparse` materializes it for small grids.
+each |a| = k term scaled by h^(n-2k).  The first three are positive
+semidefinite by construction (the operator kind by ellipticity); the weighted
+kind carries no definiteness guarantee, its sign behavior is exactly what the
+positivity module investigates.  The multinomial weights k!/alpha! make the
+gradient tensor norm rotation invariant.
 
-The gradient tensor norm uses multinomial weights k!/alpha!, which makes it
-rotation invariant and lets spherical-harmonic channel reductions match the
-grid forms.
+With the half-offset odd stencils every axis gives (d^k)^T d^k = (-D2)^k, so
+by the multinomial theorem the homogeneous form is exactly h^(n-2m) L^m on the
+zero-extended lattice, L = -Delta_h the undivided (2n+1)-point Laplacian, the
+inhomogeneous one is sum_k h^(n-2k) L^k, and the operator form of the
+(-Delta)^m table is the homogeneous one.  These kinds keep the polynomial's
+coefficients: `apply` runs Horner's rule with m Laplacian passes, `tosparse`
+sums powers of a sparse L, `dst_spectrum` evaluates them at the Dirichlet
+eigenvalues.  Any other operator form is sum c[a,b] (d^a)^T d^b folded into
+one offset -> coefficient table, applied by shifted slices.  The weighted kind
+sums its node-centered multi-index terms.  Every kind has
+quad(u) == sum(u * apply(u)) and an exactly symmetric `tosparse`.
 """
 
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .operators import multi_indices, multinomial
-from .stencils import apply_alpha, injection_matrix, pad_array, sparse_alpha, unpad_array
+from .grids import Grid
+from .operators import laplacian, multi_indices, multinomial, polyharmonic
+from .stencils import (alpha_offsets, apply_alpha, apply_stencil, injection_matrix,
+                       neg_laplacian, sparse_alpha, sparse_stencil)
 
 _KINDS = ("homogeneous_m", "inhomogeneous_m", "operator_form", "weighted_operator_form")
 
@@ -52,6 +61,26 @@ def staggered_radii(grid, alpha):
     return np.sqrt(r2)
 
 
+def _fold(op, scale):
+    """Offset table of scale * sum c[a,b] (d^a)^T d^b over the symmetric table.
+
+    The stencil products of one pair are integers, so the offsets o and -o
+    get bitwise equal coefficients and the table is exactly symmetric.
+    """
+    table = {}
+    for (alpha, beta), v in op.coefficients.items():
+        pair = {}
+        # an off-diagonal entry stands for both (a, b) and (b, a)
+        for left, right in {(alpha, beta), (beta, alpha)}:
+            for p, a in alpha_offsets(left):
+                for q, b in alpha_offsets(right):
+                    o = tuple(j - i for i, j in zip(p, q))
+                    pair[o] = pair.get(o, 0.0) + a * b
+        for o, k in pair.items():
+            table[o] = table.get(o, 0.0) + v * k
+    return [(o, scale * c) for o, c in sorted(table.items()) if c != 0.0]
+
+
 class EnergyForm:
     """Symmetric quadratic form over grid functions with zero extension."""
 
@@ -65,79 +94,64 @@ class EnergyForm:
         self.weight = weight
         self.exclude_origin = exclude_origin
         _check_fits(grid, m)
-        self._terms = self._build_terms()
-
-    # each term is (alpha, beta, coefficient, h-power); quad and apply loop them
-    def _build_terms(self):
-        n, m, h = self.grid.n, self.m, self.grid.h
-        terms = []
-        if self.kind == "homogeneous_m":
-            for alpha in multi_indices(n, m):
-                terms.append((alpha, alpha, float(multinomial(alpha)), h ** (n - 2 * m)))
-        elif self.kind == "inhomogeneous_m":
-            for k in range(m + 1):
-                for alpha in multi_indices(n, k):
-                    terms.append((alpha, alpha, float(multinomial(alpha)), h ** (n - 2 * k)))
-        elif self.kind == "operator_form":
-            for (alpha, beta), v in self.op.coefficients.items():
-                c = v if alpha == beta else 2.0 * v
-                terms.append((alpha, beta, c, h ** (n - 2 * m)))
-        elif self.kind == "weighted_operator_form":
+        n, h = grid.n, grid.h
+        # one representation per kind: the coefficients of a polynomial in
+        # -Delta_h (lowest degree first), a folded stencil, or weighted terms
+        self._poly = self._stencil = self._terms = None
+        # m zero-extended Laplacian passes are exact on the grid padded by
+        # m // 2: truncation at the padded faces first errs in pass pad + 2
+        # and the error moves one node per pass
+        self._pad = m // 2
+        if kind == "inhomogeneous_m":
+            self._poly = [h ** (n - 2 * k) for k in range(m + 1)]
+        elif kind == "homogeneous_m" or (
+                kind == "operator_form" and op.coefficients == polyharmonic(n, m).coefficients):
+            self._poly = [0.0] * m + [h ** (n - 2 * m)]
+        elif kind == "operator_form":
+            self._stencil = _fold(op, h ** (n - 2 * m))
+        else:
             # the operator in the integrand is (-1)^m sum a d^(alpha+beta),
             # whose symbol is the positive P
             sign = (-1.0) ** m
-            for (alpha, beta), v in self.op.coefficients.items():
+            self._terms = []
+            for (alpha, beta), v in op.coefficients.items():
                 gamma = tuple(a + b for a, b in zip(alpha, beta))
                 c = v if alpha == beta else 2.0 * v
-                terms.append((gamma, None, sign * c, h ** (n - 2 * m)))
-        return terms
-
-    @property
-    def _pad(self):
-        # gradient stencils run on a zero-padded lattice so both boundary
-        # faces of every axis contribute; the weighted kind is node-centered
-        return 0 if self.kind == "weighted_operator_form" else self.m
+                self._terms.append((gamma, sign * c * h ** (n - 2 * m)))
 
     def quad(self, u):
         """Energy value of u."""
         u = np.asarray(u, dtype=float)
         if u.shape != self.grid.shape:
             raise InputError("grid function shape does not match the grid")
-        if self.kind == "weighted_operator_form":
+        if self._terms is not None:
             lu = np.zeros_like(u)
-            for gamma, _, c, hp in self._terms:
-                lu += (c * hp) * apply_alpha(u, gamma, centered=True)
+            for gamma, c in self._terms:
+                lu += c * apply_alpha(u, gamma, centered=True)
             return float((lu * u * self.weight).sum())
-        up = pad_array(u, self._pad)
-        total = 0.0
-        for alpha, beta, c, hp in self._terms:
-            da = apply_alpha(up, alpha)
-            db = da if beta == alpha else apply_alpha(up, beta)
-            total += c * hp * float((da * db).sum())
-        return total
+        return float((u * self.apply(u)).sum())
 
     def apply(self, u):
         """Matrix-free A u with quad(u) == sum(u * apply(u))."""
         u = np.asarray(u, dtype=float)
-        if self.kind == "weighted_operator_form":
+        if self._stencil is not None:
+            return apply_stencil(u, self._stencil)
+        if self._terms is not None:
             lu = np.zeros_like(u)
             lt = np.zeros_like(u)
-            for gamma, _, c, hp in self._terms:
-                lu += (c * hp) * apply_alpha(u, gamma, centered=True)
-                lt += (c * hp) * apply_alpha(self.weight * u, gamma, transpose=True, centered=True)
+            for gamma, c in self._terms:
+                lu += c * apply_alpha(u, gamma, centered=True)
+                lt += c * apply_alpha(self.weight * u, gamma, transpose=True, centered=True)
             return 0.5 * (self.weight * lu + lt)
-        up = pad_array(u, self._pad)
-        out = np.zeros_like(up)
-        for alpha, beta, c, hp in self._terms:
-            if beta == alpha:
-                out += (c * hp) * apply_alpha(apply_alpha(up, alpha), alpha, transpose=True)
-            else:
-                da = apply_alpha(up, alpha)
-                db = apply_alpha(up, beta)
-                out += (0.5 * c * hp) * (
-                    apply_alpha(db, alpha, transpose=True) + apply_alpha(da, beta, transpose=True)
-                )
-        return unpad_array(out, self._pad)
+        m, pad = self.m, self._pad
+        up = np.pad(u, pad)
+        out = self._poly[m] * up
+        buf = np.empty_like(up)
+        for c in reversed(self._poly[:m]):
+            out, buf = neg_laplacian(out, buf), out
+            if c:
+                out += c * up
+        return out[tuple(slice(pad, pad + s) for s in u.shape)]
 
     def tosparse(self, max_size=400_000):
         """Materialize as a symmetric CSR matrix (small grids only)."""
@@ -148,25 +162,25 @@ class EnergyForm:
         from scipy.sparse import diags
 
         shape = self.grid.shape
-        mat = None
-        if self.kind == "weighted_operator_form":
+        if self._stencil is not None:
+            return sparse_stencil(shape, self._stencil)
+        if self._terms is not None:
             w = diags(self.weight.ravel())
-            for gamma, _, c, hp in self._terms:
-                dg = sparse_alpha(shape, gamma, centered=True) * (c * hp)
-                part = w @ dg
-                mat = part if mat is None else mat + part
-            mat = 0.5 * (mat + mat.T)
-            return mat.tocsr()
+            mat = sum(w @ (c * sparse_alpha(shape, gamma, centered=True))
+                      for gamma, c in self._terms)
+            return (0.5 * (mat + mat.T)).tocsr()
+        # the powers L^k P on the injected grid are exact integer matrices, so
+        # P^T sum c_k L^k P is exactly symmetric
         pad = self._pad
-        padded_shape = tuple(s + 2 * pad for s in shape)
+        lap = sparse_stencil(tuple(s + 2 * pad for s in shape), _fold(laplacian(len(shape)), 1.0))
         P = injection_matrix(shape, pad)
-        for alpha, beta, c, hp in self._terms:
-            da = sparse_alpha(padded_shape, alpha)
-            db = da if beta == alpha else sparse_alpha(padded_shape, beta)
-            part = (c * hp) * (da.T @ db)
-            mat = part if mat is None else mat + part
-        mat = P.T @ (0.5 * (mat + mat.T)) @ P
-        return mat.tocsr()
+        power, mat = P, 0.0
+        for k, c in enumerate(self._poly):
+            if k:
+                power = lap @ power
+            if c:
+                mat = mat + c * power
+        return (P.T @ mat).tocsr()
 
     def dst_spectrum(self):
         """Eigenvalues of the spectrally equivalent power of the compact
@@ -179,11 +193,8 @@ class EnergyForm:
             shape[axis] = M
             lam = lam + lam1.reshape(shape)
         n, m, h = self.grid.n, self.m, self.grid.h
-        if self.kind == "inhomogeneous_m":
-            spec = sum(h ** (n - 2 * k) * lam**k for k in range(m + 1))
-        else:
-            spec = h ** (n - 2 * m) * lam**m
-        return spec
+        poly = self._poly if self._poly is not None else [0.0] * m + [h ** (n - 2 * m)]
+        return sum(c * lam**k for k, c in enumerate(poly) if c)
 
 
 def assemble(kind, op, grid, weight=None):
@@ -197,11 +208,20 @@ def assemble(kind, op, grid, weight=None):
         wvals = weight.reconstruct_on_grid(grid)
         wvals[grid.origin_index()] = 0.0
         return EnergyForm(kind, grid, op.m, op=op, weight=wvals, exclude_origin=True)
-    if kind in ("homogeneous_m", "inhomogeneous_m"):
-        return EnergyForm(kind, grid, op.m, op=op)
-    if kind == "operator_form":
-        return EnergyForm(kind, grid, op.m, op=op)
-    raise InputError(f"unknown energy kind {kind!r}")
+    return EnergyForm(kind, grid, op.m, op=op)
+
+
+def weighted_gradient_parts(grid, m):
+    """Parts (alpha, k!/alpha! h^(n-2k), w) of the weighted gradient sum
+    sum_{1<=|alpha|=k<=m} c ||d^alpha u||^2 w on `grid`, one per multi-index,
+    where w is |x|^(2k-n) at the staggered points of alpha and 0 at x = 0."""
+    n, h = grid.n, grid.h
+    for k in range(1, m + 1):
+        for alpha in multi_indices(n, k):
+            w = staggered_radii(grid, alpha)
+            with np.errstate(divide="ignore"):
+                w = np.where(w > 0, w ** (2 * k - n), 0.0)
+            yield alpha, multinomial(alpha) * h ** (n - 2 * k), w
 
 
 def hardy_weighted_energy(u, m, grid):
@@ -219,20 +239,7 @@ def hardy_weighted_energy(u, m, grid):
     window = tuple(slice(max(a, 0), b) for a, b in zip(lo, hi))
     if np.any(u[window] != 0.0):
         raise InputError("u must vanish on the 2m-neighborhood of the origin node")
-    n, h = grid.n, grid.h
-    from .grids import Grid as _Grid
-
-    padded = _Grid(n, h, grid.extent + m)
-    up = pad_array(u, m)
-    total = 0.0
-    for k in range(1, m + 1):
-        for alpha in multi_indices(n, k):
-            w = staggered_radii(padded, alpha)
-            with np.errstate(divide="ignore"):
-                w = np.where(w > 0, w ** (2 * k - n), 0.0)
-            d = apply_alpha(up, alpha)
-            total += multinomial(alpha) * h ** (n - 2 * k) * float((d * d * w).sum())
-    return total
+    return HardyForm(grid, m).quad(u)
 
 
 class HardyForm:
@@ -242,20 +249,12 @@ class HardyForm:
         self.grid = grid
         self.m = m
         _check_fits(grid, m)
-        self._parts = []
-        n, h = grid.n, grid.h
-        from .grids import Grid as _Grid
-
-        padded = _Grid(n, h, grid.extent + m)
-        for k in range(1, m + 1):
-            for alpha in multi_indices(n, k):
-                w = staggered_radii(padded, alpha)
-                with np.errstate(divide="ignore"):
-                    w = np.where(w > 0, w ** (2 * k - n), 0.0)
-                self._parts.append((alpha, multinomial(alpha) * h ** (n - 2 * k), w))
+        # the differences of the zero-extended u reach m nodes past the box
+        padded = Grid(grid.n, grid.h, grid.extent + m)
+        self._parts = list(weighted_gradient_parts(padded, m))
 
     def quad(self, u):
-        up = pad_array(np.asarray(u, dtype=float), self.m)
+        up = np.pad(np.asarray(u, dtype=float), self.m)
         total = 0.0
         for alpha, c, w in self._parts:
             d = apply_alpha(up, alpha)
@@ -263,11 +262,11 @@ class HardyForm:
         return float(total)
 
     def apply(self, u):
-        up = pad_array(np.asarray(u, dtype=float), self.m)
+        up = np.pad(np.asarray(u, dtype=float), self.m)
         out = np.zeros_like(up)
         for alpha, c, w in self._parts:
             out += c * apply_alpha(w * apply_alpha(up, alpha), alpha, transpose=True)
-        return unpad_array(out, self.m)
+        return out[tuple(slice(self.m, self.m + s) for s in self.grid.shape)]
 
     def tosparse(self, max_size=400_000):
         if self.grid.size > max_size:
@@ -276,9 +275,8 @@ class HardyForm:
 
         padded_shape = tuple(s + 2 * self.m for s in self.grid.shape)
         P = injection_matrix(self.grid.shape, self.m)
-        mat = None
+        mat = 0.0
         for alpha, c, w in self._parts:
             da = sparse_alpha(padded_shape, alpha)
-            part = c * (da.T @ diags(w.ravel()) @ da)
-            mat = part if mat is None else mat + part
+            mat = mat + c * (da.T @ diags(w.ravel()) @ da)
         return (P.T @ (0.5 * (mat + mat.T)) @ P).tocsr()

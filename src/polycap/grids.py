@@ -67,6 +67,24 @@ class Grid:
         return (self.extent,) * self.n
 
 
+def dilate(where, times=1):
+    """Grow a boolean node array by `times` steps to axis neighbours.
+
+    Nodes past the box faces count as outside, so nothing wraps around to the
+    opposite face.
+    """
+    out = np.array(where, dtype=bool)
+    for _ in range(times):
+        grown = out.copy()
+        for axis in range(out.ndim):
+            lo = (slice(None),) * axis + (slice(None, -1),)
+            hi = (slice(None),) * axis + (slice(1, None),)
+            grown[lo] |= out[hi]
+            grown[hi] |= out[lo]
+        out = grown
+    return out
+
+
 class Mask:
     """A set of grid nodes (a compact set K or a closed complement)."""
 

@@ -21,7 +21,7 @@ from .capacity import cap_m
 from .energy import EnergyForm
 from .errors import InputError
 from .fundsol import riesz_constant
-from .grids import Grid, Mask, Region
+from .grids import Grid, Mask, Region, dilate
 from .operators import multi_indices, multinomial, polyharmonic
 from .solvers import solve_constrained, stationarity_residual
 from .stencils import apply_alpha
@@ -234,14 +234,6 @@ def lower_bound_check(report, enclosing_radius, probe_radii=(2.0, 3.0)):
 # -- sign probe ---------------------------------------------------------------
 
 
-def _dilate(where):
-    out = where.copy()
-    for axis in range(where.ndim):
-        for shift in (-1, 1):
-            out |= np.roll(where, shift, axis=axis)
-    return out
-
-
 def sign_probe(op, candidates, grid, rtol=1e-8, tol=1e-10):
     """Sites adjacent to K where U - 1 takes both signs in the 3^n window.
 
@@ -255,7 +247,7 @@ def sign_probe(op, candidates, grid, rtol=1e-8, tol=1e-10):
         report = capacitary_potential(op, mask, grid, rtol=rtol)
         v = report.u - 1.0
         v[mask.where] = 0.0
-        adjacent = _dilate(mask.where) & ~mask.where
+        adjacent = dilate(mask.where) & ~mask.where
         sites = []
         coords = grid.coords()
         idxs = np.argwhere(adjacent)

@@ -29,10 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .capacity import annulus_series, cap_m
-from .energy import EnergyForm, staggered_radii
+from .energy import EnergyForm, weighted_gradient_parts
 from .errors import InconclusiveError, InputError, UnsupportedRegimeError
-from .grids import Ball, Cusp, Grid, Mask, Region
-from .operators import multi_indices, multinomial
+from .grids import Ball, Cusp, Grid, Mask, Region, dilate
 from .solvers import solve_constrained
 from .stencils import apply_alpha
 
@@ -302,17 +301,6 @@ def wiener_classify(series, require_verdict=False):
 # -- Dirichlet solver and probes ------------------------------------------------
 
 
-def _dilate_times(where, times):
-    out = where.copy()
-    for _ in range(times):
-        grown = out.copy()
-        for axis in range(out.ndim):
-            for shift in (-1, 1):
-                grown |= np.roll(out, shift, axis=axis)
-        out = grown
-    return out
-
-
 def dirichlet_solve(op, omega, f, rtol=1e-8):
     """Solve the variational Dirichlet problem on the open node set omega.
 
@@ -325,7 +313,7 @@ def dirichlet_solve(op, omega, f, rtol=1e-8):
     if f.shape != grid.shape:
         raise InputError("source shape does not match the grid")
     outside = ~omega.where
-    banned = _dilate_times(outside, 2 * op.m)
+    banned = dilate(outside, 2 * op.m)
     if np.any(f[banned] != 0.0):
         raise InputError("source support touches the boundary of the domain mask")
     form = EnergyForm("operator_form", grid, op.m, op=op)
@@ -364,7 +352,7 @@ def _probe_solve_cartesian(op, complement, n, box_radius, h, source_center,
     comp_mask = complement.mask(grid)
     omega = Mask(grid, inside_ball.where & ~comp_mask.where)
     f = bump(grid, source_center, source_radius)
-    f[_dilate_times(~omega.where, 2 * op.m)] = 0.0
+    f[dilate(~omega.where, 2 * op.m)] = 0.0
     if not np.any(f > 0):
         raise InputError("source bump fell entirely inside the forbidden zone")
     u, _ = dirichlet_solve(op, omega, f, rtol=rtol)
@@ -398,14 +386,7 @@ def _probe_solve_axisym(op, complement, n, box_radius, h, source_center,
     f = np.zeros(ag.shape)
     inside = s2 < 1.0
     f[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
-    grown = outside.copy()
-    for _ in range(2 * op.m):
-        g2 = grown.copy()
-        for axis in (0, 1):
-            for sh in (-1, 1):
-                g2 |= np.roll(grown, sh, axis=axis)
-        grown = g2
-    f[grown] = 0.0
+    f[dilate(outside, 2 * op.m)] = 0.0
     if not np.any(f > 0):
         raise InputError("source bump fell entirely inside the forbidden zone")
     u = axisym_dirichlet(op.m, n, outside, f, ag)
@@ -522,17 +503,11 @@ class DecayReport:
 
 
 def _weighted_energy_on_ball(u, m, grid, rho, omega_where):
+    inside = (grid.radii() <= rho) & omega_where
     total = 0.0
-    radii = grid.radii()
-    for k in range(1, m + 1):
-        for alpha in multi_indices(grid.n, k):
-            w = staggered_radii(grid, alpha)
-            with np.errstate(divide="ignore"):
-                w = np.where(w > 0, w ** (2 * k - grid.n), 0.0)
-            w = np.where((radii <= rho) & omega_where, w, 0.0)
-            d = apply_alpha(u, alpha)
-            total += multinomial(alpha) * grid.h ** (grid.n - 2 * k) * float(
-                (d * d * w).sum())
+    for alpha, c, w in weighted_gradient_parts(grid, m):
+        d = apply_alpha(u, alpha)
+        total += c * float((d * d * np.where(inside, w, 0.0)).sum())
     return total
 
 
@@ -557,7 +532,7 @@ def decay_check(op, complement, n, R=0.25, grid_h=1 / 16, box_radius=1.0,
     f = bump(grid, c, 0.15 * box_radius)
     if np.linalg.norm(c) - 0.15 * box_radius < 2 * R:
         raise InputError("source overlaps B_2R; enlarge the box or shrink R")
-    f[_dilate_times(~omega.where, 2 * m)] = 0.0
+    f[dilate(~omega.where, 2 * m)] = 0.0
     u, _ = dirichlet_solve(op, omega, f, rtol=rtol)
 
     radii = grid.radii()

@@ -6,11 +6,14 @@ single forward difference (second-order accurate at half-offset points).
 Mixed derivatives are tensor compositions of the per-axis stencils.  The
 half-offset choice for odd orders avoids the odd/even sublattice decoupling
 of wide central first differences, and it makes the assembled gradient-tensor
-forms of (-Delta)^m equal to powers of the compact discrete Laplacian, which
-the solvers exploit for preconditioning.
+forms of (-Delta)^m equal to powers of the compact discrete Laplacian
+(`neg_laplacian`), which the energy forms apply directly and the solvers
+exploit for preconditioning.
 
 A stencil is (offsets, coeffs): integer offsets and the coefficients of the
-*undivided* difference; the h**(-order) factor is applied by callers.
+*undivided* difference; the h**(-order) factor is applied by callers.  An
+n-d stencil is a list of (offset-vector, coefficient) entries, applied by
+shifted slices (`apply_stencil`) or materialized (`sparse_stencil`).
 Application uses zero extension outside the array, matching functions that
 vanish outside the computational box.
 """
@@ -54,22 +57,12 @@ def axis_stencil(order, centered=False):
 
 def apply_axis(u, axis, offsets, coeffs, transpose=False):
     """Apply a one-axis stencil with zero extension; transpose flips offsets."""
-    out = np.zeros_like(u)
-    size = u.shape[axis]
+    entries = []
     for off, c in zip(offsets, coeffs):
-        o = -int(off) if transpose else int(off)
-        if abs(o) >= size:
-            continue
-        src = [slice(None)] * u.ndim
-        dst = [slice(None)] * u.ndim
-        if o >= 0:
-            src[axis] = slice(o, size)
-            dst[axis] = slice(0, size - o)
-        else:
-            src[axis] = slice(0, size + o)
-            dst[axis] = slice(-o, size)
-        out[tuple(dst)] += c * u[tuple(src)]
-    return out
+        vec = [0] * u.ndim
+        vec[axis] = -int(off) if transpose else int(off)
+        entries.append((tuple(vec), c))
+    return apply_stencil(u, entries)
 
 
 def apply_alpha(u, alpha, transpose=False, centered=False):
@@ -99,20 +92,6 @@ def alpha_offsets(alpha, centered=False):
     return entries
 
 
-def pad_array(u, pad):
-    """Zero extension made explicit: pad each axis by `pad` zeros."""
-    if pad <= 0:
-        return u
-    return np.pad(u, pad)
-
-
-def unpad_array(u, pad):
-    if pad <= 0:
-        return u
-    sl = tuple(slice(pad, -pad) for _ in range(u.ndim))
-    return u[sl]
-
-
 def injection_matrix(shape, pad):
     """Sparse injection of a box into its zero-padded enlargement."""
     from scipy.sparse import coo_matrix
@@ -126,36 +105,61 @@ def injection_matrix(shape, pad):
                       shape=(int(np.prod(padded)), size)).tocsr()
 
 
-def sparse_alpha(shape, alpha, transpose=False, centered=False):
-    """Materialize the alpha stencil as a CSR matrix over a box of `shape`."""
+def _shift_slices(shape, vec):
+    """(dst, src) slices pairing x with x + vec inside a box, or None if no
+    such pair exists."""
+    src, dst = [], []
+    for size, o in zip(shape, vec):
+        if abs(o) >= size:
+            return None
+        src.append(slice(o, size) if o >= 0 else slice(0, size + o))
+        dst.append(slice(0, size - o) if o >= 0 else slice(-o, size))
+    return tuple(dst), tuple(src)
+
+
+def apply_stencil(u, entries):
+    """(A u)(x) = sum_o c_o u(x + o) with zero extension, for (offset-vector,
+    coefficient) entries."""
+    out = np.zeros_like(u)
+    for vec, c in entries:
+        pair = _shift_slices(u.shape, vec)
+        if pair is not None:
+            out[pair[0]] += c * u[pair[1]]
+    return out
+
+
+def sparse_stencil(shape, entries):
+    """The matrix of apply_stencil over a box of `shape`, as CSR."""
     from scipy.sparse import coo_matrix
 
     size = int(np.prod(shape))
     idx = np.arange(size).reshape(shape)
     rows, cols, vals = [], [], []
-    for vec, val in alpha_offsets(alpha, centered=centered):
-        if transpose:
-            vec = tuple(-v for v in vec)
-        src = [slice(None)] * len(shape)
-        dst = [slice(None)] * len(shape)
-        ok = True
-        for axis, o in enumerate(vec):
-            if abs(o) >= shape[axis]:
-                ok = False
-                break
-            if o >= 0:
-                src[axis] = slice(o, shape[axis])
-                dst[axis] = slice(0, shape[axis] - o)
-            else:
-                src[axis] = slice(0, shape[axis] + o)
-                dst[axis] = slice(-o, shape[axis])
-        if not ok:
+    for vec, val in entries:
+        pair = _shift_slices(shape, vec)
+        if pair is None:
             continue
-        rows.append(idx[tuple(dst)].ravel())
-        cols.append(idx[tuple(src)].ravel())
+        rows.append(idx[pair[0]].ravel())
+        cols.append(idx[pair[1]].ravel())
         vals.append(np.full(rows[-1].size, val))
     mat = coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(size, size),
     )
     return mat.tocsr()
+
+
+def sparse_alpha(shape, alpha, centered=False):
+    """Materialize the alpha stencil as a CSR matrix over a box of `shape`."""
+    return sparse_stencil(shape, alpha_offsets(alpha, centered=centered))
+
+
+def neg_laplacian(v, out):
+    """out = -Delta_h v, undivided, with zero extension; out must not alias v."""
+    np.multiply(v, 2.0 * v.ndim, out=out)
+    for axis in range(v.ndim):
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        out[lo] -= v[hi]
+        out[hi] -= v[lo]
+    return out

@@ -35,6 +35,9 @@ def test_capacity_run_and_manifest_rerun_bitwise(tmp_path, cli_env):
             "--h", "0.25", "--box", "3.0", "--out", "runA"]
     r = run_cli(args, tmp_path, cli_env)
     assert r.returncode == 0, r.stderr
+    with open(tmp_path / "runA" / "summary.json") as fh:
+        iterations = json.load(fh)["iterations"]
+    assert isinstance(iterations, int) and iterations > 0
     r = run_cli(["--config", str(tmp_path / "runA" / "manifest.json"),
                  "capacity", "--out", "runB"], tmp_path, cli_env)
     assert r.returncode == 0, r.stderr

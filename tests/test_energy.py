@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from polycap import (EnergyForm, Grid, InputError, assemble, hardy_weighted_energy,
-                     laplacian, polyharmonic, unit_directions)
+from polycap import (EllipticOperator, EnergyForm, Grid, InputError, assemble,
+                     hardy_weighted_energy, laplacian, multi_indices, multinomial,
+                     polyharmonic, unit_directions)
 from polycap.grids import Ball
+from polycap.stencils import sparse_alpha
 
 
 def _tent(grid):
@@ -145,3 +147,64 @@ def test_weighted_form_needs_weight_and_regime():
     op = polyharmonic(4, 2)
     with pytest.raises(InputError):
         assemble("weighted_operator_form", op, Grid(4, 0.25, 8))
+
+
+def _reference_matrix(kind, grid, m, op=None):
+    """The module docstring's definition term by term: sum c (d^a)^T d^b with
+    sparse stencils on the box padded by m, restricted to the grid."""
+    n, h = grid.n, grid.h
+    if kind == "homogeneous_m":
+        terms = [(a, a, multinomial(a) * h ** (n - 2 * m)) for a in multi_indices(n, m)]
+    elif kind == "inhomogeneous_m":
+        terms = [(a, a, multinomial(a) * h ** (n - 2 * k))
+                 for k in range(m + 1) for a in multi_indices(n, k)]
+    else:
+        terms = []
+        for (a, b), v in op.coefficients.items():
+            terms.append((a, b, v * h ** (n - 2 * m)))
+            if a != b:
+                terms.append((b, a, v * h ** (n - 2 * m)))
+    padded = tuple(s + 2 * m for s in grid.shape)
+    inner = np.arange(int(np.prod(padded))).reshape(padded)
+    inner = inner[tuple(slice(m, m + s) for s in grid.shape)].ravel()
+    mat = 0.0
+    for a, b, c in terms:
+        da = sparse_alpha(padded, a).tocsc()[:, inner]
+        db = sparse_alpha(padded, b).tocsc()[:, inner]
+        mat = mat + c * (da.T @ db)
+    return mat.tocsr()
+
+
+def _anisotropic_operator():
+    # mixed m = 2 table in 3-d with off-diagonal pairs of odd multi-indices,
+    # which the Laplacian-power shortcut does not cover
+    return EllipticOperator(3, 2, {
+        ((2, 0, 0), (2, 0, 0)): 1.0, ((0, 2, 0), (0, 2, 0)): 2.0,
+        ((0, 0, 2), (0, 0, 2)): 0.5, ((2, 0, 0), (0, 2, 0)): 0.3,
+        ((1, 1, 0), (1, 1, 0)): 1.5, ((1, 1, 0), (1, 0, 1)): 0.2,
+        ((0, 1, 1), (2, 0, 0)): -0.1,
+    }, name="anisotropic")
+
+
+@pytest.mark.parametrize("kind,n,m,extent,op", [
+    ("homogeneous_m", 3, 1, 4, None),
+    ("homogeneous_m", 4, 2, 4, None),
+    ("homogeneous_m", 5, 2, 4, None),
+    ("homogeneous_m", 3, 3, 6, None),
+    ("inhomogeneous_m", 4, 2, 4, None),
+    ("operator_form", 3, 2, 5, polyharmonic(3, 2)),
+    ("operator_form", 3, 2, 5, _anisotropic_operator()),
+])
+def test_forms_match_multi_index_definition(kind, n, m, extent, op):
+    grid = Grid(n, 0.4, extent)
+    form = EnergyForm(kind, grid, m, op=op)
+    ref = _reference_matrix(kind, grid, m, op)
+    u = np.random.default_rng(11).standard_normal(grid.shape)
+    want = (ref @ u.ravel()).reshape(grid.shape)
+    got = form.apply(u)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert form.quad(u) == float((u * got).sum())
+    assert form.quad(u) == pytest.approx(float(u.ravel() @ want.ravel()), rel=1e-14)
+    mat = form.tosparse()
+    assert abs(mat - ref).max() <= 1e-14 * abs(ref).max()
+    assert abs(mat - mat.T).max() == 0.0

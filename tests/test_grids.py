@@ -3,6 +3,7 @@ import pytest
 
 from polycap import (Ball, Box, Cone, Cusp, Grid, InputError, Intersection, Mask,
                      Ray, Shell, Union, mask_from_csv, region_from_dict)
+from polycap.grids import dilate
 
 
 def test_grid_geometry():
@@ -72,3 +73,13 @@ def test_mask_set_operations_and_subset():
     assert (a & b).count == a.count
     with pytest.raises(InputError):
         Mask(g, np.zeros((3, 3), dtype=bool))
+
+
+def test_dilate_does_not_wrap_across_faces():
+    where = np.zeros((6, 5), dtype=bool)
+    where[0, 2] = True  # touches the first face of axis 0
+    grown = dilate(where, 2)
+    assert not grown[-2:].any()
+    # the two-step cross is the l1 ball of radius 2, cut at the face
+    i, j = np.indices(where.shape)
+    assert np.array_equal(grown, i + np.abs(j - 2) <= 2)

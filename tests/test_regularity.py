@@ -6,7 +6,7 @@ from polycap import (Ball, Cone, Cusp, CuspProfile, Grid, InputError, Mask,
                      decay_check, dirichlet_solve, laplacian, regularity_probe,
                      wiener_classify)
 from polycap.capacity import AnnulusCapacitySeries
-from polycap.regularity import _dilate_times
+from polycap.grids import dilate
 
 
 CLOSED_FORM_CASES = [
@@ -134,7 +134,7 @@ def test_dirichlet_linearity():
     f1 = bump(g, (0.4, 0.0), 0.25)
     f2 = bump(g, (-0.3, 0.3), 0.2)
     for f in (f1, f2):
-        f[_dilate_times(~omega.where, 2)] = 0.0
+        f[dilate(~omega.where, 2)] = 0.0
     u1, _ = dirichlet_solve(laplacian(2), omega, f1, rtol=1e-12)
     u2, _ = dirichlet_solve(laplacian(2), omega, f2, rtol=1e-12)
     u12, _ = dirichlet_solve(laplacian(2), omega, f1 + f2, rtol=1e-12)
@@ -150,7 +150,7 @@ def test_dirichlet_galerkin_orthogonality():
     interior[3:-3, 3:-3] = True
     omega = Mask(g, interior)
     f = bump(g, (0.3, 0.2), 0.25)
-    f[_dilate_times(~omega.where, 2)] = 0.0
+    f[dilate(~omega.where, 2)] = 0.0
     u, _ = dirichlet_solve(laplacian(2), omega, f, rtol=1e-12)
     form = EnergyForm("operator_form", g, 1, op=laplacian(2))
     resid = form.apply(u) - g.h**2 * f

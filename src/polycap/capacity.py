@@ -186,8 +186,7 @@ class AnnulusCapacitySeries:
 
 
 def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
-                   nodes_per_rho=12, box_factor=3.0, kind=None, rho_list=None,
-                   jobs=1):
+                   nodes_per_rho=12, box_factor=3.0, kind=None, rho_list=None):
     """Capacities of B_rho \\ Omega at dyadic scales rho = 2^-j.
 
     `complement` is the Region describing the closed complement of the domain;
@@ -258,7 +257,7 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
             return all(_resolvable(p, rho, h) for p in region.parts)
         return True
 
-    def one_scale(rho):
+    for rho in rho_values:
         h = rho / nodes_per_rho
         slab = Intersection((complement, Ball(rho)))
         if use_axisym:
@@ -272,17 +271,7 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
             count = mask.count
             cap = cap_m(mask, m, grid).value if not mask.empty else 0.0
             bcap = cap_m(Ball(rho).mask(grid), m, grid).value
-        return _resolvable(complement, rho, h), count, cap, bcap
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            results = list(pool.map(one_scale, rho_values))
-    else:
-        results = [one_scale(rho) for rho in rho_values]
-    for rho, (resolved, count, cap, bcap) in zip(rho_values, results):
-        meta["resolved"].append(resolved)
+        meta["resolved"].append(_resolvable(complement, rho, h))
         meta["node_counts"].append(count)
         rhos.append(rho)
         caps.append(cap)

@@ -168,7 +168,6 @@ def _run_positivity(cfg):
             kwargs["t_window"] = float(cfg["window"])
         if cfg.get("dt"):
             kwargs["dt"] = float(cfg["dt"])
-        kwargs["jobs"] = int(cfg.get("jobs", 1))
         verdict = channel_positivity(m, n, **kwargs)
     if verdict.witness is not None and "values" in verdict.witness:
         vals = verdict.witness["values"]
@@ -188,8 +187,7 @@ def _run_wiener(cfg):
     series = annulus_series(domain, m, n,
                             j_range=(int(cfg.get("j_min", 0)), int(cfg.get("j_max", 8))),
                             backend=cfg.get("backend", "auto"),
-                            nodes_per_rho=int(cfg.get("nodes_per_rho", 12)),
-                            jobs=int(cfg.get("jobs", 1)))
+                            nodes_per_rho=int(cfg.get("nodes_per_rho", 12)))
     verdict = wiener_classify(series, require_verdict=bool(cfg.get("require_verdict")))
     out = _outdir(cfg)
     series_to_csv(series, os.path.join(out, "series.csv"))
@@ -308,7 +306,6 @@ def _build_parser():
         sp.add_argument("--enclosing", type=float)
         sp.add_argument("--require-verdict", dest="require_verdict", action="store_true")
         sp.add_argument("--out")
-        sp.add_argument("--jobs", type=int, default=1)
     return p
 
 

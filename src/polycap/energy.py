@@ -84,7 +84,7 @@ def _fold(op, scale):
 class EnergyForm:
     """Symmetric quadratic form over grid functions with zero extension."""
 
-    def __init__(self, kind, grid, m, op=None, weight=None, exclude_origin=False):
+    def __init__(self, kind, grid, m, op=None, weight=None):
         if kind not in _KINDS:
             raise InputError(f"unknown energy kind {kind!r}")
         self.kind = kind
@@ -92,7 +92,6 @@ class EnergyForm:
         self.m = m
         self.op = op
         self.weight = weight
-        self.exclude_origin = exclude_origin
         _check_fits(grid, m)
         n, h = grid.n, grid.h
         # one representation per kind: the coefficients of a polynomial in
@@ -207,7 +206,7 @@ def assemble(kind, op, grid, weight=None):
             raise InputError("the weighted form needs n > 2m")
         wvals = weight.reconstruct_on_grid(grid)
         wvals[grid.origin_index()] = 0.0
-        return EnergyForm(kind, grid, op.m, op=op, weight=wvals, exclude_origin=True)
+        return EnergyForm(kind, grid, op.m, op=op, weight=wvals)
     return EnergyForm(kind, grid, op.m, op=op)
 
 
@@ -267,16 +266,3 @@ class HardyForm:
         for alpha, c, w in self._parts:
             out += c * apply_alpha(w * apply_alpha(up, alpha), alpha, transpose=True)
         return out[tuple(slice(self.m, self.m + s) for s in self.grid.shape)]
-
-    def tosparse(self, max_size=400_000):
-        if self.grid.size > max_size:
-            raise ConfigurationError("grid too large to materialize")
-        from scipy.sparse import diags
-
-        padded_shape = tuple(s + 2 * self.m for s in self.grid.shape)
-        P = injection_matrix(self.grid.shape, self.m)
-        mat = 0.0
-        for alpha, c, w in self._parts:
-            da = sparse_alpha(padded_shape, alpha)
-            mat = mat + c * (da.T @ diags(w.ravel()) @ da)
-        return (P.T @ (0.5 * (mat + mat.T)) @ P).tocsr()

@@ -210,7 +210,7 @@ def _revalidate_witness(m, n, k, t_window, dt, f):
 
 
 def channel_positivity(m, n, channels=None, t_window=60.0, dt=0.1, eps=1e-8,
-                       stability_rtol=0.02, max_window_doublings=2, jobs=1):
+                       stability_rtol=0.02, max_window_doublings=2):
     """Channel-by-channel positivity verdict for (-Delta)^m with its kernel
     weight.  Violation witnesses are re-validated on a doubled grid and
     against the closed-form symbols before the verdict is issued."""
@@ -222,21 +222,12 @@ def channel_positivity(m, n, channels=None, t_window=60.0, dt=0.1, eps=1e-8,
     if not channels or channels[0] < 0:
         raise InputError("channel list must be nonempty and nonnegative")
 
-    def one_channel(k, window):
-        form = ChannelForm(m, n, k, window, dt)
-        val, vec = form.min_quotient()
-        return k, val, (form, vec)
-
     def sweep(window):
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-                rows = list(pool.map(lambda k: one_channel(k, window), channels))
-        else:
-            rows = [one_channel(k, window) for k in channels]
-        quots = {k: val for k, val, _ in rows}
-        vecs = {k: fv for k, _, fv in rows}
+        quots, vecs = {}, {}
+        for k in channels:
+            form = ChannelForm(m, n, k, window, dt)
+            quots[k], vec = form.min_quotient()
+            vecs[k] = (form, vec)
         return quots, vecs
 
     window = float(t_window)

@@ -12,17 +12,23 @@ Two reductions of the polyharmonic energy are provided:
   Hessian tensor norms.
 
 Both use a staggered radial grid r_i = (i + 1/2) h with even reflection at
-the axis, so the singular weight never hits a node.  These backends exist
-because Cartesian boxes in dimensions 6, 7, 8 are out of reach at any useful
-resolution; they are validated against the Cartesian path in dimensions 3
-and 5 by the test suite.
+the axis, so the singular weight never hits a node.  Every difference
+operator is built from a few 1-D integer matrices: the face difference F
+(rows at the r-faces (i + 1) h, the outer face seeing the zero exterior), the
+z-face difference with both outer faces, and the second differences along r
+(reflecting at the axis) and z.  The (r, z) operators are their Kronecker
+products with identities, scaled once by 1/h or 1/h^2; the radial Laplacian
+is the conservative F^T diag(face^(n-1)) F over the node weights r^(n-1).
+These backends exist because Cartesian boxes in dimensions 6, 7, 8 are out
+of reach at any useful resolution; they are validated against the Cartesian
+path in dimensions 3 and 5 by the test suite.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, diags, identity
+from scipy.sparse import csr_matrix, diags, identity, kron, vstack
 from scipy.sparse.linalg import splu
 
 from .errors import InputError, UnsupportedRegimeError
@@ -52,38 +58,30 @@ class RadialGrid:
         return self.h * np.arange(self.nodes + 1)
 
 
+def _face_difference(N):
+    """u_(i+1) - u_i at the faces (i + 1) h, i < N, with u_N = 0 outside."""
+    return diags([-1.0, 1.0], [0, 1], shape=(N, N), format="csr")
+
+
+def _second_difference(N, reflect=False):
+    """u_(i+1) - 2 u_i + u_(i-1) with zero exterior; `reflect` sets the even
+    axis ghost u_(-1) = u_0."""
+    main = np.full(N, -2.0)
+    if reflect:
+        main[0] = -1.0
+    return diags([1.0, main, 1.0], [-1, 0, 1], shape=(N, N), format="csr")
+
+
 def _radial_gradient_matrix(rg):
-    """Forward difference at interior faces plus the zero-extension outer face."""
-    N = rg.nodes
-    rows, cols, vals = [], [], []
-    for j in range(1, N):  # face j between nodes j-1, j
-        rows += [j, j]
-        cols += [j, j - 1]
-        vals += [1.0 / rg.h, -1.0 / rg.h]
-    # outer face N: u_N = 0 outside
-    rows += [N]
-    cols += [N - 1]
-    vals += [-1.0 / rg.h]
-    return coo_matrix((vals, (rows, cols)), shape=(N + 1, N)).tocsr()
+    """Forward difference at every face; the axis face carries no energy."""
+    return vstack([csr_matrix((1, rg.nodes)), _face_difference(rg.nodes)]).tocsr() / rg.h
 
 
 def _radial_laplacian_matrix(rg):
     """Conservative radial Laplacian with even reflection at the axis."""
-    N, h, n = rg.nodes, rg.h, rg.n
-    r = rg.r
-    rf = rg.faces
-    rows, cols, vals = [], [], []
-    for i in range(N):
-        a_lo = rf[i] ** (n - 1)
-        a_hi = rf[i + 1] ** (n - 1)
-        c = 1.0 / (h * h * r[i] ** (n - 1))
-        # -(a_hi + a_lo) u_i + a_hi u_{i+1} + a_lo u_{i-1}; reflection kills a_lo at i=0
-        rows.append(i); cols.append(i); vals.append(-c * (a_hi + (a_lo if i > 0 else 0.0)))
-        if i + 1 < N:
-            rows.append(i); cols.append(i + 1); vals.append(c * a_hi)
-        if i > 0:
-            rows.append(i); cols.append(i - 1); vals.append(c * a_lo)
-    return coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsr()
+    F = _face_difference(rg.nodes)
+    flux = F.T @ diags(rg.faces[1:] ** (rg.n - 1)) @ F
+    return (diags(-1.0 / (rg.h * rg.h * rg.r ** (rg.n - 1))) @ flux).tocsr()
 
 
 def radial_energy_matrix(m, rg):
@@ -207,9 +205,7 @@ def radial_ball_potential(m, n, ball_radius=1.0, h=None, box=None):
     Aff = A[free][:, free].tocsc()
     # symmetric equilibration keeps the direct solve stable under the r^(n-1) weights
     d = np.sqrt(Aff.diagonal())
-    from scipy.sparse import diags as _diags
-
-    Dm = _diags(1.0 / d)
+    Dm = diags(1.0 / d)
     u[free] = (splu((Dm @ Aff @ Dm).tocsc()).solve(rhs / d)) / d
     cap = float(u @ (A @ u))
     return rg, u, cap
@@ -259,118 +255,68 @@ class AxisymGrid:
         return inside
 
 
-def _axisym_terms(ag, m):
-    """(matrix, weight) pairs so that the energy is sum w . (M u)^2 * h^2 * omega."""
-    import scipy.sparse as sp
+def _cell_measure(ag):
+    """omega_(n-2) h^2 r^(n-2) per r-row: the measure of an (r, z) cell."""
+    return sphere_surface(ag.n - 1) * ag.h * ag.h * ag.r ** (ag.n - 2)
 
+
+def _axisym_terms(ag, m):
+    """(matrix, weight) pairs so that the energy is sum w . (M u)^2.
+
+    This is integral |D^m u|^2 in cylindrical form over the measure
+    omega_(n-2) r^(n-2) dr dz, each difference weighted by omega_(n-2) h^2
+    r^(n-2) at the radius where it sits:
+      m = 1: u_r at the r-faces and u_z at the z-faces;
+      m = 2: u_rr and u_zz at the nodes, 2 u_rz^2 at the (r-face, z-face)
+             corners and (n - 2) (u_r / r)^2 at the r-faces.
+    Rows are r-major: node (i, j) is row i * Nz + j, and z-face j of r-row i
+    (Nz + 1 per row, both outer faces included) is row i * (Nz + 1) + j.
+    """
     Nr, Nz = ag.shape
     n, h = ag.n, ag.h
-    size = Nr * Nz
-    idx = np.arange(size).reshape(Nr, Nz)
+    F = _face_difference(Nr)
+    # z-faces j = 0..Nz, including both outer faces against the zero exterior
+    Fz = diags([1.0, -1.0], [0, -1], shape=(Nz + 1, Nz), format="csr")
+    Ir, Iz = identity(Nr, format="csr"), identity(Nz, format="csr")
+    meas = sphere_surface(n - 1) * h * h
+    rface = (np.arange(Nr) + 1.0) * h
+    cell = _cell_measure(ag)
 
-    def face_r(i):
-        return (i + 1.0) * h  # r-face between rows i, i+1
-
-    def op_from(entries):
-        rows, cols, vals = entries
-        return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
-
-    def dr_forward():
-        # rows are r-faces at (i+1) h for i = 0..Nr-1; the axis face carries
-        # no energy (even reflection), the outer face sees the zero exterior
-        rows, cols, vals = [], [], []
-        for i in range(Nr):
-            rows += list(idx[i]); cols += list(idx[i]); vals += [-1.0 / h] * Nz
-            if i + 1 < Nr:
-                rows += list(idx[i]); cols += list(idx[i + 1]); vals += [1.0 / h] * Nz
-        return op_from((rows, cols, vals))
-
-    def dz_forward():
-        # rectangular: one row per z-face including both outer faces
-        rows, cols, vals = [], [], []
-        fidx = np.arange(Nr * (Nz + 1)).reshape(Nr, Nz + 1)
-        for j in range(Nz + 1):
-            if j < Nz:
-                rows += list(fidx[:, j]); cols += list(idx[:, j]); vals += [1.0 / h] * Nr
-            if j > 0:
-                rows += list(fidx[:, j]); cols += list(idx[:, j - 1]); vals += [-1.0 / h] * Nr
-        return sp.coo_matrix((vals, (rows, cols)), shape=(Nr * (Nz + 1), size)).tocsr()
-
-    def drz_forward():
-        # corner-centered mixed difference: rows at (r-face i+1, z-face j+1/2)
-        rows, cols, vals = [], [], []
-        fidx = np.arange(Nr * (Nz + 1)).reshape(Nr, Nz + 1)
-        inv = 1.0 / (h * h)
-        for i in range(Nr):
-            for j in range(Nz + 1):
-                row = fidx[i, j]
-                for (di, dj, s) in ((0, 0, 1.0), (1, 0, -1.0), (0, -1, -1.0), (1, -1, 1.0)):
-                    ii, jj = i + di, j + dj
-                    if 0 <= ii < Nr and 0 <= jj < Nz:
-                        rows.append(row); cols.append(idx[ii, jj]); vals.append(s * inv)
-        return sp.coo_matrix((vals, (rows, cols)), shape=(Nr * (Nz + 1), size)).tocsr()
-
-    rr = np.repeat(ag.r, Nz).reshape(Nr, Nz)
-    rface = np.repeat((np.arange(Nr) + 1.0) * h, Nz).reshape(Nr, Nz)
-    rr_zface = np.repeat(ag.r, Nz + 1).reshape(Nr, Nz + 1)
-    rface_zface = np.repeat((np.arange(Nr) + 1.0) * h, Nz + 1).reshape(Nr, Nz + 1)
-    omega = sphere_surface(n - 1)
-    meas = omega * h * h
-
-    Dr = dr_forward()
-    Dz = dz_forward()
-    terms = []
+    Dr = kron(F, Iz, format="csr") / h
+    terms = [(Dr, np.repeat(meas * rface ** (n - 2), Nz))]
     if m == 1:
-        terms.append((Dr, meas * rface ** (n - 2)))
-        terms.append((Dz, meas * rr_zface ** (n - 2)))
+        terms.append((kron(Ir, Fz, format="csr") / h, np.repeat(cell, Nz + 1)))
         return terms
     if m != 2:
         raise UnsupportedRegimeError("axisymmetric solver supports m = 1 and m = 2")
-
-    # u_rr with even reflection across the axis (ghost u[-1] = u[0])
-    rows, cols, vals = [], [], []
-    for i in range(Nr):
-        c = 1.0 / (h * h)
-        rows += list(idx[i]); cols += list(idx[i]); vals += [(-2.0 if i > 0 else -1.0) * c] * Nz
-        if i + 1 < Nr:
-            rows += list(idx[i]); cols += list(idx[i + 1]); vals += [c] * Nz
-        if i > 0:
-            rows += list(idx[i]); cols += list(idx[i - 1]); vals += [c] * Nz
-    Drr = op_from((rows, cols, vals))
-
-    rows, cols, vals = [], [], []
-    for j in range(Nz):
-        c = 1.0 / (h * h)
-        rows += list(idx[:, j]); cols += list(idx[:, j]); vals += [-2.0 * c] * Nr
-        if j + 1 < Nz:
-            rows += list(idx[:, j]); cols += list(idx[:, j + 1]); vals += [c] * Nr
-        if j > 0:
-            rows += list(idx[:, j]); cols += list(idx[:, j - 1]); vals += [c] * Nr
-    Dzz = op_from((rows, cols, vals))
-
-    Drz = drz_forward()
-    terms.append((Drr, meas * rr ** (n - 2)))
-    terms.append((Dzz, meas * rr ** (n - 2)))
-    terms.append((Drz, 2.0 * meas * rface_zface ** (n - 2)))
-    # (n-2) (u_r / r)^2 evaluated at r-faces
-    terms.append((Dr, (n - 2.0) * meas * rface ** (n - 4)))
-    return terms
+    Drr = kron(_second_difference(Nr, reflect=True), Iz, format="csr") / (h * h)
+    Dzz = kron(Ir, _second_difference(Nz), format="csr") / (h * h)
+    Drz = kron(F, Fz, format="csr") / (h * h)
+    return [(Drr, np.repeat(cell, Nz)),
+            (Dzz, np.repeat(cell, Nz)),
+            (Drz, np.repeat(2.0 * meas * rface ** (n - 2), Nz + 1)),
+            (Dr, np.repeat((n - 2.0) * meas * rface ** (n - 4), Nz))]
 
 
 def axisym_energy_matrix(ag, m):
     mat = None
     for op, w in _axisym_terms(ag, m):
-        part = op.T @ diags(w.ravel()) @ op
+        part = op.T @ diags(w) @ op
         mat = part if mat is None else mat + part
     return (0.5 * (mat + mat.T)).tocsr()
 
 
-def axisym_capacity(region, m, n, h, r_box, kind="homogeneous"):
-    """Variational capacity of a body of revolution on an (r, z) grid.
+def _solve_free(A, fixed, u, rhs):
+    """Fill u off the flat mask `fixed` by an LU solve of the free block of
+    A u = rhs; u holds the fixed values and rhs already carries their -A u."""
+    free = ~fixed
+    u[free] = splu(A[free][:, free].tocsc()).solve(rhs[free])
+    return u
 
-    kind "homogeneous" uses the order-m gradient energy; "inhomogeneous" adds
-    the lower-order gradient sums (the Bessel-type surrogate).
-    """
+
+def axisym_capacity(region, m, n, h, r_box):
+    """Variational capacity of a body of revolution on an (r, z) grid, with
+    the order-m gradient energy; returns (capacity, grid, potential)."""
     if n < 3:
         raise UnsupportedRegimeError("axisymmetric reduction needs n >= 3")
     ag = AxisymGrid(n, h, int(round(r_box / h)), int(round(r_box / h)))
@@ -378,26 +324,14 @@ def axisym_capacity(region, m, n, h, r_box, kind="homogeneous"):
     if not fixed.any():
         return 0.0, ag, np.zeros(ag.shape)
     A = axisym_energy_matrix(ag, m)
-    if kind == "inhomogeneous":
-        for k in range(m):
-            if k == 0:
-                omega = sphere_surface(n - 1)
-                rr = np.repeat(ag.r, ag.shape[1]).reshape(ag.shape)
-                A = A + diags((omega * ag.h * ag.h * rr ** (n - 2)).ravel())
-            else:
-                A = A + axisym_energy_matrix(ag, k)
-    u = np.zeros(ag.shape[0] * ag.shape[1])
     fix = fixed.ravel()
-    u[fix] = 1.0
-    free = ~fix
-    rhs = -(A @ u)[free]
-    Aff = A[free][:, free].tocsc()
-    u[free] = splu(Aff).solve(rhs)
+    u = fix.astype(float)
+    _solve_free(A, fix, u, -(A @ u))
     cap = float(u @ (A @ u))
     return cap, ag, u.reshape(ag.shape)
 
 
-def axisym_dirichlet(op_m, n, omega_fixed, source, ag, rtol=1e-10):
+def axisym_dirichlet(op_m, n, omega_fixed, source, ag):
     """Dirichlet solve on the (r, z) half-plane grid.
 
     omega_fixed is the boolean array of nodes constrained to zero (the
@@ -406,12 +340,7 @@ def axisym_dirichlet(op_m, n, omega_fixed, source, ag, rtol=1e-10):
     weighted cell measure for the source pairing.
     """
     A = axisym_energy_matrix(ag, op_m)
-    omega_fixed = np.asarray(omega_fixed, dtype=bool)
-    rr = np.repeat(ag.r, ag.shape[1]).reshape(ag.shape)
-    meas = sphere_surface(n - 1) * ag.h * ag.h * rr ** (n - 2)
-    rhs = (np.asarray(source, dtype=float) * meas).ravel()
-    free = ~omega_fixed.ravel()
-    u = np.zeros(ag.shape[0] * ag.shape[1])
-    Aff = A[free][:, free].tocsc()
-    u[free] = splu(Aff).solve(rhs[free])
+    fixed = np.asarray(omega_fixed, dtype=bool).ravel()
+    rhs = (np.asarray(source, dtype=float) * _cell_measure(ag)[:, None]).ravel()
+    u = _solve_free(A, fixed, np.zeros(fixed.size), rhs)
     return u.reshape(ag.shape)

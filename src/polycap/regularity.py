@@ -322,14 +322,19 @@ def dirichlet_solve(op, omega, f, rtol=1e-8):
     return u, info
 
 
-def bump(grid, center, radius):
-    """Smooth compactly supported bump, value 1 at the center."""
-    x = grid.coords() - np.asarray(center, dtype=float)
-    s2 = (x**2).sum(axis=-1) / radius**2
-    out = np.zeros(grid.shape)
+def _bump_of(dist2, radius):
+    """exp(1 - 1 / (1 - s^2)) for s^2 = dist2 / radius^2 < 1, else 0."""
+    s2 = dist2 / radius**2
+    out = np.zeros(s2.shape)
     inside = s2 < 1.0
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
     return out
+
+
+def bump(grid, center, radius):
+    """Smooth compactly supported bump, value 1 at the center."""
+    x = grid.coords() - np.asarray(center, dtype=float)
+    return _bump_of((x**2).sum(axis=-1), radius)
 
 
 @dataclass
@@ -344,6 +349,18 @@ class ProbeReport:
                 "notes": list(self.notes)}
 
 
+def _sup_table(u, h, domain, radii, box_radius, rho_levels):
+    """sup |u| over the domain nodes within each rho = 2^-level box_radius."""
+    sups, rho_used = [], []
+    for lev in rho_levels:
+        rho = 2.0 ** (-lev) * box_radius
+        sel = domain & (radii <= rho)
+        if sel.any():
+            rho_used.append(rho)
+            sups.append(float(np.abs(u[sel]).max()))
+    return {"h": h, "rho": rho_used, "sup": sups, "u_max": float(np.abs(u).max())}
+
+
 def _probe_solve_cartesian(op, complement, n, box_radius, h, source_center,
                            source_radius, rho_levels, rtol):
     extent = int(round(box_radius / h))
@@ -356,15 +373,7 @@ def _probe_solve_cartesian(op, complement, n, box_radius, h, source_center,
     if not np.any(f > 0):
         raise InputError("source bump fell entirely inside the forbidden zone")
     u, _ = dirichlet_solve(op, omega, f, rtol=rtol)
-    radii = grid.radii()
-    sups, rho_used = [], []
-    for lev in rho_levels:
-        rho = 2.0 ** (-lev) * box_radius
-        sel = omega.where & (radii <= rho)
-        if sel.any():
-            rho_used.append(rho)
-            sups.append(float(np.abs(u[sel]).max()))
-    return {"h": h, "rho": rho_used, "sup": sups, "u_max": float(np.abs(u).max())}
+    return _sup_table(u, h, omega.where, grid.radii(), box_radius, rho_levels)
 
 
 def _probe_solve_axisym(op, complement, n, box_radius, h, source_center,
@@ -382,22 +391,12 @@ def _probe_solve_axisym(op, complement, n, box_radius, h, source_center,
     c = np.asarray(source_center, dtype=float)
     cr = float(np.linalg.norm(c[:-1]))
     cz = float(c[-1])
-    s2 = ((R - cr) ** 2 + (Z - cz) ** 2) / source_radius**2
-    f = np.zeros(ag.shape)
-    inside = s2 < 1.0
-    f[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
+    f = _bump_of((R - cr) ** 2 + (Z - cz) ** 2, source_radius)
     f[dilate(outside, 2 * op.m)] = 0.0
     if not np.any(f > 0):
         raise InputError("source bump fell entirely inside the forbidden zone")
     u = axisym_dirichlet(op.m, n, outside, f, ag)
-    sups, rho_used = [], []
-    for lev in rho_levels:
-        rho = 2.0 ** (-lev) * box_radius
-        sel = (~outside) & (rad2 <= rho**2)
-        if sel.any():
-            rho_used.append(rho)
-            sups.append(float(np.abs(u[sel]).max()))
-    return {"h": h, "rho": rho_used, "sup": sups, "u_max": float(np.abs(u).max())}
+    return _sup_table(u, h, ~outside, np.sqrt(rad2), box_radius, rho_levels)
 
 
 def regularity_probe(op, complement, n, box_radius=1.0, h_values=(1 / 8, 1 / 16, 1 / 32),

@@ -24,8 +24,7 @@ def _dst_solve(v, spec):
     return sfft.idstn(coeff / spec, type=1, norm="ortho")
 
 
-def solve_constrained(form, fixed_where, fixed_values, rhs=None, rtol=1e-8, maxiter=2000,
-                      precond="dst"):
+def solve_constrained(form, fixed_where, fixed_values, rhs=None, rtol=1e-8, maxiter=2000):
     """Minimize the form with u[fixed] = values; returns (u, info).
 
     rhs, if given, adds a linear term -<rhs, u> so the stationarity system is
@@ -54,16 +53,14 @@ def solve_constrained(form, fixed_where, fixed_values, rhs=None, rtol=1e-8, maxi
 
     nfree = int(free.sum())
     A = LinearOperator((nfree, nfree), matvec=matvec)
-    M = None
-    if precond == "dst":
-        spec = form.dst_spectrum()
+    spec = form.dst_spectrum()
 
-        def pc(v):
-            w = grid.zeros()
-            w[free] = v
-            return _dst_solve(w, spec)[free]
+    def pc(v):
+        w = grid.zeros()
+        w[free] = v
+        return _dst_solve(w, spec)[free]
 
-        M = LinearOperator((nfree, nfree), matvec=pc)
+    M = LinearOperator((nfree, nfree), matvec=pc)
 
     iters = [0]
 

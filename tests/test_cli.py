@@ -46,13 +46,14 @@ def test_capacity_run_and_manifest_rerun_bitwise(tmp_path, cli_env):
 
 
 def test_manifest_with_seed_key_reruns(tmp_path, cli_env):
-    # manifests written while the CLI still took --seed carry a seed key
+    # manifests written while the CLI still took --seed and --jobs carry those keys
     r = run_cli(["cusp", "--kind", "power", "--p", "2", "--m", "2", "--n", "6",
                  "--out", "s1"], tmp_path, cli_env)
     assert r.returncode == 0, r.stderr
     with open(tmp_path / "s1" / "manifest.json") as fh:
         manifest = json.load(fh)
     manifest["config"]["seed"] = 7
+    manifest["config"]["jobs"] = 2
     with open(tmp_path / "seeded.json", "w") as fh:
         json.dump(manifest, fh)
     r = run_cli(["--config", str(tmp_path / "seeded.json"), "cusp", "--out", "s2"],

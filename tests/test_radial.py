@@ -1,0 +1,75 @@
+import numpy as np
+import pytest
+
+from polycap.radial import (AxisymGrid, RadialGrid, axisym_energy_matrix, radial_energy_matrix,
+                            sphere_surface)
+
+
+def _axisym_energy_by_definition(u, n, m, h):
+    """integral |D^m u|^2 in cylindrical form, summed with slice differences
+    of the zero-extended u on cells of measure omega_(n-2) h^2 r^(n-2)."""
+    Nr, Nz = u.shape
+    meas = sphere_surface(n - 1) * h * h
+    r = h * (np.arange(Nr) + 0.5)[:, None]
+    rface = h * (np.arange(Nr) + 1.0)[:, None]
+    ur = np.diff(np.pad(u, ((0, 1), (0, 0))), axis=0) / h  # r-faces (i + 1) h
+    if m == 1:
+        uz = np.diff(np.pad(u, ((0, 0), (1, 1))), axis=1) / h  # all Nz + 1 z-faces
+        return (meas * rface ** (n - 2) * ur**2).sum() + (meas * r ** (n - 2) * uz**2).sum()
+    # the even reflection across the axis puts u[0] at the ghost row -1
+    ext = np.concatenate([u[:1], u, np.zeros((1, Nz))])
+    urr = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / (h * h)
+    zp = np.pad(u, ((0, 0), (1, 1)))
+    uzz = (zp[:, 2:] - 2.0 * zp[:, 1:-1] + zp[:, :-2]) / (h * h)
+    urz = np.diff(np.diff(np.pad(u, ((0, 1), (1, 1))), axis=0), axis=1) / (h * h)
+    return ((meas * r ** (n - 2) * (urr**2 + uzz**2)).sum()
+            + (2.0 * meas * rface ** (n - 2) * urz**2).sum()
+            + ((n - 2.0) * meas * rface ** (n - 2) * (ur / rface) ** 2).sum())
+
+
+def _radial_energy_by_definition(u, n, m, h):
+    """omega_(n-1) h sum of r^(n-1) (L^(m/2) u)^2, or of face^(n-1) times the
+    squared face gradient of L^((m-1)/2) u for odd m, with the conservative
+    radial Laplacian L of the zero-extended u (no flux through the axis)."""
+    N = u.size
+    r = h * (np.arange(N) + 0.5)
+    faces = h * np.arange(N + 1)
+
+    def grad(v):  # at faces 0..N, the axis face first
+        return np.diff(np.concatenate([v[:1], v, [0.0]])) / h
+
+    def lap(v):
+        flux = faces ** (n - 1) * grad(v)
+        return np.diff(flux) / (h * r ** (n - 1))
+
+    for _ in range(m // 2):
+        u = lap(u)
+    if m % 2:
+        return sphere_surface(n) * h * (faces ** (n - 1) * grad(u) ** 2).sum()
+    return sphere_surface(n) * h * (r ** (n - 1) * u**2).sum()
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (5, 2), (6, 2)])
+def test_axisym_energy_matches_definition(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    ag = AxisymGrid(n, 0.3, 6, 4)
+    A = axisym_energy_matrix(ag, m)
+    assert abs(A - A.T).max() == 0.0
+    for _ in range(3):
+        u = rng.standard_normal(ag.shape)
+        direct = _axisym_energy_by_definition(u, n, m, ag.h)
+        assert u.ravel() @ (A @ u.ravel()) == pytest.approx(direct, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_radial_energy_matches_definition(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    rg = RadialGrid(n, 0.3, 12)
+    A = radial_energy_matrix(m, rg)
+    # the product core^T W core is not symmetrised, so it is symmetric to rounding
+    assert abs(A - A.T).max() <= 1e-15 * abs(A).max()
+    for _ in range(3):
+        u = rng.standard_normal(rg.nodes)
+        direct = _radial_energy_by_definition(u, n, m, rg.h)
+        assert u @ (A @ u) == pytest.approx(direct, rel=1e-13)

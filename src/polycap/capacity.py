@@ -13,7 +13,6 @@ Richardson extrapolation in R^(2m-n), which is what makes desk-size boxes
 reach percent-level accuracy.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -8,7 +8,6 @@ an iterative solve did not converge.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -18,13 +17,12 @@ from .capacity import annulus_series, bessel_capacity, cap_m, series_to_csv
 from .errors import ConfigurationError, InconclusiveError, InputError, UnsupportedRegimeError
 from .fundsol import compute_profile, sign_summary
 from .grids import Grid, Mask, dilate, mask_from_csv, region_from_dict
-from .operators import (check_ellipticity, eval_symbol, load_operator, preset_operator,
-                        unit_directions)
+from .operators import check_ellipticity, load_operator, preset_operator, unit_directions
 from .positivity import channel_positivity, grid_positivity
 from .potential import (capacitary_potential, gradient_decay_check, lower_bound_check,
                         range_check)
-from .regularity import CuspProfile, cusp_criterion, decay_check, dirichlet_solve, \
-    regularity_probe, wiener_classify, bump
+from .regularity import (CuspProfile, bump, cusp_criterion, decay_check, dirichlet_solve,
+                         wiener_classify)
 from .reporting import write_csv, write_json, write_manifest, load_manifest_config
 
 

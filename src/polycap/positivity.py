@@ -262,6 +262,9 @@ def channel_positivity(m, n, channels=None, t_window=60.0, dt=0.1, eps=1e-8,
         form, vec = vecs[kmin]
         f = np.asarray(vec, dtype=float)
         f /= np.abs(f).max()
+        # the eigenvector's sign is arbitrary; fix it so the witness is too
+        if f[np.argmax(np.abs(f))] < 0.0:
+            f = -f
         q_fine, q_spec = _revalidate_witness(m, n, kmin, window, dt, f)
         if not (q_fine < 0.0 and q_spec < 0.0):
             notes.append(

@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capacity import annulus_series, cap_m
+from .capacity import annulus_series
 from .energy import EnergyForm, weighted_gradient_parts
 from .errors import InconclusiveError, InputError, UnsupportedRegimeError
-from .grids import Ball, Cusp, Grid, Mask, Region, dilate
+from .grids import Ball, Cusp, Grid, Mask, dilate
 from .solvers import solve_constrained
 from .stencils import apply_alpha
 
@@ -361,8 +361,10 @@ def _sup_table(u, h, domain, radii, box_radius, rho_levels):
     return {"h": h, "rho": rho_used, "sup": sups, "u_max": float(np.abs(u).max())}
 
 
-def _probe_solve_cartesian(op, complement, n, box_radius, h, source_center,
-                           source_radius, rho_levels, rtol):
+def _probe_cartesian(op, complement, n, box_radius, h, source_center, source_radius,
+                     rho_levels, rtol):
+    """Set up the Cartesian probe at spacing h; returns the solve that yields
+    its sup table."""
     extent = int(round(box_radius / h))
     grid = Grid(n, h, extent)
     inside_ball = Ball(box_radius * 0.98).mask(grid)
@@ -372,12 +374,18 @@ def _probe_solve_cartesian(op, complement, n, box_radius, h, source_center,
     f[dilate(~omega.where, 2 * op.m)] = 0.0
     if not np.any(f > 0):
         raise InputError("source bump fell entirely inside the forbidden zone")
-    u, _ = dirichlet_solve(op, omega, f, rtol=rtol)
-    return _sup_table(u, h, omega.where, grid.radii(), box_radius, rho_levels)
+
+    def solve():
+        u, _ = dirichlet_solve(op, omega, f, rtol=rtol)
+        return _sup_table(u, h, omega.where, grid.radii(), box_radius, rho_levels)
+
+    return solve
 
 
-def _probe_solve_axisym(op, complement, n, box_radius, h, source_center,
-                        source_radius, rho_levels):
+def _probe_axisym(op, complement, n, box_radius, h, source_center, source_radius,
+                  rho_levels):
+    """Set up the axisymmetric probe at spacing h; returns the solve that
+    yields its sup table."""
     from .radial import AxisymGrid, axisym_dirichlet
 
     if op.m > 2:
@@ -395,8 +403,29 @@ def _probe_solve_axisym(op, complement, n, box_radius, h, source_center,
     f[dilate(outside, 2 * op.m)] = 0.0
     if not np.any(f > 0):
         raise InputError("source bump fell entirely inside the forbidden zone")
-    u = axisym_dirichlet(op.m, n, outside, f, ag)
-    return _sup_table(u, h, ~outside, np.sqrt(rad2), box_radius, rho_levels)
+
+    def solve():
+        u = axisym_dirichlet(op.m, n, outside, f, ag)
+        return _sup_table(u, h, ~outside, np.sqrt(rad2), box_radius, rho_levels)
+
+    return solve
+
+
+def _ladder_shortfall(box_radius, h_values, rho_levels, trust_spacings):
+    """Why no ladder solved at these spacings can reach a trend verdict, or
+    None when one can: a verdict needs 3 refinements and 3 trusted scales
+    rho >= trust_spacings * h_values[-1], the deepest at most box_radius/16."""
+    if len(h_values) < 3:
+        return "need 3 refinements"
+    rhos = sorted({2.0 ** (-lev) * box_radius for lev in rho_levels}, reverse=True)
+    deep = [r for r in rhos if r <= box_radius / 16.0]
+    if len(rhos) < 3 or not deep:
+        return "rho_levels must hold 3 scales and reach box_radius/16"
+    need = min(rhos[2], deep[0])
+    if need >= trust_spacings * h_values[-1]:
+        return None
+    return (f"trusted ladder cannot reach a verdict at the finest spacing "
+            f"{h_values[-1]:.6g}; it needs a finest spacing h <= {need / trust_spacings:.6g}")
 
 
 def regularity_probe(op, complement, n, box_radius=1.0, h_values=(1 / 8, 1 / 16, 1 / 32),
@@ -408,7 +437,9 @@ def regularity_probe(op, complement, n, box_radius=1.0, h_values=(1 / 8, 1 / 16,
     The domain is the open box ball minus the complement region; the source
     is a fixed smooth bump away from the origin.  Scales closer than
     `trust_spacings` grid spacings to the resolution are excluded, and no
-    verdict is issued unless the trusted ladder reaches box_radius/16; the
+    verdict is issued unless the trusted ladder reaches box_radius/16.  A
+    ladder that cannot reach it at h_values[-1] is reported inconclusive
+    before any solve, with the finest spacing it would need.  Otherwise the
     decay exponent of sup in rho over the trusted tail is then gated:
     vanishing above the upper gate, non-vanishing below the lower gate when
     the finest trusted sup is refinement-stable and above the floor
@@ -425,24 +456,24 @@ def regularity_probe(op, complement, n, box_radius=1.0, h_values=(1 / 8, 1 / 16,
         source_center = np.zeros(n)
         source_center[0] = 0.55 * box_radius
     source_radius = source_radius if source_radius is not None else 0.18 * box_radius
-    tables = []
-    for h in h_values:
-        if backend == "axisym":
-            tables.append(_probe_solve_axisym(op, complement, n, box_radius, h,
-                                              source_center, source_radius, rho_levels))
-        else:
-            tables.append(_probe_solve_cartesian(op, complement, n, box_radius, h,
-                                                 source_center, source_radius,
-                                                 rho_levels, rtol))
+    if backend == "axisym":
+        solves = [_probe_axisym(op, complement, n, box_radius, h, source_center,
+                                source_radius, rho_levels) for h in h_values]
+    else:
+        solves = [_probe_cartesian(op, complement, n, box_radius, h, source_center,
+                                   source_radius, rho_levels, rtol) for h in h_values]
+    shortfall = _ladder_shortfall(box_radius, h_values, rho_levels, trust_spacings)
+    if shortfall is not None:
+        return ProbeReport("inconclusive", [], float("nan"), [shortfall])
+    tables = [solve() for solve in solves]
 
     floor = 1e-3 * max(t["u_max"] for t in tables)
     notes = []
     fine = tables[-1]
     trusted = [(r, s) for r, s in zip(fine["rho"], fine["sup"])
                if r >= trust_spacings * fine["h"]]
-    if len(tables) < 3 or len(trusted) < 3:
-        return ProbeReport("inconclusive", tables, floor,
-                           ["need 3 refinements and 3 trusted scales"])
+    if len(trusted) < 3:
+        return ProbeReport("inconclusive", tables, floor, ["need 3 trusted scales"])
     if trusted[-1][0] > box_radius / 16.0:
         return ProbeReport("inconclusive", tables, floor,
                            ["trusted ladder too shallow for a trend verdict; "

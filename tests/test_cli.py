@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 BASE = [sys.executable, "-m", "polycap"]
@@ -64,13 +65,18 @@ def test_manifest_with_seed_key_reruns(tmp_path, cli_env):
 
 
 def test_positivity_subcommand_violated_with_witness(tmp_path, cli_env):
-    r = run_cli(["positivity", "--m", "2", "--n", "8", "--out", "pos"],
-                tmp_path, cli_env)
-    assert r.returncode == 0, r.stderr
+    for out in ("pos", "pos2"):
+        r = run_cli(["positivity", "--m", "2", "--n", "8", "--out", out],
+                    tmp_path, cli_env)
+        assert r.returncode == 0, r.stderr
     with open(tmp_path / "pos" / "summary.json") as fh:
         data = json.load(fh)
     assert data["status"] == "violated"
-    assert os.path.exists(tmp_path / "pos" / "witness.csv")
+    witness = np.loadtxt(tmp_path / "pos" / "witness.csv", delimiter=",", skiprows=1)[:, 1]
+    # normalised to max |f| = 1 with the sign fixed by the largest entry
+    assert witness[np.argmax(np.abs(witness))] == 1.0
+    for name in ("summary.json", "witness.csv"):
+        assert filecmp.cmp(tmp_path / "pos" / name, tmp_path / "pos2" / name, shallow=False)
 
 
 def test_wiener_subcommand(tmp_path, cli_env):

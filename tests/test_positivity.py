@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
-from polycap import (ChannelForm, Grid, UnsupportedRegimeError, channel_positivity,
-                     compute_profile, grid_positivity, hardy_channel_symbol, laplacian,
-                     min_symbol_quotient, op_channel_symbol, polyharmonic, riesz_constant)
+from polycap import (ChannelForm, Grid, InputError, UnsupportedRegimeError,
+                     channel_positivity, compute_profile, grid_positivity,
+                     hardy_channel_symbol, laplacian, min_symbol_quotient, op_channel_symbol,
+                     polyharmonic, riesz_constant, smallest_generalized_eig)
 from polycap.fundsol import SphereProfile
 
 
@@ -29,6 +32,23 @@ def test_discrete_quotient_matches_symbol_minimum():
         form = ChannelForm(m, n, 0, 80.0, 0.1)
         val, _ = form.min_quotient()
         assert val == pytest.approx(min_symbol_quotient(m, n, 0), abs=2e-4)
+
+
+@pytest.mark.parametrize("m,n,k", [(2, 5, 0), (2, 8, 0), (2, 8, 3), (3, 8, 2)])
+def test_banded_eig_matches_dense_reference(m, n, k):
+    form = ChannelForm(m, n, k, 60.0, 0.1)
+    val, vec = smallest_generalized_eig(form.A, form.B)
+    ref = scipy.linalg.eigh(form.A.toarray(), form.B.toarray(), eigvals_only=True).min()
+    assert abs(val - ref) <= 1e-11
+    ax = form.A @ vec
+    assert np.linalg.norm(ax - val * (form.B @ vec)) <= 1e-8 * np.linalg.norm(ax)
+
+
+def test_banded_eig_rejects_indefinite_b():
+    a = scipy.sparse.diags([np.full(4, -1.0), np.full(5, 2.0), np.full(4, -1.0)], [-1, 0, 1])
+    b = scipy.sparse.diags([1.0, 1.0, -1.0, 1.0, 1.0])
+    with pytest.raises(InputError):
+        smallest_generalized_eig(a, b)
 
 
 @pytest.mark.parametrize("m,n,expect", [

@@ -209,6 +209,20 @@ def test_probe_shallow_ladder_inconclusive():
     assert rep.trend == "inconclusive"
 
 
+@pytest.mark.parametrize("backend", ["cartesian", "axisym"])
+def test_probe_unreachable_ladder_skips_solves(monkeypatch, backend):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the probe solved a ladder that cannot give a verdict")
+
+    monkeypatch.setattr("polycap.regularity.dirichlet_solve", no_solve)
+    monkeypatch.setattr("polycap.radial.axisym_dirichlet", no_solve)
+    rep = regularity_probe(laplacian(3), Cone(np.pi / 3), 3, backend=backend)
+    assert rep.trend == "inconclusive"
+    assert rep.sup_tables == []
+    # 3 trusted scales down to rho = 1/16 need 6 h <= 1/16 at the finest spacing
+    assert rep.notes[0].endswith(f"h <= {1 / 96:.6g}")
+
+
 def test_decay_check_cone_and_stability():
     a = decay_check(laplacian(3), Cone(np.pi / 4), 3, R=0.25, grid_h=1 / 24)
     assert a.passed and a.c2 > 0.0

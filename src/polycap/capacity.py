@@ -197,6 +197,8 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
     outer box stays at unit scale, since the borderline capacity is not
     dilation invariant.  rho_list overrides the dyadic 2^-j scales.
     """
+    if backend not in ("auto", "axisym", "cartesian"):
+        raise InputError(f"unknown backend {backend!r}; have auto, axisym, cartesian")
     j0, j1 = j_range
     if rho_list is not None:
         rho_values = [float(v) for v in rho_list]

@@ -11,15 +11,20 @@ Two backends compute that restriction:
   free-space profile.  The Gaussian mollifier suppresses truncation ringing
   and is exact for kernels annihilated by the Laplacian away from the origin.
 
-* ``subordination``: F(theta) = 2m * int_0^inf u^(n-2m-1) H_1(u theta) du
-  where H_1 is the kernel of exp(-P(d)); for symbols that are rotation
-  invariant around one axis H_1 reduces to an absolutely convergent double
-  quadrature in any dimension, which is what makes n = 8 reachable.  The
-  profile then depends only on the angle alpha from the axis and is
-  evaluated on 121 angles in [0, pi/2]; the Gauss nodes and exp(-P) on
-  their grid are built once per profile and shared by all angles.  A fully
-  isotropic symbol has a constant profile, which is evaluated by the same
-  quadrature at the single angle pi/4.
+* ``planewave``: the plane-wave formula for homogeneous kernels (Gel'fand &
+  Shilov, Generalized Functions vol. 1, ch. I 3; F. John, Plane Waves and
+  Spherical Means).  With s = n - 2m and G(t) the integral of 1/P over the
+  slice {omega . theta = t} of the unit sphere, F(theta) is
+  (2 pi)^-n pi (-1)^((s-1)/2) G^(s-1)(0) for odd s and
+  (2 pi)^-n Gamma(s) cos(pi s/2) f.p. int_{-1}^{1} |t|^-s G(t) dt for even s.
+  For a symbol rotation invariant about one axis, P on the sphere is a
+  polynomial in the squared axis component, and G(t) is one Gauss-Jacobi sum
+  over the slice.  The t-functional runs on a circle of radius 0.2 in the
+  complex t plane near 0 and by Gauss-Legendre in the polar angle beyond; no
+  special function, no cut-off.  The profile depends only on the angle alpha
+  from the axis and is evaluated on 121 angles in [0, pi/2], or at pi/4 alone
+  for a fully isotropic symbol.  error_estimate compares the rule with one of
+  doubled node counts on the axis, at pi/4 and on the equator.
 
 For (-Delta)^m the exact positive constant Gamma(n/2-m)/(4^m pi^(n/2) (m-1)!)
 is the calibration oracle.
@@ -28,15 +33,12 @@ is the calibration oracle.
 import csv as _csv
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gamma as _gamma, jv
+from scipy.special import gamma as _gamma, roots_jacobi
 
 from .errors import InputError, UnsupportedRegimeError
 from .operators import unit_directions
-
-_MOLLIFIER_NODES = 2.0  # Gaussian width in grid spacings
 
 
 def riesz_constant(m, n):
@@ -196,7 +198,8 @@ def _fft_profile(op, resolution, extrapolation_levels, max_directions):
         raise InputError("fft resolution must be a multiple of 4")
     if M**n > 70_000_000:
         raise UnsupportedRegimeError(
-            f"fft box would hold {M**n} nodes; use the subordination backend"
+            f"fft box would hold {M**n} nodes; use the planewave backend "
+            "(symbols rotation invariant about a coordinate axis)"
         )
     A = 1.0
     h = 2.0 * A / M
@@ -274,93 +277,71 @@ def _compute_fft(op, resolution, extrapolation_levels, max_directions):
     return dirs, F, est
 
 
-# -- subordination backend ----------------------------------------------------
+# -- plane-wave backend -------------------------------------------------------
+
+# radius of the circle about t = 0 that carries the singular part of the t-rule,
+# and the node counts (circle, tail polar angle, slice) of the base rule
+_PW_RADIUS = 0.2
+_PW_NODES = (32, 100, 160)
 
 
-def _lam_kernel(nu, t):
-    """Gamma(nu+1) (t/2)^-nu J_nu(t); smooth and equal to 1 at t = 0."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    small = np.abs(t) < 1e-8
-    out[small] = 1.0 - t[small] ** 2 / (4.0 * (nu + 1.0))
-    ts = t[~small]
-    out[~small] = _gamma(nu + 1.0) * (2.0 / ts) ** nu * jv(nu, ts)
-    return out
+def _axial_symbol(op, axis):
+    """P on the unit sphere as a polynomial in a^2, a the axis component.
+
+    Exact for a symbol rotation invariant about `axis`: P is then a form of
+    degree 2m in a and the transverse radius, whose square is 1 - a^2."""
+    a2 = np.linspace(0.0, 1.0, op.m + 1)
+    pts = np.zeros((op.m + 1, op.n))
+    pts[:, axis] = np.sqrt(a2)
+    pts[:, 1 if axis == 0 else 0] = np.sqrt(1.0 - a2)
+    return np.polynomial.Polynomial.fit(a2, op.symbol(pts), op.m)
 
 
-def _axis_symbol_2d(op, axis):
-    """P as a function of (transverse radius, axial frequency)."""
-
-    def sym(rho, z):
-        rho = np.asarray(rho, dtype=float)
-        z = np.asarray(z, dtype=float)
-        pts = np.zeros(rho.shape + (op.n,))
-        t_axis = 0 if axis != 0 else 1
-        pts[..., t_axis] = rho
-        pts[..., axis] = z
-        return op.symbol(pts)
-
-    return sym
-
-
-class _SubordinationSetup(NamedTuple):
-    """Angle-independent part of the subordination quadrature: the Gauss
-    nodes in transverse radius and axial frequency up to the cutoff, and the
-    heat symbol exp(-P) on their tensor grid."""
-
-    n: int
-    m: int
-    nu: float
-    rho: np.ndarray  # transverse radius nodes (also the axial frequency nodes)
-    w_rho: np.ndarray  # radial weights times the Jacobian rho^(d-1)
-    w_xi: np.ndarray  # axial frequency weights
-    E: np.ndarray  # exp(-P) on the (rho, xi) grid
-    pref: float
+def _t_rule(s, count, tail_count):
+    """Nodes and weights that apply the t-functional of the plane-wave formula
+    to G; the nodes near t = 0 are complex."""
+    r = _PW_RADIUS
+    if s % 2:
+        # pi (-1)^((s-1)/2) G^(s-1)(0) by Cauchy's formula, trapezoid rule on |t| = r
+        t = r * np.exp(2j * math.pi * (np.arange(count) + 0.5) / count)
+        return t, math.pi * (-1) ** (s // 2) * math.factorial(s - 1) / count * t ** (1 - s)
+    # Gamma(s) cos(pi s/2) f.p. int |t|^-s G dt.  G is even, so t^-s G has no
+    # residue at 0 and the finite part over [-r, r] is the integral along the
+    # upper half circle; the tails r <= |t| <= 1 are taken in t = cos(phi),
+    # which makes R = sin(phi) smooth up to t = 1
+    x, w = np.polynomial.legendre.leggauss(count)
+    arc = r * np.exp(0.5j * math.pi * (1.0 - x))
+    arc_w = -0.5j * math.pi * w * arc ** (1 - s)
+    end = math.acos(r)
+    x, w = np.polynomial.legendre.leggauss(tail_count)
+    phi = 0.5 * end * (x + 1.0)
+    tail_w = end * w * np.sin(phi) * np.cos(phi) ** -s
+    return (np.concatenate([arc, np.cos(phi)]),
+            _gamma(s) * math.cos(math.pi * s / 2.0) * np.concatenate([arc_w, tail_w]))
 
 
-def _subordination_setup(op, axis):
-    """Build once per profile; every angle and the error probe share it."""
+def _planewave_alpha_profile(op, axis, alphas, refine=1):
+    """F on rays at angles alpha from the axis, with every node count times
+    `refine`; also returns the absolute sum (2 pi)^-n sum |w G| of each value,
+    the scale its rounding error is relative to."""
     n, m = op.n, op.m
-    d = n - 1
-    nu = d / 2.0 - 1.0
-    # frequency cutoff from the symbol floor on the sphere
-    pmin = float(op.symbol(unit_directions(n, 256)).min())
-    if pmin <= 0:
-        raise InputError("operator is not elliptic; no homogeneous kernel exists")
-    XI = (50.0 / pmin) ** (1.0 / (2 * m)) * 1.1
-    x, w = np.polynomial.legendre.leggauss(480)
-    rho = 0.5 * XI * (x + 1.0)
-    wr = 0.5 * XI * w
-    R, X = np.meshgrid(rho, rho, indexing="ij")
-    E = np.exp(-_axis_symbol_2d(op, axis)(R, X))
-    c_d = (2.0 * math.pi) ** (d / 2.0) / (2.0**nu * _gamma(nu + 1.0))
-    pref = (2.0 * math.pi) ** (-n) * c_d * 2.0
-    return _SubordinationSetup(n, m, nu, rho, wr * rho ** (d - 1), wr, E, pref)
-
-
-def _subordination_alpha_profile(setup, alphas, rtol=1e-7):
-    """F(theta) on rays at angles alpha from the symmetry axis."""
-    n, m, nu, rho = setup.n, setup.m, setup.nu, setup.rho
-    out = np.empty(len(alphas))
-    block, npts = 10.0, 240
-    xg, wg = np.polynomial.legendre.leggauss(npts)
-    for ia, a in enumerate(alphas):
-        sa, ca = math.sin(a), math.cos(a)
-        total, u_lo = 0.0, 0.0
-        for _ in range(12):
-            u = u_lo + 0.5 * block * (xg + 1.0)
-            wu = 0.5 * block * wg
-            W = setup.w_rho[:, None] * _lam_kernel(nu, np.outer(rho, u) * sa)
-            Gu = W.T @ setup.E
-            cosz = np.cos(np.outer(u * ca, rho))
-            H = setup.pref * (cosz * Gu * setup.w_xi[None, :]).sum(axis=1)
-            piece = float(np.sum(wu * u ** (n - 2 * m - 1) * H) * 2 * m)
-            total += piece
-            u_lo += block
-            if abs(piece) < rtol * max(abs(total), 1e-300) and u_lo >= 40.0:
-                break
-        out[ia] = total
-    return out
+    count, tail_count, slice_count = (refine * c for c in _PW_NODES)
+    P = _axial_symbol(op, axis)
+    t, tw = _t_rule(n - 2 * m, count, tail_count)
+    x, xw = roots_jacobi(slice_count, n / 2.0 - 2.0, n / 2.0 - 2.0)
+    R = np.sqrt(1.0 - t * t)
+    # G(t) = |S^(n-3)| int_{-R}^{R} (R^2 - v^2)^((n-4)/2) / P(a) dv, with
+    # a = t cos(alpha) + v sin(alpha); at v = R x the weight is R^(n-3) times
+    # the Gauss-Jacobi one in x.  The (2 pi)^-n of F is folded into G here.
+    scale = (2.0 * math.pi**(n / 2.0 - 1.0) / _gamma(n / 2.0 - 1.0) * R ** (n - 3)
+             * (2.0 * math.pi) ** -n)
+    values, sizes = np.empty(len(alphas)), np.empty(len(alphas))
+    for i, alpha in enumerate(alphas):
+        a = t[:, None] * math.cos(alpha) + np.outer(R * math.sin(alpha), x)
+        G = scale * ((1.0 / P(a * a)) @ xw)
+        values[i] = (G @ tw).real
+        sizes[i] = np.abs(G) @ np.abs(tw)
+    return values, sizes
 
 
 # angles from the symmetry axis at which axisymmetric profiles are evaluated;
@@ -368,20 +349,15 @@ def _subordination_alpha_profile(setup, alphas, rtol=1e-7):
 _ALPHAS = np.linspace(0.0, math.pi / 2.0, 121)
 
 
-def _compute_subordination(op, axis, direction_count, isotropic):
-    setup = _subordination_setup(op, axis)
-    alphas = _ALPHAS[[len(_ALPHAS) // 2]] if isotropic else _ALPHAS
-    f_alpha = _subordination_alpha_profile(setup, alphas)
-    # error gauge: repeat the end and middle angles at a tighter tail tolerance
-    probe_idx = np.unique([0, len(alphas) // 2, len(alphas) - 1])
-    probe = _subordination_alpha_profile(setup, alphas[probe_idx], rtol=1e-9)
-    est = 1.5 * float(np.max(np.abs(probe - f_alpha[probe_idx])))
-    dirs = unit_directions(op.n, direction_count)
-    if isotropic:
-        return dirs, np.full(dirs.shape[0], f_alpha[0]), est, alphas, f_alpha
-    ang = np.arccos(np.clip(np.abs(dirs[:, axis]), 0.0, 1.0))
-    vals = np.interp(ang, alphas, f_alpha)
-    return dirs, vals, est, alphas, f_alpha
+def _planewave_error(op, axis):
+    """1.5 times the largest change on the axis, at pi/4 and on the equator
+    when every node count is doubled, plus a thousand ulps of the absolute sum
+    for rounding."""
+    probes = _ALPHAS[[0, len(_ALPHAS) // 2, -1]]
+    base, size = _planewave_alpha_profile(op, axis, probes)
+    fine, _ = _planewave_alpha_profile(op, axis, probes, refine=2)
+    rounding = 1e3 * np.finfo(float).eps * float(size.max())
+    return 1.5 * float(np.abs(fine - base).max()) + rounding
 
 
 # -- public entry -------------------------------------------------------------
@@ -396,12 +372,12 @@ def compute_profile(op, resolution=None, extrapolation_levels=2, backend="auto",
     periodic background (2 removes the constant, 3 also removes the r^2 term).
 
     With backend "auto", n <= 4 and anisotropic symbols take the fft backend
-    and rotation-invariant symbols in n >= 5 the subordination backend.  A
-    fully isotropic symbol gives angular_model "constant"; under
-    subordination its quadrature runs at one angle, pi/4, and that value
-    fills every direction, with error_estimate from re-running the angle at a
-    tighter tail tolerance.  An axisymmetric symbol gives angular_model
-    "axisymmetric", interpolated from 121 angles.
+    and rotation-invariant symbols in n >= 5 the planewave backend.  A fully
+    isotropic symbol gives angular_model "constant"; under planewave its
+    quadrature runs at one angle, pi/4, and that value fills every direction.
+    An axisymmetric symbol gives angular_model "axisymmetric", interpolated
+    from 121 angles.  The planewave error_estimate compares the rule with one
+    of doubled node counts on the axis, at pi/4 and on the equator.
     """
     n, m = op.n, op.m
     if n <= 2 * m:
@@ -418,7 +394,7 @@ def compute_profile(op, resolution=None, extrapolation_levels=2, backend="auto",
     if backend == "auto":
         # the periodic box loses calibration accuracy beyond n = 4; rotation
         # symmetric symbols get the quadrature route there instead
-        backend = "fft" if (n <= 4 or axis is None) else "subordination"
+        backend = "fft" if (n <= 4 or axis is None) else "planewave"
     if direction_count is None:
         direction_count = 2**10 if n <= 4 else 2**12
 
@@ -434,21 +410,22 @@ def compute_profile(op, resolution=None, extrapolation_levels=2, backend="auto",
         return SphereProfile(dirs, vals, 2 * m - n, op.name or "operator", "fft", est,
                              model, mdata)
 
-    if backend == "subordination":
-        if axis is None:
-            raise UnsupportedRegimeError(
-                "subordination backend needs a symbol that is rotation invariant "
-                "about some coordinate axis"
-            )
-        use_axis = n - 1 if axis == n else axis
-        dirs, vals, est, alphas, f_alpha = _compute_subordination(
-            op, use_axis, direction_count, isotropic=axis == n)
-        if axis == n:
-            return SphereProfile(dirs, vals, 2 * m - n, op.name or "operator",
-                                 "subordination", est, "constant",
-                                 {"constant": float(f_alpha[0])})
-        return SphereProfile(dirs, vals, 2 * m - n, op.name or "operator",
-                             "subordination", est, "axisymmetric",
-                             {"axis": use_axis, "alpha": alphas, "f_alpha": f_alpha})
-
-    raise InputError(f"unknown backend {backend!r}")
+    if backend != "planewave":
+        raise InputError(f"unknown backend {backend!r}")
+    if axis is None:
+        raise UnsupportedRegimeError(
+            "planewave backend needs a symbol that is rotation invariant about "
+            "some coordinate axis"
+        )
+    if axis == n:
+        axis = n - 1
+        f_alpha, _ = _planewave_alpha_profile(op, axis, _ALPHAS[[len(_ALPHAS) // 2]])
+        model, mdata = "constant", {"constant": float(f_alpha[0])}
+    else:
+        f_alpha, _ = _planewave_alpha_profile(op, axis, _ALPHAS)
+        model, mdata = "axisymmetric", {"axis": axis, "alpha": _ALPHAS, "f_alpha": f_alpha}
+    profile = SphereProfile(unit_directions(n, direction_count), None, 2 * m - n,
+                            op.name or "operator", "planewave", _planewave_error(op, axis),
+                            model, mdata)
+    profile.values = profile.value_at_directions(profile.directions)
+    return profile

@@ -22,16 +22,17 @@ strictly negative; a positive verdict is always positivity at the declared
 resolution, never a proof.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from scipy.sparse import diags
 
 from .energy import EnergyForm, HardyForm
 from .errors import InputError, UnsupportedRegimeError
 from .fundsol import riesz_constant
 from .solvers import smallest_generalized_eig
-from .stencils import sparse_alpha
 
 
 def _lam_poly(k, n, shift):
@@ -131,19 +132,15 @@ class ChannelForm:
         self.B = self._form_from_coeffs(cb)
 
     def _form_from_coeffs(self, coeffs):
-        from .stencils import injection_matrix
-
-        pad = self.m + 1
-        padded = (self.nodes + 2 * pad,)
-        P = injection_matrix((self.nodes,), pad)
-        mat = None
-        for p, c in enumerate(coeffs):
-            if c == 0.0:
-                continue
-            D = sparse_alpha(padded, (p,)) / self.dt**p
-            part = (c * self.dt) * (D.T @ D)
-            mat = part if mat is None else mat + part
-        return (P.T @ (0.5 * (mat + mat.T)) @ P).tocsr()
+        """sum_p c_p dt^(1-2p) |D_p f|^2 with D_p the undivided order-p
+        difference of f extended by zeros.  On the nodes this is the symmetric
+        Toeplitz band whose lag-d entry is sum_p c_p dt^(1-2p) (-1)^d C(2p, p+d),
+        the autocorrelation of the binomial stencil of order p."""
+        band = [sum(c * self.dt ** (1 - 2 * p) * (-1) ** d * math.comb(2 * p, p + d)
+                    for p, c in enumerate(coeffs)) for d in range(len(coeffs))]
+        lags = range(1 - len(band), len(band))
+        return diags([band[abs(d)] for d in lags], list(lags),
+                     shape=(self.nodes, self.nodes), format="csr")
 
     def quotient(self, f):
         f = np.asarray(f, dtype=float)

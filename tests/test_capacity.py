@@ -102,6 +102,11 @@ def test_annulus_series_empty_complement():
     assert all(c == 0.0 for c in s.capacity)
 
 
+def test_annulus_series_rejects_unknown_backend():
+    with pytest.raises(InputError):
+        annulus_series(Cone(np.pi / 3), 1, 3, backend="bogus")
+
+
 def test_annulus_series_ray_scaling():
     # rasterized needle: per-scale capacity proportional to the scale
     s = annulus_series(Ray(axis=2), 1, 3, j_range=(0, 5), nodes_per_rho=10)

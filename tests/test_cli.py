@@ -89,6 +89,13 @@ def test_wiener_subcommand(tmp_path, cli_env):
     assert os.path.exists(tmp_path / "w" / "series.csv")
 
 
+def test_wiener_unknown_backend_exits_2(tmp_path, cli_env):
+    r = run_cli(["wiener", "--m", "1", "--n", "3", "--domain", "cone:45",
+                 "--backend", "bogus", "--out", "w"], tmp_path, cli_env)
+    assert r.returncode == 2
+    assert "unknown backend" in r.stderr
+
+
 def test_symbol_check_with_operator_file(tmp_path, cli_env):
     from polycap import mn8_operator, save_operator
 

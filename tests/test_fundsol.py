@@ -3,8 +3,7 @@ import pytest
 
 from polycap import (InputError, UnsupportedRegimeError, compute_profile, laplacian,
                      mn8_operator, polyharmonic, riesz_constant, sign_summary)
-from polycap.fundsol import (SphereProfile, _subordination_alpha_profile,
-                             _subordination_setup)
+from polycap.fundsol import SphereProfile, _planewave_alpha_profile
 
 
 @pytest.fixture(scope="module")
@@ -45,17 +44,27 @@ def test_biharmonic5_profile_positive_and_calibrated():
     assert np.abs(prof.values / riesz_constant(2, 5) - 1.0).max() <= 1e-6
 
 
-def test_isotropic_subordination_is_one_constant():
+def test_isotropic_planewave_is_one_constant():
     op = laplacian(5)
     prof = compute_profile(op)
-    assert (prof.method, prof.angular_model) == ("subordination", "constant")
+    assert (prof.method, prof.angular_model) == ("planewave", "constant")
     assert np.all(prof.values == prof.values[0])
     assert prof.model_data["constant"] == prof.values[0]
-    assert abs(prof.values[0] / riesz_constant(1, 5) - 1.0) <= 1e-6
+    assert abs(prof.values[0] / riesz_constant(1, 5) - 1.0) <= 1e-10
     # the angle the constant is taken at does not matter: on and across the
-    # axis the quadrature agrees to its own accuracy (5e-10 on the axis)
-    ends = _subordination_alpha_profile(_subordination_setup(op, 4), [0.0, np.pi / 2])
-    assert np.abs(ends / prof.values[0] - 1.0).max() <= 1e-9
+    # axis the quadrature gives the same value
+    ends, _ = _planewave_alpha_profile(op, 4, [0.0, np.pi / 2])
+    assert np.abs(ends / prof.values[0] - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("op", [mn8_operator(), laplacian(5)], ids=["mn8", "laplacian5"])
+def test_planewave_error_estimate_covers_the_axis(op):
+    prof = compute_profile(op)
+    base, _ = _planewave_alpha_profile(op, op.n - 1, [0.0])
+    fine, _ = _planewave_alpha_profile(op, op.n - 1, [0.0], refine=4)
+    diff = abs(base[0] - fine[0])
+    assert diff <= 1e-12
+    assert diff <= prof.error_estimate <= 1e-10 * np.abs(prof.values).max()
 
 
 def test_laplacian4_fft_calibrated():
@@ -94,3 +103,7 @@ def test_regime_and_ellipticity_guards():
     saddle = EllipticOperator(3, 1, {(e1, e1): 1.0, (e2, e2): -1.0})
     with pytest.raises(InputError):
         compute_profile(saddle)
+    # the retired subordination backend is an unknown name like any other
+    for backend in ("subordination", "bogus"):
+        with pytest.raises(InputError):
+            compute_profile(laplacian(5), backend=backend)

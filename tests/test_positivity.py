@@ -8,6 +8,8 @@ from polycap import (ChannelForm, Grid, InputError, UnsupportedRegimeError,
                      hardy_channel_symbol, laplacian, min_symbol_quotient, op_channel_symbol,
                      polyharmonic, riesz_constant, smallest_generalized_eig)
 from polycap.fundsol import SphereProfile
+from polycap.positivity import hardy_channel_poly, op_channel_poly
+from polycap.stencils import sparse_alpha
 
 
 def test_channel_symbols_match_hand_formulas():
@@ -32,6 +34,23 @@ def test_discrete_quotient_matches_symbol_minimum():
         form = ChannelForm(m, n, 0, 80.0, 0.1)
         val, _ = form.min_quotient()
         assert val == pytest.approx(min_symbol_quotient(m, n, 0), abs=2e-4)
+
+
+@pytest.mark.parametrize("m,n,k", [(1, 3, 2), (2, 8, 0), (2, 9, 5), (3, 8, 2)])
+def test_channel_forms_match_padded_definition(m, n, k):
+    """The Toeplitz bands against sum_p c_p dt D_p^T D_p with sparse order-p
+    differences on the grid padded by m + 1 nodes, restricted to the nodes."""
+    form = ChannelForm(m, n, k, 8.0, 0.1)
+    pad = m + 1
+    padded = (form.nodes + 2 * pad,)
+    inner = np.arange(pad, pad + form.nodes)
+    for mat, poly, scale in ((form.A, op_channel_poly(m, n, k), riesz_constant(m, n)),
+                             (form.B, hardy_channel_poly(m, n, k), 1.0)):
+        ref = 0.0
+        for p, c in enumerate(scale * np.asarray(poly.coef).real[0::2]):
+            d = sparse_alpha(padded, (p,)).tocsc()[:, inner] / form.dt**p
+            ref = ref + c * form.dt * (d.T @ d)
+        assert abs(mat - ref).max() <= 1e-13 * abs(ref).max()
 
 
 @pytest.mark.parametrize("m,n,k", [(2, 5, 0), (2, 8, 0), (2, 8, 3), (3, 8, 2)])

@@ -19,12 +19,14 @@ Two backends compute that restriction:
   (2 pi)^-n Gamma(s) cos(pi s/2) f.p. int_{-1}^{1} |t|^-s G(t) dt for even s.
   For a symbol rotation invariant about one axis, P on the sphere is a
   polynomial in the squared axis component, and G(t) is one Gauss-Jacobi sum
-  over the slice.  The t-functional runs on a circle of radius 0.2 in the
-  complex t plane near 0 and by Gauss-Legendre in the polar angle beyond; no
-  special function, no cut-off.  The profile depends only on the angle alpha
-  from the axis and is evaluated on 121 angles in [0, pi/2], or at pi/4 alone
-  for a fully isotropic symbol.  error_estimate compares the rule with one of
-  doubled node counts on the axis, at pi/4 and on the equator.
+  over the slice.  The t-functional runs on a circle about 0 in the complex
+  t plane and by Gauss-Legendre in the polar angle beyond; the radius is at
+  most 0.2 and small enough that the zeros of P stay outside, so G is
+  analytic inside.  No special function, no cut-off.  The profile depends
+  only on the angle alpha from the axis and is evaluated on 121 angles in
+  [0, pi/2], or at the probe angles 0, pi/4, pi/2 alone for a fully isotropic
+  symbol.  error_estimate compares the rule at the probe angles with one of
+  doubled node counts on a circle of half the radius.
 
 For (-Delta)^m the exact positive constant Gamma(n/2-m)/(4^m pi^(n/2) (m-1)!)
 is the calibration oracle.
@@ -279,8 +281,9 @@ def _compute_fft(op, resolution, extrapolation_levels, max_directions):
 
 # -- plane-wave backend -------------------------------------------------------
 
-# radius of the circle about t = 0 that carries the singular part of the t-rule,
-# and the node counts (circle, tail polar angle, slice) of the base rule
+# largest radius of the circle about t = 0 that carries the singular part of
+# the t-rule, and the node counts (circle, tail polar angle, slice) of the
+# base rule
 _PW_RADIUS = 0.2
 _PW_NODES = (32, 100, 160)
 
@@ -297,10 +300,22 @@ def _axial_symbol(op, axis):
     return np.polynomial.Polynomial.fit(a2, op.symbol(pts), op.m)
 
 
-def _t_rule(s, count, tail_count):
+def _contour_radius(P):
+    """Radius of the t-rule's circle: _PW_RADIUS, or half the distance from
+    [-1, 1] to the nearest square root of a zero of P if that is smaller.
+
+    For |t| <= r and x in [-1, 1] the axis component t cos(alpha) +
+    R x sin(alpha) lies within r sqrt(1 + r^2) of [-1, 1], since |R - 1| <=
+    |t|^2; so no zero of P(a^2) is met and G is analytic inside the circle."""
+    root = np.sqrt(P.roots().astype(complex))
+    gap = np.hypot(np.maximum(np.abs(root.real) - 1.0, 0.0), root.imag)
+    return min(_PW_RADIUS, 0.5 * gap.min(initial=np.inf))
+
+
+def _t_rule(s, r, count, tail_count):
     """Nodes and weights that apply the t-functional of the plane-wave formula
-    to G; the nodes near t = 0 are complex."""
-    r = _PW_RADIUS
+    to G, which must be analytic in the disk |t| <= r; the nodes on its
+    boundary are complex."""
     if s % 2:
         # pi (-1)^((s-1)/2) G^(s-1)(0) by Cauchy's formula, trapezoid rule on |t| = r
         t = r * np.exp(2j * math.pi * (np.arange(count) + 0.5) / count)
@@ -320,14 +335,15 @@ def _t_rule(s, count, tail_count):
             _gamma(s) * math.cos(math.pi * s / 2.0) * np.concatenate([arc_w, tail_w]))
 
 
-def _planewave_alpha_profile(op, axis, alphas, refine=1):
+def _planewave_alpha_profile(op, axis, alphas, refine=1, shrink=1):
     """F on rays at angles alpha from the axis, with every node count times
-    `refine`; also returns the absolute sum (2 pi)^-n sum |w G| of each value,
-    the scale its rounding error is relative to."""
+    `refine` and the circle of the t-rule shrunk by `shrink`; also returns the
+    absolute sum (2 pi)^-n sum |w G| of each value, the scale its rounding
+    error is relative to."""
     n, m = op.n, op.m
     count, tail_count, slice_count = (refine * c for c in _PW_NODES)
     P = _axial_symbol(op, axis)
-    t, tw = _t_rule(n - 2 * m, count, tail_count)
+    t, tw = _t_rule(n - 2 * m, _contour_radius(P) / shrink, count, tail_count)
     x, xw = roots_jacobi(slice_count, n / 2.0 - 2.0, n / 2.0 - 2.0)
     R = np.sqrt(1.0 - t * t)
     # G(t) = |S^(n-3)| int_{-R}^{R} (R^2 - v^2)^((n-4)/2) / P(a) dv, with
@@ -344,18 +360,18 @@ def _planewave_alpha_profile(op, axis, alphas, refine=1):
     return values, sizes
 
 
-# angles from the symmetry axis at which axisymmetric profiles are evaluated;
-# a fully isotropic profile is evaluated at the middle one only
+# angles from the symmetry axis at which axisymmetric profiles are evaluated,
+# and the indices of the probe angles 0, pi/4 and pi/2 of the error estimate
 _ALPHAS = np.linspace(0.0, math.pi / 2.0, 121)
+_PROBES = [0, len(_ALPHAS) // 2, len(_ALPHAS) - 1]
 
 
-def _planewave_error(op, axis):
-    """1.5 times the largest change on the axis, at pi/4 and on the equator
-    when every node count is doubled, plus a thousand ulps of the absolute sum
-    for rounding."""
-    probes = _ALPHAS[[0, len(_ALPHAS) // 2, -1]]
-    base, size = _planewave_alpha_profile(op, axis, probes)
-    fine, _ = _planewave_alpha_profile(op, axis, probes, refine=2)
+def _planewave_error(op, axis, base, size):
+    """1.5 times the largest change of the probe values `base` under a rule
+    with doubled node counts on a circle of half the radius, plus a thousand
+    ulps of their absolute sums `size` for rounding.  A zero of P that slipped
+    between the two circles would show as a residue-sized change."""
+    fine, _ = _planewave_alpha_profile(op, axis, _ALPHAS[_PROBES], refine=2, shrink=2)
     rounding = 1e3 * np.finfo(float).eps * float(size.max())
     return 1.5 * float(np.abs(fine - base).max()) + rounding
 
@@ -374,10 +390,11 @@ def compute_profile(op, resolution=None, extrapolation_levels=2, backend="auto",
     With backend "auto", n <= 4 and anisotropic symbols take the fft backend
     and rotation-invariant symbols in n >= 5 the planewave backend.  A fully
     isotropic symbol gives angular_model "constant"; under planewave its
-    quadrature runs at one angle, pi/4, and that value fills every direction.
-    An axisymmetric symbol gives angular_model "axisymmetric", interpolated
-    from 121 angles.  The planewave error_estimate compares the rule with one
-    of doubled node counts on the axis, at pi/4 and on the equator.
+    quadrature runs at the probe angles 0, pi/4 and pi/2, and the pi/4 value
+    fills every direction.  An axisymmetric symbol gives angular_model
+    "axisymmetric", interpolated from 121 angles.  The planewave
+    error_estimate compares the rule at the probe angles with one of doubled
+    node counts on a circle of half the radius.
     """
     n, m = op.n, op.m
     if n <= 2 * m:
@@ -419,13 +436,14 @@ def compute_profile(op, resolution=None, extrapolation_levels=2, backend="auto",
         )
     if axis == n:
         axis = n - 1
-        f_alpha, _ = _planewave_alpha_profile(op, axis, _ALPHAS[[len(_ALPHAS) // 2]])
-        model, mdata = "constant", {"constant": float(f_alpha[0])}
+        f_alpha, size = _planewave_alpha_profile(op, axis, _ALPHAS[_PROBES])
+        est = _planewave_error(op, axis, f_alpha, size)
+        model, mdata = "constant", {"constant": float(f_alpha[1])}
     else:
-        f_alpha, _ = _planewave_alpha_profile(op, axis, _ALPHAS)
+        f_alpha, size = _planewave_alpha_profile(op, axis, _ALPHAS)
+        est = _planewave_error(op, axis, f_alpha[_PROBES], size[_PROBES])
         model, mdata = "axisymmetric", {"axis": axis, "alpha": _ALPHAS, "f_alpha": f_alpha}
     profile = SphereProfile(unit_directions(n, direction_count), None, 2 * m - n,
-                            op.name or "operator", "planewave", _planewave_error(op, axis),
-                            model, mdata)
+                            op.name or "operator", "planewave", est, model, mdata)
     profile.values = profile.value_at_directions(profile.directions)
     return profile

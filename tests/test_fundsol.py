@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from polycap import (InputError, UnsupportedRegimeError, compute_profile, laplacian,
-                     mn8_operator, polyharmonic, riesz_constant, sign_summary)
+from polycap import (EllipticOperator, InputError, UnsupportedRegimeError, compute_profile,
+                     fundsol, laplacian, mn8_operator, polyharmonic, riesz_constant,
+                     sign_summary)
 from polycap.fundsol import SphereProfile, _planewave_alpha_profile
 
 
@@ -65,6 +67,50 @@ def test_planewave_error_estimate_covers_the_axis(op):
     diff = abs(base[0] - fine[0])
     assert diff <= 1e-12
     assert diff <= prof.error_estimate <= 1e-10 * np.abs(prof.values).max()
+
+
+def _stiff_axis_operator(c):
+    # c xi_8^4 + |xi|^4 in R^8, the mn8 family; on the axis 1/P = 1/(c t^4 + 1)
+    # has poles at |t| = c^(-1/4), inside a circle of radius 0.2 for c > 625
+    coeffs = dict(polyharmonic(8, 2).coefficients)
+    e8 = (0,) * 7 + (2,)
+    coeffs[(e8, e8)] += c
+    return EllipticOperator(8, 2, coeffs, name=f"mn8_c{c}")
+
+
+def _stiff_axis_value(c):
+    # independent reference for the axis value.  There the slice integral is
+    # closed-form, G(t) = |S^5| B(1/2, 3) (1 - t^2)^(5/2) / (c t^4 + 1), and
+    # F = (2 pi)^-8 Gamma(4) f.p. int t^-4 G dt.  The finite part runs along
+    # the real axis for |t| >= e and along the upper half circle |t| = e,
+    # which holds no pole for e < c^(-1/4)
+    def G(t):
+        return 16.0 * np.pi**3 / 15.0 * (1.0 - t * t) ** 2.5 / (c * t**4 + 1.0)
+
+    e = c**-0.25 / 3.0
+    line = quad(lambda t: G(t) / t**4, e, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+    # -int_0^pi i G(t) t^-3 dtheta is the path from -e to e over t = e exp(i theta)
+    arc = quad(lambda th: (1j * G(e * np.exp(1j * th)) * (e * np.exp(1j * th)) ** -3).real,
+               0.0, np.pi, epsabs=0.0, epsrel=1e-13)[0]
+    return 6.0 * (2.0 * np.pi) ** -8 * (2.0 * line - arc)
+
+
+def test_planewave_circle_avoids_zeros_of_the_symbol():
+    prof = compute_profile(_stiff_axis_operator(1000.0))
+    f = prof.model_data["f_alpha"]
+    assert abs(f[0] - _stiff_axis_value(1000.0)) <= prof.error_estimate
+    assert prof.error_estimate <= 1e-10 * np.abs(f).max()
+
+
+def test_planewave_error_estimate_sees_a_zero_inside_the_circle(monkeypatch):
+    # a circle of radius 0.2 encloses the axis poles at 5000^(-1/4) = 0.119;
+    # doubling the nodes on that circle alone changes the value by 5e-5 only
+    monkeypatch.setattr(fundsol, "_contour_radius", lambda P: 0.2)
+    prof = compute_profile(_stiff_axis_operator(5000.0))
+    right = _stiff_axis_value(5000.0)
+    wrong = prof.model_data["f_alpha"][0]
+    assert abs(wrong - right) > 0.1 * abs(right)
+    assert prof.error_estimate >= abs(wrong - right)
 
 
 def test_laplacian4_fft_calibrated():

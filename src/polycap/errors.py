@@ -20,4 +20,4 @@ class InconclusiveError(RuntimeError):
 
 class ConvergenceError(InconclusiveError):
     """An iterative solver stopped at its iteration limit short of the requested
-    tolerance, after every fallback it has (exit code 4)."""
+    tolerance (exit code 4)."""

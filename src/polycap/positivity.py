@@ -22,6 +22,7 @@ strictly negative; a positive verdict is always positivity at the declared
 resolution, never a proof.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -62,8 +63,12 @@ def _g_poly(j, k, n, mu, nu):
     )
 
 
+@functools.cache
 def hardy_channel_poly(m, n, k):
-    """sum_{j=1..m} t_{j,k} as a polynomial in tau (real part taken)."""
+    """sum_{j=1..m} t_{j,k} as a polynomial in tau (real part taken).
+
+    Cached by (m, n, k): a verdict asks for each channel's symbol once per
+    window doubling and again for its witness.  Callers only read it."""
     total = Polynomial([0.0 + 0.0j])
     for j in range(1, m + 1):
         total = total + _g_poly(j, k, n, 0.0, 0.0)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from polycap import (Ball, Box, Cone, ConvergenceError, EnergyForm, Grid,
+from polycap import (Ball, Box, Cone, ConvergenceError, EllipticOperator, EnergyForm, Grid,
                      InconclusiveError, InputError, Mask, Ray, UnsupportedRegimeError,
-                     annulus_series, bessel_capacity, cap_m, exact_ball_capacity,
+                     annulus_series, bessel_capacity, bump, cap_m, exact_ball_capacity,
                      laplacian, solve_constrained)
 from polycap.radial import axisym_capacity, radial_ball_capacity
 
@@ -16,12 +16,47 @@ def test_empty_target_is_zero():
 
 
 def test_cg_non_convergence_is_typed_and_inconclusive():
-    # one preconditioned and four plain CG steps cannot reach rtol on 13^3 nodes
+    # one preconditioned CG step cannot reach rtol on 13^3 nodes
     grid = Grid(3, 0.25, 6)
     form = EnergyForm("homogeneous_m", grid, 1)
     with pytest.raises(ConvergenceError) as exc:
         solve_constrained(form, Ball(0.5).mask(grid).where, 1.0, maxiter=1)
     assert isinstance(exc.value, InconclusiveError)
+
+
+_ANISOTROPIC = EllipticOperator(3, 1, {
+    ((1, 0, 0), (1, 0, 0)): 1.0, ((0, 1, 0), (0, 1, 0)): 2.0,
+    ((0, 0, 1), (0, 0, 1)): 0.5, ((1, 0, 0), (0, 1, 0)): 0.3}, name="anisotropic")
+
+
+@pytest.mark.parametrize("kind,m,op,dirichlet", [
+    ("homogeneous_m", 2, None, False),  # the DST round is only spectrally equivalent
+    ("inhomogeneous_m", 2, None, False),
+    ("operator_form", 1, _ANISOTROPIC, False),  # folded-stencil path
+    ("operator_form", 1, laplacian(3), True),  # rhs with zero fixed values
+])
+def test_constrained_solve_matches_direct(kind, m, op, dirichlet):
+    from scipy.sparse.linalg import spsolve
+
+    grid = Grid(3, 0.25, 6)
+    form = EnergyForm(kind, grid, m, op=op)
+    radius = np.linalg.norm(grid.coords(), axis=-1)
+    if dirichlet:
+        fixed, values = radius > 1.2, 0.0
+        rhs = grid.h**3 * bump(grid, (0.0, 0.0, 0.3), 0.6)
+    else:
+        fixed, values, rhs = radius <= 0.5, 1.0, None
+    rtol, maxiter = 1e-10, 200
+    u, info = solve_constrained(form, fixed, values, rhs=rhs, rtol=rtol, maxiter=maxiter)
+    A = form.tosparse()
+    free = ~fixed.ravel()
+    ref = np.zeros(grid.size)
+    ref[~free] = values
+    b = -(A @ ref) + (0.0 if rhs is None else rhs.ravel())
+    ref[free] = spsolve(A[free][:, free].tocsc(), b[free])
+    assert np.abs(u.ravel() - ref).max() <= 1e-8 * np.abs(ref).max()
+    assert info["residual"] <= rtol
+    assert 0 < info["iterations"] <= maxiter
 
 
 def test_regime_guard():

@@ -20,7 +20,7 @@ import numpy as np
 from .energy import EnergyForm
 from .errors import InputError, UnsupportedRegimeError
 from .grids import Ball, Cone, Cusp, Grid, Intersection, Mask, Ray, Region, Shell, Union
-from .radial import axisym_capacity
+from .radial import AxisymGrid, axisym_capacity
 from .solvers import solve_constrained
 
 
@@ -60,20 +60,27 @@ class CapacityValue:
         }
 
 
-def _target_mask(target, grid):
+def _one_box(target, m, grid, kind, rtol):
+    """Capacity of `kind` ("homogeneous" or "inhomogeneous") of a Mask or
+    Region target on the one box of `grid`; returns (mask, CapacityValue,
+    field).  An empty set has capacity 0 and no field; a set within 2m
+    spacings of the box boundary is refused."""
     if isinstance(target, Mask):
         if target.grid != grid:
             raise InputError("mask was rasterized on a different grid")
-        return target
-    if isinstance(target, Region):
-        return target.mask(grid)
-    raise InputError("capacity target must be a Mask or a Region")
-
-
-def _one_box_capacity(kind, m, grid, mask, rtol=1e-8):
-    form = EnergyForm(kind, grid, m)
-    u, info = solve_constrained(form, mask.where, 1.0, rtol=rtol)
-    return info["energy"], info["iterations"], u
+        mask = target
+    elif isinstance(target, Region):
+        mask = target.mask(grid)
+    else:
+        raise InputError("capacity target must be a Mask or a Region")
+    if mask.empty:
+        return mask, CapacityValue(0.0, kind, grid.h, grid.extent), None
+    if np.abs(mask.points()).max() > grid.box_radius - 2 * m * grid.h:
+        raise InputError("target set reaches the box boundary; enlarge the extent")
+    u, info = solve_constrained(EnergyForm(f"{kind}_m", grid, m), mask.where, 1.0, rtol=rtol)
+    out = CapacityValue(float(info["energy"]), kind, grid.h, grid.extent, float("nan"),
+                        {f"extent_{grid.extent}": info["energy"]}, info["iterations"])
+    return mask, out, u
 
 
 def cap_m(target, m, grid, box_levels=1, rtol=1e-8, keep_field=False):
@@ -89,46 +96,27 @@ def cap_m(target, m, grid, box_levels=1, rtol=1e-8, keep_field=False):
             f"homogeneous capacity needs n > 2m (got n={n}, m={m}); "
             "use bessel_capacity for the borderline dimension"
         )
-    mask = _target_mask(target, grid)
-    if mask.empty:
-        return CapacityValue(0.0, "homogeneous", grid.h, grid.extent)
-    pts = mask.points()
-    if np.abs(pts).max() > grid.box_radius - 2 * m * grid.h:
-        raise InputError("target set reaches the box boundary; enlarge the extent")
-
-    value, iters, u = _one_box_capacity("homogeneous_m", m, grid, mask, rtol)
-    raw = {f"extent_{grid.extent}": value}
-    est = float("nan")
-    if box_levels >= 2:
+    mask, out, u = _one_box(target, m, grid, "homogeneous", rtol)
+    if box_levels >= 2 and not mask.empty:
         if not isinstance(target, Region) and mask.region is None:
             raise InputError("box extrapolation needs a geometric region target")
         region = target if isinstance(target, Region) else mask.region
-        big = Grid(n, grid.h, 2 * grid.extent)
-        vbig, ibig, _ = _one_box_capacity("homogeneous_m", m, big, region.mask(big), rtol)
-        raw[f"extent_{big.extent}"] = vbig
+        big = _one_box(region, m, Grid(n, grid.h, 2 * grid.extent), "homogeneous", rtol)[1]
+        out.raw_values.update(big.raw_values)
         # cap(R) ~ cap_inf + c R^(2m-n)
         weight = 2.0 ** (2 * m - n)
-        extrapolated = (vbig - weight * value) / (1.0 - weight)
-        est = abs(extrapolated - vbig)
-        value, iters = extrapolated, iters + ibig
-    out = CapacityValue(float(value), "homogeneous", grid.h, grid.extent, est, raw, iters)
-    if keep_field:
+        extrapolated = (big.value - weight * out.value) / (1.0 - weight)
+        out.refinement_estimate = abs(extrapolated - big.value)
+        out.value, out.iterations = float(extrapolated), out.iterations + big.iterations
+    if keep_field and u is not None:
         out.raw_values["field"] = u
     return out
 
 
 def bessel_capacity(target, m, grid, rtol=1e-8, keep_field=False):
     """Inhomogeneous (full Sobolev-energy) capacity, the order-2m surrogate."""
-    mask = _target_mask(target, grid)
-    if mask.empty:
-        return CapacityValue(0.0, "inhomogeneous", grid.h, grid.extent)
-    pts = mask.points()
-    if np.abs(pts).max() > grid.box_radius - 2 * m * grid.h:
-        raise InputError("target set reaches the box boundary; enlarge the extent")
-    value, iters, u = _one_box_capacity("inhomogeneous_m", m, grid, mask, rtol)
-    out = CapacityValue(float(value), "inhomogeneous", grid.h, grid.extent, float("nan"),
-                        {f"extent_{grid.extent}": value}, iters)
-    if keep_field:
+    _, out, u = _one_box(target, m, grid, "inhomogeneous", rtol)
+    if keep_field and u is not None:
         out.raw_values["field"] = u
     return out
 
@@ -142,11 +130,11 @@ def exact_ball_capacity(m, n, radius):
 
 @dataclass
 class AnnulusCapacitySeries:
-    """Per-scale capacities of closed ball slices of a complement region.
-
-    terms[j] holds (rho, capacity, weight rho^(2m-n), ball_capacity) where
-    ball_capacity is the same-pipeline capacity of the full ball of radius
-    rho, the natural normalizer for classifier thresholds.
+    """Capacities of the closed ball slices B_rho \\ Omega of a complement
+    region, one per scale rho, and in ball_capacity the same-pipeline capacity
+    of the full ball B_rho, the natural normalizer for classifier thresholds.
+    Scales whose slab or ball rasterizes to a node set met at an earlier scale
+    carry that solve's value rescaled, not a fresh solve (see annulus_series).
     """
 
     m: int
@@ -186,19 +174,24 @@ class AnnulusCapacitySeries:
 
 def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
                    nodes_per_rho=12, box_factor=3.0, kind=None, rho_list=None):
-    """Capacities of B_rho \\ Omega at dyadic scales rho = 2^-j.
+    """Capacities of B_rho \\ Omega and of B_rho at dyadic scales rho = 2^-j.
 
-    `complement` is the Region describing the closed complement of the domain;
-    each scale is computed on its own grid with a fixed node count per rho,
-    which dilation invariance of the homogeneous capacity makes exact in the
-    continuum.  backend "axisym" restricts to bodies of revolution but covers
-    every dimension the classifier needs; "cartesian" is the general path.
-    For n = 2m the inhomogeneous surrogate is used on one global grid whose
-    outer box stays at unit scale, since the borderline capacity is not
-    dilation invariant.  rho_list overrides the dyadic 2^-j scales.
+    `complement` is the Region describing the closed complement of the domain.
+    For n > 2m each scale has its own grid, a dilation of the first with a
+    fixed node count per rho; backend "axisym" restricts to bodies of
+    revolution but covers every dimension the classifier needs, "cartesian"
+    is the general path.  For n = 2m the inhomogeneous surrogate is used on
+    one global grid whose box stays at unit scale, since the borderline
+    capacity is not dilation invariant.  A node set met at an earlier scale is
+    not solved again: the homogeneous energies at spacing h are h^(n-2m) times
+    one lattice form, so its stored capacity is scaled by (h/h0)^(n-2m), a
+    power of two for dyadic scales and 1 on the global grid.  rho_list
+    overrides the dyadic 2^-j scales.
     """
     if backend not in ("auto", "axisym", "cartesian"):
         raise InputError(f"unknown backend {backend!r}; have auto, axisym, cartesian")
+    if nodes_per_rho < 1 or box_factor <= 0:
+        raise InputError("the series needs nodes_per_rho >= 1 and box_factor > 0")
     j0, j1 = j_range
     if rho_list is not None:
         rho_values = [float(v) for v in rho_list]
@@ -211,43 +204,30 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
         raise InputError("scales must be strictly decreasing")
     if kind is None:
         kind = "inhomogeneous" if n == 2 * m else "homogeneous"
-    rhos, caps, balls = [], [], []
     meta = {"backend": backend, "nodes_per_rho": nodes_per_rho, "box_factor": box_factor,
             "node_counts": []}
-
+    use_axisym = False
     if n == 2 * m:
         # one global grid, box at the unit scale, resolve the finest scale
         h = min(rho_values) / max(4, nodes_per_rho // 2)
-        extent = int(round(2.0 * max(rho_values) / h))
-        grid = Grid(n, h, extent)
-        for rho in rho_values:
-            slab = Intersection((complement, Ball(rho)))
-            mask = slab.mask(grid)
-            meta["node_counts"].append(mask.count)
-            cv = bessel_capacity(mask, m, grid) if not mask.empty else CapacityValue(
-                0.0, "inhomogeneous", h, extent)
-            bv = bessel_capacity(Ball(rho).mask(grid), m, grid)
-            rhos.append(rho)
-            caps.append(cv.value)
-            balls.append(bv.value)
-        return AnnulusCapacitySeries(m, n, j_range, rhos, caps, balls, kind, meta)
-
-    use_axisym = backend == "axisym" or (
-        backend == "auto" and n >= 3 and m <= 2 and is_axisymmetric(complement, n)
-    )
-    if backend == "axisym" and not is_axisymmetric(complement, n):
-        raise InputError("the axisymmetric backend needs a body of revolution about the last axis")
-    if use_axisym and m > 2:
-        raise UnsupportedRegimeError("axisymmetric backend supports m <= 2")
-    if not use_axisym:
+        grid = Grid(n, h, int(round(2.0 * max(rho_values) / h)))
+    else:
+        use_axisym = backend == "axisym" or (
+            backend == "auto" and n >= 3 and m <= 2 and is_axisymmetric(complement, n)
+        )
+        if backend == "axisym" and not is_axisymmetric(complement, n):
+            raise InputError("the axisymmetric backend needs a body of revolution about the "
+                             "last axis")
+        if use_axisym and m > 2:
+            raise UnsupportedRegimeError("axisymmetric backend supports m <= 2")
         extent = int(round(box_factor * nodes_per_rho))
-        if (2 * extent + 1) ** n > 3_000_000:
+        if not use_axisym and (2 * extent + 1) ** n > 3_000_000:
             raise UnsupportedRegimeError(
                 f"per-scale Cartesian grid would have {(2*extent+1)**n} nodes; "
                 "reduce nodes_per_rho or use the axisymmetric backend"
             )
-    meta["backend"] = "axisym" if use_axisym else "cartesian"
-    meta["resolved"] = []
+        meta["backend"] = "axisym" if use_axisym else "cartesian"
+        meta["resolved"] = []
 
     def _resolvable(region, rho, h):
         # a cusp thinner than the spacing rasterizes to the bare axis needle;
@@ -258,26 +238,33 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
             return all(_resolvable(p, rho, h) for p in region.parts)
         return True
 
+    solved = {}  # (shape, packed node mask) -> (capacity, spacing it was solved at)
+
+    def _capacity(region, rho, grid):
+        nodes = grid.mask_from_region(region) if use_axisym else region.mask(grid).where
+        key = (nodes.shape, np.packbits(nodes).tobytes())
+        if key not in solved:
+            if use_axisym:
+                value = axisym_capacity(nodes, m, n, grid.h, box_factor * rho)[0]
+            else:
+                solve = bessel_capacity if n == 2 * m else cap_m
+                value = solve(Mask(grid, nodes), m, grid).value
+            solved[key] = (value, grid.h)
+        value, h0 = solved[key]
+        return value * (grid.h / h0) ** (n - 2 * m), nodes
+
+    caps, balls = [], []
     for rho in rho_values:
-        h = rho / nodes_per_rho
-        slab = Intersection((complement, Ball(rho)))
-        if use_axisym:
-            cap, ag, _ = axisym_capacity(slab, m, n, h, box_factor * rho)
-            bcap, _, _ = axisym_capacity(Ball(rho), m, n, h, box_factor * rho)
-            count = int(np.prod(ag.shape))
-        else:
-            extent = int(round(box_factor * nodes_per_rho))
-            grid = Grid(n, h, extent)
-            mask = slab.mask(grid)
-            count = mask.count
-            cap = cap_m(mask, m, grid).value if not mask.empty else 0.0
-            bcap = cap_m(Ball(rho).mask(grid), m, grid).value
-        meta["resolved"].append(_resolvable(complement, rho, h))
-        meta["node_counts"].append(count)
-        rhos.append(rho)
+        if n != 2 * m:
+            h = rho / nodes_per_rho
+            r_nodes = int(round(box_factor * rho / h))
+            grid = AxisymGrid(n, h, r_nodes, r_nodes) if use_axisym else Grid(n, h, extent)
+            meta["resolved"].append(_resolvable(complement, rho, h))
+        cap, nodes = _capacity(Intersection((complement, Ball(rho))), rho, grid)
         caps.append(cap)
-        balls.append(bcap)
-    return AnnulusCapacitySeries(m, n, j_range, rhos, caps, balls, kind, meta)
+        balls.append(_capacity(Ball(rho), rho, grid)[0])
+        meta["node_counts"].append(nodes.size if use_axisym else int(nodes.sum()))
+    return AnnulusCapacitySeries(m, n, j_range, rho_values, caps, balls, kind, meta)
 
 
 def series_to_csv(series, path):

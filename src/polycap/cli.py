@@ -263,6 +263,15 @@ _HANDLERS = {
 }
 
 
+def _positive(cast):
+    """argparse type for settings that divide or size a grid (exit code 2)."""
+    def parse(text):
+        if cast(text) <= 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return cast(text)
+    return parse
+
+
 def _build_parser():
     p = argparse.ArgumentParser(prog="polycap",
                                 description="higher-order capacity and regularity runs")
@@ -276,7 +285,7 @@ def _build_parser():
                         help="shorthand for --preset polyharmonic")
         sp.add_argument("--n", type=int)
         sp.add_argument("--m", type=int)
-        sp.add_argument("--h", type=float)
+        sp.add_argument("--h", type=_positive(float))
         sp.add_argument("--extent", type=int)
         sp.add_argument("--box", type=float)
         sp.add_argument("--ball", type=float)
@@ -287,9 +296,9 @@ def _build_parser():
         sp.add_argument("--a", type=float)
         sp.add_argument("--box-levels", dest="box_levels", type=int)
         sp.add_argument("--backend")
-        sp.add_argument("--resolution", type=int)
+        sp.add_argument("--resolution", type=_positive(int))
         sp.add_argument("--levels", type=int)
-        sp.add_argument("--directions", type=int)
+        sp.add_argument("--directions", type=_positive(int))
         sp.add_argument("--channels", type=int)
         sp.add_argument("--window", type=float)
         sp.add_argument("--dt", type=float)
@@ -297,8 +306,8 @@ def _build_parser():
         sp.add_argument("--j-min", dest="j_min", type=int)
         sp.add_argument("--j-max", dest="j_max", type=int)
         sp.add_argument("--nodes-per-rho", dest="nodes_per_rho", type=int)
-        sp.add_argument("--R", type=float)
-        sp.add_argument("--inv-h", dest="inv_h", type=int)
+        sp.add_argument("--R", type=_positive(float))
+        sp.add_argument("--inv-h", dest="inv_h", type=_positive(int))
         sp.add_argument("--samples", type=int)
         sp.add_argument("--checks")
         sp.add_argument("--enclosing", type=float)
@@ -323,8 +332,9 @@ def main(argv=None):
     cfg = {}
     if args.config:
         cfg.update(load_manifest_config(args.config))
+    # by identity: `v not in (None, False)` would also drop 0, since 0 == False
     cli_items = {k: v for k, v in vars(args).items()
-                 if k not in ("config",) and v not in (None, False)}
+                 if k != "config" and v is not None and v is not False}
     if cli_items.pop("polyharmonic", None):
         cli_items["preset"] = "polyharmonic"
     cfg.update(cli_items)

@@ -3,8 +3,10 @@
 A Grid covers the box [-extent*h, extent*h]^n with nodes at integer multiples
 of h; grid functions are ndarrays of shape grid.shape and are understood to
 continue by zero outside the box.  Regions are geometric predicates that can
-be rasterized to a Mask on any grid, which is what lets capacities be
-recomputed across per-scale grids and box sizes.
+be rasterized to a Mask on any grid: one region yields its node set on each
+per-scale grid and box size, and the homogeneous capacity of a node set
+depends on the spacing only through h^(n-2m), which is what lets
+annulus_series solve each distinct node set once.
 """
 
 import csv as _csv

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.sparse import diags
 
-from .energy import EnergyForm, HardyForm
+from .energy import HardyForm, assemble
 from .errors import InputError, UnsupportedRegimeError
 from .fundsol import riesz_constant
 from .solvers import smallest_generalized_eig
@@ -325,8 +325,7 @@ def grid_positivity(op, grid, profile, eps=1e-8, smoothing=2):
         )
     from scipy.sparse.linalg import LinearOperator, lobpcg
 
-    wform = EnergyForm("weighted_operator_form", grid, m, op=op,
-                       weight=_weight_values(profile, grid))
+    wform = assemble("weighted_operator_form", op, grid, weight=profile)
     hform = HardyForm(grid, m)
     center = grid.origin_index()
     fixed = np.zeros(grid.shape, dtype=bool)
@@ -386,9 +385,3 @@ def grid_positivity(op, grid, profile, eps=1e-8, smoothing=2):
         else:
             verdict.notes.append("negative eigenvalue failed quad re-evaluation")
     return verdict
-
-
-def _weight_values(profile, grid):
-    vals = profile.reconstruct_on_grid(grid)
-    vals[grid.origin_index()] = 0.0
-    return vals

@@ -315,12 +315,16 @@ def _solve_free(A, fixed, u, rhs):
 
 
 def axisym_capacity(region, m, n, h, r_box):
-    """Variational capacity of a body of revolution on an (r, z) grid, with
-    the order-m gradient energy; returns (capacity, grid, potential)."""
+    """Variational capacity of a body of revolution (or of its boolean node
+    mask on the grid) on an (r, z) grid, with the order-m gradient energy;
+    returns (capacity, grid, potential)."""
     if n < 3:
         raise UnsupportedRegimeError("axisymmetric reduction needs n >= 3")
     ag = AxisymGrid(n, h, int(round(r_box / h)), int(round(r_box / h)))
-    fixed = ag.mask_from_region(region)
+    is_mask = isinstance(region, np.ndarray)
+    fixed = np.asarray(region, dtype=bool) if is_mask else ag.mask_from_region(region)
+    if fixed.shape != ag.shape:
+        raise InputError("node mask does not match the (r, z) grid")
     if not fixed.any():
         return 0.0, ag, np.zeros(ag.shape)
     A = axisym_energy_matrix(ag, m)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from polycap import (Ball, Box, Cone, ConvergenceError, EllipticOperator, EnergyForm, Grid,
-                     InconclusiveError, InputError, Mask, Ray, UnsupportedRegimeError,
-                     annulus_series, bessel_capacity, bump, cap_m, exact_ball_capacity,
-                     laplacian, solve_constrained)
-from polycap.radial import axisym_capacity, radial_ball_capacity
+from polycap import (Ball, Box, Cone, ConvergenceError, Cusp, EllipticOperator, EnergyForm,
+                     Grid, InconclusiveError, InputError, Intersection, Mask, Ray,
+                     UnsupportedRegimeError, annulus_series, bessel_capacity, bump, cap_m,
+                     exact_ball_capacity, laplacian, solve_constrained)
+from polycap.radial import AxisymGrid, axisym_capacity, radial_ball_capacity
 
 
 def test_empty_target_is_zero():
@@ -140,6 +140,50 @@ def test_annulus_series_empty_complement():
 def test_annulus_series_rejects_unknown_backend():
     with pytest.raises(InputError):
         annulus_series(Cone(np.pi / 3), 1, 3, backend="bogus")
+
+
+@pytest.mark.parametrize("region, m, n, npr, backend, solves", [
+    (Cone(np.pi / 4), 2, 5, 8, "axisym", 2),
+    (Cone(np.pi / 4), 1, 3, 5, "cartesian", 2),
+    (Cusp("power", 2.0), 2, 6, 12, "axisym", 5),
+])
+def test_annulus_series_solves_each_node_set_once(monkeypatch, region, m, n, npr, backend,
+                                                  solves):
+    # every scale's grid is a dilation of the first, so a node mask met before
+    # is rescaled by (h/h0)^(n-2m) instead of being solved again
+    import polycap.capacity as capacity
+
+    calls = []
+    for name in ("cap_m", "axisym_capacity"):
+        def counted(*args, _solve=getattr(capacity, name), **kwargs):
+            calls.append(name)
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(capacity, name, counted)
+    s = annulus_series(region, m, n, j_range=(0, 8), nodes_per_rho=npr, backend=backend)
+    assert len(calls) == solves
+    for rho, cap, ball in zip(s.rho, s.capacity, s.ball_capacity):
+        h = rho / npr
+        for target, value in ((Intersection((region, Ball(rho))), cap), (Ball(rho), ball)):
+            if backend == "axisym":
+                fresh = axisym_capacity(target, m, n, h, 3.0 * rho)[0]
+            else:
+                fresh = cap_m(target, m, Grid(n, h, int(round(3.0 * npr)))).value
+            assert value == pytest.approx(fresh, rel=1e-12, abs=0.0)
+
+
+def test_annulus_series_rejects_bad_scale_parameters():
+    for kwargs in ({"nodes_per_rho": 0}, {"nodes_per_rho": -3}, {"box_factor": 0.0}):
+        with pytest.raises(InputError):
+            annulus_series(Cone(np.pi / 4), 1, 3, **kwargs)
+
+
+def test_axisym_capacity_takes_a_node_mask():
+    ag = AxisymGrid(3, 0.1, 20, 20)
+    nodes = ag.mask_from_region(Ball(1.0))
+    assert axisym_capacity(nodes, 1, 3, 0.1, 2.0)[0] == axisym_capacity(Ball(1.0), 1, 3, 0.1,
+                                                                        2.0)[0]
+    with pytest.raises(InputError):
+        axisym_capacity(nodes, 1, 3, 0.1, 3.0)
 
 
 def test_annulus_series_ray_scaling():

@@ -89,6 +89,31 @@ def test_wiener_subcommand(tmp_path, cli_env):
     assert os.path.exists(tmp_path / "w" / "series.csv")
 
 
+def test_wiener_keeps_zero_valued_options(tmp_path, cli_env):
+    # 0 == False in Python; a zero option must not fall back to its default
+    r = run_cli(["wiener", "--m", "1", "--n", "3", "--domain", "cone:45", "--j-max", "0",
+                 "--nodes-per-rho", "4", "--out", "w0"], tmp_path, cli_env)
+    assert r.returncode == 0, r.stderr
+    with open(tmp_path / "w0" / "manifest.json") as fh:
+        assert json.load(fh)["config"]["j_max"] == 0
+    with open(tmp_path / "w0" / "series.csv") as fh:
+        assert len(fh.read().splitlines()) == 2  # header and the one scale j = 0
+
+
+CONE_WIENER = ["wiener", "--m", "1", "--n", "3", "--domain", "cone:45"]
+
+
+@pytest.mark.parametrize("args", [
+    CONE_WIENER + ["--nodes-per-rho", "0"],
+    CONE_WIENER + ["--nodes-per-rho", "-3"],
+    ["capacity", "--preset", "laplacian", "--n", "3", "--ball", "1.0", "--h", "0"],
+])
+def test_non_positive_scale_settings_exit_2(tmp_path, cli_env, args):
+    r = run_cli(args + ["--out", "bad"], tmp_path, cli_env)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_wiener_unknown_backend_exits_2(tmp_path, cli_env):
     r = run_cli(["wiener", "--m", "1", "--n", "3", "--domain", "cone:45",
                  "--backend", "bogus", "--out", "w"], tmp_path, cli_env)

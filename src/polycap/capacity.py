@@ -62,9 +62,9 @@ class CapacityValue:
 
 def _one_box(target, m, grid, kind, rtol):
     """Capacity of `kind` ("homogeneous" or "inhomogeneous") of a Mask or
-    Region target on the one box of `grid`; returns (mask, CapacityValue,
-    field).  An empty set has capacity 0 and no field; a set within 2m
-    spacings of the box boundary is refused."""
+    Region target on the one box of `grid`; returns (mask, CapacityValue).
+    An empty set has capacity 0; a set within 2m spacings of the box
+    boundary is refused."""
     if isinstance(target, Mask):
         if target.grid != grid:
             raise InputError("mask was rasterized on a different grid")
@@ -74,16 +74,16 @@ def _one_box(target, m, grid, kind, rtol):
     else:
         raise InputError("capacity target must be a Mask or a Region")
     if mask.empty:
-        return mask, CapacityValue(0.0, kind, grid.h, grid.extent), None
+        return mask, CapacityValue(0.0, kind, grid.h, grid.extent)
     if np.abs(mask.points()).max() > grid.box_radius - 2 * m * grid.h:
         raise InputError("target set reaches the box boundary; enlarge the extent")
-    u, info = solve_constrained(EnergyForm(f"{kind}_m", grid, m), mask.where, 1.0, rtol=rtol)
+    _, info = solve_constrained(EnergyForm(f"{kind}_m", grid, m), mask.where, 1.0, rtol=rtol)
     out = CapacityValue(float(info["energy"]), kind, grid.h, grid.extent, float("nan"),
                         {f"extent_{grid.extent}": info["energy"]}, info["iterations"])
-    return mask, out, u
+    return mask, out
 
 
-def cap_m(target, m, grid, box_levels=1, rtol=1e-8, keep_field=False):
+def cap_m(target, m, grid, box_levels=1, rtol=1e-8):
     """Order-m homogeneous capacity of a compact node set.
 
     With box_levels=2 the target region is re-rasterized on a box twice as
@@ -96,7 +96,7 @@ def cap_m(target, m, grid, box_levels=1, rtol=1e-8, keep_field=False):
             f"homogeneous capacity needs n > 2m (got n={n}, m={m}); "
             "use bessel_capacity for the borderline dimension"
         )
-    mask, out, u = _one_box(target, m, grid, "homogeneous", rtol)
+    mask, out = _one_box(target, m, grid, "homogeneous", rtol)
     if box_levels >= 2 and not mask.empty:
         if not isinstance(target, Region) and mask.region is None:
             raise InputError("box extrapolation needs a geometric region target")
@@ -108,17 +108,12 @@ def cap_m(target, m, grid, box_levels=1, rtol=1e-8, keep_field=False):
         extrapolated = (big.value - weight * out.value) / (1.0 - weight)
         out.refinement_estimate = abs(extrapolated - big.value)
         out.value, out.iterations = float(extrapolated), out.iterations + big.iterations
-    if keep_field and u is not None:
-        out.raw_values["field"] = u
     return out
 
 
-def bessel_capacity(target, m, grid, rtol=1e-8, keep_field=False):
+def bessel_capacity(target, m, grid, rtol=1e-8):
     """Inhomogeneous (full Sobolev-energy) capacity, the order-2m surrogate."""
-    _, out, u = _one_box(target, m, grid, "inhomogeneous", rtol)
-    if keep_field and u is not None:
-        out.raw_values["field"] = u
-    return out
+    return _one_box(target, m, grid, "inhomogeneous", rtol)[1]
 
 
 def exact_ball_capacity(m, n, radius):

@@ -70,7 +70,7 @@ def _run_symbol_check(cfg):
     vals = op.symbol(dirs)
     write_csv(os.path.join(out, "symbol_samples.csv"),
               [f"d{i+1}" for i in range(op.n)] + ["P"],
-              [list(d) + [v] for d, v in zip(dirs, vals)])
+              np.column_stack([dirs, vals]))
     write_json(os.path.join(out, "summary.json"), {
         "operator": op.name, "n": op.n, "m": op.m, "elliptic": ok,
         "min_symbol_on_sphere": worst, "worst_direction": list(direction),
@@ -143,7 +143,7 @@ def _run_potential(cfg):
     coords = grid.coords().reshape(-1, grid.n)
     write_csv(os.path.join(out, "potential.csv"),
               [f"x{i+1}" for i in range(grid.n)] + ["u"],
-              [list(c) + [v] for c, v in zip(coords, report.u.ravel())])
+              np.column_stack([coords, report.u.ravel()]))
     return 0
 
 
@@ -168,9 +168,9 @@ def _run_positivity(cfg):
             kwargs["dt"] = float(cfg["dt"])
         verdict = channel_positivity(m, n, **kwargs)
     if verdict.witness is not None and "values" in verdict.witness:
-        vals = verdict.witness["values"]
+        vals = np.asarray(verdict.witness["values"]).ravel()
         write_csv(os.path.join(out, "witness.csv"), ["index", "value"],
-                  list(enumerate(np.asarray(vals).ravel())))
+                  np.column_stack([np.arange(vals.size), vals]))
     write_json(os.path.join(out, "summary.json"), verdict.as_dict())
     if cfg.get("require_verdict") and verdict.status not in ("positive_at_resolution",
                                                              "violated"):
@@ -226,7 +226,7 @@ def _run_dirichlet(cfg):
     coords = grid.coords().reshape(-1, grid.n)
     write_csv(os.path.join(out, "solution.csv"),
               [f"x{i+1}" for i in range(grid.n)] + ["u"],
-              [list(c) + [v] for c, v in zip(coords, u.ravel())])
+              np.column_stack([coords, u.ravel()]))
     write_json(os.path.join(out, "summary.json"), {
         "operator": op.name, "n": grid.n, "m": op.m, "iterations": info["iterations"],
         "residual": info["residual"], "u_max": float(np.abs(u).max()),
@@ -243,8 +243,8 @@ def _run_decay(cfg):
     write_json(os.path.join(out, "summary.json"), report.as_dict())
     write_csv(os.path.join(out, "decay.csv"),
               ["rho", "sup_sq", "weighted_energy", "cap_integral"],
-              list(zip(report.radii, report.sup_sq, report.weighted_energy,
-                       report.cap_integral)))
+              np.column_stack([report.radii, report.sup_sq, report.weighted_energy,
+                               report.cap_integral]))
     if cfg.get("require_verdict") and report.inconclusive:
         raise InconclusiveError("decay fit is degenerate")
     return 0
@@ -263,13 +263,22 @@ _HANDLERS = {
 }
 
 
-def _positive(cast):
-    """argparse type for settings that divide or size a grid (exit code 2)."""
-    def parse(text):
-        if cast(text) <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-        return cast(text)
-    return parse
+# settings that divide or size a grid, with the cast their handlers apply
+_POSITIVE = {"h": float, "R": float, "inv_h": int, "resolution": int, "directions": int}
+
+
+def _check_positive(cfg):
+    """Reject a non-positive grid setting (exit code 2), from the command line
+    or from a config file alike: the check runs after the two are merged."""
+    for key, cast in _POSITIVE.items():
+        if cfg.get(key) is None:
+            continue
+        try:
+            ok = cast(cfg[key]) > 0
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ConfigurationError(f"{key} must be positive, got {cfg[key]!r}")
 
 
 def _build_parser():
@@ -285,7 +294,7 @@ def _build_parser():
                         help="shorthand for --preset polyharmonic")
         sp.add_argument("--n", type=int)
         sp.add_argument("--m", type=int)
-        sp.add_argument("--h", type=_positive(float))
+        sp.add_argument("--h", type=float)
         sp.add_argument("--extent", type=int)
         sp.add_argument("--box", type=float)
         sp.add_argument("--ball", type=float)
@@ -296,9 +305,9 @@ def _build_parser():
         sp.add_argument("--a", type=float)
         sp.add_argument("--box-levels", dest="box_levels", type=int)
         sp.add_argument("--backend")
-        sp.add_argument("--resolution", type=_positive(int))
+        sp.add_argument("--resolution", type=int)
         sp.add_argument("--levels", type=int)
-        sp.add_argument("--directions", type=_positive(int))
+        sp.add_argument("--directions", type=int)
         sp.add_argument("--channels", type=int)
         sp.add_argument("--window", type=float)
         sp.add_argument("--dt", type=float)
@@ -306,8 +315,8 @@ def _build_parser():
         sp.add_argument("--j-min", dest="j_min", type=int)
         sp.add_argument("--j-max", dest="j_max", type=int)
         sp.add_argument("--nodes-per-rho", dest="nodes_per_rho", type=int)
-        sp.add_argument("--R", type=_positive(float))
-        sp.add_argument("--inv-h", dest="inv_h", type=_positive(int))
+        sp.add_argument("--R", type=float)
+        sp.add_argument("--inv-h", dest="inv_h", type=int)
         sp.add_argument("--samples", type=int)
         sp.add_argument("--checks")
         sp.add_argument("--enclosing", type=float)
@@ -321,6 +330,7 @@ def run(config):
     sub = config.get("subcommand")
     if sub not in _HANDLERS:
         raise ConfigurationError(f"unknown subcommand {sub!r}")
+    _check_positive(config)
     outdir = _outdir(config)
     write_manifest(outdir, config)
     return _HANDLERS[sub](config)

@@ -4,12 +4,16 @@ The kernel of an elliptic operator with positive symbol P is homogeneous,
 F(x) = F(x/|x|) |x|^(2m-n), so it is determined by its sphere restriction.
 Two backends compute that restriction:
 
-* ``fft``: solve P(d) G = (mollified) delta on a periodic box by Fourier
+* ``fft``: solve P(d) G = (mollified) delta on a periodic M^n box by Fourier
   inversion with the zero mode removed, sample G at lattice points x and 2x
-  (and 4x), and fit {r^(2m-n), 1, r^2, ...} per direction; the fit removes
+  (and 3x), and fit {r^(2m-n), 1, r^2, ...} per direction; the fit removes
   the smooth periodic-image background, and the homogeneous part is the
   free-space profile.  The Gaussian mollifier suppresses truncation ringing
   and is exact for kernels annihilated by the Laplacian away from the origin.
+  A coordinate-even symbol (every exponent even, as for all presets) is
+  inverted by a DCT-I of the (M/2+1)^n octant of non-negative frequencies,
+  which equals the real part of the complex inverse on the full box; other
+  symbols take the complex inverse FFT on the full box.
 
 * ``planewave``: the plane-wave formula for homogeneous kernels (Gel'fand &
   Shilov, Generalized Functions vol. 1, ch. I 3; F. John, Plane Waves and
@@ -37,6 +41,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import dctn
 from scipy.special import gamma as _gamma, roots_jacobi
 
 from .errors import InputError, UnsupportedRegimeError
@@ -193,6 +198,34 @@ def _fit_exponents(m, n, levels):
     return exps
 
 
+def _periodic_green(op, M, h):
+    """G on the periodic box of M^n nodes of spacing h: the inverse transform
+    of the mollified 1/P with the zero mode removed.
+
+    For a coordinate-even symbol (every exponent of P even) the transform is
+    even about every frequency axis, so the real inverse is a DCT-I of its
+    (M/2+1)^n octant of non-negative frequencies, Nyquist included, and G is
+    returned on that octant of indices 0..M/2 only.  Other symbols get the
+    complex inverse on the full box."""
+    n = op.n
+    even = not (op._terms()[0] % 2).any()
+    k = 2.0 * math.pi * (np.fft.rfftfreq(M, d=h) if even else np.fft.fftfreq(M, d=h))
+    freqs = [k] * n
+    P = _symbol_on_freq_grid(op, freqs)
+    r2 = np.zeros(P.shape)
+    for axis in range(n):
+        s = [1] * n
+        s[axis] = k.size
+        r2 = r2 + (k**2).reshape(s)
+    sigma = 1.5 * h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chat = np.exp(-0.5 * sigma**2 * r2) / P
+    chat.flat[0] = 0.0
+    if even:
+        return dctn(chat, type=1, norm="forward", overwrite_x=True) / (h**n)
+    return np.fft.ifftn(chat).real / (h**n)
+
+
 def _fft_profile(op, resolution, extrapolation_levels, max_directions):
     n, m = op.n, op.m
     M = int(resolution)
@@ -205,24 +238,12 @@ def _fft_profile(op, resolution, extrapolation_levels, max_directions):
         )
     A = 1.0
     h = 2.0 * A / M
-    freqs = [2.0 * math.pi * np.fft.fftfreq(M, d=h) for _ in range(n)]
-    P = _symbol_on_freq_grid(op, freqs)
-    r2 = np.zeros(P.shape)
-    for axis in range(n):
-        s = [1] * n
-        s[axis] = M
-        r2 = r2 + (freqs[axis] ** 2).reshape(s)
-    sigma = 1.5 * h
-    with np.errstate(divide="ignore", invalid="ignore"):
-        chat = np.exp(-0.5 * sigma**2 * r2) / P
-    chat.flat[0] = 0.0
-    G = np.fft.ifftn(chat).real / (h**n)
-    del chat, P, r2
+    G = _periodic_green(op, M, h)
 
     levels = int(extrapolation_levels)
     if levels < 2:
         raise InputError("need at least two shells to remove the periodic background")
-    mult = list(range(1, levels + 1))
+    mult = np.arange(1, levels + 1)
     r0 = max(6, M // 16)
     while r0 > 4 and r0 * levels > 0.49 * M:
         r0 -= 1
@@ -244,17 +265,16 @@ def _fft_profile(op, resolution, extrapolation_levels, max_directions):
     dirs = V / np.linalg.norm(V, axis=1)[:, None]
     radii = np.linalg.norm(V, axis=1) * h
 
-    samples = np.empty((V.shape[0], levels))
-    for k, c in enumerate(mult):
-        idx = tuple((c * V[:, axis]) % M for axis in range(n))
-        samples[:, k] = G[idx]
+    # samples[k, i] = G at mult[k] * V[i]; an octant G is even about each axis
+    idx = np.multiply.outer(mult, V) % M
+    if G.shape[0] < M:
+        idx = np.minimum(idx, M - idx)
+    samples = G[tuple(np.moveaxis(idx, -1, 0))]
+    # fit sum_j a_j (c r)^e_j over the shells c = mult; since (c r)^e =
+    # c^e r^e, one matrix B[k, j] = mult[k]^e_j serves every direction
     exps = _fit_exponents(m, n, levels)
-    F = np.empty(V.shape[0])
-    for i in range(V.shape[0]):
-        rr = radii[i] * np.asarray(mult, dtype=float)
-        Mat = np.stack([rr**e for e in exps], axis=1)
-        sol = np.linalg.solve(Mat, samples[i])
-        F[i] = sol[0]
+    B = np.power.outer(mult.astype(float), exps)
+    F = np.linalg.solve(B, samples)[0] / radii ** exps[0]
     return dirs, F, radii
 
 

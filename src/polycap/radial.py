@@ -308,9 +308,13 @@ def axisym_energy_matrix(ag, m):
 
 def _solve_free(A, fixed, u, rhs):
     """Fill u off the flat mask `fixed` by an LU solve of the free block of
-    A u = rhs; u holds the fixed values and rhs already carries their -A u."""
+    A u = rhs; u holds the fixed values and rhs already carries their -A u.
+    The block is symmetric positive definite, so the factorisation runs in
+    SuperLU's symmetric mode: an ordering of A + A^T, pivots on the diagonal."""
     free = ~fixed
-    u[free] = splu(A[free][:, free].tocsc()).solve(rhs[free])
+    lu = splu(A[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options=dict(SymmetricMode=True))
+    u[free] = lu.solve(rhs[free])
     return u
 
 

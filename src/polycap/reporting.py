@@ -43,17 +43,15 @@ def write_json(path, payload):
         fh.write("\n")
 
 
-def write_csv(path, header, rows):
+def write_csv(path, header, table):
+    """Write the header names and then each row of the 2-D float array
+    `table`, every value in %.17g; integral values (an index column) print
+    without a decimal point, NaN as nan."""
+    table = np.asarray(table, dtype=float)
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            out = []
-            for v in row:
-                if isinstance(v, (float, np.floating)):
-                    out.append(f"{float(v):.17g}")
-                else:
-                    out.append(str(v))
-            fh.write(",".join(out) + "\n")
+        fh.write((line * table.shape[0]) % tuple(table.ravel().tolist()))
 
 
 def write_manifest(outdir, resolved_config):

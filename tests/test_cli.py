@@ -114,6 +114,21 @@ def test_non_positive_scale_settings_exit_2(tmp_path, cli_env, args):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("config", [
+    {"subcommand": "capacity", "preset": "laplacian", "n": 3, "ball": 1.0, "h": 0},
+    {"subcommand": "decay", "preset": "laplacian", "n": 3, "domain": "cone:45", "R": -0.25},
+], ids=["zero_h", "negative_R"])
+def test_non_positive_scale_settings_from_config_exit_2(tmp_path, cli_env, config):
+    # a config file bypasses argparse; the merged settings are checked all the same
+    with open(tmp_path / "c.json", "w") as fh:
+        json.dump(config, fh)
+    r = run_cli(["--config", str(tmp_path / "c.json"), config["subcommand"], "--out", "bad"],
+                tmp_path, cli_env)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert "must be positive" in r.stderr
+
+
 def test_wiener_unknown_backend_exits_2(tmp_path, cli_env):
     r = run_cli(["wiener", "--m", "1", "--n", "3", "--domain", "cone:45",
                  "--backend", "bogus", "--out", "w"], tmp_path, cli_env)

@@ -113,6 +113,56 @@ def test_planewave_error_estimate_sees_a_zero_inside_the_circle(monkeypatch):
     assert prof.error_estimate >= abs(wrong - right)
 
 
+E3 = [tuple(row) for row in np.eye(3, dtype=int)]
+EVEN_ANISOTROPIC = EllipticOperator(3, 1, {(E3[0], E3[0]): 1.0, (E3[1], E3[1]): 2.0,
+                                           (E3[2], E3[2]): 3.5}, name="even_anisotropic")
+CROSS_TERM = EllipticOperator(3, 1, {(E3[0], E3[0]): 1.0, (E3[1], E3[1]): 1.0,
+                                     (E3[2], E3[2]): 1.0, (E3[0], E3[1]): 0.3},
+                              name="cross_term")
+
+
+def _complex_green(op, M, h):
+    # independent reference: the complex inverse transform on the full M^n box
+    freqs = [2.0 * np.pi * np.fft.fftfreq(M, d=h) for _ in range(op.n)]
+    P = fundsol._symbol_on_freq_grid(op, freqs)
+    r2 = np.zeros(P.shape)
+    for axis in range(op.n):
+        s = [1] * op.n
+        s[axis] = M
+        r2 = r2 + (freqs[axis] ** 2).reshape(s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chat = np.exp(-0.5 * (1.5 * h) ** 2 * r2) / P
+    chat.flat[0] = 0.0
+    return np.fft.ifftn(chat).real / h**op.n
+
+
+@pytest.mark.parametrize("op, resolution", [(laplacian(3), 64), (EVEN_ANISOTROPIC, None)],
+                         ids=["laplacian3_64", "even_anisotropic"])
+def test_octant_dct_matches_complex_inversion(op, resolution, monkeypatch):
+    M = resolution or 128
+    octant = fundsol._periodic_green(op, M, 2.0 / M)
+    box = _complex_green(op, M, 2.0 / M)
+    assert octant.shape == (M // 2 + 1,) * 3
+    half = box[: M // 2 + 1, : M // 2 + 1, : M // 2 + 1]
+    assert np.abs(octant - half).max() <= 1e-13 * np.abs(half).max()
+    fast = compute_profile(op, resolution=resolution)
+    monkeypatch.setattr(fundsol, "_periodic_green", _complex_green)
+    ref = compute_profile(op, resolution=resolution)
+    assert np.array_equal(fast.directions, ref.directions)
+    assert np.abs(fast.values / ref.values - 1.0).max() <= 1e-13
+    # the estimate compares with the run at M/2, which takes the octant path too
+    assert abs(fast.error_estimate / ref.error_estimate - 1.0) <= 1e-12
+
+
+def test_cross_term_symbol_keeps_complex_inversion(monkeypatch):
+    assert fundsol._periodic_green(CROSS_TERM, 32, 2.0 / 32).shape == (32,) * 3
+    fast = compute_profile(CROSS_TERM, resolution=64)
+    monkeypatch.setattr(fundsol, "_periodic_green", _complex_green)
+    ref = compute_profile(CROSS_TERM, resolution=64)
+    assert np.array_equal(fast.values, ref.values)
+    assert fast.error_estimate == ref.error_estimate
+
+
 def test_laplacian4_fft_calibrated():
     prof = compute_profile(laplacian(4), backend="fft")
     assert np.abs(prof.values / riesz_constant(1, 4) - 1.0).max() <= 0.02

@@ -13,7 +13,9 @@ Two backends compute that restriction:
   A coordinate-even symbol (every exponent even, as for all presets) is
   inverted by a DCT-I of the (M/2+1)^n octant of non-negative frequencies,
   which equals the real part of the complex inverse on the full box; other
-  symbols take the complex inverse FFT on the full box.
+  symbols take the complex inverse FFT on the full box.  Only n <= 4: at the
+  box sizes affordable in n >= 5 the fit misses the kernel by tens of percent
+  with no finite error estimate, so the backend refuses those dimensions.
 
 * ``planewave``: the plane-wave formula for homogeneous kernels (Gel'fand &
   Shilov, Generalized Functions vol. 1, ch. I 3; F. John, Plane Waves and
@@ -407,8 +409,10 @@ def compute_profile(op, resolution=None, extrapolation_levels=2, backend="auto",
     extrapolation_levels: number of nested lattice shells used to strip the
     periodic background (2 removes the constant, 3 also removes the r^2 term).
 
-    With backend "auto", n <= 4 and anisotropic symbols take the fft backend
-    and rotation-invariant symbols in n >= 5 the planewave backend.  A fully
+    With backend "auto", n <= 4 takes the fft backend and rotation-invariant
+    symbols in n >= 5 the planewave backend.  The fft backend refuses n >= 5
+    (UnsupportedRegimeError): its box there is too coarse to calibrate, off
+    by half for polyharmonic(5, 2), with no finite error estimate.  A fully
     isotropic symbol gives angular_model "constant"; under planewave its
     quadrature runs at the probe angles 0, pi/4 and pi/2, and the pi/4 value
     fills every direction.  An axisymmetric symbol gives angular_model
@@ -429,15 +433,19 @@ def compute_profile(op, resolution=None, extrapolation_levels=2, backend="auto",
 
     axis = _isotropy_axis(op)
     if backend == "auto":
-        # the periodic box loses calibration accuracy beyond n = 4; rotation
-        # symmetric symbols get the quadrature route there instead
-        backend = "fft" if (n <= 4 or axis is None) else "planewave"
+        backend = "fft" if n <= 4 else "planewave"
     if direction_count is None:
         direction_count = 2**10 if n <= 4 else 2**12
 
     if backend == "fft":
+        if n >= 5:
+            raise UnsupportedRegimeError(
+                f"the fft backend loses calibration beyond n = 4 (got n={n}); the "
+                "planewave backend serves symbols rotation invariant about a "
+                "coordinate axis"
+            )
         if resolution is None:
-            resolution = {1: 256, 2: 128, 3: 128, 4: 48, 5: 32}.get(n, 32)
+            resolution = {1: 256, 2: 128, 3: 128, 4: 48}[n]
         if extrapolation_levels == 2 and m > 1:
             extrapolation_levels = 3  # fit the mollifier correction term as well
         dirs, vals, est = _compute_fft(op, resolution, extrapolation_levels, direction_count)

@@ -5,13 +5,25 @@ with prescribed values on a node set.  The free-node system is solved by
 one preconditioned conjugate gradient loop on grid-shaped arrays, masked to
 zero on the fixed nodes, so no free vector is gathered or scattered.  For
 the polyharmonic energy kinds the unconstrained operator is a power of the
-compact discrete Laplacian, so one DST round per iteration inverts the
-matching power of the Dirichlet Laplacian -Delta_h^D on the box.  For m = 1
-that is the unconstrained operator itself, and its inverse restricted to the
-free nodes is the exact inverse Schur complement.  For m >= 2 the
-zero-extended (-Delta_h)^m differs from (-Delta_h^D)^m near the box faces,
-so the DST round is only spectrally equivalent to it.  That keeps iteration
-counts nearly independent of the grid size.  There is no fallback solve.
+compact discrete Laplacian, so one DST-I round per iteration (transform,
+divide by the spectrum, transform back) inverts the matching power of the
+Dirichlet Laplacian -Delta_h^D on the box.  For m = 1 that is the
+unconstrained operator itself, and its inverse restricted to the free nodes
+is the exact inverse Schur complement.  For m >= 2 the zero-extended
+(-Delta_h)^m differs from (-Delta_h^D)^m near the box faces, so the DST round
+is only spectrally equivalent to it.  That keeps iteration counts nearly
+independent of the grid size.  There is no fallback solve.
+
+The orthonormal DST-I of length N is the symmetric N x N sine matrix S, and
+S S = I.  On axes of up to _DENSE_MAX_AXIS nodes the transform is applied as
+the tensor-product "fast diagonalization" of Lynch, Rice & Thomas (Numer.
+Math. 6, 1964): one dense BLAS product with S per axis, 2N flops per node and
+axis.  The FFT route costs O(log N) per node and axis, but with large
+constants that depend on the factors of 2(N + 1), so on axes of 11 to 513
+nodes, those of nearly every grid the library builds, the dense products are
+several times faster.  Longer axes (1025 nodes on the finest n = 2m series
+grid) take scipy.fft's DST-I, which wins there when 2(N + 1) has small
+factors.  Both routes apply the same linear map up to rounding.
 
 The positivity channels need the smallest eigenvalue of a pencil A x =
 lambda B x of banded symmetric matrices with B positive definite.  By
@@ -32,9 +44,39 @@ from .errors import ConvergenceError, InputError
 _MAX_DOUBLINGS = 200
 
 
-def _dst_solve(v, spec):
-    coeff = sfft.dstn(v, type=1, norm="ortho")
-    return sfft.idstn(coeff / spec, type=1, norm="ortho")
+# the longest axis that takes the dense sine-matrix route; above it the dense
+# products (2N flops per node and axis) lose to scipy.fft's DST-I on
+# FFT-friendly lengths (crossover measured in CHANGES.md)
+_DENSE_MAX_AXIS = 600
+
+
+def _sine_matrix(N):
+    """Orthonormal DST-I matrix sqrt(2/(N+1)) sin(pi j k/(N+1)), j, k = 1..N."""
+    k = np.arange(1, N + 1)
+    # j k reduced modulo the period 2(N + 1) keeps the sine argument below
+    # 2 pi, so each entry is correct to an ulp
+    jk = np.outer(k, k) % (2 * (N + 1))
+    return np.sqrt(2.0 / (N + 1)) * np.sin(np.pi * jk / (N + 1))
+
+
+def _sine_passes(v, sine):
+    """The DST-I along every axis of a cube-shaped v: each pass is one BLAS
+    product of the first axis with the symmetric `sine`, whose result has that
+    axis last, so after v.ndim passes the axes are back in their order."""
+    shape = v.shape
+    for _ in shape:
+        v = v.reshape(len(sine), -1).T @ sine
+    return v.reshape(shape)
+
+
+def _dst_solve(v, spec, sine):
+    """Inverse of the DST-diagonal model: transform, divide by `spec`,
+    transform back; by dense passes with `sine`, or by scipy.fft when
+    `sine` is None."""
+    if sine is None:
+        coeff = sfft.dstn(v, type=1, norm="ortho")
+        return sfft.idstn(coeff / spec, type=1, norm="ortho")
+    return _sine_passes(_sine_passes(v, sine) / spec, sine)
 
 
 def solve_constrained(form, fixed_where, fixed_values, rhs=None, rtol=1e-8, maxiter=2000):
@@ -58,13 +100,15 @@ def solve_constrained(form, fixed_where, fixed_values, rhs=None, rtol=1e-8, maxi
     r = (b - form.apply(u)) * free
     r0 = float(np.linalg.norm(r))
     spec = form.dst_spectrum()
+    N = grid.shape[0]
+    sine = _sine_matrix(N) if N <= _DENSE_MAX_AXIS else None
     for iterations in range(maxiter + 1):
         if np.linalg.norm(r) <= rtol * r0:
             break
         if iterations == maxiter:
             raise ConvergenceError(
                 f"conjugate gradient missed rtol={rtol:g} after {maxiter} iterations")
-        z = _dst_solve(r, spec) * free
+        z = _dst_solve(r, spec, sine) * free
         rho = float(np.vdot(r, z))
         p = z if iterations == 0 else z + (rho / rho_prev) * p
         q = form.apply(p) * free

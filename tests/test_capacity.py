@@ -5,6 +5,7 @@ from polycap import (Ball, Box, Cone, ConvergenceError, Cusp, EllipticOperator, 
                      Grid, InconclusiveError, InputError, Intersection, Mask, Ray,
                      UnsupportedRegimeError, annulus_series, bessel_capacity, bump, cap_m,
                      exact_ball_capacity, laplacian, solve_constrained)
+from polycap import solvers
 from polycap.radial import AxisymGrid, axisym_capacity, radial_ball_capacity
 
 
@@ -34,16 +35,20 @@ _ANISOTROPIC = EllipticOperator(3, 1, {
     ("inhomogeneous_m", 2, None, False),
     ("operator_form", 1, _ANISOTROPIC, False),  # folded-stencil path
     ("operator_form", 1, laplacian(3), True),  # rhs with zero fixed values
+    ("operator_form", 1, laplacian(2), True),  # an axis beyond the dense sine matrix
 ])
 def test_constrained_solve_matches_direct(kind, m, op, dirichlet):
     from scipy.sparse.linalg import spsolve
 
-    grid = Grid(3, 0.25, 6)
+    # the 2-d axis of 629 nodes takes the scipy.fft DST-I; 2 (629 + 1) =
+    # 2^2 3^2 5 7 keeps that transform fast
+    grid = Grid(3, 0.25, 6) if op is None or op.n == 3 else Grid(2, 0.02, 314)
+    assert (grid.shape[0] > solvers._DENSE_MAX_AXIS) == (grid.n == 2)
     form = EnergyForm(kind, grid, m, op=op)
     radius = np.linalg.norm(grid.coords(), axis=-1)
     if dirichlet:
         fixed, values = radius > 1.2, 0.0
-        rhs = grid.h**3 * bump(grid, (0.0, 0.0, 0.3), 0.6)
+        rhs = grid.h**grid.n * bump(grid, (0.0,) * (grid.n - 1) + (0.3,), 0.6)
     else:
         fixed, values, rhs = radius <= 0.5, 1.0, None
     rtol, maxiter = 1e-10, 200
@@ -57,6 +62,16 @@ def test_constrained_solve_matches_direct(kind, m, op, dirichlet):
     assert np.abs(u.ravel() - ref).max() <= 1e-8 * np.abs(ref).max()
     assert info["residual"] <= rtol
     assert 0 < info["iterations"] <= maxiter
+
+
+@pytest.mark.parametrize("n,N", [(3, 33), (5, 11)])
+def test_dense_sine_round_matches_scipy_fft(n, N):
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal((N,) * n)
+    spec = 1.0 + rng.random((N,) * n)
+    ref = solvers._dst_solve(v, spec, None)
+    dense = solvers._dst_solve(v, spec, solvers._sine_matrix(N))
+    assert np.abs(dense - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_regime_guard():

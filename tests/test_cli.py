@@ -164,6 +164,9 @@ def test_fundsol_subcommand(tmp_path, cli_env):
         data = json.load(fh)
     assert data["sign_summary"]["fraction_negative"] == 0.0
     assert os.path.exists(tmp_path / "f" / "profile.csv")
+    r = run_cli(["fundsol", "--preset", "polyharmonic", "--n", "5", "--m", "2",
+                 "--backend", "fft", "--out", "f5"], tmp_path, cli_env)
+    assert r.returncode == 3, r.stderr
 
 
 def test_potential_subcommand(tmp_path, cli_env):

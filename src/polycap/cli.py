@@ -158,13 +158,12 @@ def _run_positivity(cfg):
         extent = int(cfg.get("extent", 8))
         verdict = grid_positivity(op, Grid(n, h, extent), profile)
     else:
-        channels = cfg.get("channels")
         kwargs = {}
-        if channels:
-            kwargs["channels"] = range(int(channels) + 1)
-        if cfg.get("window"):
+        if cfg.get("channels") is not None:
+            kwargs["channels"] = range(int(cfg["channels"]) + 1)
+        if cfg.get("window") is not None:
             kwargs["t_window"] = float(cfg["window"])
-        if cfg.get("dt"):
+        if cfg.get("dt") is not None:
             kwargs["dt"] = float(cfg["dt"])
         verdict = channel_positivity(m, n, **kwargs)
     if verdict.witness is not None and "values" in verdict.witness:
@@ -264,7 +263,8 @@ _HANDLERS = {
 
 
 # settings that divide or size a grid, with the cast their handlers apply
-_POSITIVE = {"h": float, "R": float, "inv_h": int, "resolution": int, "directions": int}
+_POSITIVE = {"h": float, "R": float, "inv_h": int, "resolution": int, "directions": int,
+             "window": float, "dt": float}
 
 
 def _check_positive(cfg):
@@ -309,8 +309,8 @@ def _build_parser():
         sp.add_argument("--levels", type=int)
         sp.add_argument("--directions", type=int)
         sp.add_argument("--channels", type=int)
-        sp.add_argument("--window", type=float)
-        sp.add_argument("--dt", type=float)
+        sp.add_argument("--window", type=float, help="positivity: witness grid length in log r")
+        sp.add_argument("--dt", type=float, help="positivity: witness grid spacing")
         sp.add_argument("--grid-check", dest="grid_check", action="store_true")
         sp.add_argument("--j-min", dest="j_min", type=int)
         sp.add_argument("--j-max", dest="j_max", type=int)

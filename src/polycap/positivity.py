@@ -13,13 +13,14 @@ symbol
 and the Hardy comparison form has symbol sum_j t_{j,k}(tau) obtained from the
 recursion G_j(s1,s2) = Lambda_k(s1) G_{j-1}(s1-2,s2)
 - (2j-n-s1-s2)(s1-j+1) G_{j-1}(s1,s2) with t_{j,k} = Re G_j(i tau, -i tau).
-The grid implementation discretizes these even symbols as sums of squared
-difference quotients on a wide t window; the closed-form symbols double as
-an independent validation route for every violation witness.
+With constant coefficients the infimum of channel k's Rayleigh quotient is
+the infimum over tau of the ratio of the two even symbols, which
+`min_symbol_quotient` computes exactly from their coefficients.
 
-A verdict of "violated" ships a witness profile whose re-evaluated energy is
-strictly negative; a positive verdict is always positivity at the declared
-resolution, never a proof.
+A "violated" verdict ships a wave-packet witness at the minimising frequency,
+evaluated by the grid forms of `ChannelForm` and re-validated on the halved
+grid and spectrally; if either fails the verdict is "inconclusive".  A
+positive verdict covers the channels swept and is never a proof for all k.
 """
 
 import functools
@@ -67,8 +68,9 @@ def _g_poly(j, k, n, mu, nu):
 def hardy_channel_poly(m, n, k):
     """sum_{j=1..m} t_{j,k} as a polynomial in tau (real part taken).
 
-    Cached by (m, n, k): a verdict asks for each channel's symbol once per
-    window doubling and again for its witness.  Callers only read it."""
+    Cached by (m, n, k): a verdict reads each channel's symbol for its
+    infimum and again for the witness forms and the spectral re-validation.
+    Callers only read it."""
     total = Polynomial([0.0 + 0.0j])
     for j in range(1, m + 1):
         total = total + _g_poly(j, k, n, 0.0, 0.0)
@@ -104,12 +106,32 @@ def hardy_channel_symbol(m, n, k, tau):
     return poly(np.asarray(tau, dtype=float) + 0j).real
 
 
-def min_symbol_quotient(m, n, k, tau_max=40.0, samples=200_001):
-    """Closed-form infimum of the channel Rayleigh quotient over frequencies."""
-    tau = np.linspace(1e-9, tau_max, samples)
-    num = riesz_constant(m, n) * op_channel_symbol(m, n, k, tau)
-    den = hardy_channel_symbol(m, n, k, tau)
-    return float((num / den).min())
+@functools.cache
+def _symbol_infimum(m, n, k):
+    """(infimum, minimising tau) of kappa S_op(tau) / S_H(tau) over tau >= 0.
+
+    In s = tau^2 both symbols are polynomials p, q of degree m.  Once their
+    common power of s is divided out the ratio is finite on [0, inf], so its
+    infimum is the value at s = 0, the limit s -> inf, or the value at a
+    positive real root of p'q - pq'.  Real parts of complex roots are kept:
+    every candidate is a value the ratio takes, so extra ones cannot lower the
+    minimum, and a real root that rounding moved off the axis is not lost."""
+    p = riesz_constant(m, n) * _even_real_coeffs(op_channel_poly(m, n, k), "operator")
+    q = _even_real_coeffs(hardy_channel_poly(m, n, k), "hardy")
+    low = min(np.flatnonzero(p)[0], np.flatnonzero(q)[0])
+    p, q = Polynomial(p[low:]), Polynomial(q[low:])
+    if p.degree() != q.degree() or q.coef[0] <= 0.0 or q.coef[-1] <= 0.0:
+        raise InputError("channel quotient is unbounded at tau = 0 or tau = inf")
+    s = (p.deriv() * q - p * q.deriv()).roots().real
+    s = np.append(0.0, s[s > 0.0])
+    values = np.append(p(s) / q(s), p.coef[-1] / q.coef[-1])
+    i = int(np.argmin(values))
+    return float(values[i]), float(np.sqrt(np.append(s, np.inf))[i])
+
+
+def min_symbol_quotient(m, n, k):
+    """Exact infimum over all frequencies of channel k's Rayleigh quotient."""
+    return _symbol_infimum(m, n, k)[0]
 
 
 @dataclass
@@ -191,31 +213,43 @@ class PositivityVerdict:
         return out
 
 
-def _revalidate_witness(m, n, k, t_window, dt, f):
-    """Re-evaluate a violation witness on a doubled grid and spectrally."""
-    # doubled-resolution finite differences
-    fine = ChannelForm(m, n, k, t_window, dt / 2.0)
-    t = np.linspace(0.0, t_window, f.size)
-    tf = np.linspace(0.0, t_window, fine.nodes)
-    ff = np.interp(tf, t, f)
-    q_fine = fine.quotient(ff)
+def _packet(form, tau):
+    """sin^(2m+2)(pi t/L) cos(tau (t - L/2)) on the form's nodes t in [0, L]:
+    a wave packet at frequency tau that vanishes to order 2m + 2 at both
+    window ends, so its zero extension costs no boundary energy."""
+    t = np.linspace(0.0, (form.nodes - 1) * form.dt, form.nodes)
+    return np.sin(np.pi * t / t[-1]) ** (2 * form.m + 2) * np.cos(tau * (t - 0.5 * t[-1]))
+
+
+def _revalidate_witness(form, tau, f):
+    """Re-evaluate the packet f = _packet(form, tau) on a halved grid and spectrally."""
+    m, n, k = form.m, form.n, form.k
+    # the packet formula sampled on the dt/2 nodes
+    fine = ChannelForm(m, n, k, form.t_window, form.dt / 2.0)
+    q_fine = fine.quotient(_packet(fine, tau))
     # spectral route through the closed-form symbol
     pad = 8
     nfft = pad * f.size
     fhat = np.fft.rfft(f, n=nfft)
-    tau = 2.0 * np.pi * np.fft.rfftfreq(nfft, d=dt)
+    freq = 2.0 * np.pi * np.fft.rfftfreq(nfft, d=form.dt)
     kappa = riesz_constant(m, n)
-    num = kappa * op_channel_symbol(m, n, k, tau) * np.abs(fhat) ** 2
-    den = hardy_channel_symbol(m, n, k, tau) * np.abs(fhat) ** 2
+    num = kappa * op_channel_symbol(m, n, k, freq) * np.abs(fhat) ** 2
+    den = hardy_channel_symbol(m, n, k, freq) * np.abs(fhat) ** 2
     q_spec = float(num.sum() / den.sum())
     return q_fine, q_spec
 
 
-def channel_positivity(m, n, channels=None, t_window=60.0, dt=0.1, eps=1e-8,
-                       stability_rtol=0.02, max_window_doublings=2):
+def channel_positivity(m, n, channels=None, t_window=60.0, dt=0.1, eps=1e-8):
     """Channel-by-channel positivity verdict for (-Delta)^m with its kernel
-    weight.  Violation witnesses are re-validated on a doubled grid and
-    against the closed-form symbols before the verdict is issued."""
+    weight.
+
+    Each channel's quotient is the exact infimum of its symbol ratio
+    (`min_symbol_quotient`); the verdict is "violated" when the smallest is
+    below -eps.  When the smallest sits at one of the two highest channels
+    swept, the sweep extends to twice the highest.  `t_window` and `dt` set
+    only the witness grid: a packet at the minimising frequency whose dt-grid
+    quotient is re-validated on the dt/2 grid and spectrally.  If any of the
+    three is not negative the verdict is "inconclusive"."""
     if n <= 2 * m:
         raise UnsupportedRegimeError("weighted positivity is posed for n > 2m")
     if channels is None:
@@ -224,69 +258,36 @@ def channel_positivity(m, n, channels=None, t_window=60.0, dt=0.1, eps=1e-8,
     if not channels or channels[0] < 0:
         raise InputError("channel list must be nonempty and nonnegative")
 
-    def sweep(window):
-        quots, vecs = {}, {}
-        for k in channels:
-            form = ChannelForm(m, n, k, window, dt)
-            quots[k], vec = form.min_quotient()
-            vecs[k] = (form, vec)
-        return quots, vecs
-
-    window = float(t_window)
-    quots, vecs = sweep(window)
-    doublings = 0
-    while doublings < max_window_doublings:
-        wide_quots, wide_vecs = sweep(window * 2.0)
-        drift = max(
-            abs(wide_quots[k] - quots[k]) / max(abs(quots[k]), 1e-6) for k in channels
-        )
-        quots, vecs, window = wide_quots, wide_vecs, window * 2.0
-        doublings += 1
-        if drift < stability_rtol:
-            break
-
-    kmin = min(quots, key=lambda k: quots[k])
+    quots = {k: min_symbol_quotient(m, n, k) for k in channels}
+    kmin = min(quots, key=quots.get)
     notes = []
-    if kmin >= channels[-1] - 1 and channels[-1] < 40:
-        extra = list(range(channels[-1] + 1, 2 * channels[-1] + 1))
-        for k in extra:
-            form = ChannelForm(m, n, k, window, dt)
-            val, vec = form.min_quotient()
-            quots[k] = val
-            vecs[k] = (form, vec)
+    if kmin >= channels[-1] - 1 and 0 < channels[-1] < 40:
+        quots.update((k, min_symbol_quotient(m, n, k))
+                     for k in range(channels[-1] + 1, 2 * channels[-1] + 1))
         notes.append(f"channel guard extended the sweep to k <= {2 * channels[-1]}")
-        kmin = min(quots, key=lambda k: quots[k])
+        kmin = min(quots, key=quots.get)
 
-    resolution = {"t_window": window, "dt": dt, "channels": sorted(quots),
-                  "eps": eps}
-    vmin = quots[kmin]
+    resolution = {"t_window": t_window, "dt": dt, "channels": sorted(quots), "eps": eps}
+    vmin, status, witness = quots[kmin], "positive_at_resolution", None
     if vmin < -eps:
-        form, vec = vecs[kmin]
-        f = np.asarray(vec, dtype=float)
-        f /= np.abs(f).max()
-        # the eigenvector's sign is arbitrary; fix it so the witness is too
-        if f[np.argmax(np.abs(f))] < 0.0:
-            f = -f
-        q_fine, q_spec = _revalidate_witness(m, n, kmin, window, dt, f)
-        if not (q_fine < 0.0 and q_spec < 0.0):
-            notes.append(
-                f"witness failed re-validation (fine {q_fine:.3e}, spectral {q_spec:.3e})"
-            )
-            return PositivityVerdict("positive_at_resolution", m, n, "channel", quots,
-                                     vmin, kmin, None, resolution, notes)
-        witness = {
-            "channel": kmin,
-            "quotient": vmin,
-            "quotient_fine_grid": q_fine,
-            "quotient_spectral": q_spec,
-            "t_window": window,
-            "dt": dt,
-            "values": f,
-        }
-        return PositivityVerdict("violated", m, n, "channel", quots, vmin, kmin,
-                                 witness, resolution, notes)
-    return PositivityVerdict("positive_at_resolution", m, n, "channel", quots,
-                             vmin, kmin, None, resolution, notes)
+        tau = _symbol_infimum(m, n, kmin)[1]
+        form = ChannelForm(m, n, kmin, t_window, dt)
+        f = _packet(form, tau)
+        # largest entry +1, so the witness is fixed in sign and scale
+        f /= f[np.argmax(np.abs(f))]
+        q_grid = form.quotient(f)
+        q_fine, q_spec = _revalidate_witness(form, tau, f)
+        if q_grid < 0.0 and q_fine < 0.0 and q_spec < 0.0:
+            status = "violated"
+            witness = {"channel": kmin, "tau": tau, "quotient": q_grid,
+                       "quotient_fine_grid": q_fine, "quotient_spectral": q_spec,
+                       "t_window": t_window, "dt": dt, "values": f}
+        else:
+            status = "inconclusive"
+            notes.append(f"witness failed re-validation (grid {q_grid:.3e}, "
+                         f"fine {q_fine:.3e}, spectral {q_spec:.3e})")
+    return PositivityVerdict(status, m, n, "channel", quots, vmin, kmin, witness,
+                             resolution, notes)
 
 
 def _smooth_field(u, passes):

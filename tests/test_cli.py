@@ -79,6 +79,19 @@ def test_positivity_subcommand_violated_with_witness(tmp_path, cli_env):
         assert filecmp.cmp(tmp_path / "pos" / name, tmp_path / "pos2" / name, shallow=False)
 
 
+def test_positivity_keeps_zero_channels_and_witness_grid(tmp_path, cli_env):
+    r = run_cli(["positivity", "--m", "2", "--n", "8", "--channels", "0", "--window", "30",
+                 "--dt", "0.2", "--out", "p0"], tmp_path, cli_env)
+    assert r.returncode == 0, r.stderr
+    with open(tmp_path / "p0" / "summary.json") as fh:
+        data = json.load(fh)
+    assert data["resolution"]["channels"] == [0]
+    assert (data["resolution"]["t_window"], data["resolution"]["dt"]) == (30.0, 0.2)
+    assert (data["witness"]["t_window"], data["witness"]["dt"]) == (30.0, 0.2)
+    witness = np.loadtxt(tmp_path / "p0" / "witness.csv", delimiter=",", skiprows=1)
+    assert witness.shape[0] == 151
+
+
 def test_wiener_subcommand(tmp_path, cli_env):
     r = run_cli(["wiener", "--m", "1", "--n", "3", "--domain", "cone:45",
                  "--j-max", "7", "--nodes-per-rho", "8", "--out", "w"],
@@ -107,6 +120,10 @@ CONE_WIENER = ["wiener", "--m", "1", "--n", "3", "--domain", "cone:45"]
     CONE_WIENER + ["--nodes-per-rho", "0"],
     CONE_WIENER + ["--nodes-per-rho", "-3"],
     ["capacity", "--preset", "laplacian", "--n", "3", "--ball", "1.0", "--h", "0"],
+    ["positivity", "--m", "2", "--n", "8", "--dt", "0"],
+    ["positivity", "--m", "2", "--n", "8", "--dt", "-0.1"],
+    ["positivity", "--m", "2", "--n", "8", "--window", "0"],
+    ["positivity", "--m", "2", "--n", "8", "--window", "-5"],
 ])
 def test_non_positive_scale_settings_exit_2(tmp_path, cli_env, args):
     r = run_cli(args + ["--out", "bad"], tmp_path, cli_env)

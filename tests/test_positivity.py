@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 import scipy.sparse
 
 from polycap import (ChannelForm, Grid, InputError, UnsupportedRegimeError,
@@ -27,6 +28,32 @@ def test_hardy_symbol_is_a_squared_norm():
     tau = np.linspace(0.01, 30.0, 500)
     for (m, n, k) in ((2, 5, 0), (2, 8, 1), (3, 7, 0), (3, 9, 2)):
         assert hardy_channel_symbol(m, n, k, tau).min() > 0.0
+
+
+CRITERION_4_PAIRS = [(1, 3), (1, 4), (2, 5), (2, 6), (2, 7), (3, 7), (3, 8), (2, 8), (2, 9)]
+
+
+@pytest.mark.parametrize("m,n,k", [(m, n, 0) for m, n in CRITERION_4_PAIRS]
+                         + [(2, 5, 20), (3, 8, 26)])
+def test_min_symbol_quotient_matches_dense_oracle(m, n, k):
+    """The exact infimum against a dense tau grid on [0, 400] refined by a
+    bounded scalar minimisation around the grid minimum.  At k = 20 and
+    k = 26 the minimiser lies beyond tau = 45."""
+    kappa = riesz_constant(m, n)
+
+    def ratio(tau):
+        return kappa * op_channel_symbol(m, n, k, tau) / hardy_channel_symbol(m, n, k, tau)
+
+    tau = np.linspace(0.0, 400.0, 400_001)
+    tau[0] = 1e-8  # both k = 0 symbols vanish at tau = 0
+    vals = ratio(tau)
+    j = int(np.argmin(vals))
+    res = scipy.optimize.minimize_scalar(
+        lambda t: float(ratio(np.array([t]))[0]),
+        bounds=(tau[max(j - 1, 0)], tau[min(j + 1, tau.size - 1)]), method="bounded",
+        options={"xatol": 1e-12})
+    oracle = min(float(vals[j]), float(res.fun))
+    assert min_symbol_quotient(m, n, k) == pytest.approx(oracle, rel=1e-10, abs=0.0)
 
 
 def test_discrete_quotient_matches_symbol_minimum():
@@ -83,6 +110,29 @@ def test_channel_verdicts(m, n, expect):
         assert w is not None
         assert w["quotient_fine_grid"] < 0.0
         assert w["quotient_spectral"] < 0.0
+
+
+@pytest.mark.parametrize("m,n", [(3, 9), (3, 10), (4, 12)])
+def test_higher_order_violations_ship_negative_witnesses(m, n):
+    verdict = channel_positivity(m, n)
+    assert verdict.status == "violated"
+    w = verdict.witness
+    assert w["quotient"] < 0.0
+    assert w["quotient_fine_grid"] < 0.0
+    assert w["quotient_spectral"] < 0.0
+
+
+def test_failed_revalidation_is_inconclusive(monkeypatch, tmp_path):
+    from polycap import cli, positivity
+
+    monkeypatch.setattr(positivity, "_revalidate_witness", lambda *args: (1e-3, -1e-3))
+    verdict = channel_positivity(2, 8)
+    assert verdict.status == "inconclusive"
+    assert verdict.witness is None
+    assert "failed re-validation" in verdict.notes[-1]
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["positivity", "--m", "2", "--n", "8", "--require-verdict",
+                     "--out", "inc"]) == 4
 
 
 def test_witness_shift_invariance():

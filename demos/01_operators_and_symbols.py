@@ -2,8 +2,9 @@
 #
 # Every computation in polycap starts from a constant-coefficient elliptic
 # operator of order 2m stored through its positive symbol P(xi).  This script
-# builds the three presets, checks ellipticity by sampling unit directions,
-# and evaluates the Fourier-side positivity probe on a small node family.
+# builds the three presets, checks ellipticity (exactly for second order, by
+# sampling unit directions for higher order), and evaluates the Fourier-side
+# positivity probe on a small node family.
 
 import numpy as np
 
@@ -17,7 +18,7 @@ op = mn8_operator()
 print("anisotropic n=8, P(e8)       =", eval_symbol(op, np.eye(8)[7]),
       " (the quartic axis term adds 10)")
 
-print("\n== ellipticity by direction sampling ==")
+print("\n== ellipticity: minimum of P on the unit sphere ==")
 for candidate in (laplacian(3), polyharmonic(7, 3), op):
     ok, worst, direction = check_ellipticity(candidate, samples=2000)
     print(f"{candidate.name:18s}: elliptic={ok}  min P on sphere = {worst:.4f}")

@@ -81,10 +81,7 @@ def _run_symbol_check(cfg):
 
 def _run_fundsol(cfg):
     op = _resolve_operator(cfg)
-    profile = compute_profile(op, resolution=cfg.get("resolution"),
-                              extrapolation_levels=int(cfg.get("levels", 2)),
-                              backend=cfg.get("backend", "auto"),
-                              direction_count=cfg.get("directions"))
+    profile = compute_profile(op, direction_count=cfg.get("directions"))
     out = _outdir(cfg)
     profile.to_csv(os.path.join(out, "profile.csv"))
     write_json(os.path.join(out, "summary.json"), {
@@ -263,8 +260,8 @@ _HANDLERS = {
 
 
 # settings that divide or size a grid, with the cast their handlers apply
-_POSITIVE = {"h": float, "R": float, "inv_h": int, "resolution": int, "directions": int,
-             "window": float, "dt": float}
+_POSITIVE = {"h": float, "R": float, "inv_h": int, "directions": int, "window": float,
+             "dt": float}
 
 
 def _check_positive(cfg):
@@ -305,8 +302,6 @@ def _build_parser():
         sp.add_argument("--a", type=float)
         sp.add_argument("--box-levels", dest="box_levels", type=int)
         sp.add_argument("--backend")
-        sp.add_argument("--resolution", type=int)
-        sp.add_argument("--levels", type=int)
         sp.add_argument("--directions", type=int)
         sp.add_argument("--channels", type=int)
         sp.add_argument("--window", type=float, help="positivity: witness grid length in log r")

@@ -2,25 +2,13 @@
 
 The kernel of an elliptic operator with positive symbol P is homogeneous,
 F(x) = F(x/|x|) |x|^(2m-n), so it is determined by its sphere restriction.
-Two backends compute that restriction:
+The operator alone picks one of two routes:
 
-* ``fft``: solve P(d) G = (mollified) delta on a periodic M^n box by Fourier
-  inversion with the zero mode removed, sample G at lattice points x and 2x
-  (and 3x), and fit {r^(2m-n), 1, r^2, ...} per direction; the fit removes
-  the smooth periodic-image background, and the homogeneous part is the
-  free-space profile.  The Gaussian mollifier suppresses truncation ringing
-  and is exact for kernels annihilated by the Laplacian away from the origin.
-  A coordinate-even symbol (every exponent even, as for all presets) is
-  inverted by a DCT-I of the (M/2+1)^n octant of non-negative frequencies,
-  which equals the real part of the complex inverse on the full box; other
-  symbols take the complex inverse FFT on the full box.  Only n <= 4: at the
-  box sizes affordable in n >= 5 the fit misses the kernel by tens of percent
-  with no finite error estimate, so the backend refuses those dimensions.
-
-* ``planewave``: the plane-wave formula for homogeneous kernels (Gel'fand &
-  Shilov, Generalized Functions vol. 1, ch. I 3; F. John, Plane Waves and
-  Spherical Means).  With s = n - 2m and G(t) the integral of 1/P over the
-  slice {omega . theta = t} of the unit sphere, F(theta) is
+* symbols rotation invariant about a coordinate axis, in every n >= 3: the
+  plane-wave formula for homogeneous kernels (Gel'fand & Shilov, Generalized
+  Functions vol. 1, ch. I 3; F. John, Plane Waves and Spherical Means).
+  With s = n - 2m and G(t) the integral of 1/P over the slice
+  {omega . theta = t} of the unit sphere, F(theta) is
   (2 pi)^-n pi (-1)^((s-1)/2) G^(s-1)(0) for odd s and
   (2 pi)^-n Gamma(s) cos(pi s/2) f.p. int_{-1}^{1} |t|^-s G(t) dt for even s.
   For a symbol rotation invariant about one axis, P on the sphere is a
@@ -34,7 +22,12 @@ Two backends compute that restriction:
   symbol.  error_estimate compares the rule at the probe angles with one of
   doubled node counts on a circle of half the radius.
 
-For (-Delta)^m the exact positive constant Gamma(n/2-m)/(4^m pi^(n/2) (m-1)!)
+* second-order symbols without such an axis, P(xi) = xi^T A xi: the Newton
+  kernel pulled back by A^(1/2), exact up to rounding,
+  F(x) = Gamma(n/2-1) / (4 pi^(n/2) sqrt(det A)) (x^T A^-1 x)^((2-n)/2).
+
+Other symbols (m >= 2 without a rotation axis) are refused.  For
+(-Delta)^m the exact positive constant Gamma(n/2-m)/(4^m pi^(n/2) (m-1)!)
 is the calibration oracle.
 """
 
@@ -43,11 +36,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dctn
 from scipy.special import gamma as _gamma, roots_jacobi
 
 from .errors import InputError, UnsupportedRegimeError
-from .operators import unit_directions
+from .operators import check_ellipticity, quadratic_form_matrix, unit_directions
 
 
 def riesz_constant(m, n):
@@ -67,27 +59,21 @@ class SphereProfile:
     operator_name: str
     method: str = ""
     error_estimate: float = float("nan")
-    angular_model: str = "general"  # constant | axisymmetric | general
+    angular_model: str = "constant"  # constant | axisymmetric | quadratic
     model_data: dict = field(default_factory=dict)
 
     def value_at_directions(self, dirs):
         dirs = np.asarray(dirs, dtype=float)
+        data = self.model_data
         if self.angular_model == "constant":
-            return np.full(dirs.shape[0], self.model_data["constant"])
+            return np.full(dirs.shape[0], data["constant"])
         if self.angular_model == "axisymmetric":
-            axis = self.model_data["axis"]
-            alpha = np.arccos(np.clip(np.abs(dirs[:, axis]), 0.0, 1.0))
-            return np.interp(alpha, self.model_data["alpha"], self.model_data["f_alpha"])
-        # inverse-distance blend over the stored direction set
-        d2 = ((dirs[:, None, :] - self.directions[None, :, :]) ** 2).sum(-1)
-        d2b = ((dirs[:, None, :] + self.directions[None, :, :]) ** 2).sum(-1)
-        d2 = np.minimum(d2, d2b)  # profiles of even symbols are even
-        w = 1.0 / np.maximum(d2, 1e-12)
-        k = min(6, self.directions.shape[0])
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        rows = np.arange(dirs.shape[0])[:, None]
-        wk = w[rows, part]
-        return (wk * self.values[part]).sum(1) / wk.sum(1)
+            alpha = np.arccos(np.clip(np.abs(dirs[:, data["axis"]]), 0.0, 1.0))
+            return np.interp(alpha, data["alpha"], data["f_alpha"])
+        if self.angular_model == "quadratic":
+            q = ((dirs @ data["inverse"]) * dirs).sum(1)
+            return data["constant"] * q ** (self.homogeneity_degree / 2.0)
+        raise InputError(f"unknown angular model {self.angular_model!r}")
 
     def reconstruct(self, points):
         """F(x) = profile(x/|x|) |x|^(2m-n) at arbitrary points (0 excluded)."""
@@ -156,149 +142,6 @@ def _isotropy_axis(op, samples=128):
         if ok:
             return axis
     return None
-
-
-# -- fft backend --------------------------------------------------------------
-
-
-def _symbol_on_freq_grid(op, freqs):
-    """P on the tensor frequency grid without materializing coordinates."""
-    exps, coefs = op._terms()
-    shape = tuple(len(f) for f in freqs)
-    out = np.zeros(shape)
-    for e, c in zip(exps, coefs):
-        term = np.array(c)
-        for axis, p in enumerate(e):
-            if p:
-                s = [1] * len(freqs)
-                s[axis] = len(freqs[axis])
-                term = term * (freqs[axis] ** p).reshape(s)
-        out = out + term
-    return np.broadcast_to(out, shape).copy() if out.shape != shape else out
-
-
-def _shell_vectors(n, r0, cmax, M):
-    """Integer vectors with |v| within half a spacing of r0 whose multiples
-    c*v for c <= cmax stay well inside the periodic box."""
-    side = np.arange(-r0 - 1, r0 + 2)
-    mesh = np.meshgrid(*([side] * n), indexing="ij")
-    V = np.stack([a.ravel() for a in mesh], axis=1)
-    norm = np.linalg.norm(V, axis=1)
-    keep = (np.abs(norm - r0) <= 0.5) & (norm > 0) & (norm * cmax <= 0.49 * M)
-    return V[keep]
-
-
-def _fit_exponents(m, n, levels):
-    """Per-direction radial fit basis: the homogeneous kernel power, the
-    mollifier's leading correction (also homogeneous), the background
-    constant from the removed zero mode, then slow background polynomials."""
-    exps = [2 * m - n, 0] if levels == 2 else [2 * m - n, 2 * m - n - 2, 0]
-    k = 2
-    while len(exps) < levels:
-        exps.append(k)
-        k += 2
-    return exps
-
-
-def _periodic_green(op, M, h):
-    """G on the periodic box of M^n nodes of spacing h: the inverse transform
-    of the mollified 1/P with the zero mode removed.
-
-    For a coordinate-even symbol (every exponent of P even) the transform is
-    even about every frequency axis, so the real inverse is a DCT-I of its
-    (M/2+1)^n octant of non-negative frequencies, Nyquist included, and G is
-    returned on that octant of indices 0..M/2 only.  Other symbols get the
-    complex inverse on the full box."""
-    n = op.n
-    even = not (op._terms()[0] % 2).any()
-    k = 2.0 * math.pi * (np.fft.rfftfreq(M, d=h) if even else np.fft.fftfreq(M, d=h))
-    freqs = [k] * n
-    P = _symbol_on_freq_grid(op, freqs)
-    r2 = np.zeros(P.shape)
-    for axis in range(n):
-        s = [1] * n
-        s[axis] = k.size
-        r2 = r2 + (k**2).reshape(s)
-    sigma = 1.5 * h
-    with np.errstate(divide="ignore", invalid="ignore"):
-        chat = np.exp(-0.5 * sigma**2 * r2) / P
-    chat.flat[0] = 0.0
-    if even:
-        return dctn(chat, type=1, norm="forward", overwrite_x=True) / (h**n)
-    return np.fft.ifftn(chat).real / (h**n)
-
-
-def _fft_profile(op, resolution, extrapolation_levels, max_directions):
-    n, m = op.n, op.m
-    M = int(resolution)
-    if M % 4:
-        raise InputError("fft resolution must be a multiple of 4")
-    if M**n > 70_000_000:
-        raise UnsupportedRegimeError(
-            f"fft box would hold {M**n} nodes; use the planewave backend "
-            "(symbols rotation invariant about a coordinate axis)"
-        )
-    A = 1.0
-    h = 2.0 * A / M
-    G = _periodic_green(op, M, h)
-
-    levels = int(extrapolation_levels)
-    if levels < 2:
-        raise InputError("need at least two shells to remove the periodic background")
-    mult = np.arange(1, levels + 1)
-    r0 = max(6, M // 16)
-    while r0 > 4 and r0 * levels > 0.49 * M:
-        r0 -= 1
-    V = _shell_vectors(n, r0, mult[-1], M)
-    if V.shape[0] == 0:
-        raise UnsupportedRegimeError("no lattice shell fits the requested extrapolation")
-    if V.shape[0] > max_directions:
-        # deterministic thinning; exact axis vectors are re-appended below
-        order = np.lexsort(tuple(V.T))
-        V = V[order][:: max(1, V.shape[0] // max_directions)]
-    axes = []
-    for axis in range(n):
-        for s in (+1, -1):
-            e = np.zeros(n, dtype=int)
-            e[axis] = s * r0
-            axes.append(e)
-    V = np.vstack([np.array(axes), V])
-    V = np.unique(V, axis=0)
-    dirs = V / np.linalg.norm(V, axis=1)[:, None]
-    radii = np.linalg.norm(V, axis=1) * h
-
-    # samples[k, i] = G at mult[k] * V[i]; an octant G is even about each axis
-    idx = np.multiply.outer(mult, V) % M
-    if G.shape[0] < M:
-        idx = np.minimum(idx, M - idx)
-    samples = G[tuple(np.moveaxis(idx, -1, 0))]
-    # fit sum_j a_j (c r)^e_j over the shells c = mult; since (c r)^e =
-    # c^e r^e, one matrix B[k, j] = mult[k]^e_j serves every direction
-    exps = _fit_exponents(m, n, levels)
-    B = np.power.outer(mult.astype(float), exps)
-    F = np.linalg.solve(B, samples)[0] / radii ** exps[0]
-    return dirs, F, radii
-
-
-def _compute_fft(op, resolution, extrapolation_levels, max_directions):
-    dirs, F, _ = _fft_profile(op, resolution, extrapolation_levels, max_directions)
-    est = float("nan")
-    if resolution >= 32:
-        try:
-            dirs2, F2, _ = _fft_profile(op, resolution // 2, extrapolation_levels,
-                                        max_directions)
-        except UnsupportedRegimeError:
-            return dirs, F, est
-        # compare along shared coordinate axes
-        est = 0.0
-        for axis in range(op.n):
-            e = np.zeros(op.n)
-            e[axis] = 1.0
-            a = F[np.argmax(dirs @ e)]
-            b = F2[np.argmax(dirs2 @ e)]
-            est = max(est, abs(a - b))
-        est *= 1.5
-    return dirs, F, est
 
 
 # -- plane-wave backend -------------------------------------------------------
@@ -398,80 +241,79 @@ def _planewave_error(op, axis, base, size):
     return 1.5 * float(np.abs(fine - base).max()) + rounding
 
 
+# -- second-order closed form -------------------------------------------------
+
+
+def _quadratic_kernel(op):
+    """model_data of the kernel of P(xi) = xi^T A xi, A^-1 and the constant
+    Gamma(n/2-1) / (4 pi^(n/2) sqrt(det A)), and a rounding bound on its
+    sphere values."""
+    n = op.n
+    lam, vec = np.linalg.eigh(quadratic_form_matrix(op))
+    constant = _gamma(n / 2.0 - 1.0) / (4.0 * math.pi ** (n / 2.0) * math.sqrt(lam.prod()))
+    # the largest sphere value is constant lam_max^((n-2)/2); A^-1 carries
+    # relative rounding of about cond(A) eps, which the power (n-2)/2 scales
+    est = n * n * (lam[-1] / lam[0]) * np.finfo(float).eps * constant * lam[-1] ** (n / 2 - 1)
+    return {"inverse": (vec / lam) @ vec.T, "constant": constant}, est
+
+
 # -- public entry -------------------------------------------------------------
 
 
-def compute_profile(op, resolution=None, extrapolation_levels=2, backend="auto",
-                    direction_count=None):
+def compute_profile(op, direction_count=None):
     """Sphere profile of the fundamental solution of an elliptic operator.
 
-    resolution: per-axis node count of the fft box (defaults by dimension);
-    extrapolation_levels: number of nested lattice shells used to strip the
-    periodic background (2 removes the constant, 3 also removes the r^2 term).
-
-    With backend "auto", n <= 4 takes the fft backend and rotation-invariant
-    symbols in n >= 5 the planewave backend.  The fft backend refuses n >= 5
-    (UnsupportedRegimeError): its box there is too coarse to calibrate, off
-    by half for polyharmonic(5, 2), with no finite error estimate.  A fully
-    isotropic symbol gives angular_model "constant"; under planewave its
+    The operator alone picks the route.  A symbol rotation invariant about a
+    coordinate axis takes the plane-wave formula in every n >= 3 (method
+    "planewave").  A fully isotropic one gives angular_model "constant": the
     quadrature runs at the probe angles 0, pi/4 and pi/2, and the pi/4 value
-    fills every direction.  An axisymmetric symbol gives angular_model
-    "axisymmetric", interpolated from 121 angles.  The planewave
-    error_estimate compares the rule at the probe angles with one of doubled
-    node counts on a circle of half the radius.
+    fills every direction.  An axisymmetric one gives angular_model
+    "axisymmetric", interpolated from 121 angles.  error_estimate compares
+    the rule at the probe angles with one of doubled node counts on a circle
+    of half the radius.
+
+    A second-order symbol without such an axis, P(xi) = xi^T A xi, takes the
+    closed form (method "closed-form", angular_model "quadratic" with A^-1
+    and the constant in model_data), so every direction is exact up to
+    rounding; error_estimate is a rounding bound from the condition of A.
+
+    Raises UnsupportedRegimeError for n <= 2m and for a symbol of order four
+    or more without a rotation axis, and InputError for a symbol that is not
+    positive on the sphere (decided exactly for m = 1).  direction_count
+    sets how many sphere directions `values` holds.
     """
     n, m = op.n, op.m
     if n <= 2 * m:
         raise UnsupportedRegimeError(
             f"profile needs n > 2m (logarithmic regime excluded); got n={n}, m={m}"
         )
-    from .operators import check_ellipticity
-
     ok, worst, wdir = check_ellipticity(op, 512)
     if not ok:
         raise InputError(f"operator is not elliptic (P = {worst:.3e} along {wdir})")
 
-    axis = _isotropy_axis(op)
-    if backend == "auto":
-        backend = "fft" if n <= 4 else "planewave"
     if direction_count is None:
         direction_count = 2**10 if n <= 4 else 2**12
-
-    if backend == "fft":
-        if n >= 5:
-            raise UnsupportedRegimeError(
-                f"the fft backend loses calibration beyond n = 4 (got n={n}); the "
-                "planewave backend serves symbols rotation invariant about a "
-                "coordinate axis"
-            )
-        if resolution is None:
-            resolution = {1: 256, 2: 128, 3: 128, 4: 48}[n]
-        if extrapolation_levels == 2 and m > 1:
-            extrapolation_levels = 3  # fit the mollifier correction term as well
-        dirs, vals, est = _compute_fft(op, resolution, extrapolation_levels, direction_count)
-        model, mdata = "general", {}
-        if axis == n:
-            model, mdata = "constant", {"constant": float(np.median(vals))}
-        return SphereProfile(dirs, vals, 2 * m - n, op.name or "operator", "fft", est,
-                             model, mdata)
-
-    if backend != "planewave":
-        raise InputError(f"unknown backend {backend!r}")
+    dirs = unit_directions(n, direction_count)
+    axis = _isotropy_axis(op)
     if axis is None:
-        raise UnsupportedRegimeError(
-            "planewave backend needs a symbol that is rotation invariant about "
-            "some coordinate axis"
-        )
-    if axis == n:
+        if m > 1:
+            raise UnsupportedRegimeError(
+                "a kernel profile of order four or more needs a symbol that is "
+                "rotation invariant about some coordinate axis"
+            )
+        method, model = "closed-form", "quadratic"
+        mdata, est = _quadratic_kernel(op)
+    elif axis == n:
         axis = n - 1
         f_alpha, size = _planewave_alpha_profile(op, axis, _ALPHAS[_PROBES])
         est = _planewave_error(op, axis, f_alpha, size)
-        model, mdata = "constant", {"constant": float(f_alpha[1])}
+        method, model, mdata = "planewave", "constant", {"constant": float(f_alpha[1])}
     else:
         f_alpha, size = _planewave_alpha_profile(op, axis, _ALPHAS)
         est = _planewave_error(op, axis, f_alpha[_PROBES], size[_PROBES])
-        model, mdata = "axisymmetric", {"axis": axis, "alpha": _ALPHAS, "f_alpha": f_alpha}
-    profile = SphereProfile(unit_directions(n, direction_count), None, 2 * m - n,
-                            op.name or "operator", "planewave", est, model, mdata)
-    profile.values = profile.value_at_directions(profile.directions)
+        method, model = "planewave", "axisymmetric"
+        mdata = {"axis": axis, "alpha": _ALPHAS, "f_alpha": f_alpha}
+    profile = SphereProfile(dirs, None, 2 * m - n, op.name or "operator", method, est,
+                            model, mdata)
+    profile.values = profile.value_at_directions(dirs)
     return profile

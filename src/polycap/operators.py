@@ -73,7 +73,7 @@ class EllipticOperator:
         # so symmetrizing is idempotent
         declared = {}
         for (alpha, beta), value in self.coefficients.items():
-            alpha, beta = tuple(alpha), tuple(beta)
+            alpha, beta = tuple(map(int, alpha)), tuple(map(int, beta))
             if len(alpha) != self.n or len(beta) != self.n:
                 raise InputError("multi-index length must equal the dimension")
             if sum(alpha) != self.m or sum(beta) != self.m:
@@ -201,15 +201,34 @@ def unit_directions(n, count, include_axes=True):
     return dirs
 
 
-def check_ellipticity(op, samples=1024):
-    """Sample P on unit directions; (-1)^m L(xi) > 0 must hold for all xi != 0.
+def quadratic_form_matrix(op):
+    """The symmetric n x n matrix A of a second-order symbol, P(xi) = xi^T A xi."""
+    if op.m != 1:
+        raise InputError(f"only an m = 1 symbol is a quadratic form; got m={op.m}")
+    A = np.zeros((op.n, op.n))
+    for (alpha, beta), v in op.coefficients.items():
+        i, j = alpha.index(1), beta.index(1)
+        A[i, j] = A[j, i] = v
+    return A
 
-    Returns (is_elliptic, min_value, worst_direction).  A positive verdict is
-    evidence at the sampled resolution, not a proof; a nonpositive sample is a
-    certified counterexample.
+
+def check_ellipticity(op, samples=1024):
+    """Minimum of P on the unit sphere; (-1)^m L(xi) > 0 must hold for all xi != 0.
+
+    Returns (is_elliptic, min_value, worst_direction).  For m = 1 the answer
+    is exact: the minimum of xi^T A xi on the sphere is the smallest
+    eigenvalue of A, reached at its eigenvector, and one within rounding of
+    zero is not counted positive.  For m >= 2, P is sampled on `samples`
+    unit directions: a positive verdict is evidence at the sampled
+    resolution, not a proof; a nonpositive sample is a certified
+    counterexample.
     """
     if samples < 1:
         raise InputError("need at least one sample")
+    if op.m == 1:
+        lam, vec = np.linalg.eigh(quadratic_form_matrix(op))
+        floor = op.n * np.finfo(float).eps * float(np.abs(lam).max())
+        return bool(lam[0] > floor), float(lam[0]), vec[:, 0]
     dirs = unit_directions(op.n, samples)
     vals = op.symbol(dirs)
     k = int(np.argmin(vals))

@@ -174,16 +174,28 @@ def test_dirichlet_subcommand(tmp_path, cli_env):
 
 
 def test_fundsol_subcommand(tmp_path, cli_env):
-    r = run_cli(["fundsol", "--preset", "laplacian", "--n", "3", "--resolution", "64",
-                 "--out", "f"], tmp_path, cli_env)
+    r = run_cli(["fundsol", "--preset", "laplacian", "--n", "3", "--out", "f"],
+                tmp_path, cli_env)
     assert r.returncode == 0, r.stderr
     with open(tmp_path / "f" / "summary.json") as fh:
         data = json.load(fh)
     assert data["sign_summary"]["fraction_negative"] == 0.0
     assert os.path.exists(tmp_path / "f" / "profile.csv")
-    r = run_cli(["fundsol", "--preset", "polyharmonic", "--n", "5", "--m", "2",
-                 "--backend", "fft", "--out", "f5"], tmp_path, cli_env)
+    # n = 2m: the kernel is logarithmic, not homogeneous
+    r = run_cli(["fundsol", "--preset", "polyharmonic", "--n", "4", "--m", "2",
+                 "--out", "f4"], tmp_path, cli_env)
     assert r.returncode == 3, r.stderr
+
+
+def test_fundsol_refuses_an_indefinite_second_order_symbol(tmp_path, cli_env,
+                                                            rotated_indefinite_operator):
+    from polycap import save_operator
+
+    save_operator(rotated_indefinite_operator, tmp_path / "op.json")
+    r = run_cli(["fundsol", "--operator-file", str(tmp_path / "op.json"), "--out", "f"],
+                tmp_path, cli_env)
+    assert r.returncode == 2, r.stderr
+    assert "not elliptic" in r.stderr
 
 
 def test_potential_subcommand(tmp_path, cli_env):

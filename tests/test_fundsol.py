@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from polycap import (EllipticOperator, InputError, UnsupportedRegimeError, compute_profile,
-                     fundsol, laplacian, mn8_operator, polyharmonic, riesz_constant,
-                     sign_summary)
+from polycap import (EllipticOperator, InputError, UnsupportedRegimeError, check_ellipticity,
+                     compute_profile, fundsol, laplacian, mn8_operator, polyharmonic,
+                     riesz_constant, sign_summary)
 from polycap.fundsol import SphereProfile, _planewave_alpha_profile
+from polycap.operators import quadratic_form_matrix
 
 
 @pytest.fixture(scope="module")
@@ -31,15 +32,6 @@ def test_reconstruction_scaling(lap3_profile):
     assert np.allclose(f2, 2.0 ** (2 * 1 - 3) * f1, rtol=1e-12)
 
 
-def test_resolution_doubling_within_error_estimate(lap3_profile):
-    # the reported estimate is calibrated from exactly this comparison
-    smaller = compute_profile(laplacian(3), resolution=64)
-    e1 = np.eye(3)[0]
-    a = lap3_profile.values[np.argmax(lap3_profile.directions @ e1)]
-    b = smaller.values[np.argmax(smaller.directions @ e1)]
-    assert abs(a - b) <= max(lap3_profile.error_estimate, 1e-12)
-
-
 def test_biharmonic5_profile_positive_and_calibrated():
     prof = compute_profile(polyharmonic(5, 2))
     assert prof.values.min() > 0.0
@@ -59,7 +51,8 @@ def test_isotropic_planewave_is_one_constant():
     assert np.abs(ends / prof.values[0] - 1.0).max() <= 1e-12
 
 
-@pytest.mark.parametrize("op", [mn8_operator(), laplacian(5)], ids=["mn8", "laplacian5"])
+@pytest.mark.parametrize("op", [mn8_operator(), laplacian(5), laplacian(3), laplacian(4)],
+                         ids=["mn8", "laplacian5", "laplacian3", "laplacian4"])
 def test_planewave_error_estimate_covers_the_axis(op):
     prof = compute_profile(op)
     base, _ = _planewave_alpha_profile(op, op.n - 1, [0.0])
@@ -121,59 +114,97 @@ CROSS_TERM = EllipticOperator(3, 1, {(E3[0], E3[0]): 1.0, (E3[1], E3[1]): 1.0,
                               name="cross_term")
 
 
-def _complex_green(op, M, h):
-    # independent reference: the complex inverse transform on the full M^n box
-    freqs = [2.0 * np.pi * np.fft.fftfreq(M, d=h) for _ in range(op.n)]
-    P = fundsol._symbol_on_freq_grid(op, freqs)
-    r2 = np.zeros(P.shape)
-    for axis in range(op.n):
-        s = [1] * op.n
-        s[axis] = M
-        r2 = r2 + (freqs[axis] ** 2).reshape(s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        chat = np.exp(-0.5 * (1.5 * h) ** 2 * r2) / P
-    chat.flat[0] = 0.0
-    return np.fft.ifftn(chat).real / h**op.n
+def _diagonal_operator(*diag):
+    n = len(diag)
+    axes = [tuple(row) for row in np.eye(n, dtype=int)]
+    return EllipticOperator(n, 1, {(axes[i], axes[i]): v for i, v in enumerate(diag)})
 
 
-@pytest.mark.parametrize("op, resolution", [(laplacian(3), 64), (EVEN_ANISOTROPIC, None)],
-                         ids=["laplacian3_64", "even_anisotropic"])
-def test_octant_dct_matches_complex_inversion(op, resolution, monkeypatch):
-    M = resolution or 128
-    octant = fundsol._periodic_green(op, M, 2.0 / M)
-    box = _complex_green(op, M, 2.0 / M)
-    assert octant.shape == (M // 2 + 1,) * 3
-    half = box[: M // 2 + 1, : M // 2 + 1, : M // 2 + 1]
-    assert np.abs(octant - half).max() <= 1e-13 * np.abs(half).max()
-    fast = compute_profile(op, resolution=resolution)
-    monkeypatch.setattr(fundsol, "_periodic_green", _complex_green)
-    ref = compute_profile(op, resolution=resolution)
-    assert np.array_equal(fast.directions, ref.directions)
-    assert np.abs(fast.values / ref.values - 1.0).max() <= 1e-13
-    # the estimate compares with the run at M/2, which takes the octant path too
-    assert abs(fast.error_estimate / ref.error_estimate - 1.0) <= 1e-12
+NO_AXIS_5D = EllipticOperator(5, 1, {**_diagonal_operator(1.0, 2.0, 3.0, 4.0, 5.0).coefficients,
+                                     ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0)): 0.3},
+                              name="no_axis_5d")
 
 
-def test_cross_term_symbol_keeps_complex_inversion(monkeypatch):
-    assert fundsol._periodic_green(CROSS_TERM, 32, 2.0 / 32).shape == (32,) * 3
-    fast = compute_profile(CROSS_TERM, resolution=64)
-    monkeypatch.setattr(fundsol, "_periodic_green", _complex_green)
-    ref = compute_profile(CROSS_TERM, resolution=64)
-    assert np.array_equal(fast.values, ref.values)
-    assert fast.error_estimate == ref.error_estimate
+@pytest.mark.parametrize("diag", [(1.0, 1.0, 3.5), (1.0, 1.0, 1.0, 0.2)], ids=["n3", "n4"])
+def test_closed_form_matches_planewave_on_an_axis(diag):
+    # an axisymmetric quadratic symbol takes the plane-wave route; the closed
+    # form, evaluated through the quadratic model, must agree with it
+    op = _diagonal_operator(*diag)
+    n = op.n
+    assert compute_profile(op).method == "planewave"
+    alphas = np.linspace(0.0, np.pi / 2, 13)
+    planewave, _ = _planewave_alpha_profile(op, n - 1, alphas)
+    dirs = np.zeros((alphas.size, n))
+    dirs[:, 0], dirs[:, n - 1] = np.sin(alphas), np.cos(alphas)
+    mdata, _ = fundsol._quadratic_kernel(op)
+    closed = SphereProfile(dirs, None, 2 - n, "", "closed-form", 0.0, "quadratic", mdata)
+    assert np.abs(closed.value_at_directions(dirs) / planewave - 1.0).max() <= 1e-12
+
+
+def _centred_gradient(prof, x, h):
+    return np.stack([(prof.reconstruct(x + h * e) - prof.reconstruct(x - h * e)) / (2 * h)
+                     for e in np.eye(x.shape[1])], axis=1)
+
+
+def _symbol_of_derivatives(prof, A, x, h):
+    # sum_ij A_ij d_i d_j F by centred differences, and the sum of the moduli
+    # of its terms, the scale its cancellation is measured against
+    total, scale = 0.0, 0.0
+    n = x.shape[1]
+    for i in range(n):
+        for j in range(n):
+            ei, ej = h * np.eye(n)[i], h * np.eye(n)[j]
+            d2 = (prof.reconstruct(x + ei + ej) - prof.reconstruct(x + ei - ej)
+                  - prof.reconstruct(x - ei + ej) + prof.reconstruct(x - ei - ej)) / (4 * h * h)
+            total, scale = total + A[i, j] * d2, scale + np.abs(A[i, j] * d2)
+    return total, scale
+
+
+@pytest.mark.parametrize("op", [CROSS_TERM, EVEN_ANISOTROPIC], ids=lambda op: op.name)
+def test_closed_form_is_the_fundamental_solution(op):
+    # P(d) F = delta: the flux of -A grad F through the unit sphere is 1, and
+    # P(d) F vanishes away from the origin
+    prof = compute_profile(op)
+    assert (prof.method, prof.angular_model) == ("closed-form", "quadratic")
+    assert prof.values.min() > 0.0
+    A = quadratic_form_matrix(op)
+    c, w = np.polynomial.legendre.leggauss(48)
+    phi = 2 * np.pi * np.arange(96) / 96
+    C, PHI = np.meshgrid(c, phi, indexing="ij")
+    S = np.sqrt(1.0 - C**2)
+    nu = np.stack([S * np.cos(PHI), S * np.sin(PHI), C], axis=-1).reshape(-1, 3)
+    weights = np.outer(w, np.full(phi.size, 2 * np.pi / phi.size)).ravel()
+    grad = _centred_gradient(prof, nu, 1e-4)
+    flux = -(((grad @ A) * nu).sum(1) * weights).sum()
+    assert abs(flux - 1.0) <= 1e-6
+    rng = np.random.default_rng(0)
+    x = nu[rng.choice(nu.shape[0], 20, replace=False)] * rng.uniform(0.5, 2.0, (20, 1))
+    total, scale = _symbol_of_derivatives(prof, A, x, 1e-4)
+    assert np.abs(total / scale).max() <= 1e-5
+
+
+def test_second_order_symbol_without_axis_is_served_in_five_dimensions():
+    prof = compute_profile(NO_AXIS_5D)
+    assert (prof.method, prof.angular_model) == ("closed-form", "quadratic")
+    assert prof.values.min() > 0.0
+    assert prof.error_estimate <= 1e-12 * prof.values.max()
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((20, 5))
+    total, scale = _symbol_of_derivatives(prof, quadratic_form_matrix(NO_AXIS_5D), x, 1e-4)
+    assert np.abs(total / scale).max() <= 1e-5
 
 
 def test_laplacian4_fft_calibrated():
-    prof = compute_profile(laplacian(4), backend="fft")
-    assert np.abs(prof.values / riesz_constant(1, 4) - 1.0).max() <= 0.02
+    prof = compute_profile(laplacian(4))
+    assert np.abs(prof.values / riesz_constant(1, 4) - 1.0).max() <= 1e-12
 
 
 def test_sign_summary_trivia():
     dirs = np.eye(3)
-    pos = SphereProfile(dirs, np.ones(3), -1, "c", "exact", 0.0, "general")
+    pos = SphereProfile(dirs, np.ones(3), -1, "c", "exact", 0.0)
     assert sign_summary(pos)["fraction_negative"] == 0.0
     mixed = SphereProfile(np.vstack([dirs, -dirs]), np.array([1.0, 1, 1, -1, -1, -1]),
-                          -1, "c", "exact", 0.0, "general")
+                          -1, "c", "exact", 0.0)
     assert sign_summary(mixed)["fraction_negative"] == 0.5
 
 
@@ -193,21 +224,23 @@ def test_mn8_profile_attains_both_signs():
 def test_regime_and_ellipticity_guards():
     with pytest.raises(UnsupportedRegimeError):
         compute_profile(polyharmonic(4, 2))
-    from polycap import EllipticOperator
-
     e1, e2 = (1, 0, 0), (0, 1, 0)
     saddle = EllipticOperator(3, 1, {(e1, e1): 1.0, (e2, e2): -1.0})
     with pytest.raises(InputError):
         compute_profile(saddle)
-    # the retired subordination backend is an unknown name like any other
-    for backend in ("subordination", "bogus"):
-        with pytest.raises(InputError):
-            compute_profile(laplacian(5), backend=backend)
+
+
+def test_second_order_ellipticity_is_decided_exactly(rotated_indefinite_operator):
+    op = rotated_indefinite_operator
+    ok, worst, direction = check_ellipticity(op, 512)
+    assert not ok and worst == pytest.approx(-1e-4, rel=1e-9)
+    assert op.symbol(direction[None])[0] == pytest.approx(worst, rel=1e-9)
+    with pytest.raises(InputError):
+        compute_profile(op)
 
 
 def test_fft_backend_refuses_five_dimensions():
-    # there the fft box misses riesz_constant(2, 5) by 47.5% with a NaN
-    # error_estimate; a verdict must be right or refused
+    # order four without a rotation axis has no exact route: refused
     coeffs = dict(polyharmonic(5, 2).coefficients)
     e1, e2 = (2, 0, 0, 0, 0), (0, 2, 0, 0, 0)
     coeffs[(e1, e1)] += 1.0
@@ -215,5 +248,3 @@ def test_fft_backend_refuses_five_dimensions():
     no_axis = EllipticOperator(5, 2, coeffs, name="no_rotation_axis")
     with pytest.raises(UnsupportedRegimeError):
         compute_profile(no_axis)
-    with pytest.raises(UnsupportedRegimeError):
-        compute_profile(polyharmonic(5, 2), backend="fft")

@@ -7,7 +7,7 @@ import scipy.sparse
 from polycap import (ChannelForm, Grid, InputError, UnsupportedRegimeError,
                      channel_positivity, compute_profile, grid_positivity,
                      hardy_channel_symbol, laplacian, min_symbol_quotient, op_channel_symbol,
-                     polyharmonic, riesz_constant, smallest_generalized_eig)
+                     polyharmonic, positivity, riesz_constant, smallest_generalized_eig)
 from polycap.fundsol import SphereProfile
 from polycap.positivity import hardy_channel_poly, op_channel_poly
 from polycap.stencils import sparse_alpha
@@ -253,3 +253,13 @@ def test_channel_forms_validated_against_grid_hardy():
         (hardy_channel_symbol(m, n, 1, tau) * np.abs(fhat) ** 2).sum()
     ) * dt / prof.size
     assert got1 == pytest.approx(want1, rel=0.03)
+
+
+def test_memoised_hardy_recursion_is_bitwise_unchanged(monkeypatch):
+    # hardy_channel_poly.__wrapped__ bypasses the per-channel cache; with
+    # _g_poly unwrapped in the module, its recursion runs without memo too
+    memoised = [hardy_channel_poly.__wrapped__(4, 12, k).coef for k in range(13)]
+    monkeypatch.setattr(positivity, "_g_poly", positivity._g_poly.__wrapped__)
+    plain = [hardy_channel_poly.__wrapped__(4, 12, k).coef for k in range(13)]
+    for a, b in zip(memoised, plain):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -22,6 +22,20 @@ is the conservative F^T diag(face^(n-1)) F over the node weights r^(n-1).
 These backends exist because Cartesian boxes in dimensions 6, 7, 8 are out
 of reach at any useful resolution; they are validated against the Cartesian
 path in dimensions 3 and 5 by the test suite.
+
+The (r, z) free block is symmetric positive definite.  Up to _COARSE_MAX
+unknowns it is factorised directly; larger blocks are solved in O(N) work
+by conjugate gradients preconditioned with one V-cycle of a geometric
+Galerkin hierarchy (Brandt, Math. Comp. 31, 1977).  Its interpolation is the
+Kronecker product of linear interpolation between the staggered r-cells of
+widths 2h and h (even at the axis, zero beyond the box) and between z-nodes
+2J and 2J + 1; a coarse node is free when the fine node (2I, 2J) it injects
+to is free, which keeps each coarse Galerkin matrix P^T A P definite at the
+tips of the fixed set.  The smoother is l1-Jacobi (Baker, Falgout, Kolev &
+Yang, SIAM J. Sci. Comput. 33, 2011): Jacobi with the row sums of |A| as the
+diagonal, which has no parameter and converges for every SPD matrix.  The
+direct factorisation, of a small block or of the coarsest level, is
+SuperLU's symmetric mode: an ordering of A + A^T, pivots on the diagonal.
 """
 
 import math
@@ -32,6 +46,16 @@ from scipy.sparse import csr_matrix, diags, identity, kron, vstack
 from scipy.sparse.linalg import splu
 
 from .errors import InputError, UnsupportedRegimeError
+from .solvers import _pcg
+
+# (r, z) free blocks of up to this many unknowns are factorised directly, and
+# larger ones are coarsened down to it: the LU / multigrid crossover measured
+# in CHANGES.md
+_COARSE_MAX = 3000
+# CG on the larger blocks stops at ||r|| <= _CG_RTOL ||b||; the largest
+# problems measured need about 60 iterations
+_CG_RTOL = 1e-10
+_CG_MAXITER = 300
 
 
 def sphere_surface(n):
@@ -156,7 +180,8 @@ def _ball_energy_exact(m, n, coeffs, exps, R):
     for ci, ei in zip(c, e):
         for cj, ej in zip(c, e):
             p = ei + ej + n - 1.0
-            # p < -1 always since each exponent is at most m - n - 1 +小 margin
+            # after the m derivatives every exponent is at most m - n, so
+            # p <= 2m - n - 1 < -1 because n > 2m: each term converges
             total += ci * cj * R ** (p + 1.0) / (-(p + 1.0))
     return sphere_surface(n) * total
 
@@ -306,15 +331,76 @@ def axisym_energy_matrix(ag, m):
     return (0.5 * (mat + mat.T)).tocsr()
 
 
-def _solve_free(A, fixed, u, rhs):
-    """Fill u off the flat mask `fixed` by an LU solve of the free block of
-    A u = rhs; u holds the fixed values and rhs already carries their -A u.
-    The block is symmetric positive definite, so the factorisation runs in
-    SuperLU's symmetric mode: an ordering of A + A^T, pivots on the diagonal."""
-    free = ~fixed
-    lu = splu(A[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+def _staggered_interpolation(N):
+    """Linear interpolation from r-cells of width 2h to those of width h: fine
+    cells 2I and 2I + 1 take 3/4 of coarse cell I and 1/4 of their other
+    coarse neighbour; the even ghost of cell 0 is cell 0, and the exterior
+    is zero.  Column I is column 2I of the banded fine stencil."""
+    main = np.full(N, 0.75)
+    main[0] = 1.0
+    return diags([0.25, 0.75, main, 0.25], [-2, -1, 0, 1], shape=(N, N), format="csc")[:, ::2]
+
+
+def _nodal_interpolation(N):
+    """Linear interpolation from every other z-node: fine node 2J is coarse
+    node J, fine node 2J + 1 the mean of J and J + 1, zero outside."""
+    return diags([0.5, 1.0, 0.5], [-1, 0, 1], shape=(N, N), format="csc")[:, ::2]
+
+
+def _hierarchy(A, free, shape):
+    """Galerkin levels (A, 1 / l1 row sums, P, P^T) of the free block A down
+    to at most _COARSE_MAX unknowns, and the LU factor of the coarsest."""
+    levels = []
+    # the interpolation stencils need at least three nodes on each axis
+    while free.sum() > _COARSE_MAX and min(shape) > 2:
+        Nr, Nz = shape
+        shape = ((Nr + 1) // 2, (Nz + 1) // 2)
+        coarse_free = free.reshape(Nr, Nz)[::2, ::2].ravel()
+        P = kron(_staggered_interpolation(Nr), _nodal_interpolation(Nz), format="csr")
+        P = P[free][:, coarse_free]
+        PT = P.T.tocsr()
+        levels.append((A, 1.0 / abs(A).sum(axis=1).A1, P, PT))
+        A = (PT @ A @ P).tocsr()
+        free = coarse_free
+    lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
               options=dict(SymmetricMode=True))
-    u[free] = lu.solve(rhs[free])
+    return levels, lu
+
+
+def _vcycle(levels, lu, b, k=0):
+    """One symmetric V-cycle for the level-k system from a zero start: two
+    l1-Jacobi sweeps before and two after the coarse correction, the LU
+    solve on the coarsest level.  A module function, not a closure over the
+    hierarchy, so the levels are freed as soon as their solve returns."""
+    if k == len(levels):
+        return lu.solve(b)
+    A, dinv, P, PT = levels[k]
+    x = dinv * b
+    x += dinv * (b - A @ x)
+    x += P @ _vcycle(levels, lu, PT @ (b - A @ x), k + 1)
+    x += dinv * (b - A @ x)
+    x += dinv * (b - A @ x)
+    return x
+
+
+def _solve_free(A, fixed, u, rhs, shape):
+    """Fill u off the flat mask `fixed` of the r-major grid `shape` by solving
+    the free block of A u = rhs; u holds the fixed values and rhs already
+    carries their -A u.  A block of at most _COARSE_MAX unknowns is solved by
+    its LU factor alone.  A larger one starts from the V-cycle of its data and
+    runs CG with one V-cycle per iteration to ||r|| <= _CG_RTOL ||b||;
+    ConvergenceError after _CG_MAXITER iterations."""
+    free = ~fixed
+    Aff = A[free][:, free]
+    levels, lu = _hierarchy(Aff, free, shape)
+    b = rhs[free]
+    if not levels:
+        u[free] = lu.solve(b)
+        return u
+    x = _vcycle(levels, lu, b)
+    _pcg(Aff.dot, lambda v: _vcycle(levels, lu, v), x, b - Aff @ x, _CG_RTOL,
+         float(np.linalg.norm(b)), _CG_MAXITER)
+    u[free] = x
     return u
 
 
@@ -334,7 +420,7 @@ def axisym_capacity(region, m, n, h, r_box):
     A = axisym_energy_matrix(ag, m)
     fix = fixed.ravel()
     u = fix.astype(float)
-    _solve_free(A, fix, u, -(A @ u))
+    _solve_free(A, fix, u, -(A @ u), ag.shape)
     cap = float(u @ (A @ u))
     return cap, ag, u.reshape(ag.shape)
 
@@ -350,5 +436,5 @@ def axisym_dirichlet(op_m, n, omega_fixed, source, ag):
     A = axisym_energy_matrix(ag, op_m)
     fixed = np.asarray(omega_fixed, dtype=bool).ravel()
     rhs = (np.asarray(source, dtype=float) * _cell_measure(ag)[:, None]).ravel()
-    u = _solve_free(A, fixed, np.zeros(fixed.size), rhs)
+    u = _solve_free(A, fixed, np.zeros(fixed.size), rhs, ag.shape)
     return u.reshape(ag.shape)

@@ -12,7 +12,9 @@ unconstrained operator itself, and its inverse restricted to the free nodes
 is the exact inverse Schur complement.  For m >= 2 the zero-extended
 (-Delta_h)^m differs from (-Delta_h^D)^m near the box faces, so the DST round
 is only spectrally equivalent to it.  That keeps iteration counts nearly
-independent of the grid size.  There is no fallback solve.
+independent of the grid size.  There is no fallback solve.  The CG loop
+itself, `_pcg`, updates its vectors in place and also serves the
+multigrid-preconditioned (r, z) solver of `radial`.
 
 The orthonormal DST-I of length N is the symmetric N x N sine matrix S, and
 S S = I.  On axes of up to _DENSE_MAX_AXIS nodes the transform is applied as
@@ -79,13 +81,44 @@ def _dst_solve(v, spec, sine):
     return _sine_passes(_sine_passes(v, sine) / spec, sine)
 
 
+def _pcg(apply, precond, x, r, rtol, scale, maxiter):
+    """Preconditioned conjugate gradient (Saad 2003, Alg. 9.1) in place.
+
+    x holds the start and r = b - A x its residual; both are updated until
+    ||r|| <= rtol * scale, and the iteration count is returned.  apply(p) and
+    precond(r) return A p and M^-1 r as writable arrays that the loop may
+    overwrite and reads only until the next call, so each may reuse one
+    output buffer.  Raises ConvergenceError after `maxiter` iterations.
+    """
+    tol = rtol * scale
+    for iterations in range(maxiter + 1):
+        if np.linalg.norm(r) <= tol:
+            return iterations
+        if iterations == maxiter:
+            raise ConvergenceError(
+                f"conjugate gradient missed rtol={rtol:g} after {maxiter} iterations")
+        z = precond(r)
+        rho = float(np.vdot(r, z))
+        if iterations == 0:
+            p = z.copy()
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = apply(p)
+        alpha = rho / float(np.vdot(p, q))
+        # p holds z now, so z is free to take the two scaled updates
+        x += np.multiply(alpha, p, out=z)
+        r -= np.multiply(alpha, q, out=z)
+        rho_prev = rho
+
+
 def solve_constrained(form, fixed_where, fixed_values, rhs=None, rtol=1e-8, maxiter=2000):
     """Minimize the form with u[fixed] = values; returns (u, info).
 
     rhs, if given, adds a linear term -<rhs, u> so the stationarity system is
-    A u = rhs on the free nodes.  Preconditioned CG (Saad, Alg. 9.1) with the
-    residual, the preconditioned residual and A p zeroed on the fixed nodes
-    stops when the residual reaches `rtol` times its initial norm, and raises
+    A u = rhs on the free nodes.  Preconditioned CG with the residual, the
+    preconditioned residual and A p zeroed on the fixed nodes stops when the
+    residual reaches `rtol` times its initial norm, and raises
     ConvergenceError after `maxiter` iterations.  info["residual"] is the
     true relative residual of the returned u.
     """
@@ -102,20 +135,10 @@ def solve_constrained(form, fixed_where, fixed_values, rhs=None, rtol=1e-8, maxi
     spec = form.dst_spectrum()
     N = grid.shape[0]
     sine = _sine_matrix(N) if N <= _DENSE_MAX_AXIS else None
-    for iterations in range(maxiter + 1):
-        if np.linalg.norm(r) <= rtol * r0:
-            break
-        if iterations == maxiter:
-            raise ConvergenceError(
-                f"conjugate gradient missed rtol={rtol:g} after {maxiter} iterations")
-        z = _dst_solve(r, spec, sine) * free
-        rho = float(np.vdot(r, z))
-        p = z if iterations == 0 else z + (rho / rho_prev) * p
-        q = form.apply(p) * free
-        alpha = rho / float(np.vdot(p, q))
-        u += alpha * p
-        r -= alpha * q
-        rho_prev = rho
+    z, q = grid.zeros(), grid.zeros()
+    iterations = _pcg(lambda p: np.multiply(form.apply(p), free, out=q),
+                      lambda v: np.multiply(_dst_solve(v, spec, sine), free, out=z),
+                      u, r, rtol, r0, maxiter)
     res = float(np.linalg.norm((b - form.apply(u)) * free) / max(r0, 1e-300))
     return u, {"iterations": iterations, "residual": res, "energy": form.quad(u)}
 

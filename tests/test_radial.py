@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from polycap.radial import (AxisymGrid, RadialGrid, axisym_energy_matrix, radial_energy_matrix,
-                            sphere_surface)
+from polycap import Ball, Cone, ConvergenceError, Cusp, Intersection, cli, radial
+from polycap.radial import (AxisymGrid, RadialGrid, axisym_capacity, axisym_dirichlet,
+                            axisym_energy_matrix, radial_energy_matrix, sphere_surface)
 
 
 def _axisym_energy_by_definition(u, n, m, h):
@@ -73,3 +74,79 @@ def test_radial_energy_matches_definition(n, m):
         u = rng.standard_normal(rg.nodes)
         direct = _radial_energy_by_definition(u, n, m, rg.h)
         assert u @ (A @ u) == pytest.approx(direct, rel=1e-13)
+
+
+def _free_block_solve(ag, m, fixed, u, rhs, direct):
+    """u off `fixed` from the free block of axisym_energy_matrix, by
+    spsolve or by the direct factorisation settings of the (r, z) solver."""
+    from scipy.sparse.linalg import splu, spsolve
+
+    A = axisym_energy_matrix(ag, m)
+    free = ~fixed.ravel()
+    b = (rhs.ravel() - A @ u.ravel())[free]
+    Aff = A[free][:, free].tocsc()
+    out = u.ravel().copy()
+    if direct:
+        out[free] = splu(Aff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options=dict(SymmetricMode=True)).solve(b)
+    else:
+        out[free] = spsolve(Aff, b)
+    return out.reshape(ag.shape), A
+
+
+def _probe_problem(region, n, inv_h):
+    """A regularity-probe Dirichlet problem on the unit half-disc: the region
+    and the rim fixed at zero, a bump source centred off the axis."""
+    ag = AxisymGrid(n, 1.0 / inv_h, inv_h, inv_h)
+    R, Z = np.meshgrid(ag.r, ag.z, indexing="ij")
+    outside = ag.mask_from_region(region) | (R**2 + Z**2 > 0.98**2)
+    source = np.exp(-((R - 0.55) ** 2 + Z**2) / 0.02)
+    source[outside] = 0.0
+    return ag, outside, source
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 5)])
+@pytest.mark.parametrize("region", [Cone(np.pi / 3), Cusp("exponential", 1.0)])
+def test_axisym_solves_match_direct(region, m, n):
+    # 128 x 257 nodes give two coarsenings above the coarsest level
+    inv_h = 128
+    ag, outside, source = _probe_problem(region, n, inv_h)
+    free = ~outside.ravel()
+    levels, _ = radial._hierarchy(axisym_energy_matrix(ag, m)[free][:, free], free, ag.shape)
+    assert len(levels) >= 2
+    u = axisym_dirichlet(m, n, outside, source, ag)
+    weighted = source * radial._cell_measure(ag)[:, None]
+    ref, _ = _free_block_solve(ag, m, outside, np.zeros(ag.shape), weighted, direct=False)
+    assert np.abs(u - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    target = Intersection((region, Ball(0.5)))
+    cap, ag, u = axisym_capacity(target, m, n, ag.h, 1.0)
+    fixed = ag.mask_from_region(target)
+    ref, A = _free_block_solve(ag, m, fixed, fixed.astype(float), np.zeros(ag.shape),
+                               direct=False)
+    assert np.abs(u - ref).max() <= 1e-9 * np.abs(ref).max()
+    assert cap == pytest.approx(ref.ravel() @ (A @ ref.ravel()), rel=1e-9, abs=0.0)
+
+
+def test_axisym_capacity_below_coarse_limit_is_the_direct_solve():
+    target = Intersection((Cusp("power", 2.0), Ball(0.5)))
+    cap, ag, u = axisym_capacity(target, 2, 6, 1.0 / 24, 1.0)
+    assert u.size <= radial._COARSE_MAX
+    fixed = ag.mask_from_region(target)
+    ref, A = _free_block_solve(ag, 2, fixed, fixed.astype(float), np.zeros(ag.shape),
+                               direct=True)
+    assert np.array_equal(u, ref)
+    assert cap == float(ref.ravel() @ (A @ ref.ravel()))
+
+
+def test_axisym_non_convergence_is_typed(monkeypatch, tmp_path):
+    monkeypatch.setattr(radial, "_CG_MAXITER", 1)
+    ag, outside, source = _probe_problem(Cone(np.pi / 3), 3, 64)
+    with pytest.raises(ConvergenceError):
+        axisym_dirichlet(1, 3, outside, source, ag)
+    # a series whose scale grids exceed the coarse limit exits 4 and writes no results
+    out = tmp_path / "wiener"
+    code = cli.main(["wiener", "--m", "1", "--n", "3", "--domain", "cone:60", "--backend",
+                     "axisym", "--nodes-per-rho", "24", "--j-max", "1", "--out", str(out)])
+    assert code == 4
+    assert not (out / "summary.json").exists() and not (out / "series.csv").exists()

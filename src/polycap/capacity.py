@@ -20,7 +20,7 @@ import numpy as np
 from .energy import EnergyForm
 from .errors import InputError, UnsupportedRegimeError
 from .grids import Ball, Cone, Cusp, Grid, Intersection, Mask, Ray, Region, Shell, Union
-from .radial import AxisymGrid, axisym_capacity
+from .radial import AxisymGrid, axisym_capacity, axisym_energy_matrix
 from .solvers import solve_constrained
 
 
@@ -180,8 +180,12 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
     capacity is not dilation invariant.  A node set met at an earlier scale is
     not solved again: the homogeneous energies at spacing h are h^(n-2m) times
     one lattice form, so its stored capacity is scaled by (h/h0)^(n-2m), a
-    power of two for dyadic scales and 1 on the global grid.  rho_list
-    overrides the dyadic 2^-j scales.
+    power of two for dyadic scales and 1 on the global grid.  For the same
+    reason the (r, z) energy matrix is assembled once per grid shape and
+    scaled by (h/h0)^(n-2m) for every solve, which on dyadic scales is
+    bitwise the matrix a fresh assembly would give.  rho_list overrides the
+    dyadic 2^-j scales.  A Cartesian grid of more than 3,000,000 nodes,
+    per scale or global, is refused with UnsupportedRegimeError.
     """
     if backend not in ("auto", "axisym", "cartesian"):
         raise InputError(f"unknown backend {backend!r}; have auto, axisym, cartesian")
@@ -205,7 +209,8 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
     if n == 2 * m:
         # one global grid, box at the unit scale, resolve the finest scale
         h = min(rho_values) / max(4, nodes_per_rho // 2)
-        grid = Grid(n, h, int(round(2.0 * max(rho_values) / h)))
+        extent = int(round(2.0 * max(rho_values) / h))
+        grid = Grid(n, h, extent)
     else:
         use_axisym = backend == "axisym" or (
             backend == "auto" and n >= 3 and m <= 2 and is_axisymmetric(complement, n)
@@ -216,13 +221,13 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
         if use_axisym and m > 2:
             raise UnsupportedRegimeError("axisymmetric backend supports m <= 2")
         extent = int(round(box_factor * nodes_per_rho))
-        if not use_axisym and (2 * extent + 1) ** n > 3_000_000:
-            raise UnsupportedRegimeError(
-                f"per-scale Cartesian grid would have {(2*extent+1)**n} nodes; "
-                "reduce nodes_per_rho or use the axisymmetric backend"
-            )
         meta["backend"] = "axisym" if use_axisym else "cartesian"
         meta["resolved"] = []
+    if not use_axisym and (2 * extent + 1) ** n > 3_000_000:
+        hint = "the scale range" if n == 2 * m else "use the axisymmetric backend"
+        raise UnsupportedRegimeError(
+            f"Cartesian grid would have {(2*extent+1)**n} nodes (limit 3,000,000); "
+            f"reduce nodes_per_rho or {hint}")
 
     def _resolvable(region, rho, h):
         # a cusp thinner than the spacing rasterizes to the bare axis needle;
@@ -234,13 +239,18 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
         return True
 
     solved = {}  # (shape, packed node mask) -> (capacity, spacing it was solved at)
+    energies = {}  # (r, z) grid shape -> (energy matrix, spacing it was assembled at)
 
     def _capacity(region, rho, grid):
         nodes = grid.mask_from_region(region) if use_axisym else region.mask(grid).where
         key = (nodes.shape, np.packbits(nodes).tobytes())
         if key not in solved:
             if use_axisym:
-                value = axisym_capacity(nodes, m, n, grid.h, box_factor * rho)[0]
+                if grid.shape not in energies:
+                    energies[grid.shape] = (axisym_energy_matrix(grid, m), grid.h)
+                A, h0 = energies[grid.shape]
+                value = axisym_capacity(nodes, m, n, grid.h, box_factor * rho,
+                                        energy=A * (grid.h / h0) ** (n - 2 * m))[0]
             else:
                 solve = bessel_capacity if n == 2 * m else cap_m
                 value = solve(Mask(grid, nodes), m, grid).value

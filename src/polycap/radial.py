@@ -16,9 +16,12 @@ the axis, so the singular weight never hits a node.  Every difference
 operator is built from a few 1-D integer matrices: the face difference F
 (rows at the r-faces (i + 1) h, the outer face seeing the zero exterior), the
 z-face difference with both outer faces, and the second differences along r
-(reflecting at the axis) and z.  The (r, z) operators are their Kronecker
-products with identities, scaled once by 1/h or 1/h^2; the radial Laplacian
-is the conservative F^T diag(face^(n-1)) F over the node weights r^(n-1).
+(reflecting at the axis) and z.  The radial Laplacian is the conservative
+F^T diag(face^(n-1)) F over the node weights r^(n-1).  Every weight of the
+(r, z) energy depends on r alone, so each of its terms factors as
+kron(D_r^T diag(w) D_r, D_z^T D_z) (Van Loan, J. Comput. Appl. Math. 123,
+2000): the energy is assembled from 1-D products, two Kronecker products for
+m = 1 and three for m = 2, never from 2-D difference operators.
 These backends exist because Cartesian boxes in dimensions 6, 7, 8 are out
 of reach at any useful resolution; they are validated against the Cartesian
 path in dimensions 3 and 5 by the test suite.
@@ -285,50 +288,50 @@ def _cell_measure(ag):
     return sphere_surface(ag.n - 1) * ag.h * ag.h * ag.r ** (ag.n - 2)
 
 
-def _axisym_terms(ag, m):
-    """(matrix, weight) pairs so that the energy is sum w . (M u)^2.
+def axisym_energy_matrix(ag, m):
+    """Sparse matrix A with u^T A u = integral |D^m u|^2 in cylindrical form.
 
-    This is integral |D^m u|^2 in cylindrical form over the measure
-    omega_(n-2) r^(n-2) dr dz, each difference weighted by omega_(n-2) h^2
-    r^(n-2) at the radius where it sits:
+    The energy is taken over the measure omega_(n-2) r^(n-2) dr dz, each
+    squared difference weighted by omega_(n-2) h^2 r^(n-2) at the radius where
+    it sits:
       m = 1: u_r at the r-faces and u_z at the z-faces;
       m = 2: u_rr and u_zz at the nodes, 2 u_rz^2 at the (r-face, z-face)
              corners and (n - 2) (u_r / r)^2 at the r-faces.
-    Rows are r-major: node (i, j) is row i * Nz + j, and z-face j of r-row i
-    (Nz + 1 per row, both outer faces included) is row i * (Nz + 1) + j.
+    Every weight depends on r alone, so each term (D_r x D_z)^T (diag(w) x I)
+    (D_r x D_z) is the Kronecker product of D_r^T diag(w) D_r, which carries
+    the weight and all powers of 1/h, with the integer D_z^T D_z.  Rows are
+    r-major: node (i, j) is row i * Nz + j.  The entries of each D_r are one
+    power of 1/h times integers, so every factor, and with it A, is exactly
+    symmetric.
     """
+    if m not in (1, 2):
+        raise UnsupportedRegimeError("axisymmetric solver supports m = 1 and m = 2")
     Nr, Nz = ag.shape
     n, h = ag.n, ag.h
-    F = _face_difference(Nr)
-    # z-faces j = 0..Nz, including both outer faces against the zero exterior
-    Fz = diags([1.0, -1.0], [0, -1], shape=(Nz + 1, Nz), format="csr")
-    Ir, Iz = identity(Nr, format="csr"), identity(Nz, format="csr")
     meas = sphere_surface(n - 1) * h * h
     rface = (np.arange(Nr) + 1.0) * h
     cell = _cell_measure(ag)
+    F, I = _face_difference(Nr), identity(Nr, format="csr")
+    # z-faces j = 0..Nz, including both outer faces against the zero exterior
+    Fz = diags([1.0, -1.0], [0, -1], shape=(Nz + 1, Nz), format="csr")
 
-    Dr = kron(F, Iz, format="csr") / h
-    terms = [(Dr, np.repeat(meas * rface ** (n - 2), Nz))]
+    def r_factor(D, w):
+        return D.T @ diags(w) @ D
+
     if m == 1:
-        terms.append((kron(Ir, Fz, format="csr") / h, np.repeat(cell, Nz + 1)))
-        return terms
-    if m != 2:
-        raise UnsupportedRegimeError("axisymmetric solver supports m = 1 and m = 2")
-    Drr = kron(_second_difference(Nr, reflect=True), Iz, format="csr") / (h * h)
-    Dzz = kron(Ir, _second_difference(Nz), format="csr") / (h * h)
-    Drz = kron(F, Fz, format="csr") / (h * h)
-    return [(Drr, np.repeat(cell, Nz)),
-            (Dzz, np.repeat(cell, Nz)),
-            (Drz, np.repeat(2.0 * meas * rface ** (n - 2), Nz + 1)),
-            (Dr, np.repeat((n - 2.0) * meas * rface ** (n - 4), Nz))]
-
-
-def axisym_energy_matrix(ag, m):
-    mat = None
-    for op, w in _axisym_terms(ag, m):
-        part = op.T @ diags(w) @ op
-        mat = part if mat is None else mat + part
-    return (0.5 * (mat + mat.T)).tocsr()
+        terms = [(r_factor(F / h, meas * rface ** (n - 2)), identity(Nz)),
+                 (r_factor(I / h, cell), Fz.T @ Fz)]
+    else:
+        h2 = h * h
+        Szz = _second_difference(Nz)
+        terms = [(r_factor(_second_difference(Nr, reflect=True) / h2, cell)
+                  + r_factor(F / h, (n - 2.0) * meas * rface ** (n - 4)), identity(Nz)),
+                 (r_factor(I / h2, cell), Szz.T @ Szz),
+                 (r_factor(F / h2, 2.0 * meas * rface ** (n - 2)), Fz.T @ Fz)]
+    A = kron(*terms[0], format="csr")
+    for R, Z in terms[1:]:
+        A = A + kron(R, Z, format="csr")
+    return A
 
 
 def _staggered_interpolation(N):
@@ -404,10 +407,12 @@ def _solve_free(A, fixed, u, rhs, shape):
     return u
 
 
-def axisym_capacity(region, m, n, h, r_box):
+def axisym_capacity(region, m, n, h, r_box, *, energy=None):
     """Variational capacity of a body of revolution (or of its boolean node
     mask on the grid) on an (r, z) grid, with the order-m gradient energy;
-    returns (capacity, grid, potential)."""
+    returns (capacity, grid, potential).  `energy` is the grid's
+    axisym_energy_matrix when the caller already has it (annulus_series
+    scales one assembly to every scale); None assembles it here."""
     if n < 3:
         raise UnsupportedRegimeError("axisymmetric reduction needs n >= 3")
     ag = AxisymGrid(n, h, int(round(r_box / h)), int(round(r_box / h)))
@@ -417,7 +422,9 @@ def axisym_capacity(region, m, n, h, r_box):
         raise InputError("node mask does not match the (r, z) grid")
     if not fixed.any():
         return 0.0, ag, np.zeros(ag.shape)
-    A = axisym_energy_matrix(ag, m)
+    A = axisym_energy_matrix(ag, m) if energy is None else energy
+    if A.shape != (fixed.size, fixed.size):
+        raise InputError("energy matrix does not match the (r, z) grid")
     fix = fixed.ravel()
     u = fix.astype(float)
     _solve_free(A, fix, u, -(A @ u), ag.shape)

@@ -6,7 +6,8 @@ from polycap import (Ball, Box, Cone, ConvergenceError, Cusp, EllipticOperator, 
                      UnsupportedRegimeError, annulus_series, bessel_capacity, bump, cap_m,
                      exact_ball_capacity, laplacian, solve_constrained)
 from polycap import solvers
-from polycap.radial import AxisymGrid, axisym_capacity, radial_ball_capacity
+from polycap.radial import (AxisymGrid, axisym_capacity, axisym_energy_matrix,
+                            radial_ball_capacity)
 
 
 def test_empty_target_is_zero():
@@ -165,25 +166,39 @@ def test_annulus_series_rejects_unknown_backend():
 def test_annulus_series_solves_each_node_set_once(monkeypatch, region, m, n, npr, backend,
                                                   solves):
     # every scale's grid is a dilation of the first, so a node mask met before
-    # is rescaled by (h/h0)^(n-2m) instead of being solved again
+    # is rescaled by (h/h0)^(n-2m) instead of being solved again, and the
+    # (r, z) energy matrix is assembled once and rescaled the same way
     import polycap.capacity as capacity
+    import polycap.radial as radial
 
     calls = []
-    for name in ("cap_m", "axisym_capacity"):
-        def counted(*args, _solve=getattr(capacity, name), **kwargs):
-            calls.append(name)
-            return _solve(*args, **kwargs)
-        monkeypatch.setattr(capacity, name, counted)
+    for module, name in ((capacity, "cap_m"), (capacity, "axisym_capacity"),
+                         (capacity, "axisym_energy_matrix"),
+                         (radial, "axisym_energy_matrix")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
     s = annulus_series(region, m, n, j_range=(0, 8), nodes_per_rho=npr, backend=backend)
-    assert len(calls) == solves
+    assert len(calls) - calls.count("axisym_energy_matrix") == solves
+    assert calls.count("axisym_energy_matrix") == (backend == "axisym")
+    monkeypatch.undo()
     for rho, cap, ball in zip(s.rho, s.capacity, s.ball_capacity):
         h = rho / npr
         for target, value in ((Intersection((region, Ball(rho))), cap), (Ball(rho), ball)):
             if backend == "axisym":
-                fresh = axisym_capacity(target, m, n, h, 3.0 * rho)[0]
+                # dyadic scales: the rescaled matrix is bitwise a fresh assembly
+                assert value == axisym_capacity(target, m, n, h, 3.0 * rho)[0]
             else:
                 fresh = cap_m(target, m, Grid(n, h, int(round(3.0 * npr)))).value
-            assert value == pytest.approx(fresh, rel=1e-12, abs=0.0)
+                assert value == pytest.approx(fresh, rel=1e-12, abs=0.0)
+
+
+def test_annulus_series_refuses_an_oversized_global_grid():
+    # n = 2m: one global grid resolving the finest scale; (3, 6) at the
+    # default scales would need about 5e22 nodes
+    with pytest.raises(UnsupportedRegimeError, match="3,000,000"):
+        annulus_series(Cone(np.pi / 4), 3, 6)
 
 
 def test_annulus_series_rejects_bad_scale_parameters():
@@ -199,6 +214,13 @@ def test_axisym_capacity_takes_a_node_mask():
                                                                         2.0)[0]
     with pytest.raises(InputError):
         axisym_capacity(nodes, 1, 3, 0.1, 3.0)
+    # a supplied energy matrix is used as given, and must fit the grid
+    A = axisym_energy_matrix(ag, 1)
+    assert (axisym_capacity(nodes, 1, 3, 0.1, 2.0, energy=A)[0]
+            == axisym_capacity(nodes, 1, 3, 0.1, 2.0)[0])
+    with pytest.raises(InputError):
+        axisym_capacity(nodes, 1, 3, 0.1, 2.0,
+                        energy=axisym_energy_matrix(AxisymGrid(3, 0.1, 20, 19), 1))
 
 
 def test_annulus_series_ray_scaling():

@@ -146,6 +146,17 @@ def test_non_positive_scale_settings_from_config_exit_2(tmp_path, cli_env, confi
     assert "must be positive" in r.stderr
 
 
+def test_wiener_oversized_borderline_grid_exits_3(tmp_path, cli_env):
+    # n = 2m runs on one global Cartesian grid; (3, 6) at the default scales is refused
+    # before any mask is built
+    r = run_cli(["wiener", "--m", "3", "--n", "6", "--domain", "cone:45", "--out", "w"],
+                tmp_path, cli_env)
+    assert r.returncode == 3, r.stderr
+    assert "Traceback" not in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1
+    assert not os.path.exists(tmp_path / "w" / "summary.json")
+
+
 def test_wiener_unknown_backend_exits_2(tmp_path, cli_env):
     r = run_cli(["wiener", "--m", "1", "--n", "3", "--domain", "cone:45",
                  "--backend", "bogus", "--out", "w"], tmp_path, cli_env)

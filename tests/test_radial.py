@@ -50,7 +50,7 @@ def _radial_energy_by_definition(u, n, m, h):
     return sphere_surface(n) * h * (r ** (n - 1) * u**2).sum()
 
 
-@pytest.mark.parametrize("n, m", [(3, 1), (5, 2), (6, 2)])
+@pytest.mark.parametrize("n, m", [(3, 1), (4, 1), (5, 2), (6, 2), (8, 2)])
 def test_axisym_energy_matches_definition(n, m):
     rng = np.random.default_rng(10 * n + m)
     ag = AxisymGrid(n, 0.3, 6, 4)
@@ -60,6 +60,20 @@ def test_axisym_energy_matches_definition(n, m):
         u = rng.standard_normal(ag.shape)
         direct = _axisym_energy_by_definition(u, n, m, ag.h)
         assert u.ravel() @ (A @ u.ravel()) == pytest.approx(direct, rel=1e-13)
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (5, 1), (5, 2), (6, 2), (8, 2)])
+def test_axisym_energy_dilates_exactly(n, m):
+    # the energy at spacing h0 / 2^k is 2^(k (2m - n)) times the one at h0, bitwise:
+    # annulus_series rescales one assembly to every dyadic scale
+    h0 = 1.0 / 12.0
+    A0 = axisym_energy_matrix(AxisymGrid(n, h0, 10, 7), m)
+    for k in (1, 2, 5):
+        A = axisym_energy_matrix(AxisymGrid(n, h0 / 2**k, 10, 7), m)
+        scaled = A0 * 2.0 ** (k * (2 * m - n))
+        assert np.array_equal(A.indptr, scaled.indptr)
+        assert np.array_equal(A.indices, scaled.indices)
+        assert np.array_equal(A.data, scaled.data)
 
 
 @pytest.mark.parametrize("n", [3, 5])

@@ -111,9 +111,9 @@ def cap_m(target, m, grid, box_levels=1, rtol=1e-8):
     return out
 
 
-def bessel_capacity(target, m, grid, rtol=1e-8):
+def bessel_capacity(target, m, grid):
     """Inhomogeneous (full Sobolev-energy) capacity, the order-2m surrogate."""
-    return _one_box(target, m, grid, "inhomogeneous", rtol)[1]
+    return _one_box(target, m, grid, "inhomogeneous", 1e-8)[1]
 
 
 def exact_ball_capacity(m, n, radius):
@@ -168,23 +168,24 @@ class AnnulusCapacitySeries:
 
 
 def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
-                   nodes_per_rho=12, box_factor=3.0, kind=None, rho_list=None):
+                   nodes_per_rho=12, box_factor=3.0, rho_list=None):
     """Capacities of B_rho \\ Omega and of B_rho at dyadic scales rho = 2^-j.
 
     `complement` is the Region describing the closed complement of the domain.
-    For n > 2m each scale has its own grid, a dilation of the first with a
-    fixed node count per rho; backend "axisym" restricts to bodies of
-    revolution but covers every dimension the classifier needs, "cartesian"
-    is the general path.  For n = 2m the inhomogeneous surrogate is used on
+    For n > 2m each scale has its own grid, a dilation of the first with
+    nodes_per_rho nodes per rho and round(box_factor * nodes_per_rho) across
+    the box radius; backend "axisym" restricts to bodies of revolution but
+    covers every dimension the classifier needs, "cartesian" is the general
+    path.  For n = 2m the inhomogeneous surrogate is used on
     one global grid whose box stays at unit scale, since the borderline
     capacity is not dilation invariant.  A node set met at an earlier scale is
     not solved again: the homogeneous energies at spacing h are h^(n-2m) times
     one lattice form, so its stored capacity is scaled by (h/h0)^(n-2m), a
     power of two for dyadic scales and 1 on the global grid.  For the same
-    reason the (r, z) energy matrix is assembled once per grid shape and
-    scaled by (h/h0)^(n-2m) for every solve, which on dyadic scales is
-    bitwise the matrix a fresh assembly would give.  rho_list overrides the
-    dyadic 2^-j scales.  A Cartesian grid of more than 3,000,000 nodes,
+    reason the (r, z) energy matrix is assembled once per series and scaled
+    by (h/h0)^(n-2m) for every solve, which on dyadic scales is bitwise the
+    matrix a fresh assembly would give.  rho_list overrides the dyadic 2^-j
+    scales.  A Cartesian grid of more than 3,000,000 nodes,
     per scale or global, is refused with UnsupportedRegimeError.
     """
     if backend not in ("auto", "axisym", "cartesian"):
@@ -201,8 +202,7 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
         rho_values = [2.0 ** (-j) for j in range(j0, j1 + 1)]
     if any(b >= a for a, b in zip(rho_values, rho_values[1:])):
         raise InputError("scales must be strictly decreasing")
-    if kind is None:
-        kind = "inhomogeneous" if n == 2 * m else "homogeneous"
+    kind = "inhomogeneous" if n == 2 * m else "homogeneous"
     meta = {"backend": backend, "nodes_per_rho": nodes_per_rho, "box_factor": box_factor,
             "node_counts": []}
     use_axisym = False
@@ -239,18 +239,18 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
         return True
 
     solved = {}  # (shape, packed node mask) -> (capacity, spacing it was solved at)
-    energies = {}  # (r, z) grid shape -> (energy matrix, spacing it was assembled at)
+    if use_axisym:
+        # every scale's (r, z) grid is a dilation of the first one
+        h_first = rho_values[0] / nodes_per_rho
+        A_first = axisym_energy_matrix(AxisymGrid(n, h_first, extent, extent), m)
 
-    def _capacity(region, rho, grid):
+    def _capacity(region, grid):
         nodes = grid.mask_from_region(region) if use_axisym else region.mask(grid).where
         key = (nodes.shape, np.packbits(nodes).tobytes())
         if key not in solved:
             if use_axisym:
-                if grid.shape not in energies:
-                    energies[grid.shape] = (axisym_energy_matrix(grid, m), grid.h)
-                A, h0 = energies[grid.shape]
-                value = axisym_capacity(nodes, m, n, grid.h, box_factor * rho,
-                                        energy=A * (grid.h / h0) ** (n - 2 * m))[0]
+                value = axisym_capacity(nodes, m, n, grid.h, extent * grid.h,
+                                        energy=A_first * (grid.h / h_first) ** (n - 2 * m))[0]
             else:
                 solve = bessel_capacity if n == 2 * m else cap_m
                 value = solve(Mask(grid, nodes), m, grid).value
@@ -262,12 +262,11 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
     for rho in rho_values:
         if n != 2 * m:
             h = rho / nodes_per_rho
-            r_nodes = int(round(box_factor * rho / h))
-            grid = AxisymGrid(n, h, r_nodes, r_nodes) if use_axisym else Grid(n, h, extent)
+            grid = AxisymGrid(n, h, extent, extent) if use_axisym else Grid(n, h, extent)
             meta["resolved"].append(_resolvable(complement, rho, h))
-        cap, nodes = _capacity(Intersection((complement, Ball(rho))), rho, grid)
+        cap, nodes = _capacity(Intersection((complement, Ball(rho))), grid)
         caps.append(cap)
-        balls.append(_capacity(Ball(rho), rho, grid)[0])
+        balls.append(_capacity(Ball(rho), grid)[0])
         meta["node_counts"].append(nodes.size if use_axisym else int(nodes.sum()))
     return AnnulusCapacitySeries(m, n, j_range, rho_values, caps, balls, kind, meta)
 

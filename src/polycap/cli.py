@@ -52,6 +52,12 @@ def _parse_domain(spec):
     raise ConfigurationError(f"cannot parse domain spec {spec!r}")
 
 
+def _grid(cfg, n, box):
+    """Grid of spacing h (default 0.1) and the given extent, else box / h nodes."""
+    h = float(cfg.get("h", 0.1))
+    return Grid(n, h, int(cfg.get("extent", round(box / h))))
+
+
 def _outdir(cfg):
     out = cfg.get("out", "polycap_out")
     os.makedirs(out, exist_ok=True)
@@ -95,9 +101,7 @@ def _run_fundsol(cfg):
 def _run_capacity(cfg):
     op = _resolve_operator(cfg)
     m = op.m
-    h = float(cfg.get("h", 0.1))
-    extent = int(cfg.get("extent", round(float(cfg.get("box", 4.0)) / h)))
-    grid = Grid(op.n, h, extent)
+    grid = _grid(cfg, op.n, float(cfg.get("box", 4.0)))
     if cfg.get("mask_csv"):
         target = mask_from_csv(grid, cfg["mask_csv"])
     elif cfg.get("ball") is not None:
@@ -121,9 +125,7 @@ def _run_capacity(cfg):
 
 def _run_potential(cfg):
     op = _resolve_operator(cfg)
-    h = float(cfg.get("h", 0.1))
-    extent = int(cfg.get("extent", round(float(cfg.get("box", 4.0)) / h)))
-    grid = Grid(op.n, h, extent)
+    grid = _grid(cfg, op.n, float(cfg.get("box", 4.0)))
     if cfg.get("mask_csv"):
         target = mask_from_csv(grid, cfg["mask_csv"])
     else:
@@ -132,7 +134,7 @@ def _run_potential(cfg):
     out = _outdir(cfg)
     summary = report.summary()
     summary["range_check"] = range_check(report)
-    if cfg.get("checks", "range") and "decay" in str(cfg.get("checks", "")):
+    if "decay" in str(cfg.get("checks", "")):
         summary["gradient_decay"] = gradient_decay_check(report)
     if "lower" in str(cfg.get("checks", "")):
         summary["lower_bound"] = lower_bound_check(report, float(cfg.get("enclosing", 1.0)))
@@ -203,9 +205,7 @@ def _run_cusp(cfg):
 
 def _run_dirichlet(cfg):
     op = _resolve_operator(cfg)
-    h = float(cfg.get("h", 0.1))
-    extent = int(cfg.get("extent", round(1.0 / h)))
-    grid = Grid(op.n, h, extent)
+    grid = _grid(cfg, op.n, 1.0)
     if cfg.get("domain"):
         comp = _parse_domain(cfg["domain"]).mask(grid)
         omega = Mask(grid, ~comp.where)
@@ -214,8 +214,8 @@ def _run_dirichlet(cfg):
         interior[tuple(slice(1, -1) for _ in range(grid.n))] = True
         omega = Mask(grid, interior)
     center = np.zeros(grid.n)
-    center[0] = float(cfg.get("source_offset", 0.4)) * grid.box_radius
-    f = bump(grid, center, float(cfg.get("source_radius", 0.15)) * grid.box_radius)
+    center[0] = 0.4 * grid.box_radius
+    f = bump(grid, center, 0.15 * grid.box_radius)
     f[dilate(~omega.where, 2 * op.m)] = 0.0
     u, info = dirichlet_solve(op, omega, f)
     out = _outdir(cfg)
@@ -287,8 +287,6 @@ def _build_parser():
         sp = sub.add_parser(name)
         sp.add_argument("--preset")
         sp.add_argument("--operator-file", dest="operator_file")
-        sp.add_argument("--polyharmonic", action="store_true",
-                        help="shorthand for --preset polyharmonic")
         sp.add_argument("--n", type=int)
         sp.add_argument("--m", type=int)
         sp.add_argument("--h", type=float)
@@ -340,8 +338,6 @@ def main(argv=None):
     # by identity: `v not in (None, False)` would also drop 0, since 0 == False
     cli_items = {k: v for k, v in vars(args).items()
                  if k != "config" and v is not None and v is not False}
-    if cli_items.pop("polyharmonic", None):
-        cli_items["preset"] = "polyharmonic"
     cfg.update(cli_items)
     if not cfg.get("subcommand"):
         parser.print_help()

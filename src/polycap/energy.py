@@ -35,6 +35,8 @@ from .stencils import (alpha_offsets, apply_alpha, apply_stencil, injection_matr
                        neg_laplacian, sparse_alpha, sparse_stencil)
 
 _KINDS = ("homogeneous_m", "inhomogeneous_m", "operator_form", "weighted_operator_form")
+# largest grid `tosparse` materializes
+_SPARSE_MAX = 400_000
 
 
 def _check_fits(grid, m):
@@ -152,11 +154,11 @@ class EnergyForm:
                 out += c * up
         return out[tuple(slice(pad, pad + s) for s in u.shape)]
 
-    def tosparse(self, max_size=400_000):
+    def tosparse(self):
         """Materialize as a symmetric CSR matrix (small grids only)."""
-        if self.grid.size > max_size:
+        if self.grid.size > _SPARSE_MAX:
             raise ConfigurationError(
-                f"grid has {self.grid.size} nodes; refusing to materialize above {max_size}"
+                f"grid has {self.grid.size} nodes; refusing to materialize above {_SPARSE_MAX}"
             )
         from scipy.sparse import diags
 

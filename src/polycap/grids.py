@@ -130,8 +130,9 @@ class Mask:
                 writer.writerow([f"{v:.17g}" for v in p])
 
 
-def mask_from_csv(grid, path, tol=1e-9):
-    """Load a node-list CSV (one coordinate row per node) as a mask."""
+def mask_from_csv(grid, path):
+    """Load a node-list CSV (one coordinate row per node) as a mask; a
+    coordinate more than 1e-9 max(h, 1) off the lattice is refused."""
     where = np.zeros(grid.shape, dtype=bool)
     with open(path, newline="") as fh:
         reader = _csv.reader(fh)
@@ -141,7 +142,7 @@ def mask_from_csv(grid, path, tol=1e-9):
         for row in reader:
             x = np.array([float(v) for v in row])
             idx = np.rint(x / grid.h).astype(int)
-            if np.any(np.abs(x - idx * grid.h) > tol * max(grid.h, 1.0)):
+            if np.any(np.abs(x - idx * grid.h) > 1e-9 * max(grid.h, 1.0)):
                 raise InputError(f"point {x} is not a grid node")
             if np.any(np.abs(idx) > grid.extent):
                 raise InputError(f"point {x} lies outside the grid box")

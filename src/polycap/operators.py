@@ -179,7 +179,7 @@ def preset_operator(name, n=None, m=None):
 # -- direction sampling ----------------------------------------------------
 
 
-def unit_directions(n, count, include_axes=True):
+def unit_directions(n, count):
     """Deterministic low-discrepancy set of unit vectors in R^n.
 
     A Kronecker sequence on [0,1)^n is pushed through the inverse normal CDF
@@ -195,10 +195,8 @@ def unit_directions(n, count, include_axes=True):
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0.0] = 1.0
     dirs = z / norms[:, None]
-    if include_axes:
-        axes = np.vstack([np.eye(n), -np.eye(n)])
-        dirs = np.vstack([axes, dirs]) if count else axes
-    return dirs
+    axes = np.vstack([np.eye(n), -np.eye(n)])
+    return np.vstack([axes, dirs]) if count else axes
 
 
 def quadratic_form_matrix(op):

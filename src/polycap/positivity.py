@@ -36,6 +36,11 @@ from .errors import InputError, UnsupportedRegimeError
 from .fundsol import riesz_constant
 from .solvers import smallest_generalized_eig
 
+# a quotient below -VIOLATION_EPS is a candidate violation; grid_positivity
+# minimizes over fields smoothed by SMOOTHING_PASSES [1,2,1]/4 averagings
+VIOLATION_EPS = 1e-8
+SMOOTHING_PASSES = 2
+
 
 def _lam_poly(k, n, shift):
     """Lambda_k(i tau + shift) as a complex polynomial in tau."""
@@ -244,14 +249,14 @@ def _revalidate_witness(form, tau, f):
     return q_fine, q_spec
 
 
-def channel_positivity(m, n, channels=None, t_window=60.0, dt=0.1, eps=1e-8):
+def channel_positivity(m, n, channels=None, t_window=60.0, dt=0.1):
     """Channel-by-channel positivity verdict for (-Delta)^m with its kernel
     weight.
 
     Each channel's quotient is the exact infimum of its symbol ratio
     (`min_symbol_quotient`); the verdict is "violated" when the smallest is
-    below -eps.  When the smallest sits at one of the two highest channels
-    swept, the sweep extends to twice the highest.  `t_window` and `dt` set
+    below -VIOLATION_EPS.  When the smallest sits at one of the two highest
+    channels swept, the sweep extends to twice the highest.  `t_window` and `dt` set
     only the witness grid: a packet at the minimising frequency whose dt-grid
     quotient is re-validated on the dt/2 grid and spectrally.  If any of the
     three is not negative the verdict is "inconclusive"."""
@@ -272,9 +277,10 @@ def channel_positivity(m, n, channels=None, t_window=60.0, dt=0.1, eps=1e-8):
         notes.append(f"channel guard extended the sweep to k <= {2 * channels[-1]}")
         kmin = min(quots, key=quots.get)
 
-    resolution = {"t_window": t_window, "dt": dt, "channels": sorted(quots), "eps": eps}
+    resolution = {"t_window": t_window, "dt": dt, "channels": sorted(quots),
+                  "eps": VIOLATION_EPS}
     vmin, status, witness = quots[kmin], "positive_at_resolution", None
-    if vmin < -eps:
+    if vmin < -VIOLATION_EPS:
         tau = _symbol_infimum(m, n, kmin)[1]
         form = ChannelForm(m, n, kmin, t_window, dt)
         f = _packet(form, tau)
@@ -295,29 +301,31 @@ def channel_positivity(m, n, channels=None, t_window=60.0, dt=0.1, eps=1e-8):
                              resolution, notes)
 
 
-def _smooth_field(u, passes):
-    """Tensor [1,2,1]/4 averaging with zero extension, applied in place-free form."""
+def _smooth_field(u):
+    """SMOOTHING_PASSES tensor [1,2,1]/4 averagings with zero extension,
+    applied in place-free form."""
     from .stencils import apply_axis
 
     offs = np.array([-1, 0, 1])
     coeffs = np.array([0.25, 0.5, 0.25])
     out = u
-    for _ in range(passes):
+    for _ in range(SMOOTHING_PASSES):
         for axis in range(u.ndim):
             out = apply_axis(out, axis, offs, coeffs)
     return out
 
 
-def grid_positivity(op, grid, profile, eps=1e-8, smoothing=2):
+def grid_positivity(op, grid, profile):
     """Full-grid positivity check against the Hardy comparison form.
 
-    The minimization runs over a smoothed trial space (fields of the form
-    S^p v with a local averaging operator S): the raw nodal space contains
-    near-Nyquist oscillations on which the composed-stencil weighted form is
-    not consistent with any continuum object, and those would report
+    The minimization runs over a smoothed trial space (fields S^p v with a
+    local averaging operator S and p = SMOOTHING_PASSES): the raw nodal space
+    contains near-Nyquist oscillations on which the composed-stencil weighted
+    form is not consistent with any continuum object, and those would report
     violations even for operators that are provably positive with their
-    weight.  Feasible for n <= 5 only; the channel method covers the
-    rotation invariant family in higher dimensions."""
+    weight.  A lowest quotient below -VIOLATION_EPS counts as a violation
+    once the energy forms re-evaluate it.  Feasible for n <= 5 only; the
+    channel method covers the rotation invariant family in higher dimensions."""
     n, m = grid.n, op.m
     if n <= 2 * m:
         raise UnsupportedRegimeError("weighted positivity is posed for n > 2m")
@@ -342,7 +350,7 @@ def grid_positivity(op, grid, profile, eps=1e-8, smoothing=2):
     def trial(v):
         x = grid.zeros()
         x[free] = v
-        x = _smooth_field(x, smoothing)
+        x = _smooth_field(x)
         x[fixed] = 0.0
         return x
 
@@ -350,7 +358,7 @@ def grid_positivity(op, grid, profile, eps=1e-8, smoothing=2):
         def mv(v):
             x = apply_fn(trial(np.asarray(v).reshape(-1)))
             x[fixed] = 0.0
-            x = _smooth_field(x, smoothing)
+            x = _smooth_field(x)
             return x[free]
 
         def mm(V):
@@ -371,11 +379,11 @@ def grid_positivity(op, grid, profile, eps=1e-8, smoothing=2):
                             tol=1e-7, maxiter=400)
     k = int(np.argmin(vals))
     val, vec = float(vals[k]), vecs[:, k]
-    resolution = {"h": grid.h, "extent": grid.extent, "eps": eps,
-                  "smoothing_passes": smoothing}
+    resolution = {"h": grid.h, "extent": grid.extent, "eps": VIOLATION_EPS,
+                  "smoothing_passes": SMOOTHING_PASSES}
     verdict = PositivityVerdict("positive_at_resolution", m, n, "grid",
                                 {0: val}, val, 0, None, resolution)
-    if val < -eps:
+    if val < -VIOLATION_EPS:
         u = trial(vec)
         # independent re-evaluation through the energy-form code paths
         num = wform.quad(u)

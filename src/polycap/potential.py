@@ -127,9 +127,8 @@ def _riesz_gradient_scale(m, n, order, r):
     raise InputError("kernel gradient scale implemented for orders 0..2")
 
 
-def gradient_decay_check(report, orders=(0, 1, 2), probe_radii=(2.0, 2.5, 3.0),
-                         shell_width=None):
-    """Gradient decay ratios at probe shells.
+def gradient_decay_check(report, orders=(0, 1, 2), probe_radii=(2.0, 2.5, 3.0)):
+    """Gradient decay ratios at probe shells, one grid spacing wide.
 
     For each probe node y the raw ratio |grad_j U(y)| dist(y,K)^(n+j-2m) / cap
     is recorded (its max over probes is the fitted constant of the decay
@@ -138,8 +137,6 @@ def gradient_decay_check(report, orders=(0, 1, 2), probe_radii=(2.0, 2.5, 3.0),
     oracle tests pin down.
     """
     grid = Grid(report.n, report.grid_h, report.grid_extent)
-    if shell_width is None:
-        shell_width = grid.h
     coords = grid.coords()
     radii = grid.radii()
     kpts = report.mask.points()
@@ -150,7 +147,7 @@ def gradient_decay_check(report, orders=(0, 1, 2), probe_radii=(2.0, 2.5, 3.0),
         gj = gradient_magnitude(report.u, j, grid)
         rows = []
         for rho in probe_radii:
-            shell = (np.abs(radii - rho) <= 0.5 * shell_width) & (~report.mask.where)
+            shell = (np.abs(radii - rho) <= 0.5 * grid.h) & (~report.mask.where)
             if not shell.any():
                 out["skipped"].append({"order": j, "radius": rho, "reason": "no shell nodes"})
                 continue
@@ -179,7 +176,7 @@ def gradient_decay_check(report, orders=(0, 1, 2), probe_radii=(2.0, 2.5, 3.0),
     return out
 
 
-def maximal_bound_check(op, target, grid, theta, rho, orders=(0, 1), rtol=1e-8):
+def maximal_bound_check(op, target, grid, theta, rho, orders=(0, 1)):
     """Dyadic maximal function of |grad_l U| at the origin for K inside the
     closed annulus between theta*rho and rho."""
     if not (0.0 < theta < 1.0):
@@ -189,7 +186,7 @@ def maximal_bound_check(op, target, grid, theta, rho, orders=(0, 1), rtol=1e-8):
         r = np.linalg.norm(mask.points(), axis=1)
         if r.min() < theta * rho - 1e-9 or r.max() > rho + 1e-9:
             raise InputError("K is not contained in the prescribed annulus")
-    report = capacitary_potential(op, mask, grid, rtol=rtol)
+    report = capacitary_potential(op, mask, grid)
     radii = grid.radii()
     out = {"theta": theta, "rho": rho, "orders": {}, "capacity_m": report.capacity_m}
     for ell in orders:
@@ -234,8 +231,9 @@ def lower_bound_check(report, enclosing_radius, probe_radii=(2.0, 3.0)):
 # -- sign probe ---------------------------------------------------------------
 
 
-def sign_probe(op, candidates, grid, rtol=1e-8, tol=1e-10):
-    """Sites adjacent to K where U - 1 takes both signs in the 3^n window.
+def sign_probe(op, candidates, grid):
+    """Sites adjacent to K where U - 1 takes both signs, beyond +-1e-10, in
+    the 3^n window.
 
     candidates maps labels to masks or regions.  Absence of sites is not a
     failure; the oscillation is only guaranteed to occur for some compact
@@ -244,7 +242,7 @@ def sign_probe(op, candidates, grid, rtol=1e-8, tol=1e-10):
     results = {}
     for label, target in candidates.items():
         mask = target.mask(grid) if isinstance(target, Region) else target
-        report = capacitary_potential(op, mask, grid, rtol=rtol)
+        report = capacitary_potential(op, mask, grid)
         v = report.u - 1.0
         v[mask.where] = 0.0
         adjacent = dilate(mask.where) & ~mask.where
@@ -254,7 +252,7 @@ def sign_probe(op, candidates, grid, rtol=1e-8, tol=1e-10):
         for idx in idxs:
             window = tuple(slice(max(i - 1, 0), i + 2) for i in idx)
             w = v[window]
-            if w.min() < -tol and w.max() > tol:
+            if w.min() < -1e-10 and w.max() > 1e-10:
                 sites.append(coords[tuple(idx)].tolist())
         results[label] = {
             "sites": sites,

@@ -38,6 +38,19 @@ from .stencils import apply_alpha
 SLOPE_MIN = 0.5
 TAIL_MAX = 0.9
 
+# regularity_probe and decay_check: the radius of the box ball; the probe's
+# source bump (centre on the first axis, clear of axial cones and cusps, and
+# radius, in box radii), its trusted scales rho >= TRUST_SPACINGS * h and its
+# gates on the decay exponent; decay_check's dyadic levels and the resolution
+# of its capacity series
+BOX_RADIUS = 1.0
+PROBE_SOURCE_OFFSET = 0.55
+PROBE_SOURCE_RADIUS = 0.18
+TRUST_SPACINGS = 6.0
+PROBE_GATES = (0.30, 0.40)
+DECAY_LEVELS = (1, 2, 3)
+DECAY_NODES_PER_RHO = 10
+
 
 # -- cusp criteria ------------------------------------------------------------
 
@@ -71,13 +84,9 @@ class CuspProfile:
             raise InputError(f"unknown cusp kind {self.kind!r}")
 
     def f(self, tau):
+        if self.kind in ("power", "exponential"):
+            return Cusp(self.kind, self.param).profile(tau)
         tau = np.asarray(tau, dtype=float)
-        if self.kind == "power":
-            return tau**self.param
-        if self.kind == "exponential":
-            with np.errstate(divide="ignore", over="ignore"):
-                s = np.power(tau, -self.param, out=np.zeros_like(tau), where=tau > 0)
-                return np.where(tau > 0, np.exp(-s), 0.0)
         taus, fs = (np.asarray(v, float) for v in self.table)
         pos = fs > 0
         taus, fs = taus[pos], fs[pos]
@@ -92,11 +101,6 @@ class CuspProfile:
         taus, fs = (np.asarray(v, float) for v in self.table)
         pos = fs > 0
         return float(taus[pos].min()) if pos.any() else float(taus.max())
-
-    def region(self, height=1.0):
-        if self.kind in ("power", "exponential"):
-            return Cusp(self.kind, self.param, height)
-        raise InputError("only closed-form profiles rasterize to regions")
 
 
 def _tabulated_divergence(integrand, label, floor=0.0):
@@ -349,11 +353,11 @@ class ProbeReport:
                 "notes": list(self.notes)}
 
 
-def _sup_table(u, h, domain, radii, box_radius, rho_levels):
-    """sup |u| over the domain nodes within each rho = 2^-level box_radius."""
+def _sup_table(u, h, domain, radii, rho_levels):
+    """sup |u| over the domain nodes within each rho = 2^-level BOX_RADIUS."""
     sups, rho_used = [], []
     for lev in rho_levels:
-        rho = 2.0 ** (-lev) * box_radius
+        rho = 2.0 ** (-lev) * BOX_RADIUS
         sel = domain & (radii <= rho)
         if sel.any():
             rho_used.append(rho)
@@ -361,120 +365,108 @@ def _sup_table(u, h, domain, radii, box_radius, rho_levels):
     return {"h": h, "rho": rho_used, "sup": sups, "u_max": float(np.abs(u).max())}
 
 
-def _probe_cartesian(op, complement, n, box_radius, h, source_center, source_radius,
-                     rho_levels, rtol):
+def _probe_cartesian(op, complement, n, h, rho_levels):
     """Set up the Cartesian probe at spacing h; returns the solve that yields
     its sup table."""
-    extent = int(round(box_radius / h))
+    extent = int(round(BOX_RADIUS / h))
     grid = Grid(n, h, extent)
-    inside_ball = Ball(box_radius * 0.98).mask(grid)
+    inside_ball = Ball(BOX_RADIUS * 0.98).mask(grid)
     comp_mask = complement.mask(grid)
     omega = Mask(grid, inside_ball.where & ~comp_mask.where)
-    f = bump(grid, source_center, source_radius)
+    center = np.zeros(n)
+    center[0] = PROBE_SOURCE_OFFSET * BOX_RADIUS
+    f = bump(grid, center, PROBE_SOURCE_RADIUS * BOX_RADIUS)
     f[dilate(~omega.where, 2 * op.m)] = 0.0
     if not np.any(f > 0):
         raise InputError("source bump fell entirely inside the forbidden zone")
 
     def solve():
-        u, _ = dirichlet_solve(op, omega, f, rtol=rtol)
-        return _sup_table(u, h, omega.where, grid.radii(), box_radius, rho_levels)
+        u, _ = dirichlet_solve(op, omega, f)
+        return _sup_table(u, h, omega.where, grid.radii(), rho_levels)
 
     return solve
 
 
-def _probe_axisym(op, complement, n, box_radius, h, source_center, source_radius,
-                  rho_levels):
+def _probe_axisym(op, complement, n, h, rho_levels):
     """Set up the axisymmetric probe at spacing h; returns the solve that
     yields its sup table."""
     from .radial import AxisymGrid, axisym_dirichlet
 
     if op.m > 2:
         raise UnsupportedRegimeError("axisymmetric probe supports m <= 2")
-    ag = AxisymGrid(n, h, int(round(box_radius / h)), int(round(box_radius / h)))
+    ag = AxisymGrid(n, h, int(round(BOX_RADIUS / h)), int(round(BOX_RADIUS / h)))
     R, Z = np.meshgrid(ag.r, ag.z, indexing="ij")
     rad2 = R**2 + Z**2
     comp = ag.mask_from_region(complement)
-    outside = comp | (rad2 > (0.98 * box_radius) ** 2)
-    # source center given in full coordinates; its transverse radius and height
-    c = np.asarray(source_center, dtype=float)
-    cr = float(np.linalg.norm(c[:-1]))
-    cz = float(c[-1])
-    f = _bump_of((R - cr) ** 2 + (Z - cz) ** 2, source_radius)
+    outside = comp | (rad2 > (0.98 * BOX_RADIUS) ** 2)
+    # the source centre lies in the plane z = 0
+    f = _bump_of((R - PROBE_SOURCE_OFFSET * BOX_RADIUS) ** 2 + Z**2,
+                 PROBE_SOURCE_RADIUS * BOX_RADIUS)
     f[dilate(outside, 2 * op.m)] = 0.0
     if not np.any(f > 0):
         raise InputError("source bump fell entirely inside the forbidden zone")
 
     def solve():
         u = axisym_dirichlet(op.m, n, outside, f, ag)
-        return _sup_table(u, h, ~outside, np.sqrt(rad2), box_radius, rho_levels)
+        return _sup_table(u, h, ~outside, np.sqrt(rad2), rho_levels)
 
     return solve
 
 
-def _ladder_shortfall(box_radius, h_values, rho_levels, trust_spacings):
+def _ladder_shortfall(h_values, rho_levels):
     """Why no ladder solved at these spacings can reach a trend verdict, or
     None when one can: a verdict needs 3 refinements and 3 trusted scales
-    rho >= trust_spacings * h_values[-1], the deepest at most box_radius/16."""
+    rho >= TRUST_SPACINGS * h_values[-1], the deepest at most BOX_RADIUS/16."""
     if len(h_values) < 3:
         return "need 3 refinements"
-    rhos = sorted({2.0 ** (-lev) * box_radius for lev in rho_levels}, reverse=True)
-    deep = [r for r in rhos if r <= box_radius / 16.0]
+    rhos = sorted({2.0 ** (-lev) * BOX_RADIUS for lev in rho_levels}, reverse=True)
+    deep = [r for r in rhos if r <= BOX_RADIUS / 16.0]
     if len(rhos) < 3 or not deep:
         return "rho_levels must hold 3 scales and reach box_radius/16"
     need = min(rhos[2], deep[0])
-    if need >= trust_spacings * h_values[-1]:
+    if need >= TRUST_SPACINGS * h_values[-1]:
         return None
     return (f"trusted ladder cannot reach a verdict at the finest spacing "
-            f"{h_values[-1]:.6g}; it needs a finest spacing h <= {need / trust_spacings:.6g}")
+            f"{h_values[-1]:.6g}; it needs a finest spacing h <= {need / TRUST_SPACINGS:.6g}")
 
 
-def regularity_probe(op, complement, n, box_radius=1.0, h_values=(1 / 8, 1 / 16, 1 / 32),
-                     rho_levels=(1, 2, 3, 4), source_center=None, source_radius=None,
-                     rtol=1e-8, backend="cartesian", trust_spacings=6.0,
-                     slope_gates=(0.30, 0.40)):
+def regularity_probe(op, complement, n, h_values=(1 / 8, 1 / 16, 1 / 32),
+                     rho_levels=(1, 2, 3, 4), backend="cartesian"):
     """Trend of sup |u| on shrinking balls at the origin across refinements.
 
-    The domain is the open box ball minus the complement region; the source
-    is a fixed smooth bump away from the origin.  Scales closer than
-    `trust_spacings` grid spacings to the resolution are excluded, and no
-    verdict is issued unless the trusted ladder reaches box_radius/16.  A
-    ladder that cannot reach it at h_values[-1] is reported inconclusive
-    before any solve, with the finest spacing it would need.  Otherwise the
-    decay exponent of sup in rho over the trusted tail is then gated:
-    vanishing above the upper gate, non-vanishing below the lower gate when
-    the finest trusted sup is refinement-stable and above the floor
-    1e-3 * sup|u|.  The axisym backend reaches far finer spacings for bodies
-    of revolution, which is what separates the two signatures cleanly.
+    The domain is the open ball of radius BOX_RADIUS minus the complement
+    region; the source is a fixed smooth bump away from the origin, centred
+    PROBE_SOURCE_OFFSET * BOX_RADIUS along the first axis with radius
+    PROBE_SOURCE_RADIUS * BOX_RADIUS.  Scales closer than TRUST_SPACINGS grid
+    spacings to the resolution are excluded, and no verdict is issued unless
+    the trusted ladder reaches BOX_RADIUS/16.  A ladder that cannot reach it
+    at h_values[-1] is reported inconclusive before any solve, with the
+    finest spacing it would need.  Otherwise the decay exponent of sup in rho
+    over the trusted tail is then gated by PROBE_GATES: vanishing above the
+    upper gate, non-vanishing below the lower gate when the finest trusted
+    sup is refinement-stable and above the floor 1e-3 * sup|u|.  The axisym
+    backend reaches far finer spacings for bodies of revolution, which is
+    what separates the two signatures cleanly.
 
     Marginally regular points (capacity series diverging only
     logarithmically) decay too slowly to clear the vanishing gate at any
     desk-scale ladder and probe as non-vanishing or inconclusive; the
     classifier, not this probe, is the instrument for those.
     """
-    if source_center is None:
-        # transverse placement clears both axial cone and cusp families
-        source_center = np.zeros(n)
-        source_center[0] = 0.55 * box_radius
-    source_radius = source_radius if source_radius is not None else 0.18 * box_radius
-    if backend == "axisym":
-        solves = [_probe_axisym(op, complement, n, box_radius, h, source_center,
-                                source_radius, rho_levels) for h in h_values]
-    else:
-        solves = [_probe_cartesian(op, complement, n, box_radius, h, source_center,
-                                   source_radius, rho_levels, rtol) for h in h_values]
-    shortfall = _ladder_shortfall(box_radius, h_values, rho_levels, trust_spacings)
+    probe = _probe_axisym if backend == "axisym" else _probe_cartesian
+    solves = [probe(op, complement, n, h, rho_levels) for h in h_values]
+    shortfall = _ladder_shortfall(h_values, rho_levels)
     if shortfall is not None:
         return ProbeReport("inconclusive", [], float("nan"), [shortfall])
     tables = [solve() for solve in solves]
 
     floor = 1e-3 * max(t["u_max"] for t in tables)
-    notes = []
     fine = tables[-1]
     trusted = [(r, s) for r, s in zip(fine["rho"], fine["sup"])
-               if r >= trust_spacings * fine["h"]]
+               if r >= TRUST_SPACINGS * fine["h"]]
     if len(trusted) < 3:
         return ProbeReport("inconclusive", tables, floor, ["need 3 trusted scales"])
-    if trusted[-1][0] > box_radius / 16.0:
+    if trusted[-1][0] > BOX_RADIUS / 16.0:
         return ProbeReport("inconclusive", tables, floor,
                            ["trusted ladder too shallow for a trend verdict; "
                             "refine or use the axisym backend"])
@@ -490,7 +482,7 @@ def regularity_probe(op, complement, n, box_radius=1.0, h_values=(1 / 8, 1 / 16,
     a = prev.get(r_fin)
     b = float(sup_t[-1])
     stable = a is not None and abs(b - a) <= 0.15 * max(abs(a), 1e-300)
-    lo, hi = slope_gates
+    lo, hi = PROBE_GATES
     if lam <= lo and stable and b > floor:
         return ProbeReport("non-vanishing", tables, floor,
                            [f"trusted-scale sup stalls (exponent {lam:.3f})"])
@@ -498,7 +490,7 @@ def regularity_probe(op, complement, n, box_radius=1.0, h_values=(1 / 8, 1 / 16,
         return ProbeReport("vanishing", tables, floor,
                            [f"trusted-scale sup decays (exponent {lam:.3f})"])
     return ProbeReport("inconclusive", tables, floor,
-                       [f"decay exponent {lam:.3f} between the gates {slope_gates}"])
+                       [f"decay exponent {lam:.3f} between the gates {PROBE_GATES}"])
 
 
 # -- energy decay along shrinking balls (exponential capacity bound) -----------
@@ -541,29 +533,30 @@ def _weighted_energy_on_ball(u, m, grid, rho, omega_where):
     return total
 
 
-def decay_check(op, complement, n, R=0.25, grid_h=1 / 16, box_radius=1.0,
-                rho_levels=(1, 2, 3), series_nodes_per_rho=10, rtol=1e-8):
+def decay_check(op, complement, n, R=0.25, grid_h=1 / 16):
     """Fit the exponential capacity-decay bound on a solution that is
     operator-harmonic near the origin.
 
+    The domain is the open ball of radius BOX_RADIUS minus the complement.
     The source sits outside B_2R, so the solution solves Lu = 0 on the
-    domain within B_2R; both sides of the bound are evaluated at dyadic
-    radii rho = R 2^-level and c2 is the slope of -log(left / M_R)
-    against the capacity integral.
+    domain within B_2R; both sides of the bound are evaluated at the dyadic
+    radii rho = R 2^-level, level in DECAY_LEVELS, and c2 is the slope of
+    -log(left / M_R) against the capacity integral, whose annulus series
+    runs at DECAY_NODES_PER_RHO nodes per rho.
     """
     m = op.m
-    extent = int(round(box_radius / grid_h))
+    extent = int(round(BOX_RADIUS / grid_h))
     grid = Grid(n, grid_h, extent)
     comp_mask = complement.mask(grid)
-    inside = Ball(box_radius * 0.98).mask(grid)
+    inside = Ball(BOX_RADIUS * 0.98).mask(grid)
     omega = Mask(grid, inside.where & ~comp_mask.where)
     c = np.zeros(n)
-    c[0] = 0.70 * box_radius
-    f = bump(grid, c, 0.15 * box_radius)
-    if np.linalg.norm(c) - 0.15 * box_radius < 2 * R:
+    c[0] = 0.70 * BOX_RADIUS
+    f = bump(grid, c, 0.15 * BOX_RADIUS)
+    if np.linalg.norm(c) - 0.15 * BOX_RADIUS < 2 * R:
         raise InputError("source overlaps B_2R; enlarge the box or shrink R")
     f[dilate(~omega.where, 2 * m)] = 0.0
-    u, _ = dirichlet_solve(op, omega, f, rtol=rtol)
+    u, _ = dirichlet_solve(op, omega, f)
 
     radii = grid.radii()
     ann = omega.where & (radii > R) & (radii <= 2 * R)
@@ -572,12 +565,11 @@ def decay_check(op, complement, n, R=0.25, grid_h=1 / 16, box_radius=1.0,
     rhos, sups, energies, caps_int = [], [], [], []
     # per-scale capacities of the complement slabs feeding the integral,
     # computed at the actual radii tau = R 2^-i
-    max_lev = max(int(v) for v in rho_levels)
-    tau_list = [R * 2.0 ** (-i) for i in range(max_lev + 1)]
-    series = annulus_series(complement, m, n, nodes_per_rho=series_nodes_per_rho,
+    tau_list = [R * 2.0 ** (-i) for i in range(max(DECAY_LEVELS) + 1)]
+    series = annulus_series(complement, m, n, nodes_per_rho=DECAY_NODES_PER_RHO,
                             backend="auto", rho_list=tau_list)
     w_terms = series.weighted_terms()
-    for lev in rho_levels:
+    for lev in DECAY_LEVELS:
         rho = R * 2.0 ** (-lev)
         sel = omega.where & (radii <= rho)
         sup2 = float(np.abs(u[sel]).max() ** 2) if sel.any() else 0.0

@@ -194,6 +194,16 @@ def test_annulus_series_solves_each_node_set_once(monkeypatch, region, m, n, npr
                 assert value == pytest.approx(fresh, rel=1e-12, abs=0.0)
 
 
+def test_annulus_series_scales_are_dilations_off_the_dyadic_ladder():
+    # box_factor * nodes_per_rho = 12.5: rounding the box per scale gave 12
+    # r-nodes at some scales and 13 at others; every scale must be a dilation
+    # of the first, so the normalised full-ball capacities agree
+    s = annulus_series(Cone(np.pi / 4), 1, 3, backend="axisym", box_factor=2.5,
+                       nodes_per_rho=5, rho_list=[1.0, 0.7, 0.45, 0.3, 0.2, 0.13])
+    normalised = np.array(s.ball_capacity) / np.array(s.rho) ** (3 - 2 * 1)
+    assert np.all(np.abs(normalised / normalised[0] - 1.0) <= 1e-12)
+
+
 def test_annulus_series_refuses_an_oversized_global_grid():
     # n = 2m: one global grid resolving the finest scale; (3, 6) at the
     # default scales would need about 5e22 nodes

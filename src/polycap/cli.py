@@ -1,22 +1,26 @@
 """Batch front door: subcommands wiring run configurations to the modules.
 
-Every run validates its configuration, writes a manifest echoing the
-resolved settings next to its outputs, and emits JSON summaries plus CSV
-tables.  Exit codes: 0 success, 2 invalid input or configuration, 3
-unsupported regime, 4 inconclusive where the run demanded a hard verdict or
-an iterative solve did not converge.
+The table `SUBCOMMANDS` names each subcommand's handler and the settings it
+reads; the parsers (`box_levels` is `--box-levels`) and the check of each
+merged configuration come from it, so a flag or config key the subcommand
+does not read exits 2.  Every run writes a manifest echoing the merged
+settings next to its outputs, and emits JSON summaries plus CSV tables.  Exit
+codes: 0 success, 2 invalid input or configuration, 3 unsupported regime, 4
+inconclusive where the run demanded a hard verdict or an iterative solve did
+not converge.
 """
 
 import argparse
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .capacity import annulus_series, bessel_capacity, cap_m, series_to_csv
 from .errors import ConfigurationError, InconclusiveError, InputError, UnsupportedRegimeError
 from .fundsol import compute_profile, sign_summary
-from .grids import Grid, Mask, dilate, mask_from_csv, region_from_dict
+from .grids import Ball, Grid, Mask, dilate, mask_from_csv, region_from_dict
 from .operators import check_ellipticity, load_operator, preset_operator, unit_directions
 from .positivity import channel_positivity, grid_positivity
 from .potential import (capacitary_potential, gradient_decay_check, lower_bound_check,
@@ -33,182 +37,174 @@ def _resolve_operator(cfg):
     return preset_operator(preset, cfg.get("n"), cfg.get("m"))
 
 
+# the region_from_dict fields of each compact domain spec, in order
+_COMPACT_DOMAINS = {"cone": ("half_angle_deg",), "cusp": ("cusp_kind", "param"),
+                    "ball": ("radius",), "ray": ("axis",)}
+
+
 def _parse_domain(spec):
     """Compact domain strings: cone:45, cusp:power:2, cusp:exponential:1,
-    ball:0.5, ray; JSON dicts pass through region_from_dict."""
-    if isinstance(spec, dict):
-        return region_from_dict(spec)
-    parts = str(spec).split(":")
-    kind = parts[0]
-    if kind == "cone":
-        return region_from_dict({"kind": "cone", "half_angle_deg": float(parts[1])})
-    if kind == "cusp":
-        return region_from_dict({"kind": "cusp", "cusp_kind": parts[1],
-                                 "param": float(parts[2])})
-    if kind == "ball":
-        return region_from_dict({"kind": "ball", "radius": float(parts[1])})
-    if kind == "ray":
-        return region_from_dict({"kind": "ray", "axis": int(parts[1]) if len(parts) > 1 else 0})
-    raise ConfigurationError(f"cannot parse domain spec {spec!r}")
+    ball:0.5, ray, ray:1; JSON dicts pass through region_from_dict."""
+    data = spec
+    if not isinstance(spec, dict):
+        kind, *fields = str(spec).split(":")
+        keys = _COMPACT_DOMAINS.get(kind, ())
+        if len(fields) > len(keys):
+            raise ConfigurationError(f"cannot parse domain spec {spec!r}")
+        data = {"kind": kind, **dict(zip(keys, fields))}
+    try:
+        return region_from_dict(data)
+    except (KeyError, TypeError, ValueError):
+        raise ConfigurationError(f"cannot parse domain spec {spec!r}") from None
+
+
+def _checks(spec):
+    """The comma-separated potential checks; `range` runs whatever is named."""
+    names = frozenset(str(spec).split(","))
+    unknown = sorted(names - {"range", "decay", "lower"})
+    if unknown:
+        raise ConfigurationError(f"unknown check {unknown[0]!r}; known: range, decay, lower")
+    return names
+
+
+def _flag(value):
+    """A switch: JSON true or false, as the flag stores it."""
+    if value not in (True, False):
+        raise ConfigurationError(f"expected true or false, got {value!r}")
+    return bool(value)
 
 
 def _grid(cfg, n, box):
     """Grid of spacing h (default 0.1) and the given extent, else box / h nodes."""
-    h = float(cfg.get("h", 0.1))
-    return Grid(n, h, int(cfg.get("extent", round(box / h))))
+    h = cfg.get("h", 0.1)
+    return Grid(n, h, cfg.get("extent", round(box / h)))
 
 
-def _outdir(cfg):
-    out = cfg.get("out", "polycap_out")
-    os.makedirs(out, exist_ok=True)
-    return out
+def _write_field(path, grid, u):
+    """One row per grid node: its coordinates and the value of u there."""
+    write_csv(path, [f"x{i+1}" for i in range(grid.n)] + ["u"],
+              np.column_stack([grid.coords().reshape(-1, grid.n), u.ravel()]))
 
 
 # -- subcommand handlers -------------------------------------------------------
+# Each handler gets the settings of its table row, cast and checked, unset ones
+# absent, and the output directory `out` made; it returns nothing or raises.
 
 
 def _run_symbol_check(cfg):
     op = _resolve_operator(cfg)
-    samples = int(cfg.get("samples", 1024))
+    samples = cfg.get("samples", 1024)
     ok, worst, direction = check_ellipticity(op, samples)
-    out = _outdir(cfg)
     dirs = unit_directions(op.n, min(samples, 512))
     vals = op.symbol(dirs)
-    write_csv(os.path.join(out, "symbol_samples.csv"),
+    write_csv(os.path.join(cfg["out"], "symbol_samples.csv"),
               [f"d{i+1}" for i in range(op.n)] + ["P"],
               np.column_stack([dirs, vals]))
-    write_json(os.path.join(out, "summary.json"), {
+    write_json(os.path.join(cfg["out"], "summary.json"), {
         "operator": op.name, "n": op.n, "m": op.m, "elliptic": ok,
         "min_symbol_on_sphere": worst, "worst_direction": list(direction),
         "samples": samples,
     })
-    return 0
 
 
 def _run_fundsol(cfg):
     op = _resolve_operator(cfg)
     profile = compute_profile(op, direction_count=cfg.get("directions"))
-    out = _outdir(cfg)
-    profile.to_csv(os.path.join(out, "profile.csv"))
-    write_json(os.path.join(out, "summary.json"), {
+    profile.to_csv(os.path.join(cfg["out"], "profile.csv"))
+    write_json(os.path.join(cfg["out"], "summary.json"), {
         "operator": op.name, "n": op.n, "m": op.m,
         "homogeneity_degree": profile.homogeneity_degree,
         "method": profile.method, "sign_summary": sign_summary(profile),
     })
-    return 0
 
 
 def _run_capacity(cfg):
     op = _resolve_operator(cfg)
     m = op.m
-    grid = _grid(cfg, op.n, float(cfg.get("box", 4.0)))
+    grid = _grid(cfg, op.n, cfg.get("box", 4.0))
     if cfg.get("mask_csv"):
         target = mask_from_csv(grid, cfg["mask_csv"])
-    elif cfg.get("ball") is not None:
-        target = _parse_domain(f"ball:{cfg['ball']}")
-    elif cfg.get("domain"):
-        target = _parse_domain(cfg["domain"])
+    elif "ball" in cfg:
+        target = Ball(cfg["ball"])
+    elif "domain" in cfg:
+        target = cfg["domain"]
     else:
         raise ConfigurationError("capacity needs --ball, --domain, or --mask-csv")
     kind = cfg.get("kind", "homogeneous")
     if kind == "homogeneous":
-        value = cap_m(target, m, grid, box_levels=int(cfg.get("box_levels", 1)))
+        value = cap_m(target, m, grid, box_levels=cfg.get("box_levels", 1))
     elif kind == "inhomogeneous":
         value = bessel_capacity(target, m, grid)
     else:
         raise ConfigurationError(f"unknown capacity kind {kind!r}")
-    out = _outdir(cfg)
-    write_json(os.path.join(out, "summary.json"),
+    write_json(os.path.join(cfg["out"], "summary.json"),
                {"operator": op.name, "n": op.n, "m": m, **value.as_dict()})
-    return 0
 
 
 def _run_potential(cfg):
     op = _resolve_operator(cfg)
-    grid = _grid(cfg, op.n, float(cfg.get("box", 4.0)))
+    grid = _grid(cfg, op.n, cfg.get("box", 4.0))
     if cfg.get("mask_csv"):
         target = mask_from_csv(grid, cfg["mask_csv"])
     else:
-        target = _parse_domain(f"ball:{cfg.get('ball', 1.0)}")
+        target = Ball(cfg.get("ball", 1.0))
     report = capacitary_potential(op, target, grid)
-    out = _outdir(cfg)
     summary = report.summary()
     summary["range_check"] = range_check(report)
-    if "decay" in str(cfg.get("checks", "")):
+    checks = cfg.get("checks", ())
+    if "decay" in checks:
         summary["gradient_decay"] = gradient_decay_check(report)
-    if "lower" in str(cfg.get("checks", "")):
-        summary["lower_bound"] = lower_bound_check(report, float(cfg.get("enclosing", 1.0)))
-    write_json(os.path.join(out, "summary.json"), summary)
-    coords = grid.coords().reshape(-1, grid.n)
-    write_csv(os.path.join(out, "potential.csv"),
-              [f"x{i+1}" for i in range(grid.n)] + ["u"],
-              np.column_stack([coords, report.u.ravel()]))
-    return 0
+    if "lower" in checks:
+        summary["lower_bound"] = lower_bound_check(report, cfg.get("enclosing", 1.0))
+    write_json(os.path.join(cfg["out"], "summary.json"), summary)
+    _write_field(os.path.join(cfg["out"], "potential.csv"), grid, report.u)
 
 
 def _run_positivity(cfg):
-    m = int(cfg["m"])
-    n = int(cfg["n"])
-    out = _outdir(cfg)
+    m, n = cfg["m"], cfg["n"]
     if cfg.get("grid_check"):
         op = preset_operator("polyharmonic", n, m)
         profile = compute_profile(op)
-        h = float(cfg.get("h", 0.25))
-        extent = int(cfg.get("extent", 8))
-        verdict = grid_positivity(op, Grid(n, h, extent), profile)
+        grid = Grid(n, cfg.get("h", 0.25), cfg.get("extent", 8))
+        verdict = grid_positivity(op, grid, profile)
     else:
-        kwargs = {}
-        if cfg.get("channels") is not None:
-            kwargs["channels"] = range(int(cfg["channels"]) + 1)
-        if cfg.get("window") is not None:
-            kwargs["t_window"] = float(cfg["window"])
-        if cfg.get("dt") is not None:
-            kwargs["dt"] = float(cfg["dt"])
-        verdict = channel_positivity(m, n, **kwargs)
+        channels = range(cfg["channels"] + 1) if "channels" in cfg else None
+        verdict = channel_positivity(m, n, channels, cfg.get("window", 60.0),
+                                     cfg.get("dt", 0.1))
     if verdict.witness is not None and "values" in verdict.witness:
         vals = np.asarray(verdict.witness["values"]).ravel()
-        write_csv(os.path.join(out, "witness.csv"), ["index", "value"],
+        write_csv(os.path.join(cfg["out"], "witness.csv"), ["index", "value"],
                   np.column_stack([np.arange(vals.size), vals]))
-    write_json(os.path.join(out, "summary.json"), verdict.as_dict())
+    write_json(os.path.join(cfg["out"], "summary.json"), verdict.as_dict())
     if cfg.get("require_verdict") and verdict.status not in ("positive_at_resolution",
                                                              "violated"):
         raise InconclusiveError("positivity did not reach a verdict")
-    return 0
 
 
 def _run_wiener(cfg):
-    m = int(cfg["m"])
-    n = int(cfg["n"])
-    domain = _parse_domain(cfg["domain"])
-    series = annulus_series(domain, m, n,
-                            j_range=(int(cfg.get("j_min", 0)), int(cfg.get("j_max", 8))),
+    series = annulus_series(cfg["domain"], cfg["m"], cfg["n"],
+                            j_range=(cfg.get("j_min", 0), cfg.get("j_max", 8)),
                             backend=cfg.get("backend", "auto"),
-                            nodes_per_rho=int(cfg.get("nodes_per_rho", 12)))
-    verdict = wiener_classify(series, require_verdict=bool(cfg.get("require_verdict")))
-    out = _outdir(cfg)
-    series_to_csv(series, os.path.join(out, "series.csv"))
-    write_json(os.path.join(out, "summary.json"), verdict.as_dict())
-    return 0
+                            nodes_per_rho=cfg.get("nodes_per_rho", 12))
+    verdict = wiener_classify(series, require_verdict=cfg.get("require_verdict", False))
+    series_to_csv(series, os.path.join(cfg["out"], "series.csv"))
+    write_json(os.path.join(cfg["out"], "summary.json"), verdict.as_dict())
 
 
 def _run_cusp(cfg):
     kind = cfg.get("kind", "power")
-    param = float(cfg.get("p", cfg.get("a", 2.0)))
-    profile = CuspProfile(kind, param)
-    result = cusp_criterion(profile, int(cfg["m"]), int(cfg["n"]))
-    out = _outdir(cfg)
-    write_json(os.path.join(out, "summary.json"), {
-        "kind": kind, "param": param, "m": int(cfg["m"]), "n": int(cfg["n"]), **result,
+    param = cfg.get("p", cfg.get("a", 2.0))
+    result = cusp_criterion(CuspProfile(kind, param), cfg["m"], cfg["n"])
+    write_json(os.path.join(cfg["out"], "summary.json"), {
+        "kind": kind, "param": param, "m": cfg["m"], "n": cfg["n"], **result,
     })
-    return 0
 
 
 def _run_dirichlet(cfg):
     op = _resolve_operator(cfg)
     grid = _grid(cfg, op.n, 1.0)
-    if cfg.get("domain"):
-        comp = _parse_domain(cfg["domain"]).mask(grid)
-        omega = Mask(grid, ~comp.where)
+    if "domain" in cfg:
+        omega = Mask(grid, ~cfg["domain"].mask(grid).where)
     else:
         interior = np.zeros(grid.shape, dtype=bool)
         interior[tuple(slice(1, -1) for _ in range(grid.n))] = True
@@ -218,132 +214,135 @@ def _run_dirichlet(cfg):
     f = bump(grid, center, 0.15 * grid.box_radius)
     f[dilate(~omega.where, 2 * op.m)] = 0.0
     u, info = dirichlet_solve(op, omega, f)
-    out = _outdir(cfg)
-    coords = grid.coords().reshape(-1, grid.n)
-    write_csv(os.path.join(out, "solution.csv"),
-              [f"x{i+1}" for i in range(grid.n)] + ["u"],
-              np.column_stack([coords, u.ravel()]))
-    write_json(os.path.join(out, "summary.json"), {
+    _write_field(os.path.join(cfg["out"], "solution.csv"), grid, u)
+    write_json(os.path.join(cfg["out"], "summary.json"), {
         "operator": op.name, "n": grid.n, "m": op.m, "iterations": info["iterations"],
         "residual": info["residual"], "u_max": float(np.abs(u).max()),
     })
-    return 0
 
 
 def _run_decay(cfg):
     op = _resolve_operator(cfg)
-    domain = _parse_domain(cfg["domain"])
-    report = decay_check(op, domain, op.n, R=float(cfg.get("R", 0.25)),
-                         grid_h=1.0 / float(cfg.get("inv_h", 24)))
-    out = _outdir(cfg)
-    write_json(os.path.join(out, "summary.json"), report.as_dict())
-    write_csv(os.path.join(out, "decay.csv"),
+    report = decay_check(op, cfg["domain"], op.n, R=cfg.get("R", 0.25),
+                         grid_h=1.0 / cfg.get("inv_h", 24))
+    write_json(os.path.join(cfg["out"], "summary.json"), report.as_dict())
+    write_csv(os.path.join(cfg["out"], "decay.csv"),
               ["rho", "sup_sq", "weighted_energy", "cap_integral"],
               np.column_stack([report.radii, report.sup_sq, report.weighted_energy,
                                report.cap_integral]))
     if cfg.get("require_verdict") and report.inconclusive:
         raise InconclusiveError("decay fit is degenerate")
-    return 0
 
 
-_HANDLERS = {
-    "symbol-check": _run_symbol_check,
-    "fundsol": _run_fundsol,
-    "capacity": _run_capacity,
-    "potential": _run_potential,
-    "positivity": _run_positivity,
-    "wiener": _run_wiener,
-    "cusp": _run_cusp,
-    "dirichlet": _run_dirichlet,
-    "decay": _run_decay,
+# -- the settings table --------------------------------------------------------
+
+
+class Setting(NamedTuple):
+    """A setting a handler reads; int and float casts also type its flag."""
+    cast: Callable
+    positive: bool = False
+    required: bool = False
+
+
+_INT, _FLOAT, _STR, _SWITCH = Setting(int), Setting(float), Setting(str), Setting(_flag)
+_SCALE = Setting(float, positive=True)  # sizes or divides a grid
+_OPERATOR = {"preset": _STR, "operator_file": _STR, "n": _INT, "m": _INT}
+_MN = {"m": Setting(int, required=True), "n": Setting(int, required=True)}
+
+
+def _subcommand(handler, **settings):
+    """A table row: the handler and its settings, `out` included."""
+    return handler, {**settings, "out": _STR}
+
+
+SUBCOMMANDS = {
+    "symbol-check": _subcommand(_run_symbol_check, **_OPERATOR, samples=_INT),
+    "fundsol": _subcommand(_run_fundsol, **_OPERATOR, directions=Setting(int, positive=True)),
+    "capacity": _subcommand(_run_capacity, **_OPERATOR, h=_SCALE, extent=_INT, box=_FLOAT,
+                            ball=_FLOAT, domain=Setting(_parse_domain), mask_csv=_STR,
+                            kind=_STR, box_levels=_INT),
+    "potential": _subcommand(_run_potential, **_OPERATOR, h=_SCALE, extent=_INT, box=_FLOAT,
+                             ball=_FLOAT, mask_csv=_STR, checks=Setting(_checks),
+                             enclosing=_FLOAT),
+    "positivity": _subcommand(_run_positivity, **_MN, grid_check=_SWITCH, h=_SCALE,
+                              extent=_INT, channels=_INT, window=_SCALE, dt=_SCALE,
+                              require_verdict=_SWITCH),
+    "wiener": _subcommand(_run_wiener, **_MN, domain=Setting(_parse_domain, required=True),
+                          j_min=_INT, j_max=_INT, backend=_STR, nodes_per_rho=_INT,
+                          require_verdict=_SWITCH),
+    "cusp": _subcommand(_run_cusp, **_MN, kind=_STR, p=_FLOAT, a=_FLOAT),
+    "dirichlet": _subcommand(_run_dirichlet, **_OPERATOR, h=_SCALE, extent=_INT,
+                             domain=Setting(_parse_domain)),
+    "decay": _subcommand(_run_decay, **_OPERATOR, domain=Setting(_parse_domain, required=True),
+                         R=_SCALE, inv_h=Setting(int, positive=True), require_verdict=_SWITCH),
 }
 
 
-# settings that divide or size a grid, with the cast their handlers apply
-_POSITIVE = {"h": float, "R": float, "inv_h": int, "directions": int, "window": float,
-             "dt": float}
+def _option(key):
+    return "--" + key.replace("_", "-")
 
 
-def _check_positive(cfg):
-    """Reject a non-positive grid setting (exit code 2), from the command line
-    or from a config file alike: the check runs after the two are merged."""
-    for key, cast in _POSITIVE.items():
-        if cfg.get(key) is None:
+def _resolve(config):
+    """The handler of the merged `config` and its settings, cast and checked
+    against the handler's table row; raises ConfigurationError (exit code 2)."""
+    sub = config["subcommand"]
+    if sub not in SUBCOMMANDS:
+        raise ConfigurationError(f"unknown subcommand {sub!r}")
+    handler, settings = SUBCOMMANDS[sub]
+    for key in config:
+        # accepted but read by no handler: older manifests carry seed and jobs
+        if key not in settings and key not in ("subcommand", "seed", "jobs"):
+            raise ConfigurationError(f"{sub} does not read {key!r}")
+    cfg = {}
+    for key, setting in settings.items():
+        if config.get(key) is None:
+            if setting.required:
+                raise ConfigurationError(f"{sub} needs {_option(key)}")
             continue
         try:
-            ok = cast(cfg[key]) > 0
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            raise ConfigurationError(f"{key} must be positive, got {cfg[key]!r}")
+            cfg[key] = setting.cast(config[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{key}: {exc}") from None
+        if setting.positive and not cfg[key] > 0:
+            raise ConfigurationError(f"{key} must be positive, got {config[key]!r}")
+    return handler, cfg
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """One stderr line and exit code 2, as for any other invalid setting."""
+        self.exit(2, f"error: {message}\n")
 
 
 def _build_parser():
-    p = argparse.ArgumentParser(prog="polycap",
-                                description="higher-order capacity and regularity runs")
+    p = _Parser(prog="polycap", description="higher-order capacity and regularity runs")
     p.add_argument("--config", help="JSON run configuration (or a manifest.json)")
     sub = p.add_subparsers(dest="subcommand")
-    for name in _HANDLERS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--preset")
-        sp.add_argument("--operator-file", dest="operator_file")
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--m", type=int)
-        sp.add_argument("--h", type=float)
-        sp.add_argument("--extent", type=int)
-        sp.add_argument("--box", type=float)
-        sp.add_argument("--ball", type=float)
-        sp.add_argument("--mask-csv", dest="mask_csv")
-        sp.add_argument("--domain")
-        sp.add_argument("--kind")
-        sp.add_argument("--p", type=float)
-        sp.add_argument("--a", type=float)
-        sp.add_argument("--box-levels", dest="box_levels", type=int)
-        sp.add_argument("--backend")
-        sp.add_argument("--directions", type=int)
-        sp.add_argument("--channels", type=int)
-        sp.add_argument("--window", type=float, help="positivity: witness grid length in log r")
-        sp.add_argument("--dt", type=float, help="positivity: witness grid spacing")
-        sp.add_argument("--grid-check", dest="grid_check", action="store_true")
-        sp.add_argument("--j-min", dest="j_min", type=int)
-        sp.add_argument("--j-max", dest="j_max", type=int)
-        sp.add_argument("--nodes-per-rho", dest="nodes_per_rho", type=int)
-        sp.add_argument("--R", type=float)
-        sp.add_argument("--inv-h", dest="inv_h", type=int)
-        sp.add_argument("--samples", type=int)
-        sp.add_argument("--checks")
-        sp.add_argument("--enclosing", type=float)
-        sp.add_argument("--require-verdict", dest="require_verdict", action="store_true")
-        sp.add_argument("--out")
+    for name, (_, settings) in SUBCOMMANDS.items():
+        # unset flags stay out of the namespace, so only given ones override the config
+        sp = sub.add_parser(name, argument_default=argparse.SUPPRESS, allow_abbrev=False)
+        for key, setting in settings.items():
+            kind = ({"action": "store_true"} if setting.cast is _flag else
+                    {"type": setting.cast if setting.cast in (int, float) else str})
+            sp.add_argument(_option(key), **kind)
     return p
-
-
-def run(config):
-    """Execute one resolved run configuration; returns the exit code."""
-    sub = config.get("subcommand")
-    if sub not in _HANDLERS:
-        raise ConfigurationError(f"unknown subcommand {sub!r}")
-    _check_positive(config)
-    outdir = _outdir(config)
-    write_manifest(outdir, config)
-    return _HANDLERS[sub](config)
 
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = {}
-    if args.config:
-        cfg.update(load_manifest_config(args.config))
-    # by identity: `v not in (None, False)` would also drop 0, since 0 == False
-    cli_items = {k: v for k, v in vars(args).items()
-                 if k != "config" and v is not None and v is not False}
-    cfg.update(cli_items)
-    if not cfg.get("subcommand"):
+    args = vars(parser.parse_args(argv))
+    path = args.pop("config")
+    config = load_manifest_config(path) if path else {}
+    config.update((k, v) for k, v in args.items() if v is not None)
+    if not config.get("subcommand"):
         parser.print_help()
         return 2
     try:
-        return run(cfg)
+        handler, cfg = _resolve(config)
+        os.makedirs(cfg.setdefault("out", "polycap_out"), exist_ok=True)
+        write_manifest(cfg["out"], config)
+        handler(cfg)
+        return 0
     except (InputError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -234,3 +234,87 @@ def test_wiener_require_verdict_inconclusive_exit4(tmp_path, cli_env):
                  "--j-max", "8", "--nodes-per-rho", "16", "--require-verdict",
                  "--out", "wi"], tmp_path, cli_env)
     assert r.returncode == 4, r.stderr
+
+
+def assert_one_line_exit_2(r):
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1, r.stderr
+
+
+@pytest.mark.parametrize("spec", ["cone", "cone:abc", "cusp:power", "ray:x"])
+def test_malformed_domain_spec_exits_2(tmp_path, cli_env, spec):
+    r = run_cli(["wiener", "--m", "1", "--n", "3", "--domain", spec, "--out", "w"],
+                tmp_path, cli_env)
+    assert_one_line_exit_2(r)
+    assert "cannot parse domain spec" in r.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["positivity", "--n", "8"],
+    ["wiener", "--m", "1", "--n", "3"],
+    ["cusp", "--kind", "power", "--m", "2"],
+    ["decay", "--preset", "laplacian", "--n", "3"],
+])
+def test_missing_required_setting_exits_2(tmp_path, cli_env, args):
+    r = run_cli(args + ["--out", "o"], tmp_path, cli_env)
+    assert_one_line_exit_2(r)
+    assert "needs" in r.stderr
+    assert not os.path.exists(tmp_path / "o" / "manifest.json")
+
+
+@pytest.mark.parametrize("args", [
+    ["dirichlet", "--preset", "laplacian", "--n", "2", "--box", "2"],
+    ["cusp", "--m", "2", "--n", "6", "--domain", "cone:45"],
+    ["positivity", "--m", "2", "--n", "8", "--grid"],  # no prefix matching
+    ["potential", "--preset", "laplacian", "--n", "3", "--checks", "decya"],
+    ["potential", "--preset", "laplacian", "--n", "3", "--checks", "nodecay"],
+])
+def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, cli_env, args):
+    r = run_cli(args + ["--out", "o"], tmp_path, cli_env)
+    assert_one_line_exit_2(r)
+
+
+@pytest.mark.parametrize("config, named", [
+    ({"subcommand": "dirichlet", "preset": "laplacian", "n": 2, "sourse_radius": 0.3},
+     "sourse_radius"),
+    ({"subcommand": "symbol-check", "polyharmonic": True, "n": 7, "m": 3}, "polyharmonic"),
+    ({"subcommand": "wiener", "m": 1, "n": 3, "domain": "cone:45", "j_max": "x"}, "j_max"),
+    ({"subcommand": "cusp", "kind": "power", "m": 2, "n": "three"}, "n"),
+    ({"subcommand": "decay", "preset": "laplacian", "n": 3, "domain": "cone:45",
+      "require_verdict": "yes"}, "require_verdict"),
+], ids=["misspelt_key", "retired_key", "int_as_text", "int_as_word", "switch_as_text"])
+def test_config_key_not_read_or_of_wrong_type_exits_2(tmp_path, cli_env, config, named):
+    with open(tmp_path / "c.json", "w") as fh:
+        json.dump(config, fh)
+    r = run_cli(["--config", str(tmp_path / "c.json"), config["subcommand"], "--out", "o"],
+                tmp_path, cli_env)
+    assert_one_line_exit_2(r)
+    assert named in r.stderr
+
+
+def test_each_subcommand_takes_only_the_flags_of_its_table_row():
+    from polycap import cli
+
+    parser = cli._build_parser()
+    rows = {name: settings for name, (_, settings) in cli.SUBCOMMANDS.items()}
+    all_keys = set().union(*rows.values())
+    assert sum(map(len, rows.values())) == 79
+    for name, settings in rows.items():
+        for key in settings:
+            value = [] if settings[key].cast is cli._flag else ["1"]
+            assert vars(parser.parse_args([name, cli._option(key)] + value))[key] is not None
+        for key in all_keys - set(settings):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([name, cli._option(key), "1"])
+            assert exc.value.code == 2
+
+
+def test_potential_checks_run_the_named_checks_only(tmp_path, cli_env):
+    r = run_cli(["potential", "--preset", "laplacian", "--n", "3", "--ball", "1.0",
+                 "--h", "0.25", "--box", "2.5", "--checks", "decay", "--out", "p"],
+                tmp_path, cli_env)
+    assert r.returncode == 0, r.stderr
+    with open(tmp_path / "p" / "summary.json") as fh:
+        data = json.load(fh)
+    assert "gradient_decay" in data and "lower_bound" not in data

@@ -2,12 +2,12 @@
 
 The table `SUBCOMMANDS` names each subcommand's handler and the settings it
 reads; the parsers (`box_levels` is `--box-levels`) and the check of each
-merged configuration come from it, so a flag or config key the subcommand
-does not read exits 2.  Every run writes a manifest echoing the merged
-settings next to its outputs, and emits JSON summaries plus CSV tables.  Exit
-codes: 0 success, 2 invalid input or configuration, 3 unsupported regime, 4
-inconclusive where the run demanded a hard verdict or an iterative solve did
-not converge.
+merged configuration come from it, so a flag or config key the subcommand,
+or the branch of it that the other settings choose, does not read exits 2.
+Every run writes a manifest echoing the merged settings next to its outputs,
+and emits JSON summaries plus CSV tables.  Exit codes: 0 success, 2 invalid
+input or configuration, 3 unsupported regime, 4 inconclusive where the run
+demanded a hard verdict or an iterative solve did not converge.
 """
 
 import argparse
@@ -65,6 +65,14 @@ def _checks(spec):
     if unknown:
         raise ConfigurationError(f"unknown check {unknown[0]!r}; known: range, decay, lower")
     return names
+
+
+def _integer(value):
+    """An integer setting: an int, an integral number or its text, never a
+    bool or a fraction, which int() would truncate."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigurationError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def _flag(value):
@@ -238,16 +246,26 @@ def _run_decay(cfg):
 
 
 class Setting(NamedTuple):
-    """A setting a handler reads; int and float casts also type its flag."""
+    """A setting a handler reads; integer and float casts also type its flag.
+    With `read_if` = (branch, test) the handler reads it only where test(cfg)
+    holds, and setting it elsewhere exits 2 naming the other branch."""
     cast: Callable
     positive: bool = False
     required: bool = False
+    read_if: tuple = None
 
 
-_INT, _FLOAT, _STR, _SWITCH = Setting(int), Setting(float), Setting(str), Setting(_flag)
+_INT, _FLOAT, _STR, _SWITCH = Setting(_integer), Setting(float), Setting(str), Setting(_flag)
 _SCALE = Setting(float, positive=True)  # sizes or divides a grid
 _OPERATOR = {"preset": _STR, "operator_file": _STR, "n": _INT, "m": _INT}
-_MN = {"m": Setting(int, required=True), "n": Setting(int, required=True)}
+_MN = {"m": Setting(_integer, required=True), "n": Setting(_integer, required=True)}
+# (branch, test) for a setting the handler reads only where test(cfg) holds
+_GRID_CHECK = ("without --grid-check", lambda cfg: cfg.get("grid_check", False))
+_CHANNELS = ("with --grid-check", lambda cfg: not cfg.get("grid_check", False))
+_BALL = ("with --mask-csv", lambda cfg: "mask_csv" not in cfg)
+_DOMAIN = ("with --ball or --mask-csv", lambda cfg: not {"ball", "mask_csv"} & set(cfg))
+_HOMOGENEOUS = ("with --kind inhomogeneous", lambda cfg: cfg.get("kind") != "inhomogeneous")
+_LOWER = ("without lower in --checks", lambda cfg: "lower" in cfg.get("checks", ()))
 
 
 def _subcommand(handler, **settings):
@@ -257,15 +275,21 @@ def _subcommand(handler, **settings):
 
 SUBCOMMANDS = {
     "symbol-check": _subcommand(_run_symbol_check, **_OPERATOR, samples=_INT),
-    "fundsol": _subcommand(_run_fundsol, **_OPERATOR, directions=Setting(int, positive=True)),
+    "fundsol": _subcommand(_run_fundsol, **_OPERATOR,
+                           directions=Setting(_integer, positive=True)),
     "capacity": _subcommand(_run_capacity, **_OPERATOR, h=_SCALE, extent=_INT, box=_FLOAT,
-                            ball=_FLOAT, domain=Setting(_parse_domain), mask_csv=_STR,
-                            kind=_STR, box_levels=_INT),
+                            ball=Setting(float, read_if=_BALL),
+                            domain=Setting(_parse_domain, read_if=_DOMAIN), mask_csv=_STR,
+                            kind=_STR, box_levels=Setting(_integer, read_if=_HOMOGENEOUS)),
     "potential": _subcommand(_run_potential, **_OPERATOR, h=_SCALE, extent=_INT, box=_FLOAT,
-                             ball=_FLOAT, mask_csv=_STR, checks=Setting(_checks),
-                             enclosing=_FLOAT),
-    "positivity": _subcommand(_run_positivity, **_MN, grid_check=_SWITCH, h=_SCALE,
-                              extent=_INT, channels=_INT, window=_SCALE, dt=_SCALE,
+                             ball=Setting(float, read_if=_BALL), mask_csv=_STR,
+                             checks=Setting(_checks), enclosing=Setting(float, read_if=_LOWER)),
+    "positivity": _subcommand(_run_positivity, **_MN, grid_check=_SWITCH,
+                              h=Setting(float, positive=True, read_if=_GRID_CHECK),
+                              extent=Setting(_integer, read_if=_GRID_CHECK),
+                              channels=Setting(_integer, read_if=_CHANNELS),
+                              window=Setting(float, positive=True, read_if=_CHANNELS),
+                              dt=Setting(float, positive=True, read_if=_CHANNELS),
                               require_verdict=_SWITCH),
     "wiener": _subcommand(_run_wiener, **_MN, domain=Setting(_parse_domain, required=True),
                           j_min=_INT, j_max=_INT, backend=_STR, nodes_per_rho=_INT,
@@ -274,7 +298,8 @@ SUBCOMMANDS = {
     "dirichlet": _subcommand(_run_dirichlet, **_OPERATOR, h=_SCALE, extent=_INT,
                              domain=Setting(_parse_domain)),
     "decay": _subcommand(_run_decay, **_OPERATOR, domain=Setting(_parse_domain, required=True),
-                         R=_SCALE, inv_h=Setting(int, positive=True), require_verdict=_SWITCH),
+                         R=_SCALE, inv_h=Setting(_integer, positive=True),
+                         require_verdict=_SWITCH),
 }
 
 
@@ -305,6 +330,9 @@ def _resolve(config):
             raise ConfigurationError(f"{key}: {exc}") from None
         if setting.positive and not cfg[key] > 0:
             raise ConfigurationError(f"{key} must be positive, got {config[key]!r}")
+    for key, setting in settings.items():
+        if key in cfg and setting.read_if and not setting.read_if[1](cfg):
+            raise ConfigurationError(f"{sub} does not read {_option(key)} {setting.read_if[0]}")
     return handler, cfg
 
 
@@ -323,7 +351,7 @@ def _build_parser():
         sp = sub.add_parser(name, argument_default=argparse.SUPPRESS, allow_abbrev=False)
         for key, setting in settings.items():
             kind = ({"action": "store_true"} if setting.cast is _flag else
-                    {"type": setting.cast if setting.cast in (int, float) else str})
+                    {"type": {_integer: int, float: float}.get(setting.cast, str)})
             sp.add_argument(_option(key), **kind)
     return p
 
@@ -332,12 +360,12 @@ def main(argv=None):
     parser = _build_parser()
     args = vars(parser.parse_args(argv))
     path = args.pop("config")
-    config = load_manifest_config(path) if path else {}
-    config.update((k, v) for k, v in args.items() if v is not None)
-    if not config.get("subcommand"):
-        parser.print_help()
-        return 2
     try:
+        config = load_manifest_config(path) if path else {}
+        config.update((k, v) for k, v in args.items() if v is not None)
+        if not config.get("subcommand"):
+            parser.print_help()
+            return 2
         handler, cfg = _resolve(config)
         os.makedirs(cfg.setdefault("out", "polycap_out"), exist_ok=True)
         write_manifest(cfg["out"], config)

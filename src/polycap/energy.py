@@ -154,6 +154,17 @@ class EnergyForm:
                 out += c * up
         return out[tuple(slice(pad, pad + s) for s in u.shape)]
 
+    def reflection_invariant(self, axis):
+        """Whether A commutes with the reflection x_axis -> -x_axis of the box:
+        always for a polynomial in -Delta_h, for a folded stencil when
+        negating the axis component of every offset maps the table to
+        itself, never for the weighted kind."""
+        if self._stencil is None:
+            return self._poly is not None
+        table = dict(self._stencil)
+        return all(table.get(o[:axis] + (-o[axis],) + o[axis + 1:]) == c
+                   for o, c in self._stencil)
+
     def tosparse(self):
         """Materialize as a symmetric CSR matrix (small grids only)."""
         if self.grid.size > _SPARSE_MAX:

@@ -11,6 +11,7 @@ import os
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .operators import SYMBOL_CONVENTION
 
 PACKAGE_VERSION = "0.1.0"
@@ -66,8 +67,18 @@ def write_manifest(outdir, resolved_config):
 
 
 def load_manifest_config(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    if "config" in data and isinstance(data["config"], dict):
+    """The JSON object of a run configuration file, or the `config` of a
+    manifest; a file that cannot be read, is not JSON or holds no object
+    raises ConfigurationError."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ConfigurationError(f"config {path} is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"config {path} is not a JSON object")
+    if isinstance(data.get("config"), dict):
         return data["config"]
     return data

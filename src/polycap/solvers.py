@@ -16,16 +16,37 @@ independent of the grid size.  There is no fallback solve.  The CG loop
 itself, `_pcg`, updates its vectors in place and also serves the
 multigrid-preconditioned (r, z) solver of `radial`.
 
+Balls, annuli, cones and their sources are even under reflection through
+the coordinate planes of the centred box.  A symmetric problem separates
+into problems on its fundamental domain (Bossavit, Comput. Methods Appl.
+Mech. Engrg. 56, 1986), so the loop runs on the half grid, centre index
+onward, of every axis along which the problem is exactly even: the
+constraint mask, the fixed values and the source equal their mirror images
+bitwise, and the form commutes with the reflection (a polynomial in
+-Delta_h always, a folded stencil when negating that component of every
+offset maps its table to itself, the weighted kind never).  The iterates of
+the whole-grid loop are then even, so nothing is lost.  `EnergyForm.apply`
+acts on a half-grid function through m even ghost layers before each
+folded centre plane.  A node off the centre planes of k folded axes stands
+for 2^k nodes; the loop runs on sqrt(multiplicity) times u, where plain dot
+products are the whole-grid ones, so the step lengths, the stopping test
+and the iteration counts are those of the whole grid up to rounding.  The
+even functions of a folded axis of 2e + 1 nodes are spanned by its e + 1
+odd sine modes, so the DST round takes, on that axis, the orthogonal
+(e + 1) x (e + 1) block of the sine matrix with the half-grid rows, scaled
+by sqrt(multiplicity), and the odd-mode columns, and the odd-mode slice of
+the spectrum.  Axes past the dense route below never fold.
+
 The orthonormal DST-I of length N is the symmetric N x N sine matrix S, and
 S S = I.  On axes of up to _DENSE_MAX_AXIS nodes the transform is applied as
 the tensor-product "fast diagonalization" of Lynch, Rice & Thomas (Numer.
-Math. 6, 1964): one dense BLAS product with S per axis, 2N flops per node and
-axis.  The FFT route costs O(log N) per node and axis, but with large
-constants that depend on the factors of 2(N + 1), so on axes of 11 to 513
-nodes, those of nearly every grid the library builds, the dense products are
-several times faster.  Longer axes (1025 nodes on the finest n = 2m series
-grid) take scipy.fft's DST-I, which wins there when 2(N + 1) has small
-factors.  Both routes apply the same linear map up to rounding.
+Math. 6, 1964): one dense BLAS product with S (or its folded block) per
+axis, 2N flops per node and axis.  The FFT route costs O(log N) per node and
+axis, but with large constants that depend on the factors of 2(N + 1), so on
+axes of 11 to 513 nodes, those of nearly every grid the library builds, the
+dense products are several times faster.  Longer axes (1025 nodes on the
+finest n = 2m series grid) take scipy.fft's DST-I, which wins there when
+2(N + 1) has small factors.  Both routes apply the same linear map up to rounding.
 
 The positivity channels need the smallest eigenvalue of a pencil A x =
 lambda B x of banded symmetric matrices with B positive definite.  By
@@ -61,24 +82,25 @@ def _sine_matrix(N):
     return np.sqrt(2.0 / (N + 1)) * np.sin(np.pi * jk / (N + 1))
 
 
-def _sine_passes(v, sine):
-    """The DST-I along every axis of a cube-shaped v: each pass is one BLAS
-    product of the first axis with the symmetric `sine`, whose result has that
-    axis last, so after v.ndim passes the axes are back in their order."""
+def _sine_passes(v, mats):
+    """Transform every axis of v by its matrix, axis k by mats[k] (v_j ->
+    sum_j mats[k][j, i] v_j): each pass is one BLAS product of the first
+    axis, whose result has that axis last, so after v.ndim passes the axes
+    are back in their order."""
     shape = v.shape
-    for _ in shape:
-        v = v.reshape(len(sine), -1).T @ sine
+    for mat in mats:
+        v = v.reshape(len(mat), -1).T @ mat
     return v.reshape(shape)
 
 
-def _dst_solve(v, spec, sine):
+def _dst_solve(v, spec, mats):
     """Inverse of the DST-diagonal model: transform, divide by `spec`,
-    transform back; by dense passes with `sine`, or by scipy.fft when
-    `sine` is None."""
-    if sine is None:
+    transform back; by dense passes with the per-axis `mats` and then their
+    transposes, or by scipy.fft when `mats` is None."""
+    if mats is None:
         coeff = sfft.dstn(v, type=1, norm="ortho")
         return sfft.idstn(coeff / spec, type=1, norm="ortho")
-    return _sine_passes(_sine_passes(v, sine) / spec, sine)
+    return _sine_passes(_sine_passes(v, mats) / spec, [mat.T for mat in mats])
 
 
 def _pcg(apply, precond, x, r, rtol, scale, maxiter):
@@ -112,6 +134,20 @@ def _pcg(apply, precond, x, r, rtol, scale, maxiter):
         rho_prev = rho
 
 
+def _mirror_axes(form, arrays):
+    """The axes along which the problem is exactly even: the form commutes
+    with the reflection through the centre plane and every array that is
+    not None equals its mirror image bitwise."""
+    return tuple(a for a in range(form.grid.n) if form.reflection_invariant(a)
+                 and all(x is None or np.array_equal(x, np.flip(x, a)) for x in arrays))
+
+
+def _reflect(v, axes, width):
+    """v continued evenly by `width` layers before index 0 of each of `axes`."""
+    return np.pad(v, [(width, 0) if a in axes else (0, 0) for a in range(v.ndim)],
+                  mode="reflect")
+
+
 def solve_constrained(form, fixed_where, fixed_values, rhs=None, rtol=1e-8, maxiter=2000):
     """Minimize the form with u[fixed] = values; returns (u, info).
 
@@ -119,28 +155,65 @@ def solve_constrained(form, fixed_where, fixed_values, rhs=None, rtol=1e-8, maxi
     A u = rhs on the free nodes.  Preconditioned CG with the residual, the
     preconditioned residual and A p zeroed on the fixed nodes stops when the
     residual reaches `rtol` times its initial norm, and raises
-    ConvergenceError after `maxiter` iterations.  info["residual"] is the
-    true relative residual of the returned u.
+    ConvergenceError after `maxiter` iterations.  The loop runs on the half
+    grid of the axes in info["mirror_axes"] (see the module docstring).
+    info["residual"] is the true relative residual of the returned u and
+    info["energy"] its energy u.A u, both over the whole grid.
     """
     grid = form.grid
     fixed_where = np.asarray(fixed_where, dtype=bool)
     if fixed_where.shape != grid.shape:
         raise InputError("constraint mask shape does not match the grid")
-    free = (~fixed_where).astype(float)
     u = grid.zeros()
     u[fixed_where] = fixed_values
-    b = 0.0 if rhs is None else rhs
-    r = (b - form.apply(u)) * free
+    source = None if rhs is None else np.asarray(rhs, dtype=float)
+    dense = grid.shape[0] <= _DENSE_MAX_AXIS
+    # axes past the dense sine route never fold
+    axes = _mirror_axes(form, (fixed_where, u, source)) if dense else ()
+    n, e, m = grid.n, grid.extent, form.m
+    half = tuple(slice(e if a in axes else 0, None) for a in range(n))
+    inner = tuple(slice(m if a in axes else 0, None) for a in range(n))
+    # a half-grid node off the centre plane of a folded axis stands for two
+    mult1 = np.r_[1.0, np.full(e, 2.0)]
+    mult = 1.0
+    for a in axes:
+        mult = mult * mult1.reshape([-1 if k == a else 1 for k in range(n)])
+    scale = np.sqrt(mult)
+
+    def apply_half(v):
+        # m even ghost layers carry every stencil across the centre planes
+        return form.apply(_reflect(v, axes, m))[inner]
+
+    fixed = fixed_where[half]
+    free = (~fixed).astype(float)
+    scale_free = scale * free
+    b = 0.0 if source is None else source[half]
+    uh = u[half]
+    # the loop runs on sqrt(mult) * u, where its dot products are the
+    # whole-grid ones
+    x = uh * scale
+    r = (b - apply_half(uh)) * scale_free
     r0 = float(np.linalg.norm(r))
-    spec = form.dst_spectrum()
-    N = grid.shape[0]
-    sine = _sine_matrix(N) if N <= _DENSE_MAX_AXIS else None
-    z, q = grid.zeros(), grid.zeros()
-    iterations = _pcg(lambda p: np.multiply(form.apply(p), free, out=q),
-                      lambda v: np.multiply(_dst_solve(v, spec, sine), free, out=z),
-                      u, r, rtol, r0, maxiter)
-    res = float(np.linalg.norm((b - form.apply(u)) * free) / max(r0, 1e-300))
-    return u, {"iterations": iterations, "residual": res, "energy": form.quad(u)}
+    spec = np.ascontiguousarray(form.dst_spectrum()[
+        tuple(slice(None, None, 2 if a in axes else 1) for a in range(n))])
+    mats = None
+    if dense:
+        sine = _sine_matrix(grid.shape[0])
+        # the even functions of a folded axis are spanned by the odd sine
+        # modes: rows of the half nodes, weighted by sqrt(mult), columns of
+        # the odd modes, an orthogonal (e + 1) x (e + 1) matrix
+        odd = np.ascontiguousarray(sine[e:, ::2] * np.sqrt(mult1)[:, None])
+        mats = [odd if a in axes else sine for a in range(n)]
+    z, q = np.zeros(x.shape), np.zeros(x.shape)
+    iterations = _pcg(lambda p: np.multiply(apply_half(p / scale), scale_free, out=q),
+                      lambda v: np.multiply(_dst_solve(v, spec, mats), free, out=z),
+                      x, r, rtol, r0, maxiter)
+    uh = np.where(fixed, uh, x / scale)
+    au = apply_half(uh)
+    res = float(np.linalg.norm((b - au) * scale_free) / max(r0, 1e-300))
+    info = {"iterations": iterations, "residual": res,
+            "energy": float((uh * au * mult).sum()), "mirror_axes": axes}
+    return _reflect(uh, axes, e), info
 
 
 def stationarity_residual(form, u, fixed_where):

@@ -31,14 +31,23 @@ _ANISOTROPIC = EllipticOperator(3, 1, {
     ((0, 0, 1), (0, 0, 1)): 0.5, ((1, 0, 0), (0, 1, 0)): 0.3}, name="anisotropic")
 
 
-@pytest.mark.parametrize("kind,m,op,dirichlet", [
-    ("homogeneous_m", 2, None, False),  # the DST round is only spectrally equivalent
-    ("inhomogeneous_m", 2, None, False),
-    ("operator_form", 1, _ANISOTROPIC, False),  # folded-stencil path
-    ("operator_form", 1, laplacian(3), True),  # rhs with zero fixed values
-    ("operator_form", 1, laplacian(2), True),  # an axis beyond the dense sine matrix
+@pytest.mark.parametrize("kind,m,op,problem,axes", [
+    # the DST round is only spectrally equivalent
+    pytest.param("homogeneous_m", 2, None, "ball", (0, 1, 2), id="homogeneous_m-2-None-False"),
+    pytest.param("inhomogeneous_m", 2, None, "ball", (0, 1, 2),
+                 id="inhomogeneous_m-2-None-False"),
+    # folded-stencil path; the xy cross term leaves only the z reflection
+    pytest.param("operator_form", 1, _ANISOTROPIC, "ball", (2,), id="operator_form-1-op2-False"),
+    # rhs with zero fixed values, the source off centre along z
+    pytest.param("operator_form", 1, laplacian(3), "dirichlet", (0, 1),
+                 id="operator_form-1-op3-True"),
+    # an axis beyond the dense sine matrix never folds
+    pytest.param("operator_form", 1, laplacian(2), "dirichlet", (),
+                 id="operator_form-1-op4-True"),
+    pytest.param("homogeneous_m", 2, None, "shifted_ball", (0, 1), id="m2_ball_off_centre_in_z"),
+    pytest.param("homogeneous_m", 2, None, "ball_and_node", (), id="m2_ball_and_one_node"),
 ])
-def test_constrained_solve_matches_direct(kind, m, op, dirichlet):
+def test_constrained_solve_matches_direct(kind, m, op, problem, axes):
     from scipy.sparse.linalg import spsolve
 
     # the 2-d axis of 629 nodes takes the scipy.fft DST-I; 2 (629 + 1) =
@@ -47,13 +56,19 @@ def test_constrained_solve_matches_direct(kind, m, op, dirichlet):
     assert (grid.shape[0] > solvers._DENSE_MAX_AXIS) == (grid.n == 2)
     form = EnergyForm(kind, grid, m, op=op)
     radius = np.linalg.norm(grid.coords(), axis=-1)
-    if dirichlet:
+    if problem == "dirichlet":
         fixed, values = radius > 1.2, 0.0
         rhs = grid.h**grid.n * bump(grid, (0.0,) * (grid.n - 1) + (0.3,), 0.6)
     else:
+        if problem == "shifted_ball":
+            radius = np.linalg.norm(grid.coords() - (0.0, 0.0, 0.25), axis=-1)
         fixed, values, rhs = radius <= 0.5, 1.0, None
+        if problem == "ball_and_node":
+            # off every centre plane, so it breaks all three reflections
+            fixed[7, 8, 9] = True
     rtol, maxiter = 1e-10, 200
     u, info = solve_constrained(form, fixed, values, rhs=rhs, rtol=rtol, maxiter=maxiter)
+    assert info["mirror_axes"] == axes
     A = form.tosparse()
     free = ~fixed.ravel()
     ref = np.zeros(grid.size)
@@ -62,7 +77,29 @@ def test_constrained_solve_matches_direct(kind, m, op, dirichlet):
     ref[free] = spsolve(A[free][:, free].tocsc(), b[free])
     assert np.abs(u.ravel() - ref).max() <= 1e-8 * np.abs(ref).max()
     assert info["residual"] <= rtol
+    assert info["energy"] == pytest.approx(float(ref @ (A @ ref)), rel=1e-8)
     assert 0 < info["iterations"] <= maxiter
+
+
+@pytest.mark.parametrize("m,op,axes", [(2, None, (0, 1, 2)), (1, _ANISOTROPIC, (2,))],
+                         ids=["homogeneous_m2", "anisotropic"])
+def test_folded_solve_repeats_the_whole_grid_iterations(m, op, axes):
+    # the plain whole-grid loop: PCG on every node with the full DST round
+    grid = Grid(3, 0.25, 6)
+    form = EnergyForm("homogeneous_m" if op is None else "operator_form", grid, m, op=op)
+    fixed = Ball(0.5).mask(grid).where
+    free = (~fixed).astype(float)
+    x = fixed.astype(float)
+    r = -form.apply(x) * free
+    mats, spec = [solvers._sine_matrix(grid.shape[0])] * grid.n, form.dst_spectrum()
+    whole = solvers._pcg(lambda p: form.apply(p) * free,
+                         lambda v: solvers._dst_solve(v, spec, mats) * free,
+                         x, r, 1e-10, float(np.linalg.norm(r)), 200)
+    u, info = solve_constrained(form, fixed, 1.0, rtol=1e-10, maxiter=200)
+    assert info["mirror_axes"] == axes
+    assert info["iterations"] == whole
+    # the same iterates up to rounding: the two loops sum in another order
+    assert np.abs(u - x).max() <= 1e-9
 
 
 @pytest.mark.parametrize("n,N", [(3, 33), (5, 11)])
@@ -71,7 +108,7 @@ def test_dense_sine_round_matches_scipy_fft(n, N):
     v = rng.standard_normal((N,) * n)
     spec = 1.0 + rng.random((N,) * n)
     ref = solvers._dst_solve(v, spec, None)
-    dense = solvers._dst_solve(v, spec, solvers._sine_matrix(N))
+    dense = solvers._dst_solve(v, spec, [solvers._sine_matrix(N)] * n)
     assert np.abs(dense - ref).max() <= 1e-13 * np.abs(ref).max()
 
 

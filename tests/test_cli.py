@@ -318,3 +318,43 @@ def test_potential_checks_run_the_named_checks_only(tmp_path, cli_env):
     with open(tmp_path / "p" / "summary.json") as fh:
         data = json.load(fh)
     assert "gradient_decay" in data and "lower_bound" not in data
+
+
+@pytest.mark.parametrize("content", [None, "not json", "[1, 2]", "7"],
+                         ids=["missing", "not_json", "list", "number"])
+def test_unreadable_config_exits_2(tmp_path, cli_env, content):
+    if content is not None:
+        (tmp_path / "c.json").write_text(content)
+    r = run_cli(["--config", str(tmp_path / "c.json"), "cusp", "--out", "o"],
+                tmp_path, cli_env)
+    assert_one_line_exit_2(r)
+    assert "c.json" in r.stderr
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("value", [6.9, True, False], ids=["fraction", "true", "false"])
+def test_integer_setting_refuses_bools_and_fractions(tmp_path, cli_env, value):
+    config = {"subcommand": "cusp", "kind": "power", "m": 2, "n": value}
+    with open(tmp_path / "c.json", "w") as fh:
+        json.dump(config, fh)
+    r = run_cli(["--config", str(tmp_path / "c.json"), "cusp", "--out", "o"],
+                tmp_path, cli_env)
+    assert_one_line_exit_2(r)
+    assert "expected an integer" in r.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["positivity", "--m", "2", "--n", "8", "--h", "0.5", "--extent", "3"],
+    ["positivity", "--m", "2", "--n", "5", "--grid-check", "--channels", "4"],
+    ["potential", "--preset", "laplacian", "--n", "3", "--enclosing", "2"],
+    ["potential", "--preset", "laplacian", "--n", "3", "--checks", "decay", "--enclosing", "2"],
+    ["capacity", "--preset", "laplacian", "--n", "3", "--ball", "1", "--kind", "inhomogeneous",
+     "--box-levels", "2"],
+    ["capacity", "--preset", "laplacian", "--n", "3", "--ball", "1", "--domain", "ball:0.5"],
+], ids=["h_without_grid_check", "channels_with_grid_check", "enclosing_without_checks",
+        "enclosing_without_lower", "box_levels_inhomogeneous", "domain_with_ball"])
+def test_setting_the_chosen_branch_does_not_read_exits_2(tmp_path, cli_env, args):
+    r = run_cli(args + ["--out", "o"], tmp_path, cli_env)
+    assert_one_line_exit_2(r)
+    assert "does not read" in r.stderr
+    assert not os.path.exists(tmp_path / "o" / "manifest.json")

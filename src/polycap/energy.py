@@ -19,17 +19,18 @@ zero-extended lattice, L = -Delta_h the undivided (2n+1)-point Laplacian, the
 inhomogeneous one is sum_k h^(n-2k) L^k, and the operator form of the
 (-Delta)^m table is the homogeneous one.  These kinds keep the polynomial's
 coefficients: `apply` runs Horner's rule with m Laplacian passes, `tosparse`
-sums powers of a sparse L, `dst_spectrum` evaluates them at the Dirichlet
-eigenvalues.  Any other operator form is sum c[a,b] (d^a)^T d^b folded into
-one offset -> coefficient table, applied by shifted slices.  The weighted kind
-sums its node-centered multi-index terms.  Every kind has
-quad(u) == sum(u * apply(u)) and an exactly symmetric `tosparse`.
+sums powers of a sparse L, and the DST-I preconditioner of `solvers`
+evaluates them (`dst_poly`) at the Dirichlet eigenvalues.  Any other
+operator form is sum c[a,b] (d^a)^T d^b folded into one offset ->
+coefficient table, applied by shifted slices.  The weighted kind sums its
+node-centered multi-index terms.  Every kind has quad(u) == sum(u *
+apply(u)) and an exactly symmetric `tosparse`.
 """
 
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .grids import Grid
+from .grids import Grid, axis_sum
 from .operators import laplacian, multi_indices, multinomial, polyharmonic
 from .stencils import (alpha_offsets, apply_alpha, apply_stencil, injection_matrix,
                        neg_laplacian, sparse_alpha, sparse_stencil)
@@ -54,13 +55,7 @@ def staggered_radii(grid, alpha):
     weights there keeps weighted sums second-order accurate.
     """
     ax = grid.axis_coords()
-    r2 = np.zeros(grid.shape)
-    for axis in range(grid.n):
-        c = ax + (0.5 * grid.h if alpha[axis] % 2 else 0.0)
-        shape = [1] * grid.n
-        shape[axis] = len(c)
-        r2 = r2 + (c**2).reshape(shape)
-    return np.sqrt(r2)
+    return np.sqrt(axis_sum([(ax + (0.5 * grid.h if a % 2 else 0.0)) ** 2 for a in alpha]))
 
 
 def _fold(op, scale):
@@ -119,6 +114,9 @@ class EnergyForm:
                 gamma = tuple(a + b for a, b in zip(alpha, beta))
                 c = v if alpha == beta else 2.0 * v
                 self._terms.append((gamma, sign * c * h ** (n - 2 * m)))
+        # the polynomial in -Delta_h whose DST-I spectrum models the form in
+        # the preconditioner of `solvers`: its own, else h^(n-2m) (-Delta_h)^m
+        self.dst_poly = self._poly or [0.0] * m + [h ** (n - 2 * m)]
 
     def quad(self, u):
         """Energy value of u."""
@@ -193,20 +191,6 @@ class EnergyForm:
             if c:
                 mat = mat + c * power
         return (P.T @ mat).tocsr()
-
-    def dst_spectrum(self):
-        """Eigenvalues of the spectrally equivalent power of the compact
-        Laplacian on the box, used as a preconditioner model."""
-        M = 2 * self.grid.extent + 1
-        lam1 = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, M + 1) / (M + 1))
-        lam = np.zeros(self.grid.shape)
-        for axis in range(self.grid.n):
-            shape = [1] * self.grid.n
-            shape[axis] = M
-            lam = lam + lam1.reshape(shape)
-        n, m, h = self.grid.n, self.m, self.grid.h
-        poly = self._poly if self._poly is not None else [0.0] * m + [h ** (n - 2 * m)]
-        return sum(c * lam**k for k, c in enumerate(poly) if c)
 
 
 def assemble(kind, op, grid, weight=None):

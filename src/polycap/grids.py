@@ -54,19 +54,19 @@ class Grid:
 
     def radii(self):
         """Euclidean distance of every node from the origin."""
-        ax = self.axis_coords()
-        r2 = np.zeros(self.shape)
-        for axis in range(self.n):
-            shape = [1] * self.n
-            shape[axis] = len(ax)
-            r2 = r2 + (ax**2).reshape(shape)
-        return np.sqrt(r2)
+        return np.sqrt(axis_sum([self.axis_coords() ** 2] * self.n))
 
     def zeros(self):
         return np.zeros(self.shape)
 
     def origin_index(self):
         return (self.extent,) * self.n
+
+
+def axis_sum(vectors):
+    """The n-d array sum_a v_a[x_a] of n 1-D vectors, v_a along axis a."""
+    n = len(vectors)
+    return sum(v.reshape([-1 if k == a else 1 for k in range(n)]) for a, v in enumerate(vectors))
 
 
 def dilate(where, times=1):
@@ -131,22 +131,25 @@ class Mask:
 
 
 def mask_from_csv(grid, path):
-    """Load a node-list CSV (one coordinate row per node) as a mask; a
-    coordinate more than 1e-9 max(h, 1) off the lattice is refused."""
+    """Load a node-list CSV (a header, then one coordinate row per node) as a
+    mask; blank rows are skipped, and a row without n fields or a coordinate
+    more than 1e-9 max(h, 1) off the lattice is refused."""
     where = np.zeros(grid.shape, dtype=bool)
     with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
-        if len(header) != grid.n:
-            raise InputError("node list dimension does not match the grid")
-        for row in reader:
-            x = np.array([float(v) for v in row])
-            idx = np.rint(x / grid.h).astype(int)
-            if np.any(np.abs(x - idx * grid.h) > 1e-9 * max(grid.h, 1.0)):
-                raise InputError(f"point {x} is not a grid node")
-            if np.any(np.abs(idx) > grid.extent):
-                raise InputError(f"point {x} lies outside the grid box")
-            where[tuple(idx + grid.extent)] = True
+        rows = [row for row in _csv.reader(fh) if row]
+    if not rows:
+        raise InputError(f"node list {path} has no header")
+    for row in rows:
+        if len(row) != grid.n:
+            raise InputError(f"node list row {row} does not have the grid's {grid.n} fields")
+    for row in rows[1:]:
+        x = np.array([float(v) for v in row])
+        idx = np.rint(x / grid.h).astype(int)
+        if np.any(np.abs(x - idx * grid.h) > 1e-9 * max(grid.h, 1.0)):
+            raise InputError(f"point {x} is not a grid node")
+        if np.any(np.abs(idx) > grid.extent):
+            raise InputError(f"point {x} lies outside the grid box")
+        where[tuple(idx + grid.extent)] = True
     return Mask(grid, where)
 
 
@@ -170,7 +173,10 @@ class Ball(Region):
     center: tuple = ()
 
     def contains(self, points):
-        c = np.asarray(self.center if self.center else (0.0,) * points.shape[1])
+        c = np.asarray(self.center or (0.0,) * points.shape[1])
+        if c.shape != points.shape[1:]:
+            raise InputError(f"ball center {list(self.center)} is not a point in dimension "
+                             f"{points.shape[1]}")
         return np.linalg.norm(points - c, axis=1) <= self.radius + 1e-12
 
 
@@ -193,6 +199,8 @@ class Box(Region):
     bounds: tuple
 
     def contains(self, points):
+        if len(self.bounds) != points.shape[1]:
+            raise InputError(f"box has {len(self.bounds)} bounds in dimension {points.shape[1]}")
         ok = np.ones(points.shape[0], dtype=bool)
         for axis, (lo, hi) in enumerate(self.bounds):
             ok &= (points[:, axis] >= lo - 1e-12) & (points[:, axis] <= hi + 1e-12)
@@ -207,6 +215,8 @@ class Ray(Region):
     width: float = 0.0
 
     def contains(self, points):
+        if not 0 <= self.axis < points.shape[1]:
+            raise InputError(f"ray axis {self.axis} is not an axis in dimension {points.shape[1]}")
         other = np.delete(points, self.axis, axis=1)
         return (points[:, self.axis] <= 1e-12) & (
             np.linalg.norm(other, axis=1) <= self.width + 1e-12

@@ -98,18 +98,17 @@ def range_check(report, tol=1e-6):
     rather than hiding them.
     """
     off = ~report.mask.where
-    grid = Grid(report.n, report.grid_h, report.grid_extent)
-    coords = grid.coords()
+    ax = Grid(report.n, report.grid_h, report.grid_extent).axis_coords()
     u = report.u
     lo, hi = report.range_off_mask
-    iflat_min = np.argmin(np.where(off, u, np.inf))
-    iflat_max = np.argmax(np.where(off, u, -np.inf))
+    iflat = np.argmin(np.where(off, u, np.inf)), np.argmax(np.where(off, u, -np.inf))
+    argmin, argmax = (ax[list(np.unravel_index(i, u.shape))].tolist() for i in iflat)
     return {
         "passed": bool(lo > -tol and hi < 2.0 + tol),
         "min": lo,
         "max": hi,
-        "argmin": coords.reshape(-1, report.n)[iflat_min].tolist(),
-        "argmax": coords.reshape(-1, report.n)[iflat_max].tolist(),
+        "argmin": argmin,
+        "argmax": argmax,
         "tol": tol,
     }
 

@@ -30,23 +30,22 @@ acts on a half-grid function through m even ghost layers before each
 folded centre plane.  A node off the centre planes of k folded axes stands
 for 2^k nodes; the loop runs on sqrt(multiplicity) times u, where plain dot
 products are the whole-grid ones, so the step lengths, the stopping test
-and the iteration counts are those of the whole grid up to rounding.  The
-even functions of a folded axis of 2e + 1 nodes are spanned by its e + 1
-odd sine modes, so the DST round takes, on that axis, the orthogonal
-(e + 1) x (e + 1) block of the sine matrix with the half-grid rows, scaled
-by sqrt(multiplicity), and the odd-mode columns, and the odd-mode slice of
-the spectrum.  Axes past the dense route below never fold.
+and the iteration counts are those of the whole grid up to rounding.
 
-The orthonormal DST-I of length N is the symmetric N x N sine matrix S, and
-S S = I.  On axes of up to _DENSE_MAX_AXIS nodes the transform is applied as
-the tensor-product "fast diagonalization" of Lynch, Rice & Thomas (Numer.
-Math. 6, 1964): one dense BLAS product with S (or its folded block) per
-axis, 2N flops per node and axis.  The FFT route costs O(log N) per node and
-axis, but with large constants that depend on the factors of 2(N + 1), so on
-axes of 11 to 513 nodes, those of nearly every grid the library builds, the
-dense products are several times faster.  Longer axes (1025 nodes on the
-finest n = 2m series grid) take scipy.fft's DST-I, which wins there when
-2(N + 1) has small factors.  Both routes apply the same linear map up to rounding.
+The DST round is the tensor-product "fast diagonalization" of Lynch, Rice &
+Thomas (Numer. Math. 6, 1964), one factor per axis: a transform, its
+inverse, and the eigenvalues of -D2 at the axis's modes, whose sums the
+form's polynomial maps to the spectrum.  The orthonormal DST-I of length N
+is the symmetric sine matrix S, S S = I.  The even functions of a folded
+axis of 2e + 1 nodes are spanned by its e + 1 odd sine modes, so that axis
+takes the orthogonal block B of S with the half-grid rows, scaled by
+sqrt(multiplicity), and the odd-mode columns.  B is the orthonormal DCT-II
+matrix of length e + 1 times the column signs (-1)^l, which cancel in
+B diag(1/spec) B^T.  Axes of up to _DENSE_MAX_AXIS nodes apply S or B as one
+dense BLAS product, 2N flops per node, several times faster than the FFT
+route there; longer axes (769 to 1537 nodes on the n = 2m series grids) take
+scipy.fft's DST-I, or folded its DCT-III and DCT-II, which win there.  Both
+routes apply the same linear map up to rounding.
 
 The positivity channels need the smallest eigenvalue of a pencil A x =
 lambda B x of banded symmetric matrices with B positive definite.  By
@@ -63,13 +62,13 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse import coo_array
 
 from .errors import ConvergenceError, InputError
+from .grids import axis_sum
 
 _MAX_DOUBLINGS = 200
 
 
-# the longest axis that takes the dense sine-matrix route; above it the dense
-# products (2N flops per node and axis) lose to scipy.fft's DST-I on
-# FFT-friendly lengths (crossover measured in CHANGES.md)
+# the longest axis that takes the dense sine-matrix route (crossover with
+# scipy.fft measured in CHANGES.md)
 _DENSE_MAX_AXIS = 600
 
 
@@ -82,25 +81,43 @@ def _sine_matrix(N):
     return np.sqrt(2.0 / (N + 1)) * np.sin(np.pi * jk / (N + 1))
 
 
-def _sine_passes(v, mats):
-    """Transform every axis of v by its matrix, axis k by mats[k] (v_j ->
-    sum_j mats[k][j, i] v_j): each pass is one BLAS product of the first
-    axis, whose result has that axis last, so after v.ndim passes the axes
-    are back in their order."""
+def _axis_factors(N, folded):
+    """(transform, inverse, eigenvalues of -D2 at its modes) of the DST round
+    on one axis of N nodes, or on its half grid when folded; the maps act on
+    the last axis (see the module docstring)."""
+    lam = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, N + 1) / (N + 1)))[::2 if folded else 1]
+    if N > _DENSE_MAX_AXIS:
+        if folded:
+            return (lambda w: sfft.dct(w, 3, norm="ortho"),
+                    lambda w: sfft.dct(w, 2, norm="ortho"), lam)
+        return (lambda w: sfft.dst(w, 1, norm="ortho"),) * 2 + (lam,)
+    mat = _sine_matrix(N)
+    if folded:
+        # rows of the half nodes, weighted by sqrt(mult); odd-mode columns
+        e = N // 2
+        mat = np.ascontiguousarray(mat[e:, ::2] * np.sqrt(np.r_[1.0, np.full(e, 2.0)])[:, None])
+    inv = mat.T
+    return (lambda w: w @ mat), (lambda w: w @ inv), lam
+
+
+def _passes(v, maps):
+    """maps[k] applied to axis k of v: each pass maps the first axis and
+    leaves it last, so after v.ndim passes the axes are back in order."""
     shape = v.shape
-    for mat in mats:
-        v = v.reshape(len(mat), -1).T @ mat
+    for k, f in enumerate(maps):
+        v = f(v.reshape(shape[k], -1).T)
     return v.reshape(shape)
 
 
-def _dst_solve(v, spec, mats):
-    """Inverse of the DST-diagonal model: transform, divide by `spec`,
-    transform back; by dense passes with the per-axis `mats` and then their
-    transposes, or by scipy.fft when `mats` is None."""
-    if mats is None:
-        coeff = sfft.dstn(v, type=1, norm="ortho")
-        return sfft.idstn(coeff / spec, type=1, norm="ortho")
-    return _sine_passes(_sine_passes(v, mats) / spec, [mat.T for mat in mats])
+def _dst_round(form, axes):
+    """The inverse of the DST model on the half grid of `axes`: transform,
+    divide by the form's polynomial at the sums of the axis eigenvalues,
+    transform back."""
+    forward, inverse, lams = zip(*(_axis_factors(N, a in axes)
+                                   for a, N in enumerate(form.grid.shape)))
+    lam = axis_sum(lams)
+    spec = sum(c * lam**k for k, c in enumerate(form.dst_poly) if c)
+    return lambda v: _passes(_passes(v, forward) / spec, inverse)
 
 
 def _pcg(apply, precond, x, r, rtol, scale, maxiter):
@@ -167,9 +184,7 @@ def solve_constrained(form, fixed_where, fixed_values, rhs=None, rtol=1e-8, maxi
     u = grid.zeros()
     u[fixed_where] = fixed_values
     source = None if rhs is None else np.asarray(rhs, dtype=float)
-    dense = grid.shape[0] <= _DENSE_MAX_AXIS
-    # axes past the dense sine route never fold
-    axes = _mirror_axes(form, (fixed_where, u, source)) if dense else ()
+    axes = _mirror_axes(form, (fixed_where, u, source))
     n, e, m = grid.n, grid.extent, form.m
     half = tuple(slice(e if a in axes else 0, None) for a in range(n))
     inner = tuple(slice(m if a in axes else 0, None) for a in range(n))
@@ -194,19 +209,10 @@ def solve_constrained(form, fixed_where, fixed_values, rhs=None, rtol=1e-8, maxi
     x = uh * scale
     r = (b - apply_half(uh)) * scale_free
     r0 = float(np.linalg.norm(r))
-    spec = np.ascontiguousarray(form.dst_spectrum()[
-        tuple(slice(None, None, 2 if a in axes else 1) for a in range(n))])
-    mats = None
-    if dense:
-        sine = _sine_matrix(grid.shape[0])
-        # the even functions of a folded axis are spanned by the odd sine
-        # modes: rows of the half nodes, weighted by sqrt(mult), columns of
-        # the odd modes, an orthogonal (e + 1) x (e + 1) matrix
-        odd = np.ascontiguousarray(sine[e:, ::2] * np.sqrt(mult1)[:, None])
-        mats = [odd if a in axes else sine for a in range(n)]
+    precond = _dst_round(form, axes)
     z, q = np.zeros(x.shape), np.zeros(x.shape)
     iterations = _pcg(lambda p: np.multiply(apply_half(p / scale), scale_free, out=q),
-                      lambda v: np.multiply(_dst_solve(v, spec, mats), free, out=z),
+                      lambda v: np.multiply(precond(v), free, out=z),
                       x, r, rtol, r0, maxiter)
     uh = np.where(fixed, uh, x / scale)
     au = apply_half(uh)

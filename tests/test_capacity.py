@@ -41,24 +41,31 @@ _ANISOTROPIC = EllipticOperator(3, 1, {
     # rhs with zero fixed values, the source off centre along z
     pytest.param("operator_form", 1, laplacian(3), "dirichlet", (0, 1),
                  id="operator_form-1-op3-True"),
-    # an axis beyond the dense sine matrix never folds
-    pytest.param("operator_form", 1, laplacian(2), "dirichlet", (),
+    # an axis beyond the dense sine matrix folds through the DCT pair, the
+    # source off centre along y
+    pytest.param("operator_form", 1, laplacian(2), "dirichlet", (0,),
                  id="operator_form-1-op4-True"),
+    # the source off both centre planes: the whole-grid scipy.fft DST-I
+    pytest.param("operator_form", 1, laplacian(2), "dirichlet_off_centre", (),
+                 id="operator_form-1-op4-off-centre"),
     pytest.param("homogeneous_m", 2, None, "shifted_ball", (0, 1), id="m2_ball_off_centre_in_z"),
     pytest.param("homogeneous_m", 2, None, "ball_and_node", (), id="m2_ball_and_one_node"),
 ])
 def test_constrained_solve_matches_direct(kind, m, op, problem, axes):
     from scipy.sparse.linalg import spsolve
 
-    # the 2-d axis of 629 nodes takes the scipy.fft DST-I; 2 (629 + 1) =
-    # 2^2 3^2 5 7 keeps that transform fast
+    # the 2-d axis of 629 nodes takes scipy.fft: the DST-I, 2 (629 + 1) =
+    # 2^2 3^2 5 7, or on the half grid the DCT pair of length 315 = 3^2 5 7
     grid = Grid(3, 0.25, 6) if op is None or op.n == 3 else Grid(2, 0.02, 314)
     assert (grid.shape[0] > solvers._DENSE_MAX_AXIS) == (grid.n == 2)
     form = EnergyForm(kind, grid, m, op=op)
     radius = np.linalg.norm(grid.coords(), axis=-1)
-    if problem == "dirichlet":
+    if problem.startswith("dirichlet"):
         fixed, values = radius > 1.2, 0.0
-        rhs = grid.h**grid.n * bump(grid, (0.0,) * (grid.n - 1) + (0.3,), 0.6)
+        centre = (0.0,) * (grid.n - 1) + (0.3,)
+        if problem == "dirichlet_off_centre":
+            centre = (0.2,) + centre[1:]
+        rhs = grid.h**grid.n * bump(grid, centre, 0.6)
     else:
         if problem == "shifted_ball":
             radius = np.linalg.norm(grid.coords() - (0.0, 0.0, 0.25), axis=-1)
@@ -91,9 +98,8 @@ def test_folded_solve_repeats_the_whole_grid_iterations(m, op, axes):
     free = (~fixed).astype(float)
     x = fixed.astype(float)
     r = -form.apply(x) * free
-    mats, spec = [solvers._sine_matrix(grid.shape[0])] * grid.n, form.dst_spectrum()
-    whole = solvers._pcg(lambda p: form.apply(p) * free,
-                         lambda v: solvers._dst_solve(v, spec, mats) * free,
+    precond = solvers._dst_round(form, ())
+    whole = solvers._pcg(lambda p: form.apply(p) * free, lambda v: precond(v) * free,
                          x, r, 1e-10, float(np.linalg.norm(r)), 200)
     u, info = solve_constrained(form, fixed, 1.0, rtol=1e-10, maxiter=200)
     assert info["mirror_axes"] == axes
@@ -104,12 +110,31 @@ def test_folded_solve_repeats_the_whole_grid_iterations(m, op, axes):
 
 @pytest.mark.parametrize("n,N", [(3, 33), (5, 11)])
 def test_dense_sine_round_matches_scipy_fft(n, N):
+    import scipy.fft as sfft
+
     rng = np.random.default_rng(n)
     v = rng.standard_normal((N,) * n)
     spec = 1.0 + rng.random((N,) * n)
-    ref = solvers._dst_solve(v, spec, None)
-    dense = solvers._dst_solve(v, spec, [solvers._sine_matrix(N)] * n)
+    ref = sfft.idstn(sfft.dstn(v, type=1, norm="ortho") / spec, type=1, norm="ortho")
+    forward, inverse, _ = solvers._axis_factors(N, False)
+    dense = solvers._passes(solvers._passes(v, [forward] * n) / spec, [inverse] * n)
     assert np.abs(dense - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("N", [601, 1025])
+def test_folded_dct_round_matches_the_odd_sine_block(N):
+    # past the dense route the folded axis takes the DCT-III/DCT-II pair, the
+    # odd-mode block of the sine matrix up to column signs that cancel
+    assert N > solvers._DENSE_MAX_AXIS
+    e = N // 2
+    odd = solvers._sine_matrix(N)[e:, ::2] * np.sqrt(np.r_[1.0, np.full(e, 2.0)])[:, None]
+    rng = np.random.default_rng(N)
+    v = rng.standard_normal((3, e + 1))
+    spec = 1.0 + rng.random((3, e + 1))
+    forward, inverse, lam = solvers._axis_factors(N, True)
+    ref = ((v @ odd) / spec) @ odd.T
+    assert np.abs(inverse(forward(v) / spec) - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(lam, solvers._axis_factors(N, False)[2][::2])
 
 
 def test_regime_guard():

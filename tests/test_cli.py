@@ -358,3 +358,44 @@ def test_setting_the_chosen_branch_does_not_read_exits_2(tmp_path, cli_env, args
     assert_one_line_exit_2(r)
     assert "does not read" in r.stderr
     assert not os.path.exists(tmp_path / "o" / "manifest.json")
+
+
+def test_mask_csv_blank_rows_are_skipped_and_short_rows_exit_2(tmp_path, cli_env):
+    values = []
+    for name, text in [("plain", "x1,x2,x3\n0,0,0\n"), ("blank", "x1,x2,x3\n\n0,0,0\n\n")]:
+        (tmp_path / f"{name}.csv").write_text(text)
+        r = run_cli(["capacity", "--preset", "laplacian", "--n", "3", "--h", "0.5",
+                     "--extent", "4", "--mask-csv", f"{name}.csv", "--out", name],
+                    tmp_path, cli_env)
+        assert r.returncode == 0, r.stderr
+        with open(tmp_path / name / "summary.json") as fh:
+            values.append(json.load(fh)["value"])
+    assert values[0] == values[1]
+    (tmp_path / "short.csv").write_text("x1,x2,x3\n0,0\n")
+    r = run_cli(["capacity", "--preset", "laplacian", "--n", "3", "--h", "0.5",
+                 "--extent", "4", "--mask-csv", "short.csv", "--out", "short"],
+                tmp_path, cli_env)
+    assert_one_line_exit_2(r)
+    assert "fields" in r.stderr
+
+
+@pytest.mark.parametrize("domain, named", [
+    ({"kind": "ball", "radius": 0.5, "center": [0, 0]}, "center"),
+    ({"kind": "box", "bounds": [[-0.5, 0.5], [-0.5, 0.5]]}, "2 bounds"),
+], ids=["ball_center", "box_bounds"])
+def test_region_that_does_not_fit_the_dimension_exits_2(tmp_path, cli_env, domain, named):
+    config = {"subcommand": "capacity", "preset": "laplacian", "n": 3, "h": 0.25,
+              "box": 2.0, "domain": domain}
+    with open(tmp_path / "c.json", "w") as fh:
+        json.dump(config, fh)
+    r = run_cli(["--config", str(tmp_path / "c.json"), "capacity", "--out", "o"],
+                tmp_path, cli_env)
+    assert_one_line_exit_2(r)
+    assert named in r.stderr
+
+
+def test_ray_axis_past_the_dimension_exits_2(tmp_path, cli_env):
+    r = run_cli(["wiener", "--m", "1", "--n", "3", "--domain", "ray:5", "--out", "w"],
+                tmp_path, cli_env)
+    assert_one_line_exit_2(r)
+    assert "ray axis 5" in r.stderr

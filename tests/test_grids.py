@@ -31,6 +31,25 @@ def test_mask_csv_rejects_off_grid(tmp_path):
         mask_from_csv(g, path)
 
 
+def test_mask_csv_skips_blank_rows(tmp_path):
+    g = Grid(3, 0.5, 4)
+    path = tmp_path / "nodes.csv"
+    path.write_text("x1,x2,x3\n\n0.5,0,0\n\n")
+    back = mask_from_csv(g, path)
+    assert back.count == 1 and back.where[5, 4, 4]
+
+
+@pytest.mark.parametrize("text", ["x1,x2,x3\n0,0,0\n0,0\n", "x1,x2,x3\n0,0,0\n0,0,0,0\n",
+                                  "x1,x2\n0,0\n", "\n"],
+                         ids=["short_row", "long_row", "short_header", "no_header"])
+def test_mask_csv_refuses_a_row_without_n_fields(tmp_path, text):
+    g = Grid(3, 0.5, 4)
+    path = tmp_path / "nodes.csv"
+    path.write_text(text)
+    with pytest.raises(InputError):
+        mask_from_csv(g, path)
+
+
 def test_region_combinators():
     g = Grid(2, 0.25, 8)
     ring = Intersection((Ball(1.5), Shell(0.5, 2.0)))

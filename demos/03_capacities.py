@@ -35,6 +35,8 @@ print("\n== dyadic annulus series of an exterior cone ==")
 # cones are dilation invariant, so all weighted terms coincide; this constant
 # sequence is the divergence signature the regularity classifier keys on
 series = annulus_series(Cone(np.pi / 4), 2, 5, j_range=(0, 6), nodes_per_rho=10)
-for j, rho, capj, w, s in series.rows():
+weighted = series.weighted_terms()
+for j, (rho, capj, w, s) in enumerate(zip(series.rho, series.capacity, weighted,
+                                         np.cumsum(weighted))):
     print(f"  j={j}  rho={rho:.4f}  cap={capj:9.4f}  weighted={w:.4f}  partial={s:9.4f}")
 print("normalized by the full-ball unit:", np.round(series.normalized_terms(), 4))

@@ -10,6 +10,9 @@ symbol P(xi) = (-1)^m L(xi), so ellipticity reads P > 0 on nonzero xi and
 the fundamental solution satisfies P(d) F = delta with F-hat = 1/P.
 """
 
+# first, so that modules imported below can read it (the run manifest does)
+__version__ = "0.1.0"
+
 from .capacity import (AnnulusCapacitySeries, CapacityValue, annulus_series,
                        bessel_capacity, cap_m, exact_ball_capacity)
 from .energy import EnergyForm, HardyForm, assemble, hardy_weighted_energy
@@ -34,5 +37,3 @@ from .regularity import (CuspProfile, DecayReport, ProbeReport, WienerVerdict, b
                          cusp_criterion, decay_check, dirichlet_solve,
                          regularity_probe, wiener_classify)
 from .solvers import smallest_generalized_eig, solve_constrained, stationarity_residual
-
-__version__ = "0.1.0"

@@ -21,6 +21,7 @@ from .energy import EnergyForm
 from .errors import InputError, UnsupportedRegimeError
 from .grids import Ball, Cone, Cusp, Grid, Intersection, Mask, Ray, Region, Shell, Union
 from .radial import AxisymGrid, axisym_capacity, axisym_energy_matrix
+from .reporting import write_csv
 from .solvers import solve_constrained
 
 
@@ -47,17 +48,6 @@ class CapacityValue:
     refinement_estimate: float = float("nan")
     raw_values: dict = field(default_factory=dict)
     iterations: int = 0
-
-    def as_dict(self):
-        return {
-            "value": self.value,
-            "kind": self.kind,
-            "grid_h": self.grid_h,
-            "grid_extent": self.grid_extent,
-            "refinement_estimate": self.refinement_estimate,
-            "raw_values": dict(self.raw_values),
-            "iterations": self.iterations,
-        }
 
 
 def _one_box(target, m, grid, kind, rtol):
@@ -152,19 +142,6 @@ class AnnulusCapacitySeries:
         for c, b in zip(self.capacity, self.ball_capacity):
             out.append(c / b if b > 0 else 0.0)
         return np.array(out)
-
-    def partial_sums(self):
-        return np.cumsum(self.weighted_terms())
-
-    def rows(self):
-        ws = self.weighted_terms()
-        ps = np.cumsum(ws)
-        return [
-            (j, rho, cap, w, s)
-            for j, rho, cap, w, s in zip(
-                range(self.j_range[0], self.j_range[1] + 1), self.rho, self.capacity, ws, ps
-            )
-        ]
 
 
 def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
@@ -272,10 +249,8 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
 
 
 def series_to_csv(series, path):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["j", "rho", "capacity", "weighted_term", "partial_sum"])
-        for row in series.rows():
-            w.writerow([row[0]] + [f"{v:.17g}" for v in row[1:]])
+    """One row per scale: j, rho, capacity, weighted term and partial sum."""
+    weighted = series.weighted_terms()
+    write_csv(path, ["j", "rho", "capacity", "weighted_term", "partial_sum"],
+              np.column_stack([np.arange(series.j_range[0], series.j_range[1] + 1), series.rho,
+                               series.capacity, weighted, np.cumsum(weighted)]))

@@ -11,8 +11,10 @@ demanded a hard verdict or an iterative solve did not converge.
 """
 
 import argparse
+import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,17 +46,19 @@ _COMPACT_DOMAINS = {"cone": ("half_angle_deg",), "cusp": ("cusp_kind", "param"),
 
 def _parse_domain(spec):
     """Compact domain strings: cone:45, cusp:power:2, cusp:exponential:1,
-    ball:0.5, ray, ray:1; JSON dicts pass through region_from_dict."""
-    data = spec
-    if not isinstance(spec, dict):
+    ball:0.5, ray, ray:1; JSON dicts, or their text, pass through
+    region_from_dict."""
+    try:
+        if isinstance(spec, dict):
+            return region_from_dict(spec)
+        if str(spec).startswith("{"):
+            return region_from_dict(json.loads(spec))
         kind, *fields = str(spec).split(":")
         keys = _COMPACT_DOMAINS.get(kind, ())
         if len(fields) > len(keys):
-            raise ConfigurationError(f"cannot parse domain spec {spec!r}")
-        data = {"kind": kind, **dict(zip(keys, fields))}
-    try:
-        return region_from_dict(data)
-    except (KeyError, TypeError, ValueError):
+            raise ValueError
+        return region_from_dict({"kind": kind, **dict(zip(keys, fields))})
+    except (AttributeError, KeyError, TypeError, ValueError):
         raise ConfigurationError(f"cannot parse domain spec {spec!r}") from None
 
 
@@ -146,7 +150,7 @@ def _run_capacity(cfg):
     else:
         raise ConfigurationError(f"unknown capacity kind {kind!r}")
     write_json(os.path.join(cfg["out"], "summary.json"),
-               {"operator": op.name, "n": op.n, "m": m, **value.as_dict()})
+               {"operator": op.name, "n": op.n, "m": m, **asdict(value)})
 
 
 def _run_potential(cfg):
@@ -196,7 +200,7 @@ def _run_wiener(cfg):
                             nodes_per_rho=cfg.get("nodes_per_rho", 12))
     verdict = wiener_classify(series, require_verdict=cfg.get("require_verdict", False))
     series_to_csv(series, os.path.join(cfg["out"], "series.csv"))
-    write_json(os.path.join(cfg["out"], "summary.json"), verdict.as_dict())
+    write_json(os.path.join(cfg["out"], "summary.json"), verdict)
 
 
 def _run_cusp(cfg):
@@ -233,7 +237,7 @@ def _run_decay(cfg):
     op = _resolve_operator(cfg)
     report = decay_check(op, cfg["domain"], op.n, R=cfg.get("R", 0.25),
                          grid_h=1.0 / cfg.get("inv_h", 24))
-    write_json(os.path.join(cfg["out"], "summary.json"), report.as_dict())
+    write_json(os.path.join(cfg["out"], "summary.json"), report)
     write_csv(os.path.join(cfg["out"], "decay.csv"),
               ["rho", "sup_sq", "weighted_energy", "cap_integral"],
               np.column_stack([report.radii, report.sup_sq, report.weighted_energy,

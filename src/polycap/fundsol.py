@@ -31,7 +31,6 @@ Other symbols (m >= 2 without a rotation axis) are refused.  For
 is the calibration oracle.
 """
 
-import csv as _csv
 import math
 from dataclasses import dataclass, field
 
@@ -40,6 +39,7 @@ from scipy.special import gamma as _gamma, roots_jacobi
 
 from .errors import InputError, UnsupportedRegimeError
 from .operators import check_ellipticity, quadratic_form_matrix, unit_directions
+from .reporting import write_csv
 
 
 def riesz_constant(m, n):
@@ -90,28 +90,22 @@ class SphereProfile:
     def reconstruct_on_grid(self, grid):
         return self.reconstruct(grid.coords())
 
-    def sign_summary(self):
-        vals = self.values
-        return {
-            "min": float(vals.min()),
-            "max": float(vals.max()),
-            "fraction_negative": float((vals < 0.0).mean()),
-            "directions": int(vals.size),
-            "error_estimate": float(self.error_estimate),
-        }
-
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow([f"d{i+1}" for i in range(self.directions.shape[1])] + ["value"])
-            for d, v in zip(self.directions, self.values):
-                w.writerow([f"{x:.17g}" for x in d] + [f"{v:.17g}"])
+        write_csv(path, [f"d{i+1}" for i in range(self.directions.shape[1])] + ["value"],
+                  np.column_stack([self.directions, self.values]))
 
 
 def sign_summary(profile):
-    if profile.values.size == 0:
+    vals = profile.values
+    if vals.size == 0:
         raise InputError("profile is empty")
-    return profile.sign_summary()
+    return {
+        "min": float(vals.min()),
+        "max": float(vals.max()),
+        "fraction_negative": float((vals < 0.0).mean()),
+        "directions": int(vals.size),
+        "error_estimate": float(profile.error_estimate),
+    }
 
 
 # -- symmetry detection -------------------------------------------------------

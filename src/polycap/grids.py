@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .reporting import write_csv
 
 
 @dataclass(frozen=True)
@@ -123,17 +124,14 @@ class Mask:
         return bool(np.all(~self.where | other.where))
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow([f"x{i+1}" for i in range(self.grid.n)])
-            for p in self.points():
-                writer.writerow([f"{v:.17g}" for v in p])
+        write_csv(path, [f"x{i+1}" for i in range(self.grid.n)], self.points())
 
 
 def mask_from_csv(grid, path):
     """Load a node-list CSV (a header, then one coordinate row per node) as a
-    mask; blank rows are skipped, and a row without n fields or a coordinate
-    more than 1e-9 max(h, 1) off the lattice is refused."""
+    mask; blank rows are skipped, and a row without n fields, a coordinate
+    that is not a finite number or one more than 1e-9 max(h, 1) off the
+    lattice is refused."""
     where = np.zeros(grid.shape, dtype=bool)
     with open(path, newline="") as fh:
         rows = [row for row in _csv.reader(fh) if row]
@@ -143,13 +141,18 @@ def mask_from_csv(grid, path):
         if len(row) != grid.n:
             raise InputError(f"node list row {row} does not have the grid's {grid.n} fields")
     for row in rows[1:]:
-        x = np.array([float(v) for v in row])
-        idx = np.rint(x / grid.h).astype(int)
+        try:
+            x = np.array([float(v) for v in row])
+        except ValueError:
+            raise InputError(f"node list row {row} holds a field that is not a number") from None
+        if not np.all(np.isfinite(x)):
+            raise InputError(f"node list row {row} holds a non-finite coordinate")
+        idx = np.rint(x / grid.h)
         if np.any(np.abs(x - idx * grid.h) > 1e-9 * max(grid.h, 1.0)):
             raise InputError(f"point {x} is not a grid node")
         if np.any(np.abs(idx) > grid.extent):
             raise InputError(f"point {x} lies outside the grid box")
-        where[tuple(idx + grid.extent)] = True
+        where[tuple(idx.astype(int) + grid.extent)] = True
     return Mask(grid, where)
 
 

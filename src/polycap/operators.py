@@ -111,9 +111,6 @@ class EllipticOperator:
         powers = xi[..., None, :] ** exps[None, :, :]
         return (powers.prod(axis=-1) * coefs).sum(axis=-1)
 
-    def order(self):
-        return 2 * self.m
-
 
 def eval_symbol(op, xi):
     """P(xi) for a single point or an array of points."""

@@ -25,7 +25,7 @@ positive verdict covers the channels swept and is never a proof for all k.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -206,20 +206,14 @@ class PositivityVerdict:
     notes: list = field(default_factory=list)
 
     def as_dict(self):
-        out = {
-            "status": self.status,
-            "m": self.m,
-            "n": self.n,
-            "method": self.method,
-            "channel_quotients": {str(k): v for k, v in self.channel_quotients.items()},
-            "min_quotient": self.min_quotient,
-            "argmin_channel": self.argmin_channel,
-            "resolution": dict(self.resolution),
-            "notes": list(self.notes),
-            "evidence": "numerical evidence at the stated resolution, not a proof",
-        }
-        if self.witness is not None:
-            out["witness"] = {k: v for k, v in self.witness.items() if k != "values"}
+        """The fields and an evidence note; the witness without its values,
+        which go to their own table."""
+        out = asdict(self)
+        out["evidence"] = "numerical evidence at the stated resolution, not a proof"
+        if self.witness is None:
+            del out["witness"]
+        else:
+            out["witness"].pop("values", None)
         return out
 
 

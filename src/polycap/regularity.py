@@ -219,21 +219,6 @@ class WienerVerdict:
     truncation: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
-    def as_dict(self):
-        return {
-            "classification": self.classification,
-            "m": self.m,
-            "n": self.n,
-            "partial_sums": [float(v) for v in self.partial_sums],
-            "normalized_terms": [float(v) for v in self.normalized_terms],
-            "growth_slope": self.growth_slope,
-            "tail_ratio": self.tail_ratio,
-            "tail_estimate": self.tail_estimate,
-            "thresholds": dict(self.thresholds),
-            "truncation": dict(self.truncation),
-            "notes": list(self.notes),
-        }
-
 
 def wiener_classify(series, require_verdict=False):
     """Regular / irregular / inconclusive from a dyadic capacity series."""
@@ -347,10 +332,6 @@ class ProbeReport:
     sup_tables: list  # one dict per refinement: {"h":, "rho":, "sup":}
     floor: float
     notes: list = field(default_factory=list)
-
-    def as_dict(self):
-        return {"trend": self.trend, "sup_tables": self.sup_tables, "floor": self.floor,
-                "notes": list(self.notes)}
 
 
 def _sup_table(u, h, domain, radii, rho_levels):
@@ -501,27 +482,13 @@ class DecayReport:
     radii: list
     sup_sq: list
     weighted_energy: list
-    m_r: float
+    M_R: float
     cap_integral: list
     c1: float
     c2: float
     passed: bool
     inconclusive: bool = False
     notes: list = field(default_factory=list)
-
-    def as_dict(self):
-        return {
-            "radii": [float(v) for v in self.radii],
-            "sup_sq": [float(v) for v in self.sup_sq],
-            "weighted_energy": [float(v) for v in self.weighted_energy],
-            "M_R": self.m_r,
-            "cap_integral": [float(v) for v in self.cap_integral],
-            "c1": self.c1,
-            "c2": self.c2,
-            "passed": self.passed,
-            "inconclusive": self.inconclusive,
-            "notes": list(self.notes),
-        }
 
 
 def _weighted_energy_on_ball(u, m, grid, rho, omega_where):

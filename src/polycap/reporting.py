@@ -1,35 +1,39 @@
 """Deterministic JSON and CSV writers plus run manifests.
 
-Reruns from the same manifest must be bitwise identical, so nothing here
-writes timestamps, hostnames, or unordered containers; floats go through
-repr (shortest round-trip form) in JSON and through a fixed %.17g format in
-CSV tables.
+Every output file of a run is written here: a JSON summary is a report's
+dataclass fields (or a dict) through one sanitiser, and a CSV table is a
+float array through write_csv.  Reruns from the same manifest must be
+bitwise identical, so nothing here writes timestamps, hostnames, or
+unordered containers; floats go through repr (shortest round-trip form) in
+JSON and through a fixed %.17g format in CSV tables, whose lines end in a
+bare newline.
 """
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigurationError
 from .operators import SYMBOL_CONVENTION
 
-PACKAGE_VERSION = "0.1.0"
-
 
 def _sanitize(obj):
+    """JSON-ready copy of obj: a dataclass becomes the dict of its fields,
+    dict keys strings in sorted order, numpy values Python ones, and
+    non-finite floats the strings nan, inf and -inf."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = dataclasses.asdict(obj)
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     if isinstance(obj, float) and obj != obj:
         return "nan"
     if isinstance(obj, float) and obj in (float("inf"), float("-inf")):
@@ -58,7 +62,7 @@ def write_csv(path, header, table):
 def write_manifest(outdir, resolved_config):
     manifest = {
         "tool": "polycap",
-        "version": PACKAGE_VERSION,
+        "version": __version__,
         "symbol_convention": SYMBOL_CONVENTION,
         "config": resolved_config,
     }

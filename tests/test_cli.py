@@ -14,6 +14,13 @@ def run_cli(args, cwd, env):
     return subprocess.run(BASE + args, cwd=cwd, env=env, capture_output=True, text=True)
 
 
+def assert_plain_csv(path, fields):
+    """Every line of the CSV ends in a bare \\n and holds `fields` fields."""
+    data = path.read_bytes()
+    assert b"\r" not in data
+    assert {line.count(b",") + 1 for line in data.splitlines()} == {fields}
+
+
 def test_cusp_subcommand_and_exit_codes(tmp_path, cli_env):
     r = run_cli(["cusp", "--kind", "power", "--p", "2", "--m", "2", "--n", "6",
                  "--out", "o1"], tmp_path, cli_env)
@@ -99,7 +106,7 @@ def test_wiener_subcommand(tmp_path, cli_env):
     assert r.returncode == 0, r.stderr
     with open(tmp_path / "w" / "summary.json") as fh:
         assert json.load(fh)["classification"] == "regular"
-    assert os.path.exists(tmp_path / "w" / "series.csv")
+    assert_plain_csv(tmp_path / "w" / "series.csv", 5)
 
 
 def test_wiener_keeps_zero_valued_options(tmp_path, cli_env):
@@ -191,7 +198,7 @@ def test_fundsol_subcommand(tmp_path, cli_env):
     with open(tmp_path / "f" / "summary.json") as fh:
         data = json.load(fh)
     assert data["sign_summary"]["fraction_negative"] == 0.0
-    assert os.path.exists(tmp_path / "f" / "profile.csv")
+    assert_plain_csv(tmp_path / "f" / "profile.csv", 4)  # d1, d2, d3, value
     # n = 2m: the kernel is logarithmic, not homogeneous
     r = run_cli(["fundsol", "--preset", "polyharmonic", "--n", "4", "--m", "2",
                  "--out", "f4"], tmp_path, cli_env)
@@ -242,12 +249,28 @@ def assert_one_line_exit_2(r):
     assert len(r.stderr.strip().splitlines()) == 1, r.stderr
 
 
-@pytest.mark.parametrize("spec", ["cone", "cone:abc", "cusp:power", "ray:x"])
+@pytest.mark.parametrize("spec", ["cone", "cone:abc", "cusp:power", "ray:x",
+                                  '{"kind": "cone"', '{"kind": "union", "parts": [1]}'])
 def test_malformed_domain_spec_exits_2(tmp_path, cli_env, spec):
     r = run_cli(["wiener", "--m", "1", "--n", "3", "--domain", spec, "--out", "w"],
                 tmp_path, cli_env)
     assert_one_line_exit_2(r)
     assert "cannot parse domain spec" in r.stderr
+
+
+def test_json_domain_spec_matches_the_ball_flag_and_reruns_bitwise(tmp_path, cli_env):
+    grid = ["capacity", "--preset", "laplacian", "--n", "3", "--h", "0.25", "--extent", "8"]
+    r = run_cli(grid + ["--ball", "0.5", "--out", "ball"], tmp_path, cli_env)
+    assert r.returncode == 0, r.stderr
+    r = run_cli(grid + ["--domain", '{"kind": "ball", "radius": 0.5}', "--out", "json"],
+                tmp_path, cli_env)
+    assert r.returncode == 0, r.stderr
+    r = run_cli(["--config", str(tmp_path / "json" / "manifest.json"), "capacity",
+                 "--out", "rerun"], tmp_path, cli_env)
+    assert r.returncode == 0, r.stderr
+    summary = (tmp_path / "ball" / "summary.json").read_bytes()
+    assert (tmp_path / "json" / "summary.json").read_bytes() == summary
+    assert (tmp_path / "rerun" / "summary.json").read_bytes() == summary
 
 
 @pytest.mark.parametrize("args", [
@@ -371,12 +394,14 @@ def test_mask_csv_blank_rows_are_skipped_and_short_rows_exit_2(tmp_path, cli_env
         with open(tmp_path / name / "summary.json") as fh:
             values.append(json.load(fh)["value"])
     assert values[0] == values[1]
-    (tmp_path / "short.csv").write_text("x1,x2,x3\n0,0\n")
-    r = run_cli(["capacity", "--preset", "laplacian", "--n", "3", "--h", "0.5",
-                 "--extent", "4", "--mask-csv", "short.csv", "--out", "short"],
-                tmp_path, cli_env)
-    assert_one_line_exit_2(r)
-    assert "fields" in r.stderr
+    for name, row, named in [("short", "0,0", "fields"), ("letter", "0,a,0", "not a number"),
+                             ("nan", "nan,0,0", "non-finite")]:
+        (tmp_path / f"{name}.csv").write_text(f"x1,x2,x3\n{row}\n")
+        r = run_cli(["capacity", "--preset", "laplacian", "--n", "3", "--h", "0.5",
+                     "--extent", "4", "--mask-csv", f"{name}.csv", "--out", name],
+                    tmp_path, cli_env)
+        assert_one_line_exit_2(r)
+        assert named in r.stderr
 
 
 @pytest.mark.parametrize("domain, named", [

@@ -19,6 +19,9 @@ def test_mask_csv_round_trip(tmp_path):
     mask = Ball(0.8).mask(g)
     path = tmp_path / "nodes.csv"
     mask.to_csv(path)
+    data = path.read_bytes()
+    assert b"\r" not in data
+    assert {line.count(b",") + 1 for line in data.splitlines()} == {2}
     back = mask_from_csv(g, path)
     assert np.array_equal(back.where, mask.where)
 
@@ -26,9 +29,11 @@ def test_mask_csv_round_trip(tmp_path):
 def test_mask_csv_rejects_off_grid(tmp_path):
     g = Grid(2, 0.25, 6)
     path = tmp_path / "bad.csv"
-    path.write_text("x1,x2\n0.1,0.0\n")
-    with pytest.raises(InputError):
-        mask_from_csv(g, path)
+    # off the lattice, not a number, not finite, too large for an integer index
+    for row in ["0.1,0.0", "0,a", "nan,0", "0,inf", "1e300,0"]:
+        path.write_text(f"x1,x2\n{row}\n")
+        with pytest.raises(InputError):
+            mask_from_csv(g, path)
 
 
 def test_mask_csv_skips_blank_rows(tmp_path):

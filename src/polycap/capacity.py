@@ -187,7 +187,6 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
         # one global grid, box at the unit scale, resolve the finest scale
         h = min(rho_values) / max(4, nodes_per_rho // 2)
         extent = int(round(2.0 * max(rho_values) / h))
-        grid = Grid(n, h, extent)
     else:
         use_axisym = backend == "axisym" or (
             backend == "auto" and n >= 3 and m <= 2 and is_axisymmetric(complement, n)
@@ -239,8 +238,8 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
     for rho in rho_values:
         if n != 2 * m:
             h = rho / nodes_per_rho
-            grid = AxisymGrid(n, h, extent, extent) if use_axisym else Grid(n, h, extent)
             meta["resolved"].append(_resolvable(complement, rho, h))
+        grid = AxisymGrid(n, h, extent, extent) if use_axisym else Grid(n, h, extent)
         cap, nodes = _capacity(Intersection((complement, Ball(rho))), grid)
         caps.append(cap)
         balls.append(_capacity(Ball(rho), grid)[0])

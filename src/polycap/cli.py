@@ -22,13 +22,13 @@ import numpy as np
 from .capacity import annulus_series, bessel_capacity, cap_m, series_to_csv
 from .errors import ConfigurationError, InconclusiveError, InputError, UnsupportedRegimeError
 from .fundsol import compute_profile, sign_summary
-from .grids import Ball, Grid, Mask, dilate, mask_from_csv, region_from_dict
+from .grids import Ball, Grid, Mask, mask_from_csv, region_from_dict
 from .operators import check_ellipticity, load_operator, preset_operator, unit_directions
-from .positivity import channel_positivity, grid_positivity
+from .positivity import channel_positivity
 from .potential import (capacitary_potential, gradient_decay_check, lower_bound_check,
                         range_check)
-from .regularity import (CuspProfile, bump, cusp_criterion, decay_check, dirichlet_solve,
-                         wiener_classify)
+from .regularity import (CuspProfile, bump, clear_forbidden_zone, cusp_criterion, decay_check,
+                         dirichlet_solve, wiener_classify)
 from .reporting import write_csv, write_json, write_manifest, load_manifest_config
 
 
@@ -173,17 +173,10 @@ def _run_potential(cfg):
 
 
 def _run_positivity(cfg):
-    m, n = cfg["m"], cfg["n"]
-    if cfg.get("grid_check"):
-        op = preset_operator("polyharmonic", n, m)
-        profile = compute_profile(op)
-        grid = Grid(n, cfg.get("h", 0.25), cfg.get("extent", 8))
-        verdict = grid_positivity(op, grid, profile)
-    else:
-        channels = range(cfg["channels"] + 1) if "channels" in cfg else None
-        verdict = channel_positivity(m, n, channels, cfg.get("window", 60.0),
-                                     cfg.get("dt", 0.1))
-    if verdict.witness is not None and "values" in verdict.witness:
+    channels = range(cfg["channels"] + 1) if "channels" in cfg else None
+    verdict = channel_positivity(cfg["m"], cfg["n"], channels, cfg.get("window", 60.0),
+                                 cfg.get("dt", 0.1))
+    if verdict.witness is not None:
         vals = np.asarray(verdict.witness["values"]).ravel()
         write_csv(os.path.join(cfg["out"], "witness.csv"), ["index", "value"],
                   np.column_stack([np.arange(vals.size), vals]))
@@ -223,8 +216,7 @@ def _run_dirichlet(cfg):
         omega = Mask(grid, interior)
     center = np.zeros(grid.n)
     center[0] = 0.4 * grid.box_radius
-    f = bump(grid, center, 0.15 * grid.box_radius)
-    f[dilate(~omega.where, 2 * op.m)] = 0.0
+    f = clear_forbidden_zone(bump(grid, center, 0.15 * grid.box_radius), ~omega.where, op.m)
     u, info = dirichlet_solve(op, omega, f)
     _write_field(os.path.join(cfg["out"], "solution.csv"), grid, u)
     write_json(os.path.join(cfg["out"], "summary.json"), {
@@ -264,8 +256,6 @@ _SCALE = Setting(float, positive=True)  # sizes or divides a grid
 _OPERATOR = {"preset": _STR, "operator_file": _STR, "n": _INT, "m": _INT}
 _MN = {"m": Setting(_integer, required=True), "n": Setting(_integer, required=True)}
 # (branch, test) for a setting the handler reads only where test(cfg) holds
-_GRID_CHECK = ("without --grid-check", lambda cfg: cfg.get("grid_check", False))
-_CHANNELS = ("with --grid-check", lambda cfg: not cfg.get("grid_check", False))
 _BALL = ("with --mask-csv", lambda cfg: "mask_csv" not in cfg)
 _DOMAIN = ("with --ball or --mask-csv", lambda cfg: not {"ball", "mask_csv"} & set(cfg))
 _HOMOGENEOUS = ("with --kind inhomogeneous", lambda cfg: cfg.get("kind") != "inhomogeneous")
@@ -288,12 +278,7 @@ SUBCOMMANDS = {
     "potential": _subcommand(_run_potential, **_OPERATOR, h=_SCALE, extent=_INT, box=_FLOAT,
                              ball=Setting(float, read_if=_BALL), mask_csv=_STR,
                              checks=Setting(_checks), enclosing=Setting(float, read_if=_LOWER)),
-    "positivity": _subcommand(_run_positivity, **_MN, grid_check=_SWITCH,
-                              h=Setting(float, positive=True, read_if=_GRID_CHECK),
-                              extent=Setting(_integer, read_if=_GRID_CHECK),
-                              channels=Setting(_integer, read_if=_CHANNELS),
-                              window=Setting(float, positive=True, read_if=_CHANNELS),
-                              dt=Setting(float, positive=True, read_if=_CHANNELS),
+    "positivity": _subcommand(_run_positivity, **_MN, channels=_INT, window=_SCALE, dt=_SCALE,
                               require_verdict=_SWITCH),
     "wiener": _subcommand(_run_wiener, **_MN, domain=Setting(_parse_domain, required=True),
                           j_min=_INT, j_max=_INT, backend=_STR, nodes_per_rho=_INT,

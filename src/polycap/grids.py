@@ -14,8 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, UnsupportedRegimeError
 from .reporting import write_csv
+
+
+# the most nodes a Cartesian grid may have: 128 MiB per float64 grid function,
+# refused before anything is allocated
+MAX_NODES = 2**24
 
 
 @dataclass(frozen=True)
@@ -31,6 +36,9 @@ class Grid:
             raise InputError("grid spacing must be positive")
         if self.extent < 1:
             raise InputError("grid extent must be at least 1")
+        if self.size > MAX_NODES:
+            raise UnsupportedRegimeError(
+                f"Cartesian grid would have {self.size} nodes (limit {MAX_NODES:,})")
 
     @property
     def shape(self):

@@ -8,8 +8,8 @@ symbol
 
 which is homogeneous of degree 2m and strictly positive on nonzero xi for an
 elliptic operator.  This sign convention (one global factor (-1)^m absorbed
-into P) is recorded as ``SYMBOL_CONVENTION`` and echoed in every report that
-downstream modules emit.
+into P) is recorded as ``SYMBOL_CONVENTION`` and echoed in every run
+manifest and operator description file.
 """
 
 import json

@@ -14,9 +14,9 @@ neither a certified-convergent nor a clearly non-decaying shape:
   no geometric decay classifies as regular (slope_min = 0.5);
 * a tail whose fitted geometric ratio stays below 0.9 classifies as
   irregular (tail_max), with the geometric tail bound recorded;
-* decaying tails that a power law in the scale index explains better than a
-  geometric law (the signature of logarithmically divergent series) stay
-  inconclusive.
+* decaying tails whose geometric fit does not beat a power law in the scale
+  index (the signature of logarithmically divergent series) by the factor
+  GEO_FIT_MARGIN in squared residual stay inconclusive.
 
 Classifications are invariant under rescaling the whole capacity series by
 a fixed factor, which is what licenses surrogate capacities comparable to
@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import radial
 from .capacity import annulus_series
 from .energy import EnergyForm, weighted_gradient_parts
 from .errors import InconclusiveError, InputError, UnsupportedRegimeError
@@ -37,17 +38,22 @@ from .stencils import apply_alpha
 
 SLOPE_MIN = 0.5
 TAIL_MAX = 0.9
+# a geometric tail fit must leave at most this share of the power-law fit's
+# squared residual before it counts as evidence of convergence
+GEO_FIT_MARGIN = 0.5
 
 # regularity_probe and decay_check: the radius of the box ball; the probe's
 # source bump (centre on the first axis, clear of axial cones and cusps, and
 # radius, in box radii), its trusted scales rho >= TRUST_SPACINGS * h and its
-# gates on the decay exponent; decay_check's dyadic levels and the resolution
-# of its capacity series
+# gates on the decay exponent; decay_check's source bump (centre offset and
+# radius in box radii, clear of B_2R), its dyadic levels and the resolution of
+# its capacity series
 BOX_RADIUS = 1.0
 PROBE_SOURCE_OFFSET = 0.55
 PROBE_SOURCE_RADIUS = 0.18
 TRUST_SPACINGS = 6.0
 PROBE_GATES = (0.30, 0.40)
+DECAY_SOURCE = (0.70, 0.15)
 DECAY_LEVELS = (1, 2, 3)
 DECAY_NODES_PER_RHO = 10
 
@@ -274,15 +280,16 @@ def wiener_classify(series, require_verdict=False):
         ap, bp = np.polyfit(np.log(jj + 1.0), lw, 1)
         sse_pow = float(((lw - (ap * np.log(jj + 1.0) + bp)) ** 2).sum())
         ratio = float(np.exp(ag))
-        if ratio < TAIL_MAX and sse_geo <= sse_pow:
+        if ratio < TAIL_MAX and sse_geo <= GEO_FIT_MARGIN * sse_pow:
             tail = float(wh[-1] * ratio / (1.0 - ratio))
             return verdict("irregular", slope, ratio,
                            tail, ["tail decays geometrically"])
         if np.all(wh[-L:] == 0.0):
             return verdict("irregular", slope, 0.0, 0.0, ["tail is identically zero"])
-        return verdict("inconclusive", slope, ratio, float("nan"),
-                       ["decay is slower than the geometric gate but below the "
-                        "cone-normalized unit"])
+        return verdict("inconclusive", slope, ratio, float("nan"), [
+            "a power law in the scale index fits the tail about as well as a "
+            "geometric law" if ratio < TAIL_MAX else
+            "decay is slower than the geometric gate but below the cone-normalized unit"])
     return verdict("inconclusive", slope, float("nan"), float("nan"),
                    ["not enough positive scales for a decay fit"])
 
@@ -346,52 +353,43 @@ def _sup_table(u, h, domain, radii, rho_levels):
     return {"h": h, "rho": rho_used, "sup": sups, "u_max": float(np.abs(u).max())}
 
 
-def _probe_cartesian(op, complement, n, h, rho_levels):
-    """Set up the Cartesian probe at spacing h; returns the solve that yields
-    its sup table."""
+def clear_forbidden_zone(f, outside, m):
+    """Zero the source f, in place, on the nodes within 2m steps of the nodes
+    `outside` the domain, where a source has no meaning in the zero-extension
+    energy class; returns f, and raises InputError when nothing of it is left."""
+    f[dilate(outside, 2 * m)] = 0.0
+    if not np.any(f > 0):
+        raise InputError("source bump fell entirely inside the forbidden zone")
+    return f
+
+
+def _dirichlet_setup(op, complement, n, h, backend, source):
+    """The Dirichlet problem of regularity_probe and decay_check at spacing h.
+
+    The domain is the open ball of radius 0.98 BOX_RADIUS minus the
+    complement; the source is a bump centred source[0] box radii along the
+    first axis (in the plane z = 0 on the axisym backend) with radius
+    source[1] box radii, cleared of the forbidden zone.  Returns the grid,
+    the domain nodes, their radii and the solve, which yields u on the grid.
+    """
+    offset, radius = (s * BOX_RADIUS for s in source)
     extent = int(round(BOX_RADIUS / h))
+    if backend == "axisym":
+        if op.m > 2:
+            raise UnsupportedRegimeError("axisymmetric probe supports m <= 2")
+        grid = radial.AxisymGrid(n, h, extent, extent)
+        R, Z = np.meshgrid(grid.r, grid.z, indexing="ij")
+        rad2 = R**2 + Z**2
+        outside = grid.mask_from_region(complement) | (rad2 > (0.98 * BOX_RADIUS) ** 2)
+        f = clear_forbidden_zone(_bump_of((R - offset) ** 2 + Z**2, radius), outside, op.m)
+        return (grid, ~outside, np.sqrt(rad2),
+                lambda: radial.axisym_dirichlet(op.m, n, outside, f, grid))
     grid = Grid(n, h, extent)
-    inside_ball = Ball(BOX_RADIUS * 0.98).mask(grid)
-    comp_mask = complement.mask(grid)
-    omega = Mask(grid, inside_ball.where & ~comp_mask.where)
+    omega = Mask(grid, Ball(BOX_RADIUS * 0.98).mask(grid).where & ~complement.mask(grid).where)
     center = np.zeros(n)
-    center[0] = PROBE_SOURCE_OFFSET * BOX_RADIUS
-    f = bump(grid, center, PROBE_SOURCE_RADIUS * BOX_RADIUS)
-    f[dilate(~omega.where, 2 * op.m)] = 0.0
-    if not np.any(f > 0):
-        raise InputError("source bump fell entirely inside the forbidden zone")
-
-    def solve():
-        u, _ = dirichlet_solve(op, omega, f)
-        return _sup_table(u, h, omega.where, grid.radii(), rho_levels)
-
-    return solve
-
-
-def _probe_axisym(op, complement, n, h, rho_levels):
-    """Set up the axisymmetric probe at spacing h; returns the solve that
-    yields its sup table."""
-    from .radial import AxisymGrid, axisym_dirichlet
-
-    if op.m > 2:
-        raise UnsupportedRegimeError("axisymmetric probe supports m <= 2")
-    ag = AxisymGrid(n, h, int(round(BOX_RADIUS / h)), int(round(BOX_RADIUS / h)))
-    R, Z = np.meshgrid(ag.r, ag.z, indexing="ij")
-    rad2 = R**2 + Z**2
-    comp = ag.mask_from_region(complement)
-    outside = comp | (rad2 > (0.98 * BOX_RADIUS) ** 2)
-    # the source centre lies in the plane z = 0
-    f = _bump_of((R - PROBE_SOURCE_OFFSET * BOX_RADIUS) ** 2 + Z**2,
-                 PROBE_SOURCE_RADIUS * BOX_RADIUS)
-    f[dilate(outside, 2 * op.m)] = 0.0
-    if not np.any(f > 0):
-        raise InputError("source bump fell entirely inside the forbidden zone")
-
-    def solve():
-        u = axisym_dirichlet(op.m, n, outside, f, ag)
-        return _sup_table(u, h, ~outside, np.sqrt(rad2), rho_levels)
-
-    return solve
+    center[0] = offset
+    f = clear_forbidden_zone(bump(grid, center, radius), ~omega.where, op.m)
+    return grid, omega.where, grid.radii(), lambda: dirichlet_solve(op, omega, f)[0]
 
 
 def _ladder_shortfall(h_values, rho_levels):
@@ -434,12 +432,13 @@ def regularity_probe(op, complement, n, h_values=(1 / 8, 1 / 16, 1 / 32),
     desk-scale ladder and probe as non-vanishing or inconclusive; the
     classifier, not this probe, is the instrument for those.
     """
-    probe = _probe_axisym if backend == "axisym" else _probe_cartesian
-    solves = [probe(op, complement, n, h, rho_levels) for h in h_values]
+    setups = [_dirichlet_setup(op, complement, n, h, backend,
+                               (PROBE_SOURCE_OFFSET, PROBE_SOURCE_RADIUS)) for h in h_values]
     shortfall = _ladder_shortfall(h_values, rho_levels)
     if shortfall is not None:
         return ProbeReport("inconclusive", [], float("nan"), [shortfall])
-    tables = [solve() for solve in solves]
+    tables = [_sup_table(solve(), h, domain, radii, rho_levels)
+              for h, (_, domain, radii, solve) in zip(h_values, setups)]
 
     floor = 1e-3 * max(t["u_max"] for t in tables)
     fine = tables[-1]
@@ -491,8 +490,7 @@ class DecayReport:
     notes: list = field(default_factory=list)
 
 
-def _weighted_energy_on_ball(u, m, grid, rho, omega_where):
-    inside = (grid.radii() <= rho) & omega_where
+def _weighted_energy_on_ball(u, m, grid, inside):
     total = 0.0
     for alpha, c, w in weighted_gradient_parts(grid, m):
         d = apply_alpha(u, alpha)
@@ -505,28 +503,20 @@ def decay_check(op, complement, n, R=0.25, grid_h=1 / 16):
     operator-harmonic near the origin.
 
     The domain is the open ball of radius BOX_RADIUS minus the complement.
-    The source sits outside B_2R, so the solution solves Lu = 0 on the
-    domain within B_2R; both sides of the bound are evaluated at the dyadic
+    The source, the bump DECAY_SOURCE, sits outside B_2R, so the solution
+    solves Lu = 0 on the domain within B_2R; both sides of the bound are evaluated at the dyadic
     radii rho = R 2^-level, level in DECAY_LEVELS, and c2 is the slope of
     -log(left / M_R) against the capacity integral, whose annulus series
     runs at DECAY_NODES_PER_RHO nodes per rho.
     """
     m = op.m
-    extent = int(round(BOX_RADIUS / grid_h))
-    grid = Grid(n, grid_h, extent)
-    comp_mask = complement.mask(grid)
-    inside = Ball(BOX_RADIUS * 0.98).mask(grid)
-    omega = Mask(grid, inside.where & ~comp_mask.where)
-    c = np.zeros(n)
-    c[0] = 0.70 * BOX_RADIUS
-    f = bump(grid, c, 0.15 * BOX_RADIUS)
-    if np.linalg.norm(c) - 0.15 * BOX_RADIUS < 2 * R:
+    offset, radius = DECAY_SOURCE
+    if (offset - radius) * BOX_RADIUS < 2 * R:
         raise InputError("source overlaps B_2R; enlarge the box or shrink R")
-    f[dilate(~omega.where, 2 * m)] = 0.0
-    u, _ = dirichlet_solve(op, omega, f)
-
-    radii = grid.radii()
-    ann = omega.where & (radii > R) & (radii <= 2 * R)
+    grid, domain, radii, solve = _dirichlet_setup(op, complement, n, grid_h, "cartesian",
+                                                  DECAY_SOURCE)
+    u = solve()
+    ann = domain & (radii > R) & (radii <= 2 * R)
     m_r = float(R ** (-n) * grid.h**n * (u[ann] ** 2).sum())
 
     rhos, sups, energies, caps_int = [], [], [], []
@@ -538,9 +528,9 @@ def decay_check(op, complement, n, R=0.25, grid_h=1 / 16):
     w_terms = series.weighted_terms()
     for lev in DECAY_LEVELS:
         rho = R * 2.0 ** (-lev)
-        sel = omega.where & (radii <= rho)
+        sel = domain & (radii <= rho)
         sup2 = float(np.abs(u[sel]).max() ** 2) if sel.any() else 0.0
-        en = _weighted_energy_on_ball(u, m, grid, rho, omega.where)
+        en = _weighted_energy_on_ball(u, m, grid, sel)
         integral = float(np.log(2.0) * w_terms[:lev].sum())
         rhos.append(rho)
         sups.append(sup2)
@@ -551,13 +541,16 @@ def decay_check(op, complement, n, R=0.25, grid_h=1 / 16):
     ivals = np.array(caps_int)
     good = left > 0
     notes = []
-    if ivals.std() < 1e-12 or good.sum() < 2:
+    if ivals.std() < 1e-12:
+        notes.append("capacity integral is constant on these scales")
+    if good.sum() < 2:
+        notes.append(f"left side vanishes on {int((~good).sum())} of the "
+                     f"{len(DECAY_LEVELS)} balls")
+    if notes:
         return DecayReport(rhos, sups, energies, m_r, caps_int, float("nan"),
-                           float("nan"), False, True,
-                           ["capacity integral is degenerate on these scales"])
+                           float("nan"), False, True, notes)
     y = np.log(left[good] / max(m_r, 1e-300))
     slope, intercept = np.polyfit(ivals[good], y, 1)
     c2 = float(-slope)
     c1 = float(np.exp(intercept))
-    return DecayReport(rhos, sups, energies, m_r, caps_int, c1, c2, bool(c2 > 0.0),
-                       False, notes)
+    return DecayReport(rhos, sups, energies, m_r, caps_int, c1, c2, bool(c2 > 0.0), False)

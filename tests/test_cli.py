@@ -164,6 +164,23 @@ def test_wiener_oversized_borderline_grid_exits_3(tmp_path, cli_env):
     assert not os.path.exists(tmp_path / "w" / "summary.json")
 
 
+@pytest.mark.parametrize("args", [
+    ["capacity", "--preset", "laplacian", "--n", "5", "--ball", "1.0", "--h", "0.05",
+     "--box", "4"],
+    ["potential", "--preset", "laplacian", "--n", "5", "--ball", "1.0", "--h", "0.05",
+     "--box", "4"],
+    ["dirichlet", "--preset", "laplacian", "--n", "5", "--h", "0.02", "--extent", "50"],
+    ["decay", "--preset", "polyharmonic", "--m", "2", "--n", "5", "--domain", "cone:45"],
+], ids=["capacity", "potential", "dirichlet", "decay"])
+def test_oversized_cartesian_grid_exits_3(tmp_path, cli_env, args):
+    # 161^5, 161^5, 101^5 and 49^5 nodes: refused before any grid array is allocated
+    r = run_cli(args + ["--out", "o"], tmp_path, cli_env)
+    assert r.returncode == 3, r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1, r.stderr
+    assert "limit 16,777,216" in r.stderr
+    assert not os.path.exists(tmp_path / "o" / "summary.json")
+
+
 def test_wiener_unknown_backend_exits_2(tmp_path, cli_env):
     r = run_cli(["wiener", "--m", "1", "--n", "3", "--domain", "cone:45",
                  "--backend", "bogus", "--out", "w"], tmp_path, cli_env)
@@ -249,6 +266,21 @@ def assert_one_line_exit_2(r):
     assert len(r.stderr.strip().splitlines()) == 1, r.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["decay", "--preset", "polyharmonic", "--m", "2", "--n", "5", "--domain", "cone:45",
+     "--inv-h", "8"],
+    ["dirichlet", "--preset", "laplacian", "--n", "2", "--h", "0.1", "--extent", "10",
+     "--domain", "ball:0.9"],
+], ids=["decay", "dirichlet"])
+def test_source_erased_by_the_forbidden_zone_exits_2(tmp_path, cli_env, args):
+    # the 2m-neighbourhood of the complement covers the whole source bump, so the
+    # solution would be u = 0
+    r = run_cli(args + ["--out", "o"], tmp_path, cli_env)
+    assert_one_line_exit_2(r)
+    assert "forbidden zone" in r.stderr
+    assert not os.path.exists(tmp_path / "o" / "summary.json")
+
+
 @pytest.mark.parametrize("spec", ["cone", "cone:abc", "cusp:power", "ray:x",
                                   '{"kind": "cone"', '{"kind": "union", "parts": [1]}'])
 def test_malformed_domain_spec_exits_2(tmp_path, cli_env, spec):
@@ -322,7 +354,7 @@ def test_each_subcommand_takes_only_the_flags_of_its_table_row():
     parser = cli._build_parser()
     rows = {name: settings for name, (_, settings) in cli.SUBCOMMANDS.items()}
     all_keys = set().union(*rows.values())
-    assert sum(map(len, rows.values())) == 79
+    assert sum(map(len, rows.values())) == 76
     for name, settings in rows.items():
         for key in settings:
             value = [] if settings[key].cast is cli._flag else ["1"]
@@ -367,15 +399,13 @@ def test_integer_setting_refuses_bools_and_fractions(tmp_path, cli_env, value):
 
 
 @pytest.mark.parametrize("args", [
-    ["positivity", "--m", "2", "--n", "8", "--h", "0.5", "--extent", "3"],
-    ["positivity", "--m", "2", "--n", "5", "--grid-check", "--channels", "4"],
     ["potential", "--preset", "laplacian", "--n", "3", "--enclosing", "2"],
     ["potential", "--preset", "laplacian", "--n", "3", "--checks", "decay", "--enclosing", "2"],
     ["capacity", "--preset", "laplacian", "--n", "3", "--ball", "1", "--kind", "inhomogeneous",
      "--box-levels", "2"],
     ["capacity", "--preset", "laplacian", "--n", "3", "--ball", "1", "--domain", "ball:0.5"],
-], ids=["h_without_grid_check", "channels_with_grid_check", "enclosing_without_checks",
-        "enclosing_without_lower", "box_levels_inhomogeneous", "domain_with_ball"])
+], ids=["enclosing_without_checks", "enclosing_without_lower", "box_levels_inhomogeneous",
+        "domain_with_ball"])
 def test_setting_the_chosen_branch_does_not_read_exits_2(tmp_path, cli_env, args):
     r = run_cli(args + ["--out", "o"], tmp_path, cli_env)
     assert_one_line_exit_2(r)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from polycap import (Ball, Box, Cone, Cusp, Grid, InputError, Intersection, Mask,
-                     Ray, Shell, Union, mask_from_csv, region_from_dict)
-from polycap.grids import dilate
+                     Ray, Shell, Union, UnsupportedRegimeError, mask_from_csv,
+                     region_from_dict)
+from polycap.grids import MAX_NODES, dilate
 
 
 def test_grid_geometry():
@@ -12,6 +13,13 @@ def test_grid_geometry():
     assert g.box_radius == 2.0
     assert g.coords()[g.origin_index()].tolist() == [0.0, 0.0, 0.0]
     assert g.radii()[g.origin_index()] == 0.0
+
+
+def test_grid_node_limit():
+    # 4097^2 = 16,785,409 nodes is just over the limit; 4095^2 is just under
+    assert Grid(2, 0.1, 2047).size <= MAX_NODES
+    with pytest.raises(UnsupportedRegimeError, match="16,777,216"):
+        Grid(2, 0.1, 2048)
 
 
 def test_mask_csv_round_trip(tmp_path):

@@ -3,8 +3,8 @@ import pytest
 
 from polycap import (Ball, Cone, Cusp, CuspProfile, Grid, InputError, Mask,
                      UnsupportedRegimeError, annulus_series, bump, cusp_criterion,
-                     decay_check, dirichlet_solve, laplacian, regularity_probe,
-                     wiener_classify)
+                     decay_check, dirichlet_solve, laplacian, polyharmonic,
+                     regularity_probe, wiener_classify)
 from polycap.capacity import AnnulusCapacitySeries
 from polycap.grids import dilate
 
@@ -105,6 +105,15 @@ def test_classifier_on_real_families():
     assert wiener_classify(cone).classification == "regular"
     cusp = annulus_series(Cusp("power", 2.0), 2, 6, j_range=(0, 8), nodes_per_rho=32)
     assert wiener_classify(cusp).classification == "irregular"
+
+
+@pytest.mark.parametrize("m,n", [(1, 3), (2, 5)])
+def test_classifier_declines_a_geometric_fit_it_cannot_tell_from_a_power_law(m, n):
+    # the p = 2 cusp series is cut to 6 resolved scales at 48 nodes per rho, where the
+    # geometric fit of its 1/j tail beats the power law only narrowly
+    analytic = cusp_criterion(CuspProfile("power", 2.0), m, n)["verdict"]
+    series = annulus_series(Cusp("power", 2.0), m, n, j_range=(0, 8), nodes_per_rho=48)
+    assert wiener_classify(series).classification in (analytic, "inconclusive")
 
 
 def test_classifier_borderline_dimension_continuum():
@@ -229,6 +238,12 @@ def test_decay_check_cone_and_stability():
     b = decay_check(laplacian(3), Cone(np.pi / 4), 3, R=0.25, grid_h=1 / 48)
     assert b.passed
     assert b.c2 == pytest.approx(a.c2, rel=0.30)
+
+
+def test_decay_check_refuses_an_erased_source():
+    # at h = 1/8 the 4-step neighbourhood of the cone and the box covers the source bump
+    with pytest.raises(InputError, match="forbidden zone"):
+        decay_check(polyharmonic(5, 2), Cone(np.pi / 4), 5, grid_h=1 / 8)
 
 
 def test_decay_check_degenerate_is_inconclusive():

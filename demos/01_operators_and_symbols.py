@@ -8,14 +8,14 @@
 
 import numpy as np
 
-from polycap import (check_ellipticity, eval_symbol, fourier_kernel_probe, laplacian,
+from polycap import (check_ellipticity, fourier_kernel_probe, laplacian,
                      mn8_operator, polyharmonic, unit_directions)
 
 print("== symbols ==")
-print("laplacian n=3, P(1,2,2)      =", eval_symbol(laplacian(3), [1.0, 2.0, 2.0]))
-print("biharmonic n=5, P(e1)        =", eval_symbol(polyharmonic(5, 2), np.eye(5)[0]))
+print("laplacian n=3, P(1,2,2)      =", laplacian(3).symbol([1.0, 2.0, 2.0]))
+print("biharmonic n=5, P(e1)        =", polyharmonic(5, 2).symbol(np.eye(5)[0]))
 op = mn8_operator()
-print("anisotropic n=8, P(e8)       =", eval_symbol(op, np.eye(8)[7]),
+print("anisotropic n=8, P(e8)       =", op.symbol(np.eye(8)[7]),
       " (the quartic axis term adds 10)")
 
 print("\n== ellipticity: minimum of P on the unit sphere ==")

@@ -8,8 +8,8 @@
 
 import numpy as np
 
-from polycap import Ball, Cone, Grid, annulus_series, cap_m, exact_ball_capacity
-from polycap.radial import axisym_capacity, radial_ball_capacity
+from polycap import Ball, Cone, Grid, annulus_series, cap_m
+from polycap.radial import axisym_capacity, ball_potential_exact, radial_ball_potential
 
 print("== unit ball, m=1, n=3: the 4 pi oracle ==")
 grid = Grid(3, 0.2, 20)
@@ -20,15 +20,16 @@ print(f"two boxes (4 and 8): {pair.value:.4f}   exact 4 pi = {4*np.pi:.4f}")
 print(f"refinement estimate recorded: {pair.refinement_estimate:.3f}")
 
 print("\n== the same number three more ways ==")
-print(f"radial 1-d solver, box 300:   {radial_ball_capacity(1, 3, 1.0, h=0.01, box=300.0):.4f}")
+radial = radial_ball_potential(1, 3, 1.0, h=0.01, box=300.0)[2]
+print(f"radial 1-d solver, box 300:   {radial:.4f}")
 c6 = axisym_capacity(Ball(1.0), 1, 3, 0.05, 6.0)[0]
 c12 = axisym_capacity(Ball(1.0), 1, 3, 0.05, 12.0)[0]
 print(f"axisymmetric (r,z) solver:    {2*c12-c6:.4f} (box pair 6, 12)")
-print(f"closed form:                  {exact_ball_capacity(1, 3, 1.0):.4f}")
+print(f"closed form:                  {ball_potential_exact(1, 3, 1.0)[2]:.4f}")
 
 print("\n== dilation homogeneity: cap(tK) = t^(n-2m) cap(K) ==")
 for (m, n) in [(1, 3), (2, 5), (2, 7)]:
-    r = exact_ball_capacity(m, n, 2.0) / exact_ball_capacity(m, n, 1.0)
+    r = ball_potential_exact(m, n, 2.0)[2] / ball_potential_exact(m, n, 1.0)[2]
     print(f"(m={m}, n={n}): ratio {r:.1f} = 2^{n-2*m}")
 
 print("\n== dyadic annulus series of an exterior cone ==")

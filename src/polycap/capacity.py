@@ -76,18 +76,20 @@ def _one_box(target, m, grid, kind, rtol):
 def cap_m(target, m, grid, box_levels=1, rtol=1e-8):
     """Order-m homogeneous capacity of a compact node set.
 
-    With box_levels=2 the target region is re-rasterized on a box twice as
-    large (same spacing) and the pair is extrapolated in R^(2m-n); this needs
-    a Region target, a plain Mask cannot be re-rasterized.
+    box_levels is 1 or 2.  With 2 the target region is re-rasterized on a box
+    twice as large (same spacing) and the pair is extrapolated in R^(2m-n);
+    this needs a Region target, a plain Mask cannot be re-rasterized.
     """
     n = grid.n
+    if box_levels not in (1, 2):
+        raise InputError(f"box_levels must be 1 or 2, got {box_levels!r}")
     if n <= 2 * m:
         raise UnsupportedRegimeError(
             f"homogeneous capacity needs n > 2m (got n={n}, m={m}); "
             "use bessel_capacity for the borderline dimension"
         )
     mask, out = _one_box(target, m, grid, "homogeneous", rtol)
-    if box_levels >= 2 and not mask.empty:
+    if box_levels == 2 and not mask.empty:
         if not isinstance(target, Region) and mask.region is None:
             raise InputError("box extrapolation needs a geometric region target")
         region = target if isinstance(target, Region) else mask.region
@@ -104,13 +106,6 @@ def cap_m(target, m, grid, box_levels=1, rtol=1e-8):
 def bessel_capacity(target, m, grid):
     """Inhomogeneous (full Sobolev-energy) capacity, the order-2m surrogate."""
     return _one_box(target, m, grid, "inhomogeneous", 1e-8)[1]
-
-
-def exact_ball_capacity(m, n, radius):
-    """Closed-form cap_m of a centered ball (test oracle)."""
-    from .radial import ball_potential_exact
-
-    return ball_potential_exact(m, n, radius)[2]
 
 
 @dataclass
@@ -243,7 +238,7 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
         cap, nodes = _capacity(Intersection((complement, Ball(rho))), grid)
         caps.append(cap)
         balls.append(_capacity(Ball(rho), grid)[0])
-        meta["node_counts"].append(nodes.size if use_axisym else int(nodes.sum()))
+        meta["node_counts"].append(int(nodes.sum()))
     return AnnulusCapacitySeries(m, n, j_range, rho_values, caps, balls, kind, meta)
 
 

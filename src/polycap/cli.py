@@ -198,7 +198,7 @@ def _run_wiener(cfg):
 
 def _run_cusp(cfg):
     kind = cfg.get("kind", "power")
-    param = cfg.get("p", cfg.get("a", 2.0))
+    param = cfg.get("p" if kind == "power" else "a", 2.0)
     result = cusp_criterion(CuspProfile(kind, param), cfg["m"], cfg["n"])
     write_json(os.path.join(cfg["out"], "summary.json"), {
         "kind": kind, "param": param, "m": cfg["m"], "n": cfg["n"], **result,
@@ -260,6 +260,8 @@ _BALL = ("with --mask-csv", lambda cfg: "mask_csv" not in cfg)
 _DOMAIN = ("with --ball or --mask-csv", lambda cfg: not {"ball", "mask_csv"} & set(cfg))
 _HOMOGENEOUS = ("with --kind inhomogeneous", lambda cfg: cfg.get("kind") != "inhomogeneous")
 _LOWER = ("without lower in --checks", lambda cfg: "lower" in cfg.get("checks", ()))
+_POWER = ("unless --kind power", lambda cfg: cfg.get("kind", "power") == "power")
+_EXPONENTIAL = ("unless --kind exponential", lambda cfg: cfg.get("kind") == "exponential")
 
 
 def _subcommand(handler, **settings):
@@ -283,7 +285,8 @@ SUBCOMMANDS = {
     "wiener": _subcommand(_run_wiener, **_MN, domain=Setting(_parse_domain, required=True),
                           j_min=_INT, j_max=_INT, backend=_STR, nodes_per_rho=_INT,
                           require_verdict=_SWITCH),
-    "cusp": _subcommand(_run_cusp, **_MN, kind=_STR, p=_FLOAT, a=_FLOAT),
+    "cusp": _subcommand(_run_cusp, **_MN, kind=_STR, p=Setting(float, read_if=_POWER),
+                        a=Setting(float, read_if=_EXPONENTIAL)),
     "dirichlet": _subcommand(_run_dirichlet, **_OPERATOR, h=_SCALE, extent=_INT,
                              domain=Setting(_parse_domain)),
     "decay": _subcommand(_run_decay, **_OPERATOR, domain=Setting(_parse_domain, required=True),

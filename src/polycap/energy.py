@@ -201,7 +201,7 @@ def assemble(kind, op, grid, weight=None):
             raise InputError("the weighted form needs a fundamental-solution profile")
         if grid.n <= 2 * op.m:
             raise InputError("the weighted form needs n > 2m")
-        wvals = weight.reconstruct_on_grid(grid)
+        wvals = weight.reconstruct(grid.coords())
         wvals[grid.origin_index()] = 0.0
         return EnergyForm(kind, grid, op.m, op=op, weight=wvals)
     return EnergyForm(kind, grid, op.m, op=op)

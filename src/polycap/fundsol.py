@@ -87,9 +87,6 @@ class SphereProfile:
         out[ok] = vals * rf[ok] ** self.homogeneity_degree
         return out.reshape(r.shape)
 
-    def reconstruct_on_grid(self, grid):
-        return self.reconstruct(grid.coords())
-
     def to_csv(self, path):
         write_csv(path, [f"d{i+1}" for i in range(self.directions.shape[1])] + ["value"],
                   np.column_stack([self.directions, self.values]))
@@ -112,28 +109,17 @@ def sign_summary(profile):
 
 
 def _isotropy_axis(op, samples=128):
-    """None if P is anisotropic; n (meaning fully isotropic) or the axis index
-    about which the symbol is rotation invariant."""
-    rng = np.random.default_rng(7)
+    """None if P is anisotropic; n (meaning fully isotropic) or the first axis
+    whose _axial_symbol, the plane-wave route's polynomial in the squared axis
+    component, reproduces P on the sampled directions to 1e-12 of max|P|
+    (about a thousand times the rounding of the fit)."""
     dirs = unit_directions(op.n, samples)
     vals = op.symbol(dirs)
     if np.allclose(vals, vals.mean(), rtol=1e-10, atol=0.0):
         return op.n
+    tol = 1e-12 * np.abs(vals).max()
     for axis in range(op.n):
-        ok = True
-        for _ in range(24):
-            x = rng.standard_normal(op.n)
-            y = x.copy()
-            perp = [i for i in range(op.n) if i != axis]
-            # random rotation in the transverse block
-            q, _ = np.linalg.qr(rng.standard_normal((op.n - 1, op.n - 1)))
-            y[perp] = q @ x[perp]
-            px = float(op.symbol(x[None])[0])
-            py = float(op.symbol(y[None])[0])
-            if not math.isclose(px, py, rel_tol=1e-9, abs_tol=1e-12):
-                ok = False
-                break
-        if ok:
+        if np.abs(_axial_symbol(op, axis)(dirs[:, axis] ** 2) - vals).max() <= tol:
             return axis
     return None
 

@@ -112,11 +112,6 @@ class EllipticOperator:
         return (powers.prod(axis=-1) * coefs).sum(axis=-1)
 
 
-def eval_symbol(op, xi):
-    """P(xi) for a single point or an array of points."""
-    return op.symbol(xi)
-
-
 # -- presets ---------------------------------------------------------------
 
 

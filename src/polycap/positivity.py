@@ -34,7 +34,6 @@ from scipy.sparse import diags
 from .energy import HardyForm, assemble
 from .errors import InputError, UnsupportedRegimeError
 from .fundsol import riesz_constant
-from .solvers import smallest_generalized_eig
 
 # a quotient below -VIOLATION_EPS is a candidate violation; grid_positivity
 # minimizes over fields smoothed by SMOOTHING_PASSES [1,2,1]/4 averagings
@@ -67,20 +66,17 @@ def _g_poly(j, k, n, mu, nu):
         return Polynomial([1.0 + 0.0j])
     s1 = Polynomial([mu, 1j])
     s2 = Polynomial([nu, -1j])
-    lam = (k - s1) * (k + s1 + (n - 2))
     euler = (2.0 * j - n) - s1 - s2
-    return lam * _g_poly(j - 1, k, n, mu - 2.0, nu) - euler * (s1 - (j - 1.0)) * _g_poly(
-        j - 1, k, n, mu, nu
-    )
+    return (_lam_poly(k, n, mu) * _g_poly(j - 1, k, n, mu - 2.0, nu)
+            - euler * (s1 - (j - 1.0)) * _g_poly(j - 1, k, n, mu, nu))
 
 
 @functools.cache
 def hardy_channel_poly(m, n, k):
     """sum_{j=1..m} t_{j,k} as a polynomial in tau (real part taken).
 
-    Cached by (m, n, k): a verdict reads each channel's symbol for its
-    infimum and again for the witness forms and the spectral re-validation.
-    Callers only read it."""
+    Cached by (m, n, k) for the channel coefficients and the spectral
+    re-validation.  Callers only read it."""
     total = Polynomial([0.0 + 0.0j])
     for j in range(1, m + 1):
         total = total + _g_poly(j, k, n, 0.0, 0.0)
@@ -100,6 +96,18 @@ def _even_real_coeffs(poly, label):
     if odd.size and np.abs(odd).max() > 1e-9 * scale:
         raise InputError(f"{label}: symbol has a spurious odd part")
     return re[0::2]  # coefficient of tau^(2p)
+
+
+@functools.cache
+def _channel_coeffs(m, n, k):
+    """tau^(2p) coefficients of channel k's operator symbol times the kernel
+    constant and of its Hardy symbol, clipped to >= 0 after a rounding-level
+    check.  Cached for the infimum and the witness forms; callers only read."""
+    ca = riesz_constant(m, n) * _even_real_coeffs(op_channel_poly(m, n, k), "operator")
+    cb = _even_real_coeffs(hardy_channel_poly(m, n, k), "hardy")
+    if cb.min() < -1e-12 * max(1.0, np.abs(cb).max()):
+        raise InputError("hardy channel symbol has a negative coefficient")
+    return ca, np.clip(cb, 0.0, None)
 
 
 def op_channel_symbol(m, n, k, tau):
@@ -126,8 +134,7 @@ def _symbol_infimum(m, n, k):
     positive real root of p'q - pq'.  Real parts of complex roots are kept:
     every candidate is a value the ratio takes, so extra ones cannot lower the
     minimum, and a real root that rounding moved off the axis is not lost."""
-    p = riesz_constant(m, n) * _even_real_coeffs(op_channel_poly(m, n, k), "operator")
-    q = _even_real_coeffs(hardy_channel_poly(m, n, k), "hardy")
+    p, q = _channel_coeffs(m, n, k)
     low = min(np.flatnonzero(p)[0], np.flatnonzero(q)[0])
     p, q = Polynomial(p[low:]), Polynomial(q[low:])
     if p.degree() != q.degree() or q.coef[0] <= 0.0 or q.coef[-1] <= 0.0:
@@ -159,12 +166,7 @@ class ChannelForm:
     def __post_init__(self):
         nt = int(round(self.t_window / self.dt)) + 1
         self.nodes = nt
-        kappa = riesz_constant(self.m, self.n)
-        ca = kappa * _even_real_coeffs(op_channel_poly(self.m, self.n, self.k), "operator")
-        cb = _even_real_coeffs(hardy_channel_poly(self.m, self.n, self.k), "hardy")
-        if cb.min() < -1e-12 * max(1.0, np.abs(cb).max()):
-            raise InputError("hardy channel symbol has a negative coefficient")
-        cb = np.clip(cb, 0.0, None)
+        ca, cb = _channel_coeffs(self.m, self.n, self.k)
         self.A = self._form_from_coeffs(ca)
         self.B = self._form_from_coeffs(cb)
 
@@ -186,10 +188,6 @@ class ChannelForm:
         if den <= 0:
             raise InputError("comparison form vanished on the witness")
         return num / den
-
-    def min_quotient(self):
-        val, vec = smallest_generalized_eig(self.A, self.B)
-        return val, vec
 
 
 @dataclass

@@ -144,16 +144,14 @@ def ball_potential_exact(m, n, ball_radius=1.0):
         raise UnsupportedRegimeError(f"ball potential needs n > 2m, got n={n}, m={m}")
     R = float(ball_radius)
     exps = np.array([2 * m - n - 2 * j for j in range(m)], dtype=float)
-    # u^(k)(R) = delta_{k0}: rows are falling-factorial products of each power
+    # u^(k)(R) = delta_{k0}: row k holds the k-th derivative of each power at
+    # R, its powers taken one by one (the vectorised pow can round otherwise)
     V = np.zeros((m, m))
+    for k in range(m):
+        c, e = _power_sum_derivative(np.ones(m), exps, k)
+        V[k] = c * [R**x for x in e]
     rhs = np.zeros(m)
     rhs[0] = 1.0
-    for k in range(m):
-        for j, e in enumerate(exps):
-            fall = 1.0
-            for i in range(k):
-                fall *= e - i
-            V[k, j] = fall * R ** (e - k)
     coeffs = np.linalg.solve(V, rhs)
     cap = _ball_energy_exact(m, n, coeffs, exps, R)
     return coeffs, exps, cap
@@ -203,8 +201,9 @@ def evaluate_ball_potential(m, n, ball_radius, r):
     return out
 
 
-def radial_ball_potential(m, n, ball_radius=1.0, h=None, box=None):
-    """Capacitary potential and capacity of a centered ball via the 1-D solver.
+def radial_ball_potential(m, n, ball_radius, h, box):
+    """Capacitary potential and capacity of a centered ball via the 1-D solver
+    on nodes of spacing h out to radius box.
 
     Returns (rgrid, u, capacity).  Supported for m <= 2; the order-6 radial
     system is too ill-conditioned in double precision for a trustworthy
@@ -217,10 +216,6 @@ def radial_ball_potential(m, n, ball_radius=1.0, h=None, box=None):
             "finite-difference radial solve is limited to m <= 2; "
             "use ball_potential_exact for higher orders"
         )
-    if h is None:
-        h = ball_radius / 200.0
-    if box is None:
-        box = 400.0 * ball_radius
     rg = RadialGrid(n, h, int(round(box / h)))
     A = radial_energy_matrix(m, rg)
     fixed = rg.r <= ball_radius
@@ -237,12 +232,6 @@ def radial_ball_potential(m, n, ball_radius=1.0, h=None, box=None):
     u[free] = (splu((Dm @ Aff @ Dm).tocsc()).solve(rhs / d)) / d
     cap = float(u @ (A @ u))
     return rg, u, cap
-
-
-def radial_ball_capacity(m, n, ball_radius=1.0, h=None, box=None):
-    if m > 2:
-        return ball_potential_exact(m, n, ball_radius)[2]
-    return radial_ball_potential(m, n, ball_radius, h, box)[2]
 
 
 # -- 2-D axisymmetric ---------------------------------------------------------

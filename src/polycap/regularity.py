@@ -78,6 +78,8 @@ class CuspProfile:
             if not self.param > 0.0:
                 raise InputError("exponential profiles need a > 0")
         elif self.kind == "tabulated":
+            if len(self.table) != 2:
+                raise InputError("a tabulated profile needs a (tau, f) table")
             tau, f = self.table
             tau = np.asarray(tau, float)
             f = np.asarray(f, float)

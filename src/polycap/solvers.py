@@ -222,18 +222,6 @@ def solve_constrained(form, fixed_where, fixed_values, rhs=None, rtol=1e-8, maxi
     return _reflect(uh, axes, e), info
 
 
-def stationarity_residual(form, u, fixed_where):
-    """Gradient norm on the free nodes relative to the constraint fluxes.
-
-    At the minimizer the energy gradient vanishes off the constrained set
-    while the constrained nodes carry the (nonzero) capacitary flux, which
-    sets the natural scale."""
-    fixed = np.asarray(fixed_where, dtype=bool)
-    g = form.apply(u)
-    denom = max(float(np.linalg.norm(g)), 1e-300)
-    return float(np.linalg.norm(g[~fixed]) / denom)
-
-
 def _upper_band(M, u):
     """LAPACK upper-band storage: ab[u + i - j, j] = M[i, j] for i <= j."""
     keep = M.row <= M.col

@@ -4,10 +4,10 @@ import pytest
 from polycap import (Ball, Box, Cone, ConvergenceError, Cusp, EllipticOperator, EnergyForm,
                      Grid, InconclusiveError, InputError, Intersection, Mask, Ray,
                      UnsupportedRegimeError, annulus_series, bessel_capacity, bump, cap_m,
-                     exact_ball_capacity, laplacian, solve_constrained)
+                     laplacian, solve_constrained)
 from polycap import solvers
 from polycap.radial import (AxisymGrid, axisym_capacity, axisym_energy_matrix,
-                            radial_ball_capacity)
+                            ball_potential_exact, radial_ball_potential)
 
 
 def test_empty_target_is_zero():
@@ -180,13 +180,13 @@ def test_bessel_disk_log_capacity():
 
 
 def test_radial_matches_cartesian_and_exact():
-    exact = exact_ball_capacity(1, 3, 1.0)
+    exact = ball_potential_exact(1, 3, 1.0)[2]
     assert exact == pytest.approx(4 * np.pi, rel=1e-12)
-    fd = radial_ball_capacity(1, 3, 1.0, h=0.01, box=150.0)
+    fd = radial_ball_potential(1, 3, 1.0, h=0.01, box=150.0)[2]
     assert fd == pytest.approx(exact, rel=2e-3)
-    exact25 = exact_ball_capacity(2, 5, 1.0)
+    exact25 = ball_potential_exact(2, 5, 1.0)[2]
     assert exact25 == pytest.approx(24 * np.pi**2, rel=1e-12)
-    fd25 = radial_ball_capacity(2, 5, 1.0, h=0.01, box=150.0)
+    fd25 = radial_ball_potential(2, 5, 1.0, h=0.01, box=150.0)[2]
     assert fd25 == pytest.approx(exact25, rel=5e-3)
 
 
@@ -277,6 +277,24 @@ def test_annulus_series_rejects_bad_scale_parameters():
     for kwargs in ({"nodes_per_rho": 0}, {"nodes_per_rho": -3}, {"box_factor": 0.0}):
         with pytest.raises(InputError):
             annulus_series(Cone(np.pi / 4), 1, 3, **kwargs)
+
+
+@pytest.mark.parametrize("backend", ["axisym", "cartesian"])
+def test_annulus_series_node_counts_are_the_slab_nodes(backend):
+    # the count of nodes of each slab B_rho minus the domain on its own grid,
+    # not the size of that grid
+    cone = Cone(np.pi / 4)
+    series = annulus_series(cone, 1, 3, j_range=(0, 2), backend=backend, nodes_per_rho=6)
+    extent = round(3.0 * 6)
+    for rho, count in zip(series.rho, series.metadata["node_counts"]):
+        slab = Intersection((cone, Ball(rho)))
+        if backend == "axisym":
+            grid = AxisymGrid(3, rho / 6, extent, extent)
+            nodes = grid.mask_from_region(slab)
+        else:
+            grid = Grid(3, rho / 6, extent)
+            nodes = slab.mask(grid).where
+        assert 0 < count == int(nodes.sum()) < nodes.size
 
 
 def test_axisym_capacity_takes_a_node_mask():

@@ -404,13 +404,44 @@ def test_integer_setting_refuses_bools_and_fractions(tmp_path, cli_env, value):
     ["capacity", "--preset", "laplacian", "--n", "3", "--ball", "1", "--kind", "inhomogeneous",
      "--box-levels", "2"],
     ["capacity", "--preset", "laplacian", "--n", "3", "--ball", "1", "--domain", "ball:0.5"],
+    ["cusp", "--m", "1", "--n", "4", "--kind", "power", "--p", "3", "--a", "5"],
+    ["cusp", "--m", "1", "--n", "4", "--a", "1"],
+    ["cusp", "--m", "1", "--n", "4", "--kind", "exponential", "--p", "3"],
+    ["cusp", "--m", "1", "--n", "4", "--kind", "tabulated", "--p", "3"],
 ], ids=["enclosing_without_checks", "enclosing_without_lower", "box_levels_inhomogeneous",
-        "domain_with_ball"])
+        "domain_with_ball", "a_with_power", "a_with_default_power", "p_with_exponential",
+        "p_with_tabulated"])
 def test_setting_the_chosen_branch_does_not_read_exits_2(tmp_path, cli_env, args):
     r = run_cli(args + ["--out", "o"], tmp_path, cli_env)
     assert_one_line_exit_2(r)
     assert "does not read" in r.stderr
     assert not os.path.exists(tmp_path / "o" / "manifest.json")
+
+
+def test_cusp_reads_the_parameter_of_its_kind(tmp_path, cli_env):
+    for args, param in [(["--kind", "power", "--p", "3"], 3.0),
+                        (["--kind", "exponential", "--a", "0.5"], 0.5), ([], 2.0)]:
+        r = run_cli(["cusp", "--m", "1", "--n", "4", *args, "--out", "o"], tmp_path, cli_env)
+        assert r.returncode == 0, r.stderr
+        with open(tmp_path / "o" / "summary.json") as fh:
+            assert json.load(fh)["param"] == param
+
+
+def test_cusp_tabulated_without_a_table_exits_2(tmp_path, cli_env):
+    # the command line cannot give a table, so this kind always exits 2
+    r = run_cli(["cusp", "--m", "1", "--n", "4", "--kind", "tabulated", "--out", "o"],
+                tmp_path, cli_env)
+    assert_one_line_exit_2(r)
+    assert "table" in r.stderr
+
+
+@pytest.mark.parametrize("levels", ["0", "-1", "3"])
+def test_capacity_box_levels_other_than_1_or_2_exit_2(tmp_path, cli_env, levels):
+    r = run_cli(["capacity", "--preset", "laplacian", "--n", "3", "--ball", "0.5", "--h", "0.25",
+                 "--extent", "4", "--box-levels", levels, "--out", "o"], tmp_path, cli_env)
+    assert_one_line_exit_2(r)
+    assert "box_levels" in r.stderr
+    assert not os.path.exists(tmp_path / "o" / "summary.json")
 
 
 def test_mask_csv_blank_rows_are_skipped_and_short_rows_exit_2(tmp_path, cli_env):

@@ -194,6 +194,29 @@ def test_second_order_symbol_without_axis_is_served_in_five_dimensions():
     assert np.abs(total / scale).max() <= 1e-5
 
 
+def _no_axis_order_four():
+    coeffs = dict(polyharmonic(5, 2).coefficients)
+    e1, e2 = (2, 0, 0, 0, 0), (0, 2, 0, 0, 0)
+    coeffs[(e1, e1)] += 1.0
+    coeffs[(e2, e2)] += 2.0
+    return EllipticOperator(5, 2, coeffs, name="no_rotation_axis")
+
+
+@pytest.mark.parametrize("op, axis", [
+    (laplacian(3), 3), (laplacian(4), 4), (laplacian(5), 5), (polyharmonic(5, 2), 5),
+    (polyharmonic(4, 2), 4), (mn8_operator(), 7), (_stiff_axis_operator(1000.0), 7),
+    (_stiff_axis_operator(5000.0), 7), (_stiff_axis_operator(1e6), 7),
+    (_diagonal_operator(1.0, 1.0, 3.5), 2), (_diagonal_operator(1.0, 1.0, 1.0, 0.2), 3),
+    (_diagonal_operator(3.5, 1.0, 1.0), 0), (EVEN_ANISOTROPIC, None), (CROSS_TERM, None),
+    (NO_AXIS_5D, None), (_no_axis_order_four(), None),
+], ids=["laplacian3", "laplacian4", "laplacian5", "biharmonic5", "biharmonic4", "mn8",
+        "stiff1e3", "stiff5e3", "stiff1e6", "diag_n3", "diag_n4", "diag_axis0",
+        "even_anisotropic", "cross_term", "no_axis_5d", "no_axis_order_four"])
+def test_isotropy_axis_picks_the_route(op, axis):
+    # n for a fully isotropic symbol, else the rotation axis, else None
+    assert fundsol._isotropy_axis(op) == axis
+
+
 def test_laplacian4_fft_calibrated():
     prof = compute_profile(laplacian(4))
     assert np.abs(prof.values / riesz_constant(1, 4) - 1.0).max() <= 1e-12
@@ -241,10 +264,5 @@ def test_second_order_ellipticity_is_decided_exactly(rotated_indefinite_operator
 
 def test_fft_backend_refuses_five_dimensions():
     # order four without a rotation axis has no exact route: refused
-    coeffs = dict(polyharmonic(5, 2).coefficients)
-    e1, e2 = (2, 0, 0, 0, 0), (0, 2, 0, 0, 0)
-    coeffs[(e1, e1)] += 1.0
-    coeffs[(e2, e2)] += 2.0
-    no_axis = EllipticOperator(5, 2, coeffs, name="no_rotation_axis")
     with pytest.raises(UnsupportedRegimeError):
-        compute_profile(no_axis)
+        compute_profile(_no_axis_order_four())

@@ -39,6 +39,13 @@ def test_empty_target():
     assert rep.energy == 0.0 and np.all(rep.u == 0.0)
 
 
+def test_mask_of_another_grid_is_refused():
+    # the report's checks read the grid from its mask, so it must be the solve's
+    mask = Ball(1.0).mask(Grid(3, 0.25, 8))
+    with pytest.raises(InputError):
+        capacitary_potential(laplacian(3), mask, Grid(3, 0.2, 8))
+
+
 def test_range_check_pass_and_fail(newton_ball):
     res = range_check(newton_ball)
     assert res["passed"] and res["min"] > -1e-6 and res["max"] < 1.0 + 1e-6

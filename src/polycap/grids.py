@@ -6,7 +6,10 @@ continue by zero outside the box.  Regions are geometric predicates that can
 be rasterized to a Mask on any grid: one region yields its node set on each
 per-scale grid and box size, and the homogeneous capacity of a node set
 depends on the spacing only through h^(n-2m), which is what lets
-annulus_series solve each distinct node set once.
+annulus_series solve each distinct node set once.  A region is evaluated on
+coordinate arrays, one per axis, that broadcast against each other, so a
+grid rasterizes from its n axis vectors and never builds the N x n matrix of
+its node coordinates.
 """
 
 import csv as _csv
@@ -61,9 +64,14 @@ class Grid:
         mesh = np.meshgrid(*([ax] * self.n), indexing="ij")
         return np.stack(mesh, axis=-1)
 
+    def axes(self):
+        """The node coordinates as n arrays, axis a's vector along axis a,
+        which broadcast against each other to grid.shape."""
+        return axis_arrays([self.axis_coords()] * self.n)
+
     def radii(self):
         """Euclidean distance of every node from the origin."""
-        return np.sqrt(axis_sum([self.axis_coords() ** 2] * self.n))
+        return euclidean_norm(self.axes())
 
     def zeros(self):
         return np.zeros(self.shape)
@@ -72,10 +80,22 @@ class Grid:
         return (self.extent,) * self.n
 
 
+def axis_arrays(vectors):
+    """n 1-D vectors reshaped so that v_a lies along axis a of an n-d array."""
+    n = len(vectors)
+    return [v.reshape([-1 if k == a else 1 for k in range(n)]) for a, v in enumerate(vectors)]
+
+
 def axis_sum(vectors):
     """The n-d array sum_a v_a[x_a] of n 1-D vectors, v_a along axis a."""
-    n = len(vectors)
-    return sum(v.reshape([-1 if k == a else 1 for k in range(n)]) for a, v in enumerate(vectors))
+    return sum(axis_arrays(vectors))
+
+
+def euclidean_norm(x):
+    """sqrt(x_1^2 + ... + x_n^2) of coordinate arrays that broadcast against
+    each other, summed in axis order: the order in which
+    np.linalg.norm(points, axis=1) sums a row of fewer than 8 coordinates."""
+    return np.sqrt(sum(xa * xa for xa in x))
 
 
 def dilate(where, times=1):
@@ -116,7 +136,8 @@ class Mask:
         return not self.where.any()
 
     def points(self):
-        return self.grid.coords()[self.where]
+        """Coordinates of the mask's nodes, one row each in C order."""
+        return self.grid.axis_coords()[np.argwhere(self.where)]
 
     def __or__(self, other):
         if other.grid != self.grid:
@@ -168,14 +189,18 @@ def mask_from_csv(grid, path):
 
 
 class Region:
-    """Geometric predicate; subclasses implement contains(points)."""
+    """Geometric predicate on points given by their coordinate arrays."""
 
-    def contains(self, points):
+    def contains(self, x):
+        """Membership of the points whose a-th coordinates are x[a]: x holds n
+        arrays that broadcast against each other, and the result is a bool
+        array that broadcasts to their common shape.  A point matrix P of
+        shape (N, n) is passed as P.T."""
         raise NotImplementedError
 
     def mask(self, grid):
-        pts = grid.coords().reshape(-1, grid.n)
-        return Mask(grid, self.contains(pts).reshape(grid.shape), region=self)
+        inside = np.broadcast_to(self.contains(grid.axes()), grid.shape).copy()
+        return Mask(grid, inside, region=self)
 
 
 @dataclass(frozen=True)
@@ -183,12 +208,12 @@ class Ball(Region):
     radius: float
     center: tuple = ()
 
-    def contains(self, points):
-        c = np.asarray(self.center or (0.0,) * points.shape[1])
-        if c.shape != points.shape[1:]:
+    def contains(self, x):
+        c = self.center or (0.0,) * len(x)
+        if len(c) != len(x):
             raise InputError(f"ball center {list(self.center)} is not a point in dimension "
-                             f"{points.shape[1]}")
-        return np.linalg.norm(points - c, axis=1) <= self.radius + 1e-12
+                             f"{len(x)}")
+        return euclidean_norm([xa - ca for xa, ca in zip(x, c)]) <= self.radius + 1e-12
 
 
 @dataclass(frozen=True)
@@ -198,8 +223,8 @@ class Shell(Region):
     inner: float
     outer: float
 
-    def contains(self, points):
-        r = np.linalg.norm(points, axis=1)
+    def contains(self, x):
+        r = euclidean_norm(x)
         return (r >= self.inner - 1e-12) & (r <= self.outer + 1e-12)
 
 
@@ -209,12 +234,12 @@ class Box(Region):
 
     bounds: tuple
 
-    def contains(self, points):
-        if len(self.bounds) != points.shape[1]:
-            raise InputError(f"box has {len(self.bounds)} bounds in dimension {points.shape[1]}")
-        ok = np.ones(points.shape[0], dtype=bool)
-        for axis, (lo, hi) in enumerate(self.bounds):
-            ok &= (points[:, axis] >= lo - 1e-12) & (points[:, axis] <= hi + 1e-12)
+    def contains(self, x):
+        if len(self.bounds) != len(x):
+            raise InputError(f"box has {len(self.bounds)} bounds in dimension {len(x)}")
+        ok = np.ones((), dtype=bool)
+        for xa, (lo, hi) in zip(x, self.bounds):
+            ok = ok & (xa >= lo - 1e-12) & (xa <= hi + 1e-12)
         return ok
 
 
@@ -225,13 +250,11 @@ class Ray(Region):
     axis: int = 0
     width: float = 0.0
 
-    def contains(self, points):
-        if not 0 <= self.axis < points.shape[1]:
-            raise InputError(f"ray axis {self.axis} is not an axis in dimension {points.shape[1]}")
-        other = np.delete(points, self.axis, axis=1)
-        return (points[:, self.axis] <= 1e-12) & (
-            np.linalg.norm(other, axis=1) <= self.width + 1e-12
-        )
+    def contains(self, x):
+        if not 0 <= self.axis < len(x):
+            raise InputError(f"ray axis {self.axis} is not an axis in dimension {len(x)}")
+        other = [xa for a, xa in enumerate(x) if a != self.axis]
+        return (x[self.axis] <= 1e-12) & (euclidean_norm(other) <= self.width + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -240,9 +263,8 @@ class Cone(Region):
 
     half_angle: float
 
-    def contains(self, points):
-        r = np.linalg.norm(points, axis=1)
-        return -points[:, -1] >= r * np.cos(self.half_angle) - 1e-12
+    def contains(self, x):
+        return -x[-1] >= euclidean_norm(x) * np.cos(self.half_angle) - 1e-12
 
 
 @dataclass(frozen=True)
@@ -269,22 +291,21 @@ class Cusp(Region):
                 return np.where(t > 0, np.exp(-s), 0.0)
         raise InputError(f"unknown cusp kind {self.kind!r}")
 
-    def contains(self, points):
-        t = points[:, -1]
+    def contains(self, x):
+        t = x[-1]
         width = self.profile(np.maximum(t, 0.0))
         inside = (t >= -1e-12) & (t <= self.height + 1e-12)
-        other = points[:, :-1]
-        return inside & (np.linalg.norm(other, axis=1) <= width + 1e-12)
+        return inside & (euclidean_norm(x[:-1]) <= width + 1e-12)
 
 
 @dataclass(frozen=True)
 class Union(Region):
     parts: tuple
 
-    def contains(self, points):
-        ok = np.zeros(points.shape[0], dtype=bool)
+    def contains(self, x):
+        ok = np.zeros((), dtype=bool)
         for part in self.parts:
-            ok |= part.contains(points)
+            ok = ok | part.contains(x)
         return ok
 
 
@@ -292,10 +313,10 @@ class Union(Region):
 class Intersection(Region):
     parts: tuple
 
-    def contains(self, points):
-        ok = np.ones(points.shape[0], dtype=bool)
+    def contains(self, x):
+        ok = np.ones((), dtype=bool)
         for part in self.parts:
-            ok &= part.contains(points)
+            ok = ok & part.contains(x)
         return ok
 
 

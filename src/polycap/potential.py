@@ -31,9 +31,6 @@ from .stencils import apply_alpha
 class PotentialReport:
     operator_name: str
     m: int
-    n: int
-    grid_h: float
-    grid_extent: int
     u: np.ndarray
     mask: Mask
     energy: float
@@ -42,12 +39,13 @@ class PotentialReport:
     solver: dict = field(default_factory=dict)
 
     def summary(self):
+        grid = self.mask.grid
         return {
             "operator": self.operator_name,
             "m": self.m,
-            "n": self.n,
-            "grid_h": self.grid_h,
-            "grid_extent": self.grid_extent,
+            "n": grid.n,
+            "grid_h": grid.h,
+            "grid_extent": grid.extent,
             "energy": self.energy,
             "capacity_m": self.capacity_m,
             "range_off_mask": list(self.range_off_mask),
@@ -75,8 +73,7 @@ def capacitary_potential(op, target, grid, rtol=1e-8):
         raise InputError("mask was rasterized on a different grid")
     if mask.empty:
         u = grid.zeros()
-        return PotentialReport(op.name, op.m, grid.n, grid.h, grid.extent, u, mask,
-                               0.0, 0.0, (0.0, 0.0), {"iterations": 0})
+        return PotentialReport(op.name, op.m, u, mask, 0.0, 0.0, (0.0, 0.0), {"iterations": 0})
     form = EnergyForm("operator_form", grid, op.m, op=op)
     u, info = solve_constrained(form, mask.where, 1.0, rtol=rtol)
     if op.coefficients == polyharmonic(op.n, op.m).coefficients:
@@ -85,8 +82,8 @@ def capacitary_potential(op, target, grid, rtol=1e-8):
         capm = cap_m(mask, op.m, grid, rtol=rtol).value
     off = ~mask.where
     rng = (float(u[off].min()), float(u[off].max())) if off.any() else (1.0, 1.0)
-    return PotentialReport(op.name, op.m, grid.n, grid.h, grid.extent, u, mask,
-                           float(info["energy"]), float(capm), rng, info)
+    return PotentialReport(op.name, op.m, u, mask, float(info["energy"]), float(capm), rng,
+                           info)
 
 
 def range_check(report, tol=1e-6):
@@ -160,9 +157,9 @@ def gradient_decay_check(report, orders=(0, 1, 2), probe_radii=(2.0, 2.5, 3.0)):
                 continue
             vals = gj[shell][ok]
             dd = dist[ok]
-            ratio = vals * dd ** (report.n + j - 2 * report.m) / report.capacity_m
+            ratio = vals * dd ** (grid.n + j - 2 * report.m) / report.capacity_m
             riesz = vals / (report.capacity_m *
-                            _riesz_gradient_scale(report.m, report.n, j, np.linalg.norm(
+                            _riesz_gradient_scale(report.m, grid.n, j, np.linalg.norm(
                                 pts[ok], axis=1)))
             rows.append({
                 "radius": rho,
@@ -199,7 +196,7 @@ def maximal_bound_check(op, target, grid, theta, rho, orders=(0, 1)):
             best = max(best, float(g[sel].mean()))
             r *= 2.0
         if report.capacity_m > 0:
-            ratio = best * rho ** (report.n + ell - 2 * report.m) / report.capacity_m
+            ratio = best * rho ** (grid.n + ell - 2 * report.m) / report.capacity_m
         else:
             ratio = 0.0
         out["orders"][ell] = {"maximal_value": best, "ratio": ratio}
@@ -221,7 +218,7 @@ def lower_bound_check(report, enclosing_radius, probe_radii=(2.0, 3.0)):
             continue
         vals = report.u[shell]
         rr = radii[shell]
-        ratio = vals * (rr + enclosing_radius) ** (report.n - 2 * report.m) / report.capacity_m
+        ratio = vals * (rr + enclosing_radius) ** (grid.n - 2 * report.m) / report.capacity_m
         rows.append({"radius": rho, "ratio_min": float(ratio.min()),
                      "ratio_mean": float(ratio.mean())})
     worst = min((r["ratio_min"] for r in rows), default=float("nan"))

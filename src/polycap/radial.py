@@ -261,14 +261,10 @@ class AxisymGrid:
     def mask_from_region(self, region):
         """Rasterize a body of revolution; the first column also samples the
         axis itself, so sets thinner than the staggering stay visible."""
-        R, Z = np.meshgrid(self.r, self.z, indexing="ij")
-        pts = np.zeros((R.size, self.n))
-        pts[:, 0] = R.ravel()
-        pts[:, -1] = Z.ravel()
-        inside = region.contains(pts).reshape(self.shape)
-        axis_pts = np.zeros((len(self.z), self.n))
-        axis_pts[:, -1] = self.z
-        inside[0] |= region.contains(axis_pts)
+        r, z, zero = self.r[:, None], self.z[None, :], np.zeros((1, 1))
+        inside = np.zeros(self.shape, dtype=bool)
+        inside |= region.contains([r] + [zero] * (self.n - 2) + [z])
+        inside[:1] |= region.contains([zero] * (self.n - 1) + [z])
         return inside
 
 

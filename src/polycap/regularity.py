@@ -32,7 +32,7 @@ from . import radial
 from .capacity import annulus_series
 from .energy import EnergyForm, weighted_gradient_parts
 from .errors import InconclusiveError, InputError, UnsupportedRegimeError
-from .grids import Ball, Cusp, Grid, Mask, dilate
+from .grids import Ball, Cusp, Grid, Mask, axis_sum, dilate
 from .solvers import solve_constrained
 from .stencils import apply_alpha
 
@@ -331,8 +331,8 @@ def _bump_of(dist2, radius):
 
 def bump(grid, center, radius):
     """Smooth compactly supported bump, value 1 at the center."""
-    x = grid.coords() - np.asarray(center, dtype=float)
-    return _bump_of((x**2).sum(axis=-1), radius)
+    ax = grid.axis_coords()
+    return _bump_of(axis_sum([(ax - c) ** 2 for c in center]), radius)
 
 
 @dataclass
@@ -492,12 +492,11 @@ class DecayReport:
     notes: list = field(default_factory=list)
 
 
-def _weighted_energy_on_ball(u, m, grid, inside):
-    total = 0.0
-    for alpha, c, w in weighted_gradient_parts(grid, m):
-        d = apply_alpha(u, alpha)
-        total += c * float((d * d * np.where(inside, w, 0.0)).sum())
-    return total
+def _weighted_energy_densities(u, m, grid):
+    """(c, d*d*w) per weighted_gradient_parts term, d = d^alpha u: the
+    weighted energy on a node set sel is sum_terms c * sum over sel of d*d*w."""
+    return [(c, np.square(apply_alpha(u, alpha)) * w)
+            for alpha, c, w in weighted_gradient_parts(grid, m)]
 
 
 def decay_check(op, complement, n, R=0.25, grid_h=1 / 16):
@@ -528,11 +527,12 @@ def decay_check(op, complement, n, R=0.25, grid_h=1 / 16):
     series = annulus_series(complement, m, n, nodes_per_rho=DECAY_NODES_PER_RHO,
                             backend="auto", rho_list=tau_list)
     w_terms = series.weighted_terms()
+    densities = _weighted_energy_densities(u, m, grid)
     for lev in DECAY_LEVELS:
         rho = R * 2.0 ** (-lev)
         sel = domain & (radii <= rho)
         sup2 = float(np.abs(u[sel]).max() ** 2) if sel.any() else 0.0
-        en = _weighted_energy_on_ball(u, m, grid, sel)
+        en = sum(c * float(np.where(sel, dens, 0.0).sum()) for c, dens in densities)
         integral = float(np.log(2.0) * w_terms[:lev].sum())
         rhos.append(rho)
         sups.append(sup2)

@@ -6,7 +6,9 @@ float array through write_csv.  Reruns from the same manifest must be
 bitwise identical, so nothing here writes timestamps, hostnames, or
 unordered containers; floats go through repr (shortest round-trip form) in
 JSON and through a fixed %.17g format in CSV tables, whose lines end in a
-bare newline.
+bare newline.  A grid field repeats few values per column (a coordinate
+column holds one per node of an axis), so write_csv formats each distinct
+value of a column once and assembles the rows from those strings.
 """
 
 import dataclasses
@@ -51,12 +53,18 @@ def write_json(path, payload):
 def write_csv(path, header, table):
     """Write the header names and then each row of the 2-D float array
     `table`, every value in %.17g; integral values (an index column) print
-    without a decimal point, NaN as nan."""
+    without a decimal point, NaN as nan.  Values are told apart by their bit
+    pattern, so 0.0 and -0.0 keep their own strings."""
     table = np.asarray(table, dtype=float)
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    cells = np.empty(table.shape, dtype=object)
+    for j, column in enumerate(table.T):
+        keys, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+        text = ("%.17g\n" * len(keys) % tuple(keys.view(float).tolist())).split("\n")[:-1]
+        cells[:, j] = np.array(text, dtype=object)[inverse]
+    line = ",".join(["%s"] * table.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write((line * table.shape[0]) % tuple(table.ravel().tolist()))
+        fh.write((line * table.shape[0]) % tuple(cells.ravel().tolist()))
 
 
 def write_manifest(outdir, resolved_config):

@@ -209,7 +209,7 @@ def test_homogeneity_same_spacing_axisym():
 def test_annulus_series_empty_complement():
     class Nothing(Ball):
         def contains(self, points):
-            return np.zeros(points.shape[0], dtype=bool)
+            return np.zeros((), dtype=bool)
 
     s = annulus_series(Nothing(0.0), 1, 3, j_range=(0, 6), nodes_per_rho=6)
     assert all(c == 0.0 for c in s.capacity)

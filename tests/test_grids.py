@@ -5,6 +5,7 @@ from polycap import (Ball, Box, Cone, Cusp, Grid, InputError, Intersection, Mask
                      Ray, Shell, Union, UnsupportedRegimeError, mask_from_csv,
                      region_from_dict)
 from polycap.grids import MAX_NODES, dilate
+from polycap.radial import AxisymGrid
 
 
 def test_grid_geometry():
@@ -115,3 +116,62 @@ def test_dilate_does_not_wrap_across_faces():
     # the two-step cross is the l1 ball of radius 2, cut at the face
     i, j = np.indices(where.shape)
     assert np.array_equal(grown, i + np.abs(j - 2) <= 2)
+
+
+def _region_kinds(n):
+    return [
+        Ball(0.6),
+        Ball(0.5, tuple(0.125 * (a + 1) for a in range(n))),
+        Shell(0.3, 0.7),
+        Box(tuple((-0.25, 0.5) for _ in range(n))),
+        Ray(axis=n - 1, width=0.3),
+        Cone(np.pi / 4),
+        Cusp("power", 2.0),
+        Cusp("exponential", 1.0),
+        Union((Ball(0.3), Ray(axis=0))),
+        Intersection((Ball(0.8), Shell(0.2, 1.0))),
+        region_from_dict({"kind": "union", "parts": [
+            {"kind": "cone", "half_angle_deg": 30.0}, {"kind": "ball", "radius": 0.25}]}),
+    ]
+
+
+_GRIDS = [Grid(2, 0.125, 10), Grid(3, 0.125, 8), Grid(4, 0.25, 4), Grid(5, 0.25, 3)]
+
+
+@pytest.mark.parametrize("grid", _GRIDS, ids=lambda g: f"n{g.n}")
+def test_mask_equals_contains_on_the_node_coordinates(grid):
+    # rasterising from the axis vectors gives the nodes that the point-matrix
+    # form of contains selects, node for node
+    columns = grid.coords().reshape(-1, grid.n).T
+    for region in _region_kinds(grid.n):
+        mask = region.mask(grid)
+        inside = region.contains(columns)
+        assert inside.dtype == bool and inside.shape == (grid.size,)
+        assert np.array_equal(mask.where, inside.reshape(grid.shape)), region
+        assert 0 < mask.count < grid.size, region
+
+
+@pytest.mark.parametrize("grid", _GRIDS, ids=lambda g: f"n{g.n}")
+def test_ball_and_cone_masks_match_the_row_norm_of_the_node_coordinates(grid):
+    points = grid.coords().reshape(-1, grid.n)
+    center = tuple(0.125 * (a + 1) for a in range(grid.n))
+    r = np.linalg.norm(points - center, axis=1)
+    assert np.array_equal(Ball(0.5, center).mask(grid).where.ravel(), r <= 0.5 + 1e-12)
+    r = np.linalg.norm(points, axis=1)
+    cone = -points[:, -1] >= r * np.cos(np.pi / 4) - 1e-12
+    assert np.array_equal(Cone(np.pi / 4).mask(grid).where.ravel(), cone)
+
+
+def test_axisym_mask_equals_contains_on_the_half_plane_nodes():
+    ag = AxisymGrid(5, 0.05, 24, 30)
+    region = Union((Cone(np.pi / 4), Cusp("power", 2.0), Shell(0.5, 0.6)))
+    r, z = np.meshgrid(ag.r, ag.z, indexing="ij")
+    points = np.zeros((r.size, ag.n))
+    points[:, 0], points[:, -1] = r.ravel(), z.ravel()
+    expected = region.contains(points.T).reshape(ag.shape)
+    on_axis = np.zeros((ag.z.size, ag.n))
+    on_axis[:, -1] = ag.z
+    expected[0] |= region.contains(on_axis.T)
+    inside = ag.mask_from_region(region)
+    assert np.array_equal(inside, expected)
+    assert 0 < inside.sum() < inside.size

@@ -249,7 +249,7 @@ def test_decay_check_refuses_an_erased_source():
 def test_decay_check_degenerate_is_inconclusive():
     class Nothing(Ball):
         def contains(self, points):
-            return np.zeros(points.shape[0], dtype=bool)
+            return np.zeros((), dtype=bool)
 
     rep = decay_check(laplacian(3), Nothing(0.0), 3, R=0.25, grid_h=1 / 24)
     assert rep.inconclusive

@@ -17,6 +17,30 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
     assert "nan" in expected and "\n3,0.33333333333333331\n" in expected
 
 
+def _per_value_rendering(header, table):
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    return (",".join(header) + "\n" + "".join(line % tuple(row) for row in table.tolist())).encode()
+
+
+def test_write_csv_formats_repeated_and_signed_values_by_bit_pattern(tmp_path):
+    nan = np.float64(np.nan)
+    values = np.array([0.0, -0.0, 0.1, 0.1, nan, -nan, 0.0, np.inf, -np.inf, -0.0, 0.1,
+                       1.0 / 3.0, -nan, 2.0**40, np.inf])
+    assert np.signbit(values[5]) and not np.signbit(values[4])
+    table = np.column_stack([np.arange(values.size), values, values[::-1]])
+    write_csv(tmp_path / "t.csv", ["index", "u", "v"], table)
+    data = (tmp_path / "t.csv").read_bytes()
+    assert data == _per_value_rendering(["index", "u", "v"], table)
+    assert b"\n1,-0,1099511627776\n" in data and b"\n13,1099511627776,-0\n" in data
+
+
+def test_write_csv_zero_rows_writes_the_header_only(tmp_path):
+    table = np.zeros((0, 3))
+    write_csv(tmp_path / "t.csv", ["a", "b", "c"], table)
+    assert (tmp_path / "t.csv").read_bytes() == _per_value_rendering(["a", "b", "c"], table)
+    assert (tmp_path / "t.csv").read_bytes() == b"a,b,c\n"
+
+
 @dataclass
 class _Report:
     label: str

@@ -94,8 +94,11 @@ def _grid(cfg, n, box):
 
 def _write_field(path, grid, u):
     """One row per grid node: its coordinates and the value of u there."""
-    write_csv(path, [f"x{i+1}" for i in range(grid.n)] + ["u"],
-              np.column_stack([grid.coords().reshape(-1, grid.n), u.ravel()]))
+    table = np.empty(grid.shape + (grid.n + 1,))
+    for a, x in enumerate(grid.axes()):
+        table[..., a] = x
+    table[..., -1] = u
+    write_csv(path, [f"x{i+1}" for i in range(grid.n)] + ["u"], table.reshape(-1, grid.n + 1))
 
 
 # -- subcommand handlers -------------------------------------------------------

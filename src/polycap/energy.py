@@ -143,7 +143,7 @@ class EnergyForm:
                 lt += c * apply_alpha(self.weight * u, gamma, transpose=True, centered=True)
             return 0.5 * (self.weight * lu + lt)
         m, pad = self.m, self._pad
-        up = np.pad(u, pad)
+        up = np.pad(u, pad) if pad else u
         out = self._poly[m] * up
         buf = np.empty_like(up)
         for c in reversed(self._poly[:m]):

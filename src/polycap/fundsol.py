@@ -29,13 +29,15 @@ The operator alone picks one of two routes:
 Other symbols (m >= 2 without a rotation axis) are refused.  For
 (-Delta)^m the exact positive constant Gamma(n/2-m)/(4^m pi^(n/2) (m-1)!)
 is the calibration oracle.
+
+scipy.special (gamma, roots_jacobi) is imported by the functions that use it,
+so importing polycap loads no scipy module.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as _gamma, roots_jacobi
 
 from .errors import InputError, UnsupportedRegimeError
 from .operators import check_ellipticity, quadratic_form_matrix, unit_directions
@@ -46,6 +48,8 @@ def riesz_constant(m, n):
     """Kernel constant of (-Delta)^m for n > 2m."""
     if n <= 2 * m:
         raise UnsupportedRegimeError("the homogeneous kernel needs n > 2m")
+    from scipy.special import gamma as _gamma
+
     return _gamma(n / 2.0 - m) / (4.0**m * math.pi ** (n / 2.0) * _gamma(m))
 
 
@@ -161,6 +165,8 @@ def _t_rule(s, r, count, tail_count):
     """Nodes and weights that apply the t-functional of the plane-wave formula
     to G, which must be analytic in the disk |t| <= r; the nodes on its
     boundary are complex."""
+    from scipy.special import gamma as _gamma
+
     if s % 2:
         # pi (-1)^((s-1)/2) G^(s-1)(0) by Cauchy's formula, trapezoid rule on |t| = r
         t = r * np.exp(2j * math.pi * (np.arange(count) + 0.5) / count)
@@ -185,6 +191,8 @@ def _planewave_alpha_profile(op, axis, alphas, refine=1, shrink=1):
     `refine` and the circle of the t-rule shrunk by `shrink`; also returns the
     absolute sum (2 pi)^-n sum |w G| of each value, the scale its rounding
     error is relative to."""
+    from scipy.special import gamma as _gamma, roots_jacobi
+
     n, m = op.n, op.m
     count, tail_count, slice_count = (refine * c for c in _PW_NODES)
     P = _axial_symbol(op, axis)
@@ -228,6 +236,8 @@ def _quadratic_kernel(op):
     """model_data of the kernel of P(xi) = xi^T A xi, A^-1 and the constant
     Gamma(n/2-1) / (4 pi^(n/2) sqrt(det A)), and a rounding bound on its
     sphere values."""
+    from scipy.special import gamma as _gamma
+
     n = op.n
     lam, vec = np.linalg.eigh(quadratic_form_matrix(op))
     constant = _gamma(n / 2.0 - 1.0) / (4.0 * math.pi ** (n / 2.0) * math.sqrt(lam.prod()))

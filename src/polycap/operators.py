@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InputError
 
@@ -183,6 +182,8 @@ def unit_directions(n, count):
     alphas = np.array([math.sqrt(p) % 1.0 for p in _PRIMES[:n]])
     j = np.arange(1, count + 1)[:, None]
     u = (j * alphas[None, :] + 0.5) % 1.0
+    from scipy.special import ndtri
+
     z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0.0] = 1.0

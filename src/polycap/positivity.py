@@ -29,7 +29,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.sparse import diags
 
 from .energy import HardyForm, assemble
 from .errors import InputError, UnsupportedRegimeError
@@ -175,6 +174,8 @@ class ChannelForm:
         difference of f extended by zeros.  On the nodes this is the symmetric
         Toeplitz band whose lag-d entry is sum_p c_p dt^(1-2p) (-1)^d C(2p, p+d),
         the autocorrelation of the binomial stencil of order p."""
+        from scipy.sparse import diags
+
         band = [sum(c * self.dt ** (1 - 2 * p) * (-1) ** d * math.comb(2 * p, p + d)
                     for p, c in enumerate(coeffs)) for d in range(len(coeffs))]
         lags = range(1 - len(band), len(band))

@@ -15,7 +15,6 @@ specific one.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .capacity import cap_m
 from .energy import EnergyForm
@@ -134,8 +133,10 @@ def gradient_decay_check(report, orders=(0, 1, 2), probe_radii=(2.0, 2.5, 3.0)):
     identically 1 for the ball in the second-order case and is what the
     oracle tests pin down.
     """
+    from scipy.spatial import cKDTree
+
     grid = report.mask.grid
-    coords = grid.coords()
+    ax = grid.axis_coords()
     radii = grid.radii()
     kpts = report.mask.points()
     tree = cKDTree(kpts)
@@ -149,7 +150,7 @@ def gradient_decay_check(report, orders=(0, 1, 2), probe_radii=(2.0, 2.5, 3.0)):
             if not shell.any():
                 out["skipped"].append({"order": j, "radius": rho, "reason": "no shell nodes"})
                 continue
-            pts = coords[shell]
+            pts = ax[np.argwhere(shell)]
             dist = tree.query(pts)[0]
             ok = dist >= safe
             if not ok.any():
@@ -245,13 +246,13 @@ def sign_probe(op, candidates, grid):
         v[mask.where] = 0.0
         adjacent = dilate(mask.where) & ~mask.where
         sites = []
-        coords = grid.coords()
         idxs = np.argwhere(adjacent)
-        for idx in idxs:
+        points = grid.axis_coords()[idxs]
+        for idx, point in zip(idxs, points):
             window = tuple(slice(max(i - 1, 0), i + 2) for i in idx)
             w = v[window]
             if w.min() < -1e-10 and w.max() > 1e-10:
-                sites.append(coords[tuple(idx)].tolist())
+                sites.append(point.tolist())
         results[label] = {
             "sites": sites,
             "site_count": len(sites),
@@ -275,38 +276,38 @@ def stationarity_check(report, op):
 
 def plate_with_gap(grid, half_width, thickness=0.0, gap=0.4):
     """A coordinate plate with a missing central strip."""
-    coords = grid.coords()
-    flat = np.abs(coords[..., -1]) <= thickness + 1e-12
+    x = grid.axes()
+    flat = np.abs(x[-1]) <= thickness + 1e-12
     inside = np.ones(grid.shape, dtype=bool)
     for axis in range(grid.n - 1):
-        inside &= np.abs(coords[..., axis]) <= half_width + 1e-12
-    gap_zone = np.abs(coords[..., 0]) <= gap / 2.0
+        inside &= np.abs(x[axis]) <= half_width + 1e-12
+    gap_zone = np.abs(x[0]) <= gap / 2.0
     return Mask(grid, flat & inside & ~gap_zone)
 
 
 def two_blocks(grid, half_width, separation):
     """Two axis-aligned cubes separated along the first axis."""
-    coords = grid.coords()
+    x = grid.axes()
     m = np.zeros(grid.shape, dtype=bool)
     for sign in (-1.0, 1.0):
         c = np.zeros(grid.n)
         c[0] = sign * (separation / 2.0 + half_width)
         box = np.ones(grid.shape, dtype=bool)
         for axis in range(grid.n):
-            box &= np.abs(coords[..., axis] - c[axis]) <= half_width + 1e-12
+            box &= np.abs(x[axis] - c[axis]) <= half_width + 1e-12
         m |= box
     return Mask(grid, m)
 
 
 def comb_mask(grid, teeth=3, tooth_half_width=0.1, pitch=0.5):
     """Parallel plates ("teeth") along the first axis."""
-    coords = grid.coords()
+    x = grid.axes()
     m = np.zeros(grid.shape, dtype=bool)
     othr = np.ones(grid.shape, dtype=bool)
     for axis in range(1, grid.n):
-        othr &= np.abs(coords[..., axis]) <= 0.6 + 1e-12
+        othr &= np.abs(x[axis]) <= 0.6 + 1e-12
     start = -(teeth - 1) * pitch / 2.0
     for t in range(teeth):
         c = start + t * pitch
-        m |= (np.abs(coords[..., 0] - c) <= tooth_half_width + 1e-12) & othr
+        m |= (np.abs(x[0] - c) <= tooth_half_width + 1e-12) & othr
     return Mask(grid, m)

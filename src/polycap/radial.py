@@ -39,14 +39,15 @@ Yang, SIAM J. Sci. Comput. 33, 2011): Jacobi with the row sums of |A| as the
 diagonal, which has no parameter and converges for every SPD matrix.  The
 direct factorisation, of a small block or of the coarsest level, is
 SuperLU's symmetric mode: an ordering of A + A^T, pivots on the diagonal.
+
+scipy.sparse is imported by the functions that use it, so importing polycap
+loads no scipy module and only a run that reaches these solvers pays for it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags, identity, kron, vstack
-from scipy.sparse.linalg import splu
 
 from .errors import InputError, UnsupportedRegimeError
 from .solvers import _pcg
@@ -87,12 +88,16 @@ class RadialGrid:
 
 def _face_difference(N):
     """u_(i+1) - u_i at the faces (i + 1) h, i < N, with u_N = 0 outside."""
+    from scipy.sparse import diags
+
     return diags([-1.0, 1.0], [0, 1], shape=(N, N), format="csr")
 
 
 def _second_difference(N, reflect=False):
     """u_(i+1) - 2 u_i + u_(i-1) with zero exterior; `reflect` sets the even
     axis ghost u_(-1) = u_0."""
+    from scipy.sparse import diags
+
     main = np.full(N, -2.0)
     if reflect:
         main[0] = -1.0
@@ -101,11 +106,15 @@ def _second_difference(N, reflect=False):
 
 def _radial_gradient_matrix(rg):
     """Forward difference at every face; the axis face carries no energy."""
+    from scipy.sparse import csr_matrix, vstack
+
     return vstack([csr_matrix((1, rg.nodes)), _face_difference(rg.nodes)]).tocsr() / rg.h
 
 
 def _radial_laplacian_matrix(rg):
     """Conservative radial Laplacian with even reflection at the axis."""
+    from scipy.sparse import diags
+
     F = _face_difference(rg.nodes)
     flux = F.T @ diags(rg.faces[1:] ** (rg.n - 1)) @ F
     return (diags(-1.0 / (rg.h * rg.h * rg.r ** (rg.n - 1))) @ flux).tocsr()
@@ -113,6 +122,8 @@ def _radial_laplacian_matrix(rg):
 
 def radial_energy_matrix(m, rg):
     """Sparse matrix of the order-m homogeneous energy for radial functions."""
+    from scipy.sparse import diags, identity
+
     n = rg.n
     omega = sphere_surface(n)
     lap = _radial_laplacian_matrix(rg)
@@ -209,6 +220,9 @@ def radial_ball_potential(m, n, ball_radius, h, box):
     system is too ill-conditioned in double precision for a trustworthy
     discrete minimizer, so higher m should use ``ball_potential_exact``.
     """
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import splu
+
     if n <= 2 * m:
         raise UnsupportedRegimeError(f"radial potential needs n > 2m, got n={n}, m={m}")
     if m > 2:
@@ -289,6 +303,8 @@ def axisym_energy_matrix(ag, m):
     power of 1/h times integers, so every factor, and with it A, is exactly
     symmetric.
     """
+    from scipy.sparse import diags, identity, kron
+
     if m not in (1, 2):
         raise UnsupportedRegimeError("axisymmetric solver supports m = 1 and m = 2")
     Nr, Nz = ag.shape
@@ -324,6 +340,8 @@ def _staggered_interpolation(N):
     cells 2I and 2I + 1 take 3/4 of coarse cell I and 1/4 of their other
     coarse neighbour; the even ghost of cell 0 is cell 0, and the exterior
     is zero.  Column I is column 2I of the banded fine stencil."""
+    from scipy.sparse import diags
+
     main = np.full(N, 0.75)
     main[0] = 1.0
     return diags([0.25, 0.75, main, 0.25], [-2, -1, 0, 1], shape=(N, N), format="csc")[:, ::2]
@@ -332,12 +350,17 @@ def _staggered_interpolation(N):
 def _nodal_interpolation(N):
     """Linear interpolation from every other z-node: fine node 2J is coarse
     node J, fine node 2J + 1 the mean of J and J + 1, zero outside."""
+    from scipy.sparse import diags
+
     return diags([0.5, 1.0, 0.5], [-1, 0, 1], shape=(N, N), format="csc")[:, ::2]
 
 
 def _hierarchy(A, free, shape):
     """Galerkin levels (A, 1 / l1 row sums, P, P^T) of the free block A down
     to at most _COARSE_MAX unknowns, and the LU factor of the coarsest."""
+    from scipy.sparse import kron
+    from scipy.sparse.linalg import splu
+
     levels = []
     # the interpolation stencils need at least three nodes on each axis
     while free.sum() > _COARSE_MAX and min(shape) > 2:

@@ -8,7 +8,9 @@ unordered containers; floats go through repr (shortest round-trip form) in
 JSON and through a fixed %.17g format in CSV tables, whose lines end in a
 bare newline.  A grid field repeats few values per column (a coordinate
 column holds one per node of an axis), so write_csv formats each distinct
-value of a column once and assembles the rows from those strings.
+value of a column once and assembles the rows from those strings, a block of
+_CSV_BLOCK_ROWS rows at a time, so the text of the whole table is never held
+at once.
 """
 
 import dataclasses
@@ -20,6 +22,9 @@ import numpy as np
 from . import __version__
 from .errors import ConfigurationError
 from .operators import SYMBOL_CONVENTION
+
+# write_csv renders and writes this many rows at a time
+_CSV_BLOCK_ROWS = 8192
 
 
 def _sanitize(obj):
@@ -56,15 +61,18 @@ def write_csv(path, header, table):
     without a decimal point, NaN as nan.  Values are told apart by their bit
     pattern, so 0.0 and -0.0 keep their own strings."""
     table = np.asarray(table, dtype=float)
-    cells = np.empty(table.shape, dtype=object)
-    for j, column in enumerate(table.T):
+    columns = []
+    for column in table.T:
         keys, inverse = np.unique(column.view(np.uint64), return_inverse=True)
         text = ("%.17g\n" * len(keys) % tuple(keys.view(float).tolist())).split("\n")[:-1]
-        cells[:, j] = np.array(text, dtype=object)[inverse]
+        columns.append((np.array(text, dtype=object), inverse))
     line = ",".join(["%s"] * table.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write((line * table.shape[0]) % tuple(cells.ravel().tolist()))
+        for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+            rows = slice(start, start + _CSV_BLOCK_ROWS)
+            cells = np.column_stack([text[inverse[rows]] for text, inverse in columns])
+            fh.write((line * cells.shape[0]) % tuple(cells.ravel().tolist()))
 
 
 def write_manifest(outdir, resolved_config):

@@ -54,12 +54,13 @@ sigma lies below the whole spectrum, so one banded Cholesky factorisation
 decides which side of sigma the smallest eigenvalue lies on; bisection on
 that test brackets it, and inverse iteration with the last successful
 factor yields the eigenvector.
+
+scipy (scipy.fft on the long axes, scipy.linalg and scipy.sparse in the
+eigensolver) is imported by the functions that use it, so a Cartesian solve
+on axes of up to _DENSE_MAX_AXIS nodes loads no scipy module.
 """
 
 import numpy as np
-import scipy.fft as sfft
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.sparse import coo_array
 
 from .errors import ConvergenceError, InputError
 from .grids import axis_sum
@@ -87,10 +88,12 @@ def _axis_factors(N, folded):
     the last axis (see the module docstring)."""
     lam = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, N + 1) / (N + 1)))[::2 if folded else 1]
     if N > _DENSE_MAX_AXIS:
+        from scipy.fft import dct, dst
+
         if folded:
-            return (lambda w: sfft.dct(w, 3, norm="ortho"),
-                    lambda w: sfft.dct(w, 2, norm="ortho"), lam)
-        return (lambda w: sfft.dst(w, 1, norm="ortho"),) * 2 + (lam,)
+            return (lambda w: dct(w, 3, norm="ortho"),
+                    lambda w: dct(w, 2, norm="ortho"), lam)
+        return (lambda w: dst(w, 1, norm="ortho"),) * 2 + (lam,)
     mat = _sine_matrix(N)
     if folded:
         # rows of the half nodes, weighted by sqrt(mult); odd-mode columns
@@ -194,10 +197,21 @@ def solve_constrained(form, fixed_where, fixed_values, rhs=None, rtol=1e-8, maxi
     for a in axes:
         mult = mult * mult1.reshape([-1 if k == a else 1 for k in range(n)])
     scale = np.sqrt(mult)
+    # the half grid with m even ghost layers before each folded centre plane:
+    # they carry every stencil across it
+    ghost = np.zeros([e + 1 + m if a in axes else grid.shape[a] for a in range(n)])
+    ghost_inner = ghost[inner]
+    mirrors = [(tuple(slice(0, m) if k == a else slice(None) for k in range(n)),
+                tuple(slice(2 * m, m, -1) if k == a else slice(None) for k in range(n)))
+               for a in axes]
 
-    def apply_half(v):
-        # m even ghost layers carry every stencil across the centre planes
-        return form.apply(_reflect(v, axes, m))[inner]
+    def apply_half(v, divisor=1.0):
+        """A (v / divisor) on the half grid; dividing by 1.0 is exact."""
+        np.divide(v, divisor, out=ghost_inner)
+        # one axis after the other, as np.pad(mode="reflect") fills the corners
+        for layers, mirror in mirrors:
+            ghost[layers] = ghost[mirror]
+        return form.apply(ghost)[inner]
 
     fixed = fixed_where[half]
     free = (~fixed).astype(float)
@@ -211,7 +225,7 @@ def solve_constrained(form, fixed_where, fixed_values, rhs=None, rtol=1e-8, maxi
     r0 = float(np.linalg.norm(r))
     precond = _dst_round(form, axes)
     z, q = np.zeros(x.shape), np.zeros(x.shape)
-    iterations = _pcg(lambda p: np.multiply(apply_half(p / scale), scale_free, out=q),
+    iterations = _pcg(lambda p: np.multiply(apply_half(p, scale), scale_free, out=q),
                       lambda v: np.multiply(precond(v), free, out=z),
                       x, r, rtol, r0, maxiter)
     uh = np.where(fixed, uh, x / scale)
@@ -231,6 +245,8 @@ def _upper_band(M, u):
 
 
 def _cholesky_or_none(ab):
+    from scipy.linalg import LinAlgError, cholesky_banded
+
     try:
         return cholesky_banded(ab, overwrite_ab=True, check_finite=False)
     except LinAlgError:
@@ -251,6 +267,9 @@ def smallest_generalized_eig(A, B):
     iteration with the factor at the lower end give the vector.  Raises
     InputError when B is not positive definite.
     """
+    from scipy.linalg import cho_solve_banded
+    from scipy.sparse import coo_array
+
     A, B = coo_array(A), coo_array(B)
     u = max(int(np.max(M.col - M.row, initial=0)) for M in (A, B))
     a, b = _upper_band(A, u), _upper_band(B, u)

@@ -1,0 +1,77 @@
+"""Cold start: importing polycap loads no scipy module; each function imports
+the scipy it uses when it runs, with the same results."""
+
+import dataclasses
+import json
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import polycap as pc
+
+_LOADED_SCIPY = ("[m for m in sorted(sys.modules) "
+                 "if m == 'scipy' or m.startswith('scipy.')]")
+
+
+def _fresh(code, env, cwd):
+    """Run `code` in a new interpreter with warnings as errors; its stdout."""
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_import_loads_no_scipy(cli_env, tmp_path):
+    out = _fresh(f"import sys, json, polycap, polycap.cli; print(json.dumps({_LOADED_SCIPY}))",
+                 cli_env, tmp_path)
+    assert json.loads(out) == []
+
+
+def test_cartesian_dirichlet_run_loads_no_scipy(cli_env, tmp_path):
+    argv = ["dirichlet", "--preset", "laplacian", "--n", "2", "--h", "0.1", "--extent", "10",
+            "--out", str(tmp_path / "dir")]
+    out = _fresh("import sys, json\nfrom polycap import cli\n"
+                 f"code = cli.main({argv!r})\n"
+                 f"print(json.dumps({{'code': code, 'scipy': {_LOADED_SCIPY}}}))",
+                 cli_env, tmp_path)
+    assert json.loads(out) == {"code": 0, "scipy": []}
+    assert (tmp_path / "dir" / "summary.json").exists()
+
+
+def _results():
+    cap, _, u = pc.axisym_capacity(pc.Ball(0.5), 1, 3, 0.1, 2.0)
+    profile = pc.compute_profile(pc.laplacian(3))
+    return {"axisym_capacity": cap, "axisym_potential": u,
+            "profile": profile.values, "profile_error": profile.error_estimate,
+            "positivity_2_6": dataclasses.asdict(pc.channel_positivity(2, 6)),
+            "positivity_2_8": dataclasses.asdict(pc.channel_positivity(2, 8))}
+
+
+def _bits(x):
+    """x with every float and array replaced by its bytes, for comparison."""
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return (x.dtype.str, x.shape, x.tobytes())
+    if isinstance(x, (float, np.floating)):
+        return float(x).hex()
+    return x
+
+
+def test_results_in_a_fresh_interpreter_are_bitwise_those_of_this_one(cli_env, tmp_path):
+    path = tmp_path / "results.pkl"
+    _fresh("import pickle, sys\n"
+           f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+           "from test_imports import _results\n"
+           f"pickle.dump(_results(), open({str(path)!r}, 'wb'))",
+           cli_env, tmp_path)
+    with open(path, "rb") as fh:
+        fresh = pickle.load(fh)
+    here = _results()
+    assert _bits(fresh) == _bits(here)
+    assert here["positivity_2_8"]["status"] == "violated"

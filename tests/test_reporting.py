@@ -2,8 +2,9 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import pytest
 
-from polycap.reporting import write_csv, write_json
+from polycap.reporting import _CSV_BLOCK_ROWS, write_csv, write_json
 
 
 def test_write_csv_matches_per_value_formatting(tmp_path):
@@ -39,6 +40,17 @@ def test_write_csv_zero_rows_writes_the_header_only(tmp_path):
     write_csv(tmp_path / "t.csv", ["a", "b", "c"], table)
     assert (tmp_path / "t.csv").read_bytes() == _per_value_rendering(["a", "b", "c"], table)
     assert (tmp_path / "t.csv").read_bytes() == b"a,b,c\n"
+
+
+@pytest.mark.parametrize("rows", [_CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
+def test_write_csv_rows_across_a_block_boundary(tmp_path, rows):
+    values = np.random.default_rng(rows).standard_normal(rows)
+    # a repeated coordinate column next to all-distinct values and -0.0
+    table = np.column_stack([np.arange(rows) % 7 * 0.1, values, -values * 0.0])
+    write_csv(tmp_path / "t.csv", ["x", "u", "z"], table)
+    data = (tmp_path / "t.csv").read_bytes()
+    assert data == _per_value_rendering(["x", "u", "z"], table)
+    assert data.count(b"\n") == rows + 1
 
 
 @dataclass

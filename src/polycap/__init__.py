@@ -14,7 +14,7 @@ the fundamental solution satisfies P(d) F = delta with F-hat = 1/P.
 __version__ = "0.1.0"
 
 from .capacity import AnnulusCapacitySeries, CapacityValue, annulus_series, bessel_capacity, cap_m
-from .energy import EnergyForm, HardyForm, assemble, hardy_weighted_energy
+from .energy import EnergyForm, assemble, hardy_weighted_energy
 from .errors import (ConfigurationError, ConvergenceError, InconclusiveError,
                      InputError, UnsupportedRegimeError)
 from .fundsol import SphereProfile, compute_profile, riesz_constant, sign_summary
@@ -25,8 +25,7 @@ from .operators import (EllipticOperator, SYMBOL_CONVENTION, check_ellipticity,
                         multi_indices, multinomial, polyharmonic, preset_operator,
                         save_operator, unit_directions)
 from .positivity import (ChannelForm, PositivityVerdict, channel_positivity,
-                         grid_positivity, hardy_channel_symbol, min_symbol_quotient,
-                         op_channel_symbol)
+                         hardy_channel_symbol, min_symbol_quotient, op_channel_symbol)
 from .potential import (PotentialReport, capacitary_potential, gradient_decay_check,
                         gradient_magnitude, lower_bound_check, maximal_bound_check,
                         range_check, sign_probe, stationarity_check)

@@ -235,31 +235,12 @@ def hardy_weighted_energy(u, m, grid):
     window = tuple(slice(max(a, 0), b) for a, b in zip(lo, hi))
     if np.any(u[window] != 0.0):
         raise InputError("u must vanish on the 2m-neighborhood of the origin node")
-    return HardyForm(grid, m).quad(u)
-
-
-class HardyForm:
-    """Symmetric operator of the weighted gradient comparison sum."""
-
-    def __init__(self, grid, m):
-        self.grid = grid
-        self.m = m
-        _check_fits(grid, m)
-        # the differences of the zero-extended u reach m nodes past the box
-        padded = Grid(grid.n, grid.h, grid.extent + m)
-        self._parts = list(weighted_gradient_parts(padded, m))
-
-    def quad(self, u):
-        up = np.pad(np.asarray(u, dtype=float), self.m)
-        total = 0.0
-        for alpha, c, w in self._parts:
-            d = apply_alpha(up, alpha)
-            total += c * float((d * d * w).sum())
-        return float(total)
-
-    def apply(self, u):
-        up = np.pad(np.asarray(u, dtype=float), self.m)
-        out = np.zeros_like(up)
-        for alpha, c, w in self._parts:
-            out += c * apply_alpha(w * apply_alpha(up, alpha), alpha, transpose=True)
-        return out[tuple(slice(self.m, self.m + s) for s in self.grid.shape)]
+    _check_fits(grid, m)
+    # the differences of the zero-extended u reach m nodes past the box
+    padded = Grid(grid.n, grid.h, grid.extent + m)
+    up = np.pad(u, m)
+    total = 0.0
+    for alpha, c, w in weighted_gradient_parts(padded, m):
+        d = apply_alpha(up, alpha)
+        total += c * float((d * d * w).sum())
+    return float(total)

@@ -30,14 +30,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .energy import HardyForm, assemble
 from .errors import InputError, UnsupportedRegimeError
 from .fundsol import riesz_constant
 
-# a quotient below -VIOLATION_EPS is a candidate violation; grid_positivity
-# minimizes over fields smoothed by SMOOTHING_PASSES [1,2,1]/4 averagings
+# a quotient below -VIOLATION_EPS is a candidate violation
 VIOLATION_EPS = 1e-8
-SMOOTHING_PASSES = 2
 
 
 def _lam_poly(k, n, shift):
@@ -292,103 +289,3 @@ def channel_positivity(m, n, channels=None, t_window=60.0, dt=0.1):
                          f"fine {q_fine:.3e}, spectral {q_spec:.3e})")
     return PositivityVerdict(status, m, n, "channel", quots, vmin, kmin, witness,
                              resolution, notes)
-
-
-def _smooth_field(u):
-    """SMOOTHING_PASSES tensor [1,2,1]/4 averagings with zero extension,
-    applied in place-free form."""
-    from .stencils import apply_axis
-
-    offs = np.array([-1, 0, 1])
-    coeffs = np.array([0.25, 0.5, 0.25])
-    out = u
-    for _ in range(SMOOTHING_PASSES):
-        for axis in range(u.ndim):
-            out = apply_axis(out, axis, offs, coeffs)
-    return out
-
-
-def grid_positivity(op, grid, profile):
-    """Full-grid positivity check against the Hardy comparison form.
-
-    The minimization runs over a smoothed trial space (fields S^p v with a
-    local averaging operator S and p = SMOOTHING_PASSES): the raw nodal space
-    contains near-Nyquist oscillations on which the composed-stencil weighted
-    form is not consistent with any continuum object, and those would report
-    violations even for operators that are provably positive with their
-    weight.  A lowest quotient below -VIOLATION_EPS counts as a violation
-    once the energy forms re-evaluate it.  Feasible for n <= 5 only; the
-    channel method covers the rotation invariant family in higher dimensions."""
-    n, m = grid.n, op.m
-    if n <= 2 * m:
-        raise UnsupportedRegimeError("weighted positivity is posed for n > 2m")
-    if n > 5:
-        raise UnsupportedRegimeError(
-            "full-grid positivity is limited to n <= 5; use channel_positivity"
-        )
-    if grid.size > 450_000:
-        raise UnsupportedRegimeError(
-            f"grid has {grid.size} nodes; shrink the extent for the full-grid check"
-        )
-    from scipy.sparse.linalg import LinearOperator, lobpcg
-
-    wform = assemble("weighted_operator_form", op, grid, weight=profile)
-    hform = HardyForm(grid, m)
-    center = grid.origin_index()
-    fixed = np.zeros(grid.shape, dtype=bool)
-    window = tuple(slice(max(c - 2 * m, 0), c + 2 * m + 1) for c in center)
-    fixed[window] = True
-    free = ~fixed
-
-    def trial(v):
-        x = grid.zeros()
-        x[free] = v
-        x = _smooth_field(x)
-        x[fixed] = 0.0
-        return x
-
-    def wrap(apply_fn):
-        def mv(v):
-            x = apply_fn(trial(np.asarray(v).reshape(-1)))
-            x[fixed] = 0.0
-            x = _smooth_field(x)
-            return x[free]
-
-        def mm(V):
-            return np.column_stack([mv(V[:, i]) for i in range(V.shape[1])])
-
-        nfree = int(free.sum())
-        return LinearOperator((nfree, nfree), matvec=mv, matmat=mm, dtype=np.float64)
-
-    nfree = int(free.sum())
-    rng = np.random.default_rng(12345)
-    x0 = rng.standard_normal((nfree, 3))
-    x0[:, 0] = 1.0
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        vals, vecs = lobpcg(wrap(wform.apply), x0, B=wrap(hform.apply), largest=False,
-                            tol=1e-7, maxiter=400)
-    k = int(np.argmin(vals))
-    val, vec = float(vals[k]), vecs[:, k]
-    resolution = {"h": grid.h, "extent": grid.extent, "eps": VIOLATION_EPS,
-                  "smoothing_passes": SMOOTHING_PASSES}
-    verdict = PositivityVerdict("positive_at_resolution", m, n, "grid",
-                                {0: val}, val, 0, None, resolution)
-    if val < -VIOLATION_EPS:
-        u = trial(vec)
-        # independent re-evaluation through the energy-form code paths
-        num = wform.quad(u)
-        den = hform.quad(u)
-        if num < 0.0 and den > 0.0:
-            verdict.status = "violated"
-            verdict.witness = {
-                "quotient": val,
-                "reevaluated_weighted_energy": num,
-                "reevaluated_hardy_energy": den,
-                "values": u,
-            }
-        else:
-            verdict.notes.append("negative eigenvalue failed quad re-evaluation")
-    return verdict

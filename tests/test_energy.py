@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from polycap import (EllipticOperator, EnergyForm, Grid, InputError, assemble,
-                     hardy_weighted_energy, laplacian, multi_indices, multinomial,
-                     polyharmonic, unit_directions)
+from polycap import (ConfigurationError, EllipticOperator, EnergyForm, Grid, InputError,
+                     assemble, hardy_weighted_energy, laplacian, multi_indices,
+                     multinomial, polyharmonic, unit_directions)
 from polycap.grids import Ball
 from polycap.stencils import sparse_alpha
 
@@ -90,6 +90,12 @@ def test_hardy_zero_and_validation():
     u[grid.origin_index()] = 1.0
     with pytest.raises(InputError):
         hardy_weighted_energy(u, 1, grid)
+    with pytest.raises(InputError):
+        hardy_weighted_energy(np.zeros((17, 17)), 1, grid)
+    # a zero field passes the origin check; order-4 stencils need extent >= 4
+    small = Grid(3, 0.25, 3)
+    with pytest.raises(ConfigurationError):
+        hardy_weighted_energy(small.zeros(), 2, small)
 
 
 def test_hardy_radial_bump_against_quadrature():

@@ -1,7 +1,9 @@
 """Cold start: importing polycap loads no scipy module; each function imports
-the scipy it uses when it runs, with the same results."""
+the scipy it uses when it runs, with the same results.  Also: every name the
+benchmark tracer rebinds exists."""
 
 import dataclasses
+import importlib.util
 import json
 import pickle
 import subprocess
@@ -75,3 +77,24 @@ def test_results_in_a_fresh_interpreter_are_bitwise_those_of_this_one(cli_env, t
     here = _results()
     assert _bits(fresh) == _bits(here)
     assert here["positivity_2_8"]["status"] == "violated"
+
+
+def test_every_traced_name_resolves():
+    """Each (module, "attr" or "Class.attr") row of the benchmark tracer's
+    TRACED table names something that exists, so deleting or renaming a
+    traced function fails here and not only in a traced benchmark run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module_name, attr, _ in tracing.TRACED:
+        # a method is read from its own class's __dict__, as `Tracer.install`
+        # does, so an __init__ inherited from object does not count
+        obj = importlib.import_module(module_name)
+        for part in attr.split("."):
+            obj = vars(obj).get(part)
+            if obj is None:
+                missing.append(f"{module_name}:{attr}")
+                break
+    assert missing == []

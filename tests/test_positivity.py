@@ -5,9 +5,9 @@ import scipy.optimize
 import scipy.sparse
 
 from polycap import (ChannelForm, Grid, InputError, UnsupportedRegimeError,
-                     channel_positivity, compute_profile, grid_positivity,
-                     hardy_channel_symbol, laplacian, min_symbol_quotient, op_channel_symbol,
-                     polyharmonic, positivity, riesz_constant, smallest_generalized_eig)
+                     channel_positivity, hardy_channel_symbol, min_symbol_quotient,
+                     op_channel_symbol, polyharmonic, positivity, riesz_constant,
+                     smallest_generalized_eig)
 from polycap.fundsol import SphereProfile
 from polycap.positivity import hardy_channel_poly, op_channel_poly
 from polycap.stencils import sparse_alpha
@@ -164,31 +164,9 @@ def _riesz_profile(m, n):
                          0.0, "constant", {"constant": k})
 
 
-def test_grid_positivity_laplacian_and_flip():
-    op = laplacian(3)
-    profile = compute_profile(op)
-    verdict = grid_positivity(op, Grid(3, 0.25, 8), profile)
-    assert verdict.status == "positive_at_resolution"
-    # the grid quotient lands on the channel-theory value 1/(4 pi)
-    assert verdict.min_quotient == pytest.approx(riesz_constant(1, 3), rel=0.05)
-    flipped = SphereProfile(profile.directions, -profile.values, -1, "flipped",
-                            "fft", 0.0, "constant",
-                            {"constant": -profile.model_data["constant"]})
-    bad = grid_positivity(op, Grid(3, 0.25, 8), flipped)
-    assert bad.status == "violated"
-    assert bad.witness["reevaluated_weighted_energy"] < 0.0
-    assert bad.witness["reevaluated_hardy_energy"] > 0.0
-
-
-def test_grid_positivity_regime_guards():
-    op = polyharmonic(6, 2)
-    with pytest.raises(UnsupportedRegimeError):
-        grid_positivity(op, Grid(6, 0.5, 4), _riesz_profile(2, 6))
-
-
 @pytest.mark.slow
 def test_cross_method_agreement_biharmonic5():
-    """Grid and channel routes agree quantitatively in (m, n) = (2, 5).
+    """Cartesian energies and channel forms agree quantitatively in (m, n) = (2, 5).
 
     A full 5-d eigensolve is out of reach, so the cross-check evaluates both
     quadratic forms on the same radial test field: the Cartesian weighted and
@@ -196,7 +174,7 @@ def test_cross_method_agreement_biharmonic5():
     verdict itself is positive, and the grid-side ratio must agree with the
     channel ratio of the matching profile.
     """
-    from polycap import EnergyForm, HardyForm, hardy_weighted_energy
+    from polycap import EnergyForm, hardy_weighted_energy
 
     channel = channel_positivity(2, 5)
     assert channel.status == "positive_at_resolution"

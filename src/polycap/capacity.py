@@ -48,6 +48,7 @@ class CapacityValue:
     refinement_estimate: float = float("nan")
     raw_values: dict = field(default_factory=dict)
     iterations: int = 0
+    residual: float = 0.0  # final relative residual, the larger of two box solves
 
 
 def _one_box(target, m, grid, kind, rtol):
@@ -69,7 +70,8 @@ def _one_box(target, m, grid, kind, rtol):
         raise InputError("target set reaches the box boundary; enlarge the extent")
     _, info = solve_constrained(EnergyForm(f"{kind}_m", grid, m), mask.where, 1.0, rtol=rtol)
     out = CapacityValue(float(info["energy"]), kind, grid.h, grid.extent, float("nan"),
-                        {f"extent_{grid.extent}": info["energy"]}, info["iterations"])
+                        {f"extent_{grid.extent}": info["energy"]}, info["iterations"],
+                        info["residual"])
     return mask, out
 
 
@@ -100,6 +102,7 @@ def cap_m(target, m, grid, box_levels=1, rtol=1e-8):
         extrapolated = (big.value - weight * out.value) / (1.0 - weight)
         out.refinement_estimate = abs(extrapolated - big.value)
         out.value, out.iterations = float(extrapolated), out.iterations + big.iterations
+        out.residual = max(out.residual, big.residual)
     return out
 
 

@@ -103,7 +103,8 @@ def _write_field(path, grid, u):
 
 # -- subcommand handlers -------------------------------------------------------
 # Each handler gets the settings of its table row, cast and checked, unset ones
-# absent, and the output directory `out` made; it returns nothing or raises.
+# absent, and the output directory `out` made; it writes its outputs or raises,
+# and one that takes --require-verdict returns whether it reached a verdict.
 
 
 def _run_symbol_check(cfg):
@@ -184,9 +185,7 @@ def _run_positivity(cfg):
         write_csv(os.path.join(cfg["out"], "witness.csv"), ["index", "value"],
                   np.column_stack([np.arange(vals.size), vals]))
     write_json(os.path.join(cfg["out"], "summary.json"), verdict.as_dict())
-    if cfg.get("require_verdict") and verdict.status not in ("positive_at_resolution",
-                                                             "violated"):
-        raise InconclusiveError("positivity did not reach a verdict")
+    return verdict.status != "inconclusive"
 
 
 def _run_wiener(cfg):
@@ -194,9 +193,10 @@ def _run_wiener(cfg):
                             j_range=(cfg.get("j_min", 0), cfg.get("j_max", 8)),
                             backend=cfg.get("backend", "auto"),
                             nodes_per_rho=cfg.get("nodes_per_rho", 12))
-    verdict = wiener_classify(series, require_verdict=cfg.get("require_verdict", False))
+    verdict = wiener_classify(series)
     series_to_csv(series, os.path.join(cfg["out"], "series.csv"))
     write_json(os.path.join(cfg["out"], "summary.json"), verdict)
+    return verdict.classification != "inconclusive"
 
 
 def _run_cusp(cfg):
@@ -237,8 +237,7 @@ def _run_decay(cfg):
               ["rho", "sup_sq", "weighted_energy", "cap_integral"],
               np.column_stack([report.radii, report.sup_sq, report.weighted_energy,
                                report.cap_integral]))
-    if cfg.get("require_verdict") and report.inconclusive:
-        raise InconclusiveError("decay fit is degenerate")
+    return not report.inconclusive
 
 
 # -- the settings table --------------------------------------------------------
@@ -364,7 +363,9 @@ def main(argv=None):
         handler, cfg = _resolve(config)
         os.makedirs(cfg.setdefault("out", "polycap_out"), exist_ok=True)
         write_manifest(cfg["out"], config)
-        handler(cfg)
+        reached = handler(cfg)
+        if cfg.get("require_verdict") and not reached:
+            raise InconclusiveError(f"{config['subcommand']} did not reach a verdict")
         return 0
     except (InputError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -112,12 +112,12 @@ def sign_summary(profile):
 # -- symmetry detection -------------------------------------------------------
 
 
-def _isotropy_axis(op, samples=128):
+def _isotropy_axis(op):
     """None if P is anisotropic; n (meaning fully isotropic) or the first axis
     whose _axial_symbol, the plane-wave route's polynomial in the squared axis
-    component, reproduces P on the sampled directions to 1e-12 of max|P|
-    (about a thousand times the rounding of the fit)."""
-    dirs = unit_directions(op.n, samples)
+    component, reproduces P on the directions unit_directions(n, 128) to
+    1e-12 of max|P| (about a thousand times the rounding of the fit)."""
+    dirs = unit_directions(op.n, 128)
     vals = op.symbol(dirs)
     if np.allclose(vals, vals.mean(), rtol=1e-10, atol=0.0):
         return op.n

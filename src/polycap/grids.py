@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, UnsupportedRegimeError
-from .reporting import write_csv
 
 
 # the most nodes a Cartesian grid may have: 128 MiB per float64 grid function,
@@ -128,32 +127,12 @@ class Mask:
         self.region = region
 
     @property
-    def count(self):
-        return int(self.where.sum())
-
-    @property
     def empty(self):
         return not self.where.any()
 
     def points(self):
         """Coordinates of the mask's nodes, one row each in C order."""
         return self.grid.axis_coords()[np.argwhere(self.where)]
-
-    def __or__(self, other):
-        if other.grid != self.grid:
-            raise InputError("masks live on different grids")
-        return Mask(self.grid, self.where | other.where)
-
-    def __and__(self, other):
-        if other.grid != self.grid:
-            raise InputError("masks live on different grids")
-        return Mask(self.grid, self.where & other.where)
-
-    def issubset(self, other):
-        return bool(np.all(~self.where | other.where))
-
-    def to_csv(self, path):
-        write_csv(path, [f"x{i+1}" for i in range(self.grid.n)], self.points())
 
 
 def mask_from_csv(grid, path):

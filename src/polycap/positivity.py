@@ -156,8 +156,8 @@ class ChannelForm:
     k: int
     t_window: float
     dt: float
-    A: object = None
-    B: object = None
+    A: object = field(init=False)
+    B: object = field(init=False)
 
     def __post_init__(self):
         nt = int(round(self.t_window / self.dt)) + 1

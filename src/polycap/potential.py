@@ -49,6 +49,7 @@ class PotentialReport:
             "capacity_m": self.capacity_m,
             "range_off_mask": list(self.range_off_mask),
             "iterations": self.solver.get("iterations"),
+            "residual": self.solver.get("residual"),
         }
 
 
@@ -71,8 +72,8 @@ def capacitary_potential(op, target, grid, rtol=1e-8):
     if mask.grid != grid:
         raise InputError("mask was rasterized on a different grid")
     if mask.empty:
-        u = grid.zeros()
-        return PotentialReport(op.name, op.m, u, mask, 0.0, 0.0, (0.0, 0.0), {"iterations": 0})
+        return PotentialReport(op.name, op.m, grid.zeros(), mask, 0.0, 0.0, (0.0, 0.0),
+                               {"iterations": 0, "residual": 0.0})
     form = EnergyForm("operator_form", grid, op.m, op=op)
     u, info = solve_constrained(form, mask.where, 1.0, rtol=rtol)
     if op.coefficients == polyharmonic(op.n, op.m).coefficients:
@@ -270,44 +271,3 @@ def stationarity_check(report, op):
     denom = max(float(np.linalg.norm(g)), 1e-300)
     return float(np.linalg.norm(g[~report.mask.where]) / denom)
 
-
-# -- candidate masks for the sign probe ---------------------------------------
-
-
-def plate_with_gap(grid, half_width, thickness=0.0, gap=0.4):
-    """A coordinate plate with a missing central strip."""
-    x = grid.axes()
-    flat = np.abs(x[-1]) <= thickness + 1e-12
-    inside = np.ones(grid.shape, dtype=bool)
-    for axis in range(grid.n - 1):
-        inside &= np.abs(x[axis]) <= half_width + 1e-12
-    gap_zone = np.abs(x[0]) <= gap / 2.0
-    return Mask(grid, flat & inside & ~gap_zone)
-
-
-def two_blocks(grid, half_width, separation):
-    """Two axis-aligned cubes separated along the first axis."""
-    x = grid.axes()
-    m = np.zeros(grid.shape, dtype=bool)
-    for sign in (-1.0, 1.0):
-        c = np.zeros(grid.n)
-        c[0] = sign * (separation / 2.0 + half_width)
-        box = np.ones(grid.shape, dtype=bool)
-        for axis in range(grid.n):
-            box &= np.abs(x[axis] - c[axis]) <= half_width + 1e-12
-        m |= box
-    return Mask(grid, m)
-
-
-def comb_mask(grid, teeth=3, tooth_half_width=0.1, pitch=0.5):
-    """Parallel plates ("teeth") along the first axis."""
-    x = grid.axes()
-    m = np.zeros(grid.shape, dtype=bool)
-    othr = np.ones(grid.shape, dtype=bool)
-    for axis in range(1, grid.n):
-        othr &= np.abs(x[axis]) <= 0.6 + 1e-12
-    start = -(teeth - 1) * pitch / 2.0
-    for t in range(teeth):
-        c = start + t * pitch
-        m |= (np.abs(x[0] - c) <= tooth_half_width + 1e-12) & othr
-    return Mask(grid, m)

@@ -44,8 +44,9 @@ def test_capacity_run_and_manifest_rerun_bitwise(tmp_path, cli_env):
     r = run_cli(args, tmp_path, cli_env)
     assert r.returncode == 0, r.stderr
     with open(tmp_path / "runA" / "summary.json") as fh:
-        iterations = json.load(fh)["iterations"]
-    assert isinstance(iterations, int) and iterations > 0
+        summary = json.load(fh)
+    assert isinstance(summary["iterations"], int) and summary["iterations"] > 0
+    assert 0.0 < summary["residual"] < 1e-7
     r = run_cli(["--config", str(tmp_path / "runA" / "manifest.json"),
                  "capacity", "--out", "runB"], tmp_path, cli_env)
     assert r.returncode == 0, r.stderr
@@ -241,6 +242,7 @@ def test_potential_subcommand(tmp_path, cli_env):
     with open(tmp_path / "p" / "summary.json") as fh:
         data = json.load(fh)
     assert data["range_check"]["passed"] is True
+    assert 0.0 < data["residual"] < 1e-7
     assert os.path.exists(tmp_path / "p" / "potential.csv")
 
 
@@ -258,6 +260,10 @@ def test_wiener_require_verdict_inconclusive_exit4(tmp_path, cli_env):
                  "--j-max", "8", "--nodes-per-rho", "16", "--require-verdict",
                  "--out", "wi"], tmp_path, cli_env)
     assert r.returncode == 4, r.stderr
+    # the outputs are written before the run exits 4
+    assert (tmp_path / "wi" / "series.csv").exists()
+    with open(tmp_path / "wi" / "summary.json") as fh:
+        assert json.load(fh)["classification"] == "inconclusive"
 
 
 def assert_one_line_exit_2(r):

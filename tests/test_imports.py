@@ -1,7 +1,9 @@
 """Cold start: importing polycap loads no scipy module; each function imports
 the scipy it uses when it runs, with the same results.  Also: every name the
-benchmark tracer rebinds exists."""
+benchmark tracer rebinds exists, and every definition in src/polycap has a
+caller or a stated reason to exist without one."""
 
+import ast
 import dataclasses
 import importlib.util
 import json
@@ -98,3 +100,59 @@ def test_every_traced_name_resolves():
                 missing.append(f"{module_name}:{attr}")
                 break
     assert missing == []
+
+
+# definitions kept without a caller in the program, each with its reason
+_KEPT_WITHOUT_CALLER = {
+    "cli._Parser.error": "argparse calls it on a malformed command line",
+    "energy.hardy_weighted_energy": "the Cartesian oracle the channel forms are tested against",
+    "energy.EnergyForm.tosparse": "the direct-solve reference of the energy and solver tests",
+    "potential.stationarity_check": "the optimality oracle of the potential tests",
+    "potential.sign_probe": "the exploratory API the README lists",
+    "operators.save_operator": "writes the format that --operator-file reads",
+}
+
+
+def _definitions(tree, module):
+    """module.name of each module-level function and class, and
+    module.Class.name of each method that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield f"{module}.{node.name}.{item.name}", item.name
+
+
+def _referenced_names(tree):
+    """Every name an ast.Name or ast.Attribute reads, plus each dotted part of
+    the strings in a TRACED table."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)):
+            for const in ast.walk(node.value):
+                if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                    names.update(const.value.split("."))
+    return names
+
+
+def test_every_src_definition_has_a_caller():
+    """Each function, class and method of src/polycap is referenced in the
+    program (src/polycap, the demos, the benchmark) or by the acceptance
+    criteria, or is kept without a caller for the reason given above."""
+    root = Path(__file__).resolve().parents[1]
+    src = sorted((root / "src" / "polycap").glob("*.py"))
+    readers = (src + sorted((root / "demos").glob("*.py"))
+               + sorted((root / "perfbench").glob("*.py"))
+               + [root / "tests" / "test_acceptance.py"])
+    used = set().union(*(_referenced_names(ast.parse(p.read_text())) for p in readers))
+    defined = [d for p in src for d in _definitions(ast.parse(p.read_text()), p.stem)]
+    unused = sorted(q for q, name in defined if name not in used)
+    assert unused == sorted(_KEPT_WITHOUT_CALLER)

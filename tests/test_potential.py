@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from polycap import (Ball, Grid, InputError, Mask, Shell, capacitary_potential,
+from polycap import (Ball, Box, Grid, InputError, Mask, Shell, Union, capacitary_potential,
                      evaluate_ball_potential, gradient_decay_check, laplacian,
                      lower_bound_check, maximal_bound_check, polyharmonic, range_check,
                      sign_probe, stationarity_check)
-from polycap.potential import two_blocks
 from polycap.solvers import solve_constrained
 
 
@@ -136,7 +135,10 @@ def test_maximal_annulus_validation():
 
 def test_sign_probe_newtonian_silent():
     g = Grid(3, 0.15, 14)
-    res = sign_probe(laplacian(3), {"blocks": two_blocks(g, 0.3, 0.6)}, g)
+    # two cubes of half width 0.3, 0.6 apart along the first axis
+    side = (-0.3, 0.3)
+    blocks = Union((Box(((-0.9, -0.3), side, side)), Box(((0.3, 0.9), side, side))))
+    res = sign_probe(laplacian(3), {"blocks": blocks}, g)
     assert res["blocks"]["site_count"] == 0
 
 
@@ -192,12 +194,14 @@ def test_sign_probe_exploratory_order4():
     # oscillation of U - 1 next to K is only guaranteed for some compact set;
     # this exercises curated candidates and checks the report shape, without
     # asserting that sites are found
-    from polycap.potential import comb_mask, plate_with_gap
-
     g = Grid(5, 0.25, 6)
-    res = sign_probe(polyharmonic(5, 2),
-                     {"comb": comb_mask(g, teeth=3, tooth_half_width=0.125, pitch=0.5),
-                      "plate": plate_with_gap(g, 0.5, thickness=0.125, gap=0.5)}, g)
+    # a comb of three teeth 0.5 apart along the first axis, and a plate
+    # |x_5| <= 0.125 of half width 0.5 with the strip |x_1| < 0.375 cut out
+    comb = Union(tuple(Box(((c - 0.125, c + 0.125),) + ((-0.6, 0.6),) * 4)
+                       for c in (-0.5, 0.0, 0.5)))
+    plate = Union(tuple(Box((x1,) + ((-0.5, 0.5),) * 3 + ((-0.125, 0.125),))
+                        for x1 in ((-0.5, -0.375), (0.375, 0.5))))
+    res = sign_probe(polyharmonic(5, 2), {"comb": comb, "plate": plate}, g)
     for label in ("comb", "plate"):
         assert "sites" in res[label] and "site_count" in res[label]
         assert res[label]["capacity"] > 0.0

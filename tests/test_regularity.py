@@ -16,6 +16,11 @@ CLOSED_FORM_CASES = [
     (CuspProfile("power", 2.0), 2, 6, "irregular"),
     (CuspProfile("exponential", 1.0), 1, 3, "irregular"),
     (CuspProfile("exponential", 1.0), 2, 6, "irregular"),
+    # n >= 2m + 3: the integrand is f^k tau^(2m-n) with k = n - 2m - 1 = 2
+    (CuspProfile("power", 1.5), 1, 5, "irregular"),
+    (CuspProfile("power", 1.0), 1, 5, "regular"),
+    (CuspProfile("power", 1.5), 2, 7, "irregular"),
+    (CuspProfile("exponential", 1.0), 2, 7, "irregular"),
 ]
 
 
@@ -114,6 +119,18 @@ def test_classifier_declines_a_geometric_fit_it_cannot_tell_from_a_power_law(m, 
     analytic = cusp_criterion(CuspProfile("power", 2.0), m, n)["verdict"]
     series = annulus_series(Cusp("power", 2.0), m, n, j_range=(0, 8), nodes_per_rho=48)
     assert wiener_classify(series).classification in (analytic, "inconclusive")
+
+
+@pytest.mark.parametrize("m,n", [(1, 5), (2, 7)])
+def test_classifier_agrees_with_the_cusp_criterion_for_k_2(m, n):
+    # k = n - 2m - 1 = 2: the slab capacities of the p = 1.5 cusp scale as
+    # rho f(rho)^2, so the normalized terms shrink by about 2^(-(p-1)k) = 1/2
+    # per scale, and every scale is resolved at 32 nodes per rho
+    analytic = cusp_criterion(CuspProfile("power", 1.5), m, n)["verdict"]
+    series = annulus_series(Cusp("power", 1.5), m, n, j_range=(0, 8), nodes_per_rho=32,
+                            backend="axisym")
+    assert all(series.metadata["resolved"])
+    assert wiener_classify(series).classification == analytic == "irregular"
 
 
 def test_classifier_borderline_dimension_continuum():

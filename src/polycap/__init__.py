@@ -14,7 +14,7 @@ the fundamental solution satisfies P(d) F = delta with F-hat = 1/P.
 __version__ = "0.1.0"
 
 from .capacity import AnnulusCapacitySeries, CapacityValue, annulus_series, bessel_capacity, cap_m
-from .energy import EnergyForm, assemble, hardy_weighted_energy
+from .energy import EnergyForm, hardy_weighted_energy, weighted_operator_energy
 from .errors import (ConfigurationError, ConvergenceError, InconclusiveError,
                      InputError, UnsupportedRegimeError)
 from .fundsol import SphereProfile, compute_profile, riesz_constant, sign_summary

@@ -1,17 +1,14 @@
 """Quadratic energy forms on grid functions.
 
-Four kinds are assembled:
+Three kinds are assembled:
 
   homogeneous      sum_{|a|=m} (m!/a!) ||d^a u||^2
   inhomogeneous    sum_{k<=m} sum_{|a|=k} (k!/a!) ||d^a u||^2
   operator         sum_{a,b} c[a,b] <d^a u, d^b u>
-  weighted         sum_x  (sum_{a,b} c[a,b] d^(a+b) u)(x) * u(x) * F(x) h^n
 
-each |a| = k term scaled by h^(n-2k).  The first three are positive
-semidefinite by construction (the operator kind by ellipticity); the weighted
-kind carries no definiteness guarantee, its sign behavior is exactly what the
-positivity module investigates.  The multinomial weights k!/alpha! make the
-gradient tensor norm rotation invariant.
+each |a| = k term scaled by h^(n-2k).  All three are positive semidefinite by
+construction (the operator kind by ellipticity).  The multinomial weights
+k!/alpha! make the gradient tensor norm rotation invariant.
 
 With the half-offset odd stencils every axis gives (d^k)^T d^k = (-D2)^k, so
 by the multinomial theorem the homogeneous form is exactly h^(n-2m) L^m on the
@@ -22,9 +19,17 @@ coefficients: `apply` runs Horner's rule with m Laplacian passes, `tosparse`
 sums powers of a sparse L, and the DST-I preconditioner of `solvers`
 evaluates them (`dst_poly`) at the Dirichlet eigenvalues.  Any other
 operator form is sum c[a,b] (d^a)^T d^b folded into one offset ->
-coefficient table, applied by shifted slices.  The weighted kind sums its
-node-centered multi-index terms.  Every kind has quad(u) == sum(u *
-apply(u)) and an exactly symmetric `tosparse`.
+coefficient table, applied by shifted slices.  Every kind has quad(u) ==
+sum(u * apply(u)) and an exactly symmetric `tosparse`.
+
+Two sums are only evaluated, never solved: the weighted-gradient (Hardy)
+energy and the kernel-weighted operator energy
+
+  sum_x  (sum_{a,b} c[a,b] d^(a+b) u)(x) * u(x) * F(x) h^(n-2m),
+
+F the fundamental solution.  The latter carries no definiteness guarantee;
+its sign is what the positivity module decides, channel by channel, and the
+tests check the channels against these two sums.
 """
 
 import numpy as np
@@ -33,9 +38,9 @@ from .errors import ConfigurationError, InputError
 from .grids import Grid, axis_sum
 from .operators import laplacian, multi_indices, multinomial, polyharmonic
 from .stencils import (alpha_offsets, apply_alpha, apply_stencil, injection_matrix,
-                       neg_laplacian, sparse_alpha, sparse_stencil)
+                       neg_laplacian, sparse_stencil)
 
-_KINDS = ("homogeneous_m", "inhomogeneous_m", "operator_form", "weighted_operator_form")
+_KINDS = ("homogeneous_m", "inhomogeneous_m", "operator_form")
 # largest grid `tosparse` materializes
 _SPARSE_MAX = 400_000
 
@@ -79,55 +84,40 @@ def _fold(op, scale):
 
 
 class EnergyForm:
-    """Symmetric quadratic form over grid functions with zero extension."""
+    """Symmetric quadratic form over grid functions with zero extension.
 
-    def __init__(self, kind, grid, m, op=None, weight=None):
+    `poly` holds the coefficients of the form as a polynomial in -Delta_h
+    (lowest degree first), or is None for an operator folded into a stencil
+    table; so an operator form has a `poly` exactly when its operator is
+    (-Delta)^m."""
+
+    def __init__(self, kind, grid, m, op=None):
         if kind not in _KINDS:
             raise InputError(f"unknown energy kind {kind!r}")
-        self.kind = kind
         self.grid = grid
         self.m = m
-        self.op = op
-        self.weight = weight
         _check_fits(grid, m)
         n, h = grid.n, grid.h
-        # one representation per kind: the coefficients of a polynomial in
-        # -Delta_h (lowest degree first), a folded stencil, or weighted terms
-        self._poly = self._stencil = self._terms = None
+        self.poly = self._stencil = None
         # m zero-extended Laplacian passes are exact on the grid padded by
         # m // 2: truncation at the padded faces first errs in pass pad + 2
         # and the error moves one node per pass
         self._pad = m // 2
         if kind == "inhomogeneous_m":
-            self._poly = [h ** (n - 2 * k) for k in range(m + 1)]
-        elif kind == "homogeneous_m" or (
-                kind == "operator_form" and op.coefficients == polyharmonic(n, m).coefficients):
-            self._poly = [0.0] * m + [h ** (n - 2 * m)]
-        elif kind == "operator_form":
-            self._stencil = _fold(op, h ** (n - 2 * m))
+            self.poly = [h ** (n - 2 * k) for k in range(m + 1)]
+        elif kind == "homogeneous_m" or op.coefficients == polyharmonic(n, m).coefficients:
+            self.poly = [0.0] * m + [h ** (n - 2 * m)]
         else:
-            # the operator in the integrand is (-1)^m sum a d^(alpha+beta),
-            # whose symbol is the positive P
-            sign = (-1.0) ** m
-            self._terms = []
-            for (alpha, beta), v in op.coefficients.items():
-                gamma = tuple(a + b for a, b in zip(alpha, beta))
-                c = v if alpha == beta else 2.0 * v
-                self._terms.append((gamma, sign * c * h ** (n - 2 * m)))
+            self._stencil = _fold(op, h ** (n - 2 * m))
         # the polynomial in -Delta_h whose DST-I spectrum models the form in
         # the preconditioner of `solvers`: its own, else h^(n-2m) (-Delta_h)^m
-        self.dst_poly = self._poly or [0.0] * m + [h ** (n - 2 * m)]
+        self.dst_poly = self.poly or [0.0] * m + [h ** (n - 2 * m)]
 
     def quad(self, u):
         """Energy value of u."""
         u = np.asarray(u, dtype=float)
         if u.shape != self.grid.shape:
             raise InputError("grid function shape does not match the grid")
-        if self._terms is not None:
-            lu = np.zeros_like(u)
-            for gamma, c in self._terms:
-                lu += c * apply_alpha(u, gamma, centered=True)
-            return float((lu * u * self.weight).sum())
         return float((u * self.apply(u)).sum())
 
     def apply(self, u):
@@ -135,18 +125,11 @@ class EnergyForm:
         u = np.asarray(u, dtype=float)
         if self._stencil is not None:
             return apply_stencil(u, self._stencil)
-        if self._terms is not None:
-            lu = np.zeros_like(u)
-            lt = np.zeros_like(u)
-            for gamma, c in self._terms:
-                lu += c * apply_alpha(u, gamma, centered=True)
-                lt += c * apply_alpha(self.weight * u, gamma, transpose=True, centered=True)
-            return 0.5 * (self.weight * lu + lt)
         m, pad = self.m, self._pad
         up = np.pad(u, pad) if pad else u
-        out = self._poly[m] * up
+        out = self.poly[m] * up
         buf = np.empty_like(up)
-        for c in reversed(self._poly[:m]):
+        for c in reversed(self.poly[:m]):
             out, buf = neg_laplacian(out, buf), out
             if c:
                 out += c * up
@@ -156,9 +139,9 @@ class EnergyForm:
         """Whether A commutes with the reflection x_axis -> -x_axis of the box:
         always for a polynomial in -Delta_h, for a folded stencil when
         negating the axis component of every offset maps the table to
-        itself, never for the weighted kind."""
+        itself."""
         if self._stencil is None:
-            return self._poly is not None
+            return True
         table = dict(self._stencil)
         return all(table.get(o[:axis] + (-o[axis],) + o[axis + 1:]) == c
                    for o, c in self._stencil)
@@ -169,42 +152,21 @@ class EnergyForm:
             raise ConfigurationError(
                 f"grid has {self.grid.size} nodes; refusing to materialize above {_SPARSE_MAX}"
             )
-        from scipy.sparse import diags
-
         shape = self.grid.shape
         if self._stencil is not None:
             return sparse_stencil(shape, self._stencil)
-        if self._terms is not None:
-            w = diags(self.weight.ravel())
-            mat = sum(w @ (c * sparse_alpha(shape, gamma, centered=True))
-                      for gamma, c in self._terms)
-            return (0.5 * (mat + mat.T)).tocsr()
         # the powers L^k P on the injected grid are exact integer matrices, so
         # P^T sum c_k L^k P is exactly symmetric
         pad = self._pad
         lap = sparse_stencil(tuple(s + 2 * pad for s in shape), _fold(laplacian(len(shape)), 1.0))
         P = injection_matrix(shape, pad)
         power, mat = P, 0.0
-        for k, c in enumerate(self._poly):
+        for k, c in enumerate(self.poly):
             if k:
                 power = lap @ power
             if c:
                 mat = mat + c * power
         return (P.T @ mat).tocsr()
-
-
-def assemble(kind, op, grid, weight=None):
-    """Build an energy form; `weight` (a SphereProfile) is required for and
-    only for the weighted kind."""
-    if kind == "weighted_operator_form":
-        if weight is None:
-            raise InputError("the weighted form needs a fundamental-solution profile")
-        if grid.n <= 2 * op.m:
-            raise InputError("the weighted form needs n > 2m")
-        wvals = weight.reconstruct(grid.coords())
-        wvals[grid.origin_index()] = 0.0
-        return EnergyForm(kind, grid, op.m, op=op, weight=wvals)
-    return EnergyForm(kind, grid, op.m, op=op)
 
 
 def weighted_gradient_parts(grid, m):
@@ -244,3 +206,28 @@ def hardy_weighted_energy(u, m, grid):
         d = apply_alpha(up, alpha)
         total += c * float((d * d * w).sum())
     return float(total)
+
+
+def weighted_operator_energy(u, op, grid, profile):
+    """sum_x (sum_{a,b} c[a,b] d^(a+b) u)(x) u(x) F(x) h^(n-2m), the energy of
+    u against the fundamental solution F of op, given as its SphereProfile.
+
+    The differences are node centered, which decouples sublattices, so the
+    sum is evaluated and never solved.  F is 0 at x = 0.
+    """
+    n, m, h = grid.n, op.m, grid.h
+    if n <= 2 * m:
+        raise InputError("the weighted form needs n > 2m")
+    u = np.asarray(u, dtype=float)
+    if u.shape != grid.shape:
+        raise InputError("grid function shape does not match the grid")
+    _check_fits(grid, m)
+    # the operator in the integrand is (-1)^m sum a d^(alpha+beta), whose
+    # symbol is the positive P
+    sign = (-1.0) ** m
+    lu = np.zeros_like(u)
+    for (alpha, beta), v in op.coefficients.items():
+        gamma = tuple(a + b for a, b in zip(alpha, beta))
+        c = v if alpha == beta else 2.0 * v
+        lu += sign * c * h ** (n - 2 * m) * apply_alpha(u, gamma, centered=True)
+    return float((lu * u * profile.reconstruct(grid.coords())).sum())

@@ -21,7 +21,7 @@ from .energy import EnergyForm
 from .errors import InputError
 from .fundsol import riesz_constant
 from .grids import Mask, Region, dilate
-from .operators import multi_indices, multinomial, polyharmonic
+from .operators import multi_indices, multinomial
 from .solvers import solve_constrained
 from .stencils import apply_alpha
 
@@ -76,7 +76,7 @@ def capacitary_potential(op, target, grid, rtol=1e-8):
                                {"iterations": 0, "residual": 0.0})
     form = EnergyForm("operator_form", grid, op.m, op=op)
     u, info = solve_constrained(form, mask.where, 1.0, rtol=rtol)
-    if op.coefficients == polyharmonic(op.n, op.m).coefficients:
+    if form.poly is not None:
         capm = info["energy"]  # the operator form is the m-harmonic energy
     else:
         capm = cap_m(mask, op.m, grid, rtol=rtol).value

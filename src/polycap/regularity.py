@@ -160,6 +160,12 @@ def cusp_criterion(profile, m, n):
     ~tau f^k for k >= 1, so the integrand is 1 / (tau |log f(tau)|) or
     f(tau)^k tau^(2m-n) (for m = 1 the thorn test int (f(t)/t)^(n-3) dt/t).
     Returns {"verdict": "regular"|"irregular", "integral": value, ...}.
+    For the closed forms (power and exponential profiles) `integral` is the
+    integral over (0, 1).  For a tabulated profile it is the quadrature
+    ladder's value over (eps, 1/2] at its smallest eps, plus the geometric
+    tail when the ladder's increments shrink geometrically
+    (`_tabulated_divergence`), so the two methods give different numbers
+    for the same cusp.
     """
     if n == 2 * m:
         raise UnsupportedRegimeError(

@@ -24,7 +24,7 @@ onward, of every axis along which the problem is exactly even: the
 constraint mask, the fixed values and the source equal their mirror images
 bitwise, and the form commutes with the reflection (a polynomial in
 -Delta_h always, a folded stencil when negating that component of every
-offset maps its table to itself, the weighted kind never).  The iterates of
+offset maps its table to itself).  The iterates of
 the whole-grid loop are then even, so nothing is lost.  `EnergyForm.apply`
 acts on a half-grid function through m even ghost layers before each
 folded centre plane.  A node off the centre planes of k folded axes stands

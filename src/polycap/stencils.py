@@ -55,33 +55,33 @@ def axis_stencil(order, centered=False):
     return st
 
 
-def apply_axis(u, axis, offsets, coeffs, transpose=False):
-    """Apply a one-axis stencil with zero extension; transpose flips offsets."""
+def apply_axis(u, axis, offsets, coeffs):
+    """Apply a one-axis stencil with zero extension."""
     entries = []
     for off, c in zip(offsets, coeffs):
         vec = [0] * u.ndim
-        vec[axis] = -int(off) if transpose else int(off)
+        vec[axis] = int(off)
         entries.append((tuple(vec), c))
     return apply_stencil(u, entries)
 
 
-def apply_alpha(u, alpha, transpose=False, centered=False):
+def apply_alpha(u, alpha, centered=False):
     """Apply the undivided difference for the multi-index alpha."""
     out = u
     for axis, order in enumerate(alpha):
         if order:
             offs, coeffs = axis_stencil(order, centered=centered)
-            out = apply_axis(out, axis, offs, coeffs, transpose=transpose)
+            out = apply_axis(out, axis, offs, coeffs)
     return out
 
 
-def alpha_offsets(alpha, centered=False):
+def alpha_offsets(alpha):
     """All (offset-vector, coefficient) pairs of the tensor stencil."""
     entries = [((0,) * len(alpha), 1.0)]
     for axis, order in enumerate(alpha):
         if not order:
             continue
-        offs, coeffs = axis_stencil(order, centered=centered)
+        offs, coeffs = axis_stencil(order)
         new = []
         for vec, val in entries:
             for o, c in zip(offs, coeffs):
@@ -147,11 +147,6 @@ def sparse_stencil(shape, entries):
         shape=(size, size),
     )
     return mat.tocsr()
-
-
-def sparse_alpha(shape, alpha, centered=False):
-    """Materialize the alpha stencil as a CSR matrix over a box of `shape`."""
-    return sparse_stencil(shape, alpha_offsets(alpha, centered=centered))
 
 
 def neg_laplacian(v, out):

@@ -20,7 +20,7 @@ from polycap import (Ball, Cone, Cusp, CuspProfile, Grid, annulus_series,
                      regularity_probe, riesz_constant, sign_summary, wiener_classify,
                      lower_bound_check)
 from polycap.capacity import cap_m
-from polycap.energy import assemble
+from polycap.energy import EnergyForm
 from polycap.grids import Shell
 from polycap.radial import axisym_capacity
 from polycap.solvers import solve_constrained
@@ -33,7 +33,7 @@ FOUR_PI = 4.0 * np.pi
 def _ball_cap(h, box, rtol=1e-8):
     grid = Grid(3, h, int(round(box / h)))
     mask = Ball(1.0).mask(grid)
-    form = assemble("homogeneous_m", laplacian(3), grid)
+    form = EnergyForm("homogeneous_m", grid, 1)
     t0 = time.time()
     _, info = solve_constrained(form, mask.where, 1.0, rtol=rtol)
     return info["energy"], time.time() - t0
@@ -65,7 +65,7 @@ def test_criterion_2_capacity_homogeneity():
     def ball2(h, box):
         grid = Grid(3, h, int(round(box / h)))
         mask = Ball(2.0).mask(grid)
-        form = assemble("homogeneous_m", laplacian(3), grid)
+        form = EnergyForm("homogeneous_m", grid, 1)
         return solve_constrained(form, mask.where, 1.0)[1]["energy"]
 
     c2 = 2.0 * ball2(h, 16.0) - ball2(h, 8.0)

@@ -3,9 +3,10 @@ import pytest
 
 from polycap import (Ball, Box, Cone, ConvergenceError, Cusp, EllipticOperator, EnergyForm,
                      Grid, InconclusiveError, InputError, Intersection, Mask, Ray,
-                     UnsupportedRegimeError, annulus_series, bessel_capacity, bump, cap_m,
-                     laplacian, solve_constrained)
+                     Union, UnsupportedRegimeError, annulus_series, bessel_capacity, bump,
+                     cap_m, laplacian, solve_constrained)
 from polycap import solvers
+from polycap.capacity import is_axisymmetric
 from polycap.radial import (AxisymGrid, axisym_capacity, axisym_energy_matrix,
                             ball_potential_exact, radial_ball_potential)
 
@@ -213,6 +214,24 @@ def test_annulus_series_empty_complement():
 
     s = annulus_series(Nothing(0.0), 1, 3, j_range=(0, 6), nodes_per_rho=6)
     assert all(c == 0.0 for c in s.capacity)
+
+
+def test_annulus_series_union_of_bodies_of_revolution_takes_the_axisym_backend():
+    s = annulus_series(Union((Cone(np.pi / 4), Cusp("power", 2))), 1, 3, j_range=(0, 4),
+                       nodes_per_rho=6)
+    assert s.metadata["backend"] == "axisym"
+    # the cusp part is thinner than the spacing, rho^2 < rho / 6, below rho = 1/6
+    assert s.metadata["resolved"] == [True, True, True, False, False]
+
+
+def test_annulus_series_union_with_an_off_axis_ball_takes_the_cartesian_backend():
+    off_axis = Ball(0.05, (0.3, 0.0, 0.0))
+    assert is_axisymmetric(Intersection((Cone(np.pi / 4), Ball(1.0))), 3)
+    assert not is_axisymmetric(Intersection((Cone(np.pi / 4), off_axis)), 3)
+    s = annulus_series(Union((Cone(np.pi / 4), off_axis)), 1, 3, j_range=(0, 1),
+                       nodes_per_rho=6)
+    assert s.metadata["backend"] == "cartesian"
+    assert s.metadata["resolved"] == [True, True]
 
 
 def test_annulus_series_rejects_unknown_backend():

@@ -106,6 +106,7 @@ def test_every_traced_name_resolves():
 _KEPT_WITHOUT_CALLER = {
     "cli._Parser.error": "argparse calls it on a malformed command line",
     "energy.hardy_weighted_energy": "the Cartesian oracle the channel forms are tested against",
+    "energy.weighted_operator_energy": "the kernel-weighted Cartesian oracle of the same tests",
     "energy.EnergyForm.tosparse": "the direct-solve reference of the energy and solver tests",
     "potential.stationarity_check": "the optimality oracle of the potential tests",
     "potential.sign_probe": "the exploratory API the README lists",
@@ -126,33 +127,60 @@ def _definitions(tree, module):
                     yield f"{module}.{node.name}.{item.name}", item.name
 
 
-def _referenced_names(tree):
-    """Every name an ast.Name or ast.Attribute reads, plus each dotted part of
-    the strings in a TRACED table."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
+def _references(tree, module, is_init):
+    """(kind, name, owners) of each reference in `tree`: kind "name" for a
+    loaded ast.Name, "attr" for an ast.Attribute, "import" for a name
+    imported outside an __init__.py, "traced" for each dotted part of the
+    strings in a TRACED table; owners are the definitions, named as
+    `_definitions` names them, whose body holds the reference."""
+    refs = []
+
+    def visit(node, prefix, owners):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            prefix = f"{prefix}.{node.name}"
+            owners = owners | {prefix}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.append(("name", node.id, owners))
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            refs.append(("attr", node.attr, owners))
+        elif isinstance(node, ast.ImportFrom) and not is_init:
+            refs.extend(("import", alias.name, owners) for alias in node.names)
         elif (isinstance(node, ast.Assign)
               and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)):
             for const in ast.walk(node.value):
                 if isinstance(const, ast.Constant) and isinstance(const.value, str):
-                    names.update(const.value.split("."))
-    return names
+                    refs.extend(("traced", part, owners) for part in const.value.split("."))
+        for child in ast.iter_child_nodes(node):
+            visit(child, prefix, owners)
+
+    visit(tree, module, frozenset())
+    return refs
 
 
 def test_every_src_definition_has_a_caller():
     """Each function, class and method of src/polycap is referenced in the
     program (src/polycap, the demos, the benchmark) or by the acceptance
-    criteria, or is kept without a caller for the reason given above."""
+    criteria, or is kept without a caller for the reason given above.  A
+    method counts as referenced only through an attribute or a TRACED
+    string; a function or class also through a loaded name or an import
+    outside __init__.py.  References in a definition's own body do not
+    count."""
     root = Path(__file__).resolve().parents[1]
     src = sorted((root / "src" / "polycap").glob("*.py"))
     readers = (src + sorted((root / "demos").glob("*.py"))
                + sorted((root / "perfbench").glob("*.py"))
                + [root / "tests" / "test_acceptance.py"])
-    used = set().union(*(_referenced_names(ast.parse(p.read_text())) for p in readers))
-    defined = [d for p in src for d in _definitions(ast.parse(p.read_text()), p.stem)]
-    unused = sorted(q for q, name in defined if name not in used)
-    assert unused == sorted(_KEPT_WITHOUT_CALLER)
+    by_name = {}
+    for p in readers:
+        for kind, name, owners in _references(ast.parse(p.read_text()), p.stem,
+                                              p.name == "__init__.py"):
+            by_name.setdefault(name, []).append((kind, owners))
+    method_kinds = {"attr", "traced"}
+    function_kinds = method_kinds | {"name", "import"}
+    unused = []
+    for p in src:
+        for q, name in _definitions(ast.parse(p.read_text()), p.stem):
+            kinds = method_kinds if q.count(".") == 2 else function_kinds
+            if not any(k in kinds and q not in owners for k, owners in by_name.get(name, ())):
+                unused.append(q)
+    assert sorted(unused) == sorted(_KEPT_WITHOUT_CALLER)

@@ -10,7 +10,7 @@ from polycap import (ChannelForm, Grid, InputError, UnsupportedRegimeError,
                      smallest_generalized_eig)
 from polycap.fundsol import SphereProfile
 from polycap.positivity import hardy_channel_poly, op_channel_poly
-from polycap.stencils import sparse_alpha
+from polycap.stencils import alpha_offsets, sparse_stencil
 
 
 def test_channel_symbols_match_hand_formulas():
@@ -75,7 +75,7 @@ def test_channel_forms_match_padded_definition(m, n, k):
                              (form.B, hardy_channel_poly(m, n, k), 1.0)):
         ref = 0.0
         for p, c in enumerate(scale * np.asarray(poly.coef).real[0::2]):
-            d = sparse_alpha(padded, (p,)).tocsc()[:, inner] / form.dt**p
+            d = sparse_stencil(padded, alpha_offsets((p,))).tocsc()[:, inner] / form.dt**p
             ref = ref + c * form.dt * (d.T @ d)
         assert abs(mat - ref).max() <= 1e-13 * abs(ref).max()
 
@@ -120,6 +120,17 @@ def test_higher_order_violations_ship_negative_witnesses(m, n):
     assert w["quotient"] < 0.0
     assert w["quotient_fine_grid"] < 0.0
     assert w["quotient_spectral"] < 0.0
+
+
+@pytest.mark.parametrize("m,n", [(2, 6), (2, 8)])
+def test_channel_guard_extends_a_sweep_that_ends_at_its_minimum(m, n):
+    # the smallest quotient of the sweep [0, 1] sits at one of its two
+    # highest channels, so the sweep goes on to twice the highest, and the
+    # verdict is the default sweep's
+    guarded = channel_positivity(m, n, channels=[0, 1])
+    assert guarded.resolution["channels"] == [0, 1, 2]
+    assert guarded.notes == ["channel guard extended the sweep to k <= 2"]
+    assert guarded.status == channel_positivity(m, n).status
 
 
 def test_failed_revalidation_is_inconclusive(monkeypatch, tmp_path):
@@ -174,7 +185,7 @@ def test_cross_method_agreement_biharmonic5():
     verdict itself is positive, and the grid-side ratio must agree with the
     channel ratio of the matching profile.
     """
-    from polycap import EnergyForm, hardy_weighted_energy
+    from polycap import hardy_weighted_energy, weighted_operator_energy
 
     channel = channel_positivity(2, 5)
     assert channel.status == "positive_at_resolution"
@@ -184,9 +195,7 @@ def test_cross_method_agreement_biharmonic5():
     t = np.log(np.where(r > 0, r, 1.0))
     u = np.exp(-40.0 * (t - 0.72) ** 2)
     u[np.abs(grid.coords()).max(axis=-1) <= 4 * grid.h + 1e-12] = 0.0
-    wform = EnergyForm("weighted_operator_form", grid, 2, op=polyharmonic(5, 2),
-                       weight=_riesz_profile(2, 5).reconstruct(grid.coords()))
-    num = wform.quad(u)
+    num = weighted_operator_energy(u, polyharmonic(5, 2), grid, _riesz_profile(2, 5))
     den = hardy_weighted_energy(u, 2, grid)
     grid_ratio = num / den
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from polycap import (Ball, Box, Grid, InputError, Mask, Shell, Union, capacitary_potential,
-                     evaluate_ball_potential, gradient_decay_check, laplacian,
+from polycap import (Ball, Box, EllipticOperator, Grid, InputError, Mask, Shell, Union,
+                     cap_m, capacitary_potential, evaluate_ball_potential, gradient_decay_check, laplacian,
                      lower_bound_check, maximal_bound_check, polyharmonic, range_check,
                      sign_probe, stationarity_check)
 from polycap.solvers import solve_constrained
@@ -36,6 +36,19 @@ def test_empty_target():
     empty = Mask(grid, np.zeros(grid.shape, dtype=bool))
     rep = capacitary_potential(laplacian(3), empty, grid)
     assert rep.energy == 0.0 and np.all(rep.u == 0.0)
+
+
+def test_non_polyharmonic_operator_takes_a_second_solve_for_the_m_capacity():
+    # diag(1, 1, 2) is not (-Delta)^1, so capacity_m is a cap_m solve of its
+    # own; the forms obey I <= diag(1, 1, 2) <= 2 I, which puts the operator
+    # energy between the m-capacity and twice it
+    op = EllipticOperator(3, 1, {((1, 0, 0), (1, 0, 0)): 1.0, ((0, 1, 0), (0, 1, 0)): 1.0,
+                                 ((0, 0, 1), (0, 0, 1)): 2.0}, name="diag(1,1,2)")
+    grid = Grid(3, 0.2, 10)
+    rep = capacitary_potential(op, Ball(0.5), grid)
+    assert rep.capacity_m == cap_m(Ball(0.5).mask(grid), 1, grid).value
+    assert rep.capacity_m < rep.energy < 2.0 * rep.capacity_m
+    assert rep.solver["mirror_axes"] == (0, 1, 2)
 
 
 def test_mask_of_another_grid_is_refused():

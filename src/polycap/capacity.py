@@ -198,10 +198,14 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
         meta["backend"] = "axisym" if use_axisym else "cartesian"
         meta["resolved"] = []
     if not use_axisym and (2 * extent + 1) ** n > 3_000_000:
-        hint = "the scale range" if n == 2 * m else "use the axisymmetric backend"
+        hint = ""
+        if n == 2 * m:
+            hint = " or the scale range"
+        elif m <= 2 and is_axisymmetric(complement, n):
+            hint = " or use the axisymmetric backend"
         raise UnsupportedRegimeError(
             f"Cartesian grid would have {(2*extent+1)**n} nodes (limit 3,000,000); "
-            f"reduce nodes_per_rho or {hint}")
+            f"reduce nodes_per_rho{hint}")
 
     def _resolvable(region, rho, h):
         # a cusp thinner than the spacing rasterizes to the bare axis needle;

@@ -127,7 +127,7 @@ def _tabulated_divergence(integrand, label, floor=0.0):
     eps = eps[eps >= 2.0 * floor]
     if eps.size < 5:
         raise InconclusiveError(
-            f"{label}: table covers too little of (0, 1] to judge divergence"
+            f"{label}: table covers too little of (0, 1/2] to judge divergence"
         )
     vals = []
     with warnings.catch_warnings():
@@ -152,20 +152,37 @@ def _tabulated_divergence(integrand, label, floor=0.0):
     return True, float("inf"), "increments persist per dyadic level"
 
 
+def _closed_form_divergence(profile, k):
+    """(divergent, integral over (0, 1/2]) of a power or exponential cusp."""
+    if profile.kind == "power":
+        # integrand tau^(e - 1), or 1/(p tau |log tau|) for k = 0
+        e = k * (profile.param - 1.0)
+        return e <= 0, (0.5**e / e if e > 0 else math.inf)
+    a = profile.param
+    if k == 0:  # integrand tau^(a - 1)
+        return False, 0.5**a / a
+    from scipy.special import gammaincc
+
+    # s = tau^-a turns it into a^-1 int_(2^a)^inf e^(-ks) s^(k/a - 1) ds
+    # = Gamma(k/a) Q(k/a, k 2^a) / (a k^(k/a)), summed in logs because Gamma(k/a)
+    # overflows for small a; the value saturates to 0 or inf outside float64
+    s = k / a
+    with np.errstate(over="ignore", divide="ignore"):
+        return False, float(np.exp(math.lgamma(s) + np.log(gammaincc(s, k * np.exp2(a)))
+                                   - math.log(a) - s * math.log(k)))
+
+
 def cusp_criterion(profile, m, n):
-    """Closed-form divergence test of the cusp regularity integrals: the
-    point is regular exactly when the Wiener integral over tau in (0, 1)
-    diverges.  With k = n - 2m - 1, the slab at scale tau is a cylinder of
-    length ~tau and radius f(tau), of m-capacity ~tau / |log f| for k = 0 and
-    ~tau f^k for k >= 1, so the integrand is 1 / (tau |log f(tau)|) or
-    f(tau)^k tau^(2m-n) (for m = 1 the thorn test int (f(t)/t)^(n-3) dt/t).
-    Returns {"verdict": "regular"|"irregular", "integral": value, ...}.
-    For the closed forms (power and exponential profiles) `integral` is the
-    integral over (0, 1).  For a tabulated profile it is the quadrature
-    ladder's value over (eps, 1/2] at its smallest eps, plus the geometric
-    tail when the ladder's increments shrink geometrically
-    (`_tabulated_divergence`), so the two methods give different numbers
-    for the same cusp.
+    """Divergence test of the cusp regularity integrals: the vertex is
+    regular exactly when the Wiener integral near tau = 0 diverges.  With
+    k = n - 2m - 1, the slab at scale tau is a cylinder of length ~tau and
+    radius f(tau), of m-capacity ~tau / |log f| for k = 0 and ~tau f^k for
+    k >= 1, so the integrand is 1 / (tau |log f(tau)|) or f(tau)^k tau^(2m-n)
+    (for m = 1 the thorn test int (f(t)/t)^(n-3) dt/t).
+    Returns {"verdict": "regular"|"irregular", "integral": value, ...}, with
+    `integral` the integral over (0, 1/2] (inf when it diverges): in closed
+    form for power and exponential profiles, by the quadrature ladder of
+    `_tabulated_divergence` for a tabulated one.
     """
     if n == 2 * m:
         raise UnsupportedRegimeError(
@@ -174,52 +191,22 @@ def cusp_criterion(profile, m, n):
         )
     if n < 2 * m + 1:
         raise InputError("need n >= 2m+1")
-    if n == 2 * m + 1:
-        regime = "log"
-        if profile.kind == "power":
-            # integrand 1/(p tau |log tau|): doubly logarithmic divergence
-            return {"verdict": "regular", "integral": float("inf"), "regime": regime,
-                    "method": "closed-form"}
-        if profile.kind == "exponential":
-            a = profile.param
-            return {"verdict": "irregular", "integral": 1.0 / a, "regime": regime,
-                    "method": "closed-form"}
-
-        def integrand(t):
-            return 1.0 / (abs(math.log(max(profile.f(t), 1e-300))) * t)
-
-        divergent, value, note = _tabulated_divergence(integrand, "log criterion",
-                                                       profile.support_floor())
-        return {"verdict": "regular" if divergent else "irregular", "integral": value,
-                "regime": regime, "method": f"quadrature ({note})"}
-
-    regime = "power"
     k = n - 2 * m - 1
-    if profile.kind == "power":
-        # integrand tau^(kp + 2m - n) = tau^(k(p - 1) - 1)
-        expo = k * profile.param + 2 * m - n
-        if expo <= -1.0:
-            return {"verdict": "regular", "integral": float("inf"), "regime": regime,
-                    "method": "closed-form"}
-        return {"verdict": "irregular", "integral": 1.0 / (expo + 1.0), "regime": regime,
-                "method": "closed-form"}
-    if profile.kind == "exponential":
-        from scipy.special import gammaincc, gamma as _gamma
+    regime = "log" if k == 0 else "power"
+    if profile.kind == "tabulated":
+        def integrand(t):
+            if k == 0:
+                return 1.0 / (abs(math.log(max(profile.f(t), 1e-300))) * t)
+            return profile.f(t) ** k * t ** (2 * m - n)
 
-        # s = tau^-a turns the integral into a^-1 int_1^inf e^(-ks) s^(k/a - 1) ds
-        a = profile.param
-        s = k / a
-        value = _gamma(s) * gammaincc(s, k) / (a * k**s)
-        return {"verdict": "irregular", "integral": float(value), "regime": regime,
-                "method": "closed-form"}
-
-    def integrand(t):
-        return profile.f(t) ** k * t ** (2 * m - n)
-
-    divergent, value, note = _tabulated_divergence(integrand, "power criterion",
-                                                   profile.support_floor())
+        divergent, value, note = _tabulated_divergence(integrand, f"{regime} criterion",
+                                                       profile.support_floor())
+        method = f"quadrature ({note})"
+    else:
+        divergent, value = _closed_form_divergence(profile, k)
+        method = "closed-form"
     return {"verdict": "regular" if divergent else "irregular", "integral": value,
-            "regime": regime, "method": f"quadrature ({note})"}
+            "regime": regime, "method": method}
 
 
 # -- Wiener-type classifier ----------------------------------------------------
@@ -423,7 +410,7 @@ def regularity_probe(op, complement, n, h_values=(1 / 8, 1 / 16, 1 / 32),
                      rho_levels=(1, 2, 3, 4), backend="cartesian"):
     """Trend of sup |u| on shrinking balls at the origin across refinements.
 
-    The domain is the open ball of radius BOX_RADIUS minus the complement
+    The domain is the open ball of radius 0.98 BOX_RADIUS minus the complement
     region; the source is a fixed smooth bump away from the origin, centred
     PROBE_SOURCE_OFFSET * BOX_RADIUS along the first axis with radius
     PROBE_SOURCE_RADIUS * BOX_RADIUS.  Scales closer than TRUST_SPACINGS grid
@@ -511,12 +498,12 @@ def decay_check(op, complement, n, R=0.25, grid_h=1 / 16):
     """Fit the exponential capacity-decay bound on a solution that is
     operator-harmonic near the origin.
 
-    The domain is the open ball of radius BOX_RADIUS minus the complement.
-    The source, the bump DECAY_SOURCE, sits outside B_2R, so the solution
-    solves Lu = 0 on the domain within B_2R; both sides of the bound are evaluated at the dyadic
-    radii rho = R 2^-level, level in DECAY_LEVELS, and c2 is the slope of
-    -log(left / M_R) against the capacity integral, whose annulus series
-    runs at DECAY_NODES_PER_RHO nodes per rho.
+    The domain is the open ball of radius 0.98 BOX_RADIUS minus the
+    complement.  The source, the bump DECAY_SOURCE, sits outside B_2R, so the
+    solution solves Lu = 0 on the domain within B_2R; both sides of the bound
+    are evaluated at the dyadic radii rho = R 2^-level, level in DECAY_LEVELS,
+    and c2 is the slope of -log(left / M_R) against the capacity integral,
+    whose annulus series runs at DECAY_NODES_PER_RHO nodes per rho.
     """
     m = op.m
     offset, radius = DECAY_SOURCE

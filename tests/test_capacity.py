@@ -292,6 +292,14 @@ def test_annulus_series_refuses_an_oversized_global_grid():
         annulus_series(Cone(np.pi / 4), 3, 6)
 
 
+def test_oversized_series_names_the_axisymmetric_backend_only_where_it_serves():
+    # 73^7 Cartesian nodes; the (r, z) backend takes m <= 2 only
+    with pytest.raises(UnsupportedRegimeError, match="reduce nodes_per_rho$"):
+        annulus_series(Cone(np.pi / 4), 3, 7)
+    with pytest.raises(UnsupportedRegimeError, match="or use the axisymmetric backend$"):
+        annulus_series(Cone(np.pi / 4), 2, 7, backend="cartesian")
+
+
 def test_annulus_series_rejects_bad_scale_parameters():
     for kwargs in ({"nodes_per_rho": 0}, {"nodes_per_rho": -3}, {"box_factor": 0.0}):
         with pytest.raises(InputError):

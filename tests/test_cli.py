@@ -28,6 +28,13 @@ def test_cusp_subcommand_and_exit_codes(tmp_path, cli_env):
     with open(tmp_path / "o1" / "summary.json") as fh:
         data = json.load(fh)
     assert data["verdict"] == "irregular"
+    assert data["integral"] == 0.5
+    # Gamma(k/a) = Gamma(1000) overflows float64: the integral saturates to inf
+    r = run_cli(["cusp", "--kind", "exponential", "--a", "0.001", "--m", "2", "--n", "7",
+                 "--out", "o4"], tmp_path, cli_env)
+    assert r.returncode == 0, r.stderr
+    with open(tmp_path / "o4" / "summary.json") as fh:
+        assert json.load(fh)["verdict"] == "irregular"
     # borderline dimension: unsupported regime code
     r = run_cli(["cusp", "--kind", "power", "--p", "2", "--m", "1", "--n", "2",
                  "--out", "o2"], tmp_path, cli_env)

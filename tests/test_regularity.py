@@ -24,7 +24,11 @@ CLOSED_FORM_CASES = [
 ]
 
 
-@pytest.mark.parametrize("profile,m,n,expected", CLOSED_FORM_CASES)
+@pytest.mark.parametrize("profile,m,n,expected", CLOSED_FORM_CASES + [
+    # a = 0.001: the integral is finite but Gamma(k/a) = Gamma(1000) overflows float64
+    (CuspProfile("exponential", 0.001), 2, 6, "irregular"),
+    (CuspProfile("exponential", 0.001), 2, 7, "irregular"),
+])
 def test_cusp_criterion_closed_forms(profile, m, n, expected):
     out = cusp_criterion(profile, m, n)
     assert out["verdict"] == expected
@@ -38,6 +42,12 @@ def test_cusp_criterion_tabulated_agrees(profile, m, n, expected):
     out = cusp_criterion(tab, m, n)
     assert out["verdict"] == expected
     assert out["method"].startswith("quadrature")
+    # both methods integrate over (0, 1/2]
+    closed = cusp_criterion(profile, m, n)["integral"]
+    if expected == "regular":
+        assert out["integral"] == closed == np.inf
+    else:
+        assert out["integral"] == pytest.approx(closed, rel=1e-3)
 
 
 def test_cusp_criterion_regime_guard():

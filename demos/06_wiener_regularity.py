@@ -8,16 +8,16 @@
 
 import numpy as np
 
-from polycap import (Cone, Cusp, CuspProfile, annulus_series, cusp_criterion,
-                     decay_check, laplacian, regularity_probe, wiener_classify)
+from polycap import (Cone, Cusp, annulus_series, cusp_criterion, decay_check, laplacian,
+                     regularity_probe, wiener_classify)
 
 print("== closed-form cusp criteria ==")
-for prof, m, n in [(CuspProfile("power", 1.0), 1, 4),
-                   (CuspProfile("power", 2.0), 1, 4),
-                   (CuspProfile("power", 2.0), 1, 3),
-                   (CuspProfile("exponential", 1.0), 1, 3)]:
-    out = cusp_criterion(prof, m, n)
-    print(f"f = {prof.kind}({prof.param}), (m={m}, n={n}): {out['verdict']} "
+for cusp, m, n in [(Cusp("power", 1.0), 1, 4),
+                   (Cusp("power", 2.0), 1, 4),
+                   (Cusp("power", 2.0), 1, 3),
+                   (Cusp("exponential", 1.0), 1, 3)]:
+    out = cusp_criterion(cusp, m, n)
+    print(f"f = {cusp.kind}({cusp.param}), (m={m}, n={n}): {out['verdict']} "
           f"(integral {out['integral']})")
 
 print("\n== capacity-series classifier ==")

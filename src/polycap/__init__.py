@@ -31,7 +31,6 @@ from .potential import (PotentialReport, capacitary_potential, gradient_decay_ch
                         range_check, sign_probe, stationarity_check)
 from .radial import (axisym_capacity, ball_potential_exact, evaluate_ball_potential,
                      radial_ball_potential, sphere_surface)
-from .regularity import (CuspProfile, DecayReport, ProbeReport, WienerVerdict, bump,
-                         cusp_criterion, decay_check, dirichlet_solve,
-                         regularity_probe, wiener_classify)
+from .regularity import (DecayReport, ProbeReport, WienerVerdict, bump, cusp_criterion,
+                         decay_check, dirichlet_solve, regularity_probe, wiener_classify)
 from .solvers import smallest_generalized_eig, solve_constrained

@@ -24,6 +24,9 @@ from .radial import AxisymGrid, axisym_capacity, axisym_energy_matrix
 from .reporting import write_csv
 from .solvers import solve_constrained
 
+# annulus_series: the box radius of every per-scale grid, in units of rho
+BOX_FACTOR = 3.0
+
 
 def is_axisymmetric(region, n):
     """True when the region is a declared body of revolution about the last axis."""
@@ -143,12 +146,12 @@ class AnnulusCapacitySeries:
 
 
 def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
-                   nodes_per_rho=12, box_factor=3.0, rho_list=None):
+                   nodes_per_rho=12, rho_list=None):
     """Capacities of B_rho \\ Omega and of B_rho at dyadic scales rho = 2^-j.
 
     `complement` is the Region describing the closed complement of the domain.
     For n > 2m each scale has its own grid, a dilation of the first with
-    nodes_per_rho nodes per rho and round(box_factor * nodes_per_rho) across
+    nodes_per_rho nodes per rho and round(BOX_FACTOR * nodes_per_rho) across
     the box radius; backend "axisym" restricts to bodies of revolution but
     covers every dimension the classifier needs, "cartesian" is the general
     path.  For n = 2m the inhomogeneous surrogate is used on
@@ -165,8 +168,8 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
     """
     if backend not in ("auto", "axisym", "cartesian"):
         raise InputError(f"unknown backend {backend!r}; have auto, axisym, cartesian")
-    if nodes_per_rho < 1 or box_factor <= 0:
-        raise InputError("the series needs nodes_per_rho >= 1 and box_factor > 0")
+    if nodes_per_rho < 1:
+        raise InputError("the series needs nodes_per_rho >= 1")
     j0, j1 = j_range
     if rho_list is not None:
         rho_values = [float(v) for v in rho_list]
@@ -178,7 +181,7 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
     if any(b >= a for a, b in zip(rho_values, rho_values[1:])):
         raise InputError("scales must be strictly decreasing")
     kind = "inhomogeneous" if n == 2 * m else "homogeneous"
-    meta = {"backend": backend, "nodes_per_rho": nodes_per_rho, "box_factor": box_factor,
+    meta = {"backend": backend, "nodes_per_rho": nodes_per_rho, "box_factor": BOX_FACTOR,
             "node_counts": []}
     use_axisym = False
     if n == 2 * m:
@@ -194,7 +197,7 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
                              "last axis")
         if use_axisym and m > 2:
             raise UnsupportedRegimeError("axisymmetric backend supports m <= 2")
-        extent = int(round(box_factor * nodes_per_rho))
+        extent = int(round(BOX_FACTOR * nodes_per_rho))
         meta["backend"] = "axisym" if use_axisym else "cartesian"
         meta["resolved"] = []
     if not use_axisym and (2 * extent + 1) ** n > 3_000_000:

@@ -22,13 +22,13 @@ import numpy as np
 from .capacity import annulus_series, bessel_capacity, cap_m, series_to_csv
 from .errors import ConfigurationError, InconclusiveError, InputError, UnsupportedRegimeError
 from .fundsol import compute_profile, sign_summary
-from .grids import Ball, Grid, Mask, mask_from_csv, region_from_dict
+from .grids import Ball, Cusp, Grid, Mask, mask_from_csv, region_from_dict
 from .operators import check_ellipticity, load_operator, preset_operator, unit_directions
 from .positivity import channel_positivity
 from .potential import (capacitary_potential, gradient_decay_check, lower_bound_check,
                         range_check)
-from .regularity import (CuspProfile, bump, clear_forbidden_zone, cusp_criterion, decay_check,
-                         dirichlet_solve, wiener_classify)
+from .regularity import (bump, clear_forbidden_zone, cusp_criterion, decay_check, dirichlet_solve,
+                         wiener_classify)
 from .reporting import write_csv, write_json, write_manifest, load_manifest_config
 
 
@@ -47,7 +47,7 @@ _COMPACT_DOMAINS = {"cone": ("half_angle_deg",), "cusp": ("cusp_kind", "param"),
 def _parse_domain(spec):
     """Compact domain strings: cone:45, cusp:power:2, cusp:exponential:1,
     ball:0.5, ray, ray:1; JSON dicts, or their text, pass through
-    region_from_dict."""
+    region_from_dict, whose InputError keeps its own message."""
     try:
         if isinstance(spec, dict):
             return region_from_dict(spec)
@@ -58,6 +58,8 @@ def _parse_domain(spec):
         if len(fields) > len(keys):
             raise ValueError
         return region_from_dict({"kind": kind, **dict(zip(keys, fields))})
+    except InputError:
+        raise
     except (AttributeError, KeyError, TypeError, ValueError):
         raise ConfigurationError(f"cannot parse domain spec {spec!r}") from None
 
@@ -202,7 +204,7 @@ def _run_wiener(cfg):
 def _run_cusp(cfg):
     kind = cfg.get("kind", "power")
     param = cfg.get("p" if kind == "power" else "a", 2.0)
-    result = cusp_criterion(CuspProfile(kind, param), cfg["m"], cfg["n"])
+    result = cusp_criterion(Cusp(kind, param), cfg["m"], cfg["n"])
     write_json(os.path.join(cfg["out"], "summary.json"), {
         "kind": kind, "param": param, "m": cfg["m"], "n": cfg["n"], **result,
     })

@@ -250,25 +250,50 @@ class Cone(Region):
 class Cusp(Region):
     """Region 0 <= x_n <= height, |x'| <= f(x_n), opening along +x_n.
 
-    kind "power": f(t) = t**p; kind "exponential": f(t) = exp(-t**(-a)).
-    The axis segment itself always belongs to the region, so rasterization
-    degrades toward a segment when f drops below the grid spacing (the
-    rasterized set is then thinner than the true cusp, never thicker).
+    kind "power": f(t) = t**p, finite p >= 1; "exponential": f(t) =
+    exp(-t**(-a)), finite a > 0; "tabulated": log-log interpolation over the
+    positive entries of a (tau, f) table of a nondecreasing f.  The axis
+    segment itself always belongs to the region, so rasterization degrades
+    toward a segment when f drops below the grid spacing (the rasterized set
+    is then thinner than the true cusp, never thicker).
     """
 
     kind: str
-    param: float
+    param: float = float("nan")
     height: float = 1.0
+    table: tuple = ()
+
+    def __post_init__(self):
+        if self.kind == "power":
+            if not 1.0 <= self.param < np.inf:
+                raise InputError("power profiles need a finite p >= 1 (p = 1 is the cone edge)")
+        elif self.kind == "exponential":
+            if not 0.0 < self.param < np.inf:
+                raise InputError("exponential profiles need a finite a > 0")
+        elif self.kind == "tabulated":
+            if len(self.table) != 2:
+                raise InputError("a tabulated profile needs a (tau, f) table")
+            tau, f = (np.asarray(v, float) for v in self.table)
+            if tau.ndim != 1 or tau.size < 4 or np.any(np.diff(tau) <= 0):
+                raise InputError("table needs at least 4 strictly increasing abscissae")
+            if np.any(f < 0) or f[-1] <= 0 or np.any(np.diff(f) < 0):
+                raise InputError("profile values must be nonnegative, nondecreasing, "
+                                 "and eventually positive")
+        else:
+            raise InputError(f"unknown cusp kind {self.kind!r}")
 
     def profile(self, t):
         t = np.asarray(t, dtype=float)
+        if self.kind == "tabulated":
+            taus, fs = (np.asarray(v, float) for v in self.table)
+            pos = fs > 0
+            lt = np.log(np.maximum(t, 1e-300))
+            return np.exp(np.interp(lt, np.log(taus[pos]), np.log(fs[pos])))
         with np.errstate(divide="ignore", over="ignore"):
             if self.kind == "power":
                 return np.where(t > 0, t**self.param, 0.0)
-            if self.kind == "exponential":
-                s = np.power(t, -self.param, out=np.zeros_like(t), where=t > 0)
-                return np.where(t > 0, np.exp(-s), 0.0)
-        raise InputError(f"unknown cusp kind {self.kind!r}")
+            s = np.power(t, -self.param, out=np.zeros_like(t), where=t > 0)
+            return np.where(t > 0, np.exp(-s), 0.0)
 
     def contains(self, x):
         t = x[-1]

@@ -66,6 +66,8 @@ from .errors import ConvergenceError, InputError
 from .grids import axis_sum
 
 _MAX_DOUBLINGS = 200
+# solve_constrained raises ConvergenceError after this many CG iterations
+_CG_MAXITER = 2000
 
 
 # the longest axis that takes the dense sine-matrix route (crossover with
@@ -168,14 +170,14 @@ def _reflect(v, axes, width):
                   mode="reflect")
 
 
-def solve_constrained(form, fixed_where, fixed_values, rhs=None, rtol=1e-8, maxiter=2000):
+def solve_constrained(form, fixed_where, fixed_values, rhs=None, rtol=1e-8):
     """Minimize the form with u[fixed] = values; returns (u, info).
 
     rhs, if given, adds a linear term -<rhs, u> so the stationarity system is
     A u = rhs on the free nodes.  Preconditioned CG with the residual, the
     preconditioned residual and A p zeroed on the fixed nodes stops when the
     residual reaches `rtol` times its initial norm, and raises
-    ConvergenceError after `maxiter` iterations.  The loop runs on the half
+    ConvergenceError after _CG_MAXITER iterations.  The loop runs on the half
     grid of the axes in info["mirror_axes"] (see the module docstring).
     info["residual"] is the true relative residual of the returned u and
     info["energy"] its energy u.A u, both over the whole grid.
@@ -227,7 +229,7 @@ def solve_constrained(form, fixed_where, fixed_values, rhs=None, rtol=1e-8, maxi
     z, q = np.zeros(x.shape), np.zeros(x.shape)
     iterations = _pcg(lambda p: np.multiply(apply_half(p, scale), scale_free, out=q),
                       lambda v: np.multiply(precond(v), free, out=z),
-                      x, r, rtol, r0, maxiter)
+                      x, r, rtol, r0, _CG_MAXITER)
     uh = np.where(fixed, uh, x / scale)
     au = apply_half(uh)
     res = float(np.linalg.norm((b - au) * scale_free) / max(r0, 1e-300))

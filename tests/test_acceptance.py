@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from polycap import (Ball, Cone, Cusp, CuspProfile, Grid, annulus_series,
+from polycap import (Ball, Cone, Cusp, Grid, annulus_series,
                      capacitary_potential, channel_positivity, compute_profile,
                      cusp_criterion, decay_check, evaluate_ball_potential,
                      gradient_decay_check, laplacian, maximal_bound_check,
@@ -178,18 +178,18 @@ def test_criterion_6_pointwise_bounds():
 
 def test_criterion_7_cusp_criteria():
     cases = [
-        (CuspProfile("power", 1.0), 1, 4, "regular"),
-        (CuspProfile("power", 2.0), 1, 4, "irregular"),
-        (CuspProfile("power", 2.0), 1, 3, "regular"),
-        (CuspProfile("power", 2.0), 2, 6, "irregular"),
-        (CuspProfile("exponential", 1.0), 1, 3, "irregular"),
-        (CuspProfile("exponential", 1.0), 2, 6, "irregular"),
+        (Cusp("power", 1.0), 1, 4, "regular"),
+        (Cusp("power", 2.0), 1, 4, "irregular"),
+        (Cusp("power", 2.0), 1, 3, "regular"),
+        (Cusp("power", 2.0), 2, 6, "irregular"),
+        (Cusp("exponential", 1.0), 1, 3, "irregular"),
+        (Cusp("exponential", 1.0), 2, 6, "irregular"),
     ]
     for prof, m, n, expect in cases:
         closed = cusp_criterion(prof, m, n)
         assert closed["verdict"] == expect and closed["method"] == "closed-form"
         tau = np.geomspace(1e-4, 1.0, 300)
-        tab = CuspProfile("tabulated", table=(tau, prof.f(tau)))
+        tab = Cusp("tabulated", table=(tau, prof.profile(tau)))
         quadr = cusp_criterion(tab, m, n)
         assert quadr["verdict"] == expect
     print("\nACCEPTANCE 7: PASS - six closed-form cusp verdicts exact and the "
@@ -197,10 +197,12 @@ def test_criterion_7_cusp_criteria():
 
 
 def test_criterion_8_classifier_consistency():
+    # a cusp is both the series' complement and the criterion's profile
+    power, exponential = Cusp("power", 2.0), Cusp("exponential", 1.0)
     domains = {
-        "cone(45deg)": (Cone(np.pi / 4), CuspProfile("power", 1.0), 10),
-        "power cusp p=2": (Cusp("power", 2.0), CuspProfile("power", 2.0), 32),
-        "exponential cusp": (Cusp("exponential", 1.0), CuspProfile("exponential", 1.0), 32),
+        "cone(45deg)": (Cone(np.pi / 4), Cusp("power", 1.0), 10),
+        "power cusp p=2": (power, power, 32),
+        "exponential cusp": (exponential, exponential, 32),
     }
     lines = []
     for (m, n) in [(1, 3), (2, 5), (2, 6)]:

@@ -35,6 +35,19 @@ def test_cusp_subcommand_and_exit_codes(tmp_path, cli_env):
     assert r.returncode == 0, r.stderr
     with open(tmp_path / "o4" / "summary.json") as fh:
         assert json.load(fh)["verdict"] == "irregular"
+    # s = k/a overflows to inf, as Gamma(k/a) does above: no nan, no RuntimeWarning
+    r = subprocess.run([sys.executable, "-W", "error", "-m", "polycap", "cusp", "--kind",
+                        "exponential", "--a", "1e-320", "--m", "2", "--n", "7", "--out", "o5"],
+                       cwd=tmp_path, env=cli_env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    with open(tmp_path / "o5" / "summary.json") as fh:
+        data = json.load(fh)
+    assert data["verdict"] == "irregular" and data["integral"] == "inf"
+    # a non-finite a is no cusp
+    r = run_cli(["cusp", "--kind", "exponential", "--a", "inf", "--m", "2", "--n", "7",
+                 "--out", "o6"], tmp_path, cli_env)
+    assert_one_line_exit_2(r)
+    assert "finite a > 0" in r.stderr
     # borderline dimension: unsupported regime code
     r = run_cli(["cusp", "--kind", "power", "--p", "2", "--m", "1", "--n", "2",
                  "--out", "o2"], tmp_path, cli_env)
@@ -301,6 +314,19 @@ def test_malformed_domain_spec_exits_2(tmp_path, cli_env, spec):
                 tmp_path, cli_env)
     assert_one_line_exit_2(r)
     assert "cannot parse domain spec" in r.stderr
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("cusp:power:0.5", "power profiles need a finite p >= 1"),
+    ("cusp:exponential:0", "exponential profiles need a finite a > 0"),
+])
+def test_domain_spec_of_no_cusp_exits_2_with_the_region_message(tmp_path, cli_env, spec,
+                                                                message):
+    # parsed, but the region refuses its parameter: its message, not a parse error
+    r = run_cli(["wiener", "--m", "1", "--n", "3", "--domain", spec, "--out", "w"],
+                tmp_path, cli_env)
+    assert_one_line_exit_2(r)
+    assert message in r.stderr
 
 
 def test_json_domain_spec_matches_the_ball_flag_and_reruns_bitwise(tmp_path, cli_env):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polycap import (Ball, Cone, Cusp, CuspProfile, Grid, InputError, Mask,
+from polycap import (Ball, Cone, Cusp, Grid, InputError, Mask,
                      UnsupportedRegimeError, annulus_series, bump, cusp_criterion,
                      decay_check, dirichlet_solve, laplacian, polyharmonic,
                      regularity_probe, wiener_classify)
@@ -10,24 +10,27 @@ from polycap.grids import dilate
 
 
 CLOSED_FORM_CASES = [
-    (CuspProfile("power", 1.0), 1, 4, "regular"),
-    (CuspProfile("power", 2.0), 1, 4, "irregular"),
-    (CuspProfile("power", 2.0), 1, 3, "regular"),
-    (CuspProfile("power", 2.0), 2, 6, "irregular"),
-    (CuspProfile("exponential", 1.0), 1, 3, "irregular"),
-    (CuspProfile("exponential", 1.0), 2, 6, "irregular"),
+    (Cusp("power", 1.0), 1, 4, "regular"),
+    (Cusp("power", 2.0), 1, 4, "irregular"),
+    (Cusp("power", 2.0), 1, 3, "regular"),
+    (Cusp("power", 2.0), 2, 6, "irregular"),
+    (Cusp("exponential", 1.0), 1, 3, "irregular"),
+    (Cusp("exponential", 1.0), 2, 6, "irregular"),
     # n >= 2m + 3: the integrand is f^k tau^(2m-n) with k = n - 2m - 1 = 2
-    (CuspProfile("power", 1.5), 1, 5, "irregular"),
-    (CuspProfile("power", 1.0), 1, 5, "regular"),
-    (CuspProfile("power", 1.5), 2, 7, "irregular"),
-    (CuspProfile("exponential", 1.0), 2, 7, "irregular"),
+    (Cusp("power", 1.5), 1, 5, "irregular"),
+    (Cusp("power", 1.0), 1, 5, "regular"),
+    (Cusp("power", 1.5), 2, 7, "irregular"),
+    (Cusp("exponential", 1.0), 2, 7, "irregular"),
 ]
 
 
 @pytest.mark.parametrize("profile,m,n,expected", CLOSED_FORM_CASES + [
     # a = 0.001: the integral is finite but Gamma(k/a) = Gamma(1000) overflows float64
-    (CuspProfile("exponential", 0.001), 2, 6, "irregular"),
-    (CuspProfile("exponential", 0.001), 2, 7, "irregular"),
+    (Cusp("exponential", 0.001), 2, 6, "irregular"),
+    (Cusp("exponential", 0.001), 2, 7, "irregular"),
+    # s = k/a overflows to inf, or lgamma(s) would: the integral saturates to inf
+    (Cusp("exponential", 1e-320), 2, 7, "irregular"),
+    (Cusp("exponential", 1e-306), 2, 7, "irregular"),
 ])
 def test_cusp_criterion_closed_forms(profile, m, n, expected):
     out = cusp_criterion(profile, m, n)
@@ -38,7 +41,7 @@ def test_cusp_criterion_closed_forms(profile, m, n, expected):
 @pytest.mark.parametrize("profile,m,n,expected", CLOSED_FORM_CASES)
 def test_cusp_criterion_tabulated_agrees(profile, m, n, expected):
     tau = np.geomspace(1e-4, 1.0, 300)
-    tab = CuspProfile("tabulated", table=(tau, profile.f(tau)))
+    tab = Cusp("tabulated", table=(tau, profile.profile(tau)))
     out = cusp_criterion(tab, m, n)
     assert out["verdict"] == expected
     assert out["method"].startswith("quadrature")
@@ -52,14 +55,19 @@ def test_cusp_criterion_tabulated_agrees(profile, m, n, expected):
 
 def test_cusp_criterion_regime_guard():
     with pytest.raises(UnsupportedRegimeError):
-        cusp_criterion(CuspProfile("power", 2.0), 1, 2)
+        cusp_criterion(Cusp("power", 2.0), 1, 2)
 
 
 def test_cusp_profile_validation():
     with pytest.raises(InputError):
-        CuspProfile("power", 0.5)
+        Cusp("power", 0.5)
     with pytest.raises(InputError):
-        CuspProfile("exponential", -1.0)
+        Cusp("exponential", -1.0)
+    for p in (np.inf, np.nan):
+        with pytest.raises(InputError, match="finite p >= 1"):
+            Cusp("power", p)
+    with pytest.raises(InputError, match="finite a > 0"):
+        Cusp("exponential", np.inf)
 
 
 def _series(m, n, caps, balls=None, resolved=None):
@@ -126,7 +134,7 @@ def test_classifier_on_real_families():
 def test_classifier_declines_a_geometric_fit_it_cannot_tell_from_a_power_law(m, n):
     # the p = 2 cusp series is cut to 6 resolved scales at 48 nodes per rho, where the
     # geometric fit of its 1/j tail beats the power law only narrowly
-    analytic = cusp_criterion(CuspProfile("power", 2.0), m, n)["verdict"]
+    analytic = cusp_criterion(Cusp("power", 2.0), m, n)["verdict"]
     series = annulus_series(Cusp("power", 2.0), m, n, j_range=(0, 8), nodes_per_rho=48)
     assert wiener_classify(series).classification in (analytic, "inconclusive")
 
@@ -136,7 +144,7 @@ def test_classifier_agrees_with_the_cusp_criterion_for_k_2(m, n):
     # k = n - 2m - 1 = 2: the slab capacities of the p = 1.5 cusp scale as
     # rho f(rho)^2, so the normalized terms shrink by about 2^(-(p-1)k) = 1/2
     # per scale, and every scale is resolved at 32 nodes per rho
-    analytic = cusp_criterion(CuspProfile("power", 1.5), m, n)["verdict"]
+    analytic = cusp_criterion(Cusp("power", 1.5), m, n)["verdict"]
     series = annulus_series(Cusp("power", 1.5), m, n, j_range=(0, 8), nodes_per_rho=32,
                             backend="axisym")
     assert all(series.metadata["resolved"])

@@ -162,9 +162,12 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
     power of two for dyadic scales and 1 on the global grid.  For the same
     reason the (r, z) energy matrix is assembled once per series and scaled
     by (h/h0)^(n-2m) for every solve, which on dyadic scales is bitwise the
-    matrix a fresh assembly would give.  rho_list overrides the dyadic 2^-j
-    scales.  A Cartesian grid of more than 3,000,000 nodes,
-    per scale or global, is refused with UnsupportedRegimeError.
+    matrix a fresh assembly would give.  On that backend metadata["solver"]
+    holds, per scale, the (r, z) solver reports {"iterations", "residual",
+    "levels"} of the slab and the ball, each that of the solve that gave its
+    value.  rho_list overrides the dyadic 2^-j scales.  A Cartesian grid of
+    more than 3,000,000 nodes, per scale or global, is refused with
+    UnsupportedRegimeError.
     """
     if backend not in ("auto", "axisym", "cartesian"):
         raise InputError(f"unknown backend {backend!r}; have auto, axisym, cartesian")
@@ -200,6 +203,8 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
         extent = int(round(BOX_FACTOR * nodes_per_rho))
         meta["backend"] = "axisym" if use_axisym else "cartesian"
         meta["resolved"] = []
+        if use_axisym:
+            meta["solver"] = []
     if not use_axisym and (2 * extent + 1) ** n > 3_000_000:
         hint = ""
         if n == 2 * m:
@@ -219,7 +224,8 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
             return all(_resolvable(p, rho, h) for p in region.parts)
         return True
 
-    solved = {}  # (shape, packed node mask) -> (capacity, spacing it was solved at)
+    # (shape, packed node mask) -> (capacity, spacing it was solved at, (r, z) solver report)
+    solved = {}
     if use_axisym:
         # every scale's (r, z) grid is a dilation of the first one
         h_first = rho_values[0] / nodes_per_rho
@@ -229,15 +235,17 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
         nodes = grid.mask_from_region(region) if use_axisym else region.mask(grid).where
         key = (nodes.shape, np.packbits(nodes).tobytes())
         if key not in solved:
+            report = {}
             if use_axisym:
                 value = axisym_capacity(nodes, m, n, grid.h, extent * grid.h,
-                                        energy=A_first * (grid.h / h_first) ** (n - 2 * m))[0]
+                                        energy=A_first * (grid.h / h_first) ** (n - 2 * m),
+                                        info=report)[0]
             else:
                 solve = bessel_capacity if n == 2 * m else cap_m
                 value = solve(Mask(grid, nodes), m, grid).value
-            solved[key] = (value, grid.h)
-        value, h0 = solved[key]
-        return value * (grid.h / h0) ** (n - 2 * m), nodes
+            solved[key] = (value, grid.h, report)
+        value, h0, report = solved[key]
+        return value * (grid.h / h0) ** (n - 2 * m), nodes, report
 
     caps, balls = [], []
     for rho in rho_values:
@@ -245,10 +253,13 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
             h = rho / nodes_per_rho
             meta["resolved"].append(_resolvable(complement, rho, h))
         grid = AxisymGrid(n, h, extent, extent) if use_axisym else Grid(n, h, extent)
-        cap, nodes = _capacity(Intersection((complement, Ball(rho))), grid)
+        cap, nodes, slab = _capacity(Intersection((complement, Ball(rho))), grid)
+        ball, _, ball_report = _capacity(Ball(rho), grid)
         caps.append(cap)
-        balls.append(_capacity(Ball(rho), grid)[0])
+        balls.append(ball)
         meta["node_counts"].append(int(nodes.sum()))
+        if use_axisym:
+            meta["solver"].append({"slab": slab, "ball": ball_report})
     return AnnulusCapacitySeries(m, n, j_range, rho_values, caps, balls, kind, meta)
 
 

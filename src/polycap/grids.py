@@ -14,6 +14,7 @@ its node coordinates.
 
 import csv as _csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -282,13 +283,18 @@ class Cusp(Region):
         else:
             raise InputError(f"unknown cusp kind {self.kind!r}")
 
+    @cached_property
+    def _log_table(self):
+        """(log tau, log f) over the positive entries of the table, taken on
+        the first tabulated profile call and kept with the instance."""
+        taus, fs = (np.asarray(v, float) for v in self.table)
+        pos = fs > 0
+        return np.log(taus[pos]), np.log(fs[pos])
+
     def profile(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind == "tabulated":
-            taus, fs = (np.asarray(v, float) for v in self.table)
-            pos = fs > 0
-            lt = np.log(np.maximum(t, 1e-300))
-            return np.exp(np.interp(lt, np.log(taus[pos]), np.log(fs[pos])))
+            return np.exp(np.interp(np.log(np.maximum(t, 1e-300)), *self._log_table))
         with np.errstate(divide="ignore", over="ignore"):
             if self.kind == "power":
                 return np.where(t > 0, t**self.param, 0.0)

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from polycap import Ball, Cone, ConvergenceError, Cusp, Intersection, cli, radial
+from polycap import (Ball, Cone, ConvergenceError, Cusp, Intersection, annulus_series, cli,
+                     laplacian, radial, regularity_probe)
 from polycap.radial import (AxisymGrid, RadialGrid, axisym_capacity, axisym_dirichlet,
                             axisym_energy_matrix, radial_energy_matrix, sphere_surface)
 
@@ -151,6 +154,57 @@ def test_axisym_capacity_below_coarse_limit_is_the_direct_solve():
                                direct=True)
     assert np.array_equal(u, ref)
     assert cap == float(ref.ravel() @ (A @ ref.ravel()))
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 5)])
+def test_vcycle_is_symmetric_positive_definite(m, n):
+    # CG needs a symmetric positive definite preconditioner
+    ag, outside, _ = _probe_problem(Cusp("exponential", 1.0), n, 128)
+    free = ~outside.ravel()
+    levels, lu = radial._hierarchy(axisym_energy_matrix(ag, m)[free][:, free], free, ag.shape)
+    assert len(levels) >= 2
+    x, y = np.random.default_rng(0).standard_normal((2, int(free.sum())))
+    vx, vy = radial._vcycle(levels, lu, x), radial._vcycle(levels, lu, y)
+    assert abs(x @ vy - y @ vx) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(vy)
+    assert x @ vx > 0.0 and y @ vy > 0.0
+
+
+# the CG iterations of these Dirichlet solves with the l1-Jacobi V-cycle at
+# rtol 1e-10, the smoother the Chebyshev one replaced
+@pytest.mark.parametrize("region, m, n, l1_jacobi_iterations",
+                         [(Cone(np.pi / 3), 1, 3, 10), (Cusp("exponential", 1.0), 1, 3, 14),
+                          (Cone(np.pi / 3), 2, 5, 29), (Cusp("exponential", 1.0), 2, 5, 39)])
+def test_axisym_dirichlet_needs_no_more_iterations_than_l1_jacobi(region, m, n,
+                                                                   l1_jacobi_iterations):
+    ag, outside, source = _probe_problem(region, n, 128)
+    info = {}
+    axisym_dirichlet(m, n, outside, source, ag, info=info)
+    assert info["levels"] == 2
+    assert 0 < info["iterations"] <= l1_jacobi_iterations
+
+
+def test_solver_reports_reach_the_series_probe_and_wiener_summary(tmp_path):
+    # 12 nodes per rho: 36 x 73 nodes, LU alone; 24: 72 x 145, multigrid
+    small = annulus_series(Cone(np.pi / 3), 1, 3, j_range=(0, 1), nodes_per_rho=12,
+                           backend="axisym")
+    assert small.metadata["solver"] == [
+        {part: {"iterations": 0, "residual": pytest.approx(0.0, abs=1e-12), "levels": 0}
+         for part in ("slab", "ball")}] * 2
+    rep = regularity_probe(laplacian(3), Cone(np.pi / 3), 3, h_values=(1 / 32, 1 / 64, 1 / 128),
+                           backend="axisym")
+    solver = [t["solver"] for t in rep.sup_tables]
+    assert [s["levels"] for s in solver] == [0, 1, 2]
+    assert solver[0]["iterations"] == 0 and all(s["iterations"] > 0 for s in solver[1:])
+    assert all(s["residual"] < 1e-9 for s in solver)
+
+    out = tmp_path / "wiener"
+    assert cli.main(["wiener", "--m", "1", "--n", "3", "--domain", "cone:60", "--backend",
+                     "axisym", "--nodes-per-rho", "24", "--j-max", "1", "--out", str(out)]) == 0
+    with open(out / "summary.json") as fh:
+        reports = json.load(fh)["truncation"]["metadata"]["solver"]
+    assert len(reports) == 2
+    assert all(r[part]["levels"] == 1 and r[part]["iterations"] > 0
+               for r in reports for part in ("slab", "ball"))
 
 
 def test_axisym_non_convergence_is_typed(monkeypatch, tmp_path):

@@ -3,8 +3,8 @@
     python3 tools/bench_snapshot.py --out BENCH_35.json [--repeat 5] [--root .]
 
 For each workload of the checkout's BENCHMARK.json, runs its perfbench/run.py
---repeat times untraced at --seconds 5 and once traced at --seconds 0 --trace
-1, one run after the other.  The file holds, per workload, the median, the
+--repeat times untraced, at the file's run_seconds, and once traced at
+--seconds 0 --trace 1, one run after the other.  The file holds, per workload, the median, the
 range and every value of each end-to-end metric over the untraced runs, the
 operations attempted and failed, and the traced run's per-layer numbers; and
 the commit and the machine: cores, Python, numpy, scipy, the BLAS numpy was
@@ -70,22 +70,23 @@ def main():
     ap.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     help="the checkout to benchmark (default: this one)")
     ap.add_argument("--repeat", type=int, default=5, help="untraced runs per workload")
-    ap.add_argument("--seconds", type=float, default=5.0, help="run.py --seconds, untraced")
     args = ap.parse_args()
     if args.repeat < 1:
         sys.exit("--repeat must be at least 1")
 
     root = os.path.abspath(args.root)
     with open(os.path.join(root, "BENCHMARK.json")) as fh:
-        names = [w["name"] for w in json.load(fh)["workloads"]]
+        benchmark = json.load(fh)
+    names = [w["name"] for w in benchmark["workloads"]]
+    seconds = benchmark["run_seconds"]
     snapshot = {"commit": _git(root, "rev-parse", "HEAD"),
                 "dirty": bool(_git(root, "status", "--porcelain", "--untracked-files=no")),
                 "machine": _machine(),
-                "settings": {"repeat": args.repeat, "seconds": args.seconds},
+                "settings": {"repeat": args.repeat, "seconds": seconds},
                 "workloads": {}}
     for name in names:
         print(f"== {name}", file=sys.stderr)
-        snapshot["workloads"][name] = _workload(root, name, args.repeat, args.seconds)
+        snapshot["workloads"][name] = _workload(root, name, args.repeat, seconds)
     with open(args.out, "w") as fh:
         json.dump(snapshot, fh, indent=1, sort_keys=True)
         fh.write("\n")

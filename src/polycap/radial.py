@@ -34,19 +34,12 @@ Kronecker product of linear interpolation between the staggered r-cells of
 widths 2h and h (even at the axis, zero beyond the box) and between z-nodes
 2J and 2J + 1; a coarse node is free when the fine node (2I, 2J) it injects
 to is free, which keeps each coarse Galerkin matrix P^T A P definite at the
-tips of the fixed set.  Each level holds A, P and the l1 row sums D of |A|,
-whose D^-1 A has its spectrum in (0, 1] for every SPD matrix (Baker,
-Falgout, Kolev & Yang, SIAM J. Sci. Comput. 33, 2011); P^T is built only to
-form P^T A P.  The smoother is the degree-2 Chebyshev polynomial in D^-1 A
-on [0.2, 1] (Adams, Brezina, Hu & Tuminaro, J. Comput. Phys. 188, 2003),
-which that bound makes free of eigenvalue estimates; the same polynomial
-before and after the coarse correction keeps the cycle symmetric positive
-definite.  It costs 4 matvecs per level, as the two l1-Jacobi sweeps on
-each side that it replaced did, and the probe solves at h = 1/64 to 1/256
-take 7 to 11 CG iterations for m = 1 (l1-Jacobi 10 to 16) and 17 to 41 for
-m = 2 (25 to 50), at a 3x tighter tolerance.  The direct factorisation, of
-a small block or of the coarsest level, is SuperLU's symmetric mode: an
-ordering of A + A^T, pivots on the diagonal.
+tips of the fixed set.  The smoother is l1-Jacobi (Baker, Falgout, Kolev &
+Yang, SIAM J. Sci. Comput. 33, 2011): Jacobi with the row sums of |A| as the
+diagonal, which has no parameter and converges for every SPD matrix.  Each
+level holds A, the inverse l1 row sums and P; P^T is built only to form
+P^T A P.  The direct factorisation, of a small block or of the coarsest level, is
+SuperLU's symmetric mode: an ordering of A + A^T, pivots on the diagonal.
 
 scipy.sparse is imported by the functions that use it, so importing polycap
 loads no scipy module and only a run that reaches these solvers pays for it.
@@ -64,16 +57,18 @@ from .solvers import _pcg
 # larger ones are coarsened down to it: the LU / multigrid crossover measured
 # in CHANGES.md
 _COARSE_MAX = 3000
-# CG on the larger blocks stops at ||r|| <= _CG_RTOL ||b||.  At 3e-11 the
-# capacity potentials of the four test_radial probe problems (h = 1/128) are
-# 4.2e-11, 1.7e-11, 4.3e-10 and 4.0e-11 from a direct solve, against 7.3e-11,
-# 4.0e-11, 9.5e-10 and 8.6e-11 with l1-Jacobi at 1e-10; the Chebyshev cycle
-# at 1e-10 left the (2,5) cone 1.16e-9 off.  The m = 2 probes at h = 1/256
-# need 41 iterations
-_CG_RTOL = 3e-11
+# CG on the larger blocks stops at ||r|| <= _CG_RTOL ||b||, with r CG's
+# recursive residual.  The capacity potentials of the four test_radial probe
+# problems (h = 1/128) end 7.3e-11, 9.5e-10, 4.0e-11 and 8.6e-11 from a direct
+# solve, their Dirichlet solves 7.3e-13 to 3.7e-11.  For m = 1 the true
+# residual _solve_free reports is within the tolerance too; for m = 2 it has
+# a rounding floor that grows about 18x per halving of h, so the tolerance
+# bounds only the recursive residual: the (2,5) cone and (2,6) exponential
+# cusp probes end at a true residual of 4e-10 and 7e-10 at h = 1/128, 8e-9
+# and 1.4e-8 at h = 1/256.  The largest problems measured need about 60
+# iterations
+_CG_RTOL = 1e-10
 _CG_MAXITER = 300
-# the V-cycle's Chebyshev smoother damps [_CHEB_LOW, 1] of the l1 spectrum
-_CHEB_LOW = 0.2
 # _hierarchy forms each coarse matrix this many coarse rows at a time
 _GALERKIN_ROWS = 4096
 
@@ -401,53 +396,31 @@ def _hierarchy(A, free, shape):
     return levels, lu
 
 
-def _residual(A, b, x):
-    """b - A x in a new array."""
+def _l1_sweep(A, dinv, b, x):
+    """One l1-Jacobi sweep x += D^-1 (b - A x), in place."""
     r = A @ x
-    return np.subtract(b, r, out=r)
-
-
-def _chebyshev(A, dinv, b, x=None):
-    """Degree-2 Chebyshev smoothing of A x = b on [_CHEB_LOW, 1] of D^-1 A,
-    with D the l1 row sums (dinv = 1 / D); x is updated in place, and None
-    starts from zero without a matvec.  With centre theta and half-width
-    delta of the interval, rho0 = delta / theta and rho1 = 1 / (2 theta /
-    delta - rho0): d = D^-1 r / theta, x += d; then r = b - A x,
-    d = rho1 rho0 d + (2 rho1 / delta) D^-1 r, x += d."""
-    theta, delta = (1.0 + _CHEB_LOW) / 2.0, (1.0 - _CHEB_LOW) / 2.0
-    rho0 = delta / theta
-    rho1 = 1.0 / (2.0 / rho0 - rho0)
-    d = dinv * b if x is None else _residual(A, b, x) * dinv
-    d /= theta
-    if x is None:
-        x = d.copy()
-    else:
-        x += d
-    r = _residual(A, b, x)
+    np.subtract(b, r, out=r)
     r *= dinv
-    r *= 2.0 * rho1 / delta
-    d *= rho1 * rho0
-    d += r
-    x += d
-    return x
+    x += r
 
 
 def _vcycle(levels, lu, b, k=0):
-    """One V-cycle for the level-k system from a zero start: the Chebyshev
-    smoother before and after the coarse correction, which restricts with
-    P^T = P.T, and the LU solve on the coarsest level.  Each smoothing is x
-    += S (b - A x) with one symmetric S = q(D^-1 A) D^-1, whose error
-    polynomial 1 - t q(t) lies in (-1, 1) for t in (0, 1], the l1
-    spectrum; so the cycle is a symmetric positive definite operator, as
-    CG needs, at 4 matvecs per level.  A module function, not a closure
-    over the hierarchy, so the levels are freed as soon as their solve
-    returns."""
+    """One symmetric V-cycle for the level-k system from a zero start: two
+    l1-Jacobi sweeps before and two after the coarse correction, which
+    restricts with P^T = P.T, the LU solve on the coarsest level.  A module
+    function, not a closure over the hierarchy, so the levels are freed as
+    soon as their solve returns."""
     if k == len(levels):
         return lu.solve(b)
     A, dinv, P = levels[k]
-    x = _chebyshev(A, dinv, b)
-    x += P @ _vcycle(levels, lu, P.T @ _residual(A, b, x), k + 1)
-    return _chebyshev(A, dinv, b, x)
+    x = dinv * b
+    _l1_sweep(A, dinv, b, x)
+    r = A @ x
+    np.subtract(b, r, out=r)
+    x += P @ _vcycle(levels, lu, P.T @ r, k + 1)
+    _l1_sweep(A, dinv, b, x)
+    _l1_sweep(A, dinv, b, x)
+    return x
 
 
 def _solve_free(A, b, shape, free):
@@ -502,7 +475,7 @@ def axisym_capacity(region, m, n, h, r_box, *, energy=None, info=None):
     return cap, ag, u.reshape(ag.shape)
 
 
-def axisym_dirichlet(op_m, n, omega_fixed, source, ag, info=None):
+def axisym_dirichlet(op_m, n, omega_fixed, source, ag, *, info=None):
     """Dirichlet solve on the (r, z) half-plane grid.
 
     omega_fixed is the boolean array of nodes constrained to zero (the

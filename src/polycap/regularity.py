@@ -300,10 +300,8 @@ class ProbeReport:
     notes: list = field(default_factory=list)
 
 
-def _sup_table(solved, h, domain, radii, rho_levels):
-    """sup |u| over the domain nodes within each rho = 2^-level BOX_RADIUS,
-    from the (u, solver report) of one solve; an empty report is left out."""
-    u, info = solved
+def _sup_table(u, h, domain, radii, rho_levels):
+    """sup |u| over the domain nodes within each rho = 2^-level BOX_RADIUS."""
     sups, rho_used = [], []
     for lev in rho_levels:
         rho = 2.0 ** (-lev) * BOX_RADIUS
@@ -311,10 +309,7 @@ def _sup_table(solved, h, domain, radii, rho_levels):
         if sel.any():
             rho_used.append(rho)
             sups.append(float(np.abs(u[sel]).max()))
-    table = {"h": h, "rho": rho_used, "sup": sups, "u_max": float(np.abs(u).max())}
-    if info:
-        table["solver"] = info
-    return table
+    return {"h": h, "rho": rho_used, "sup": sups, "u_max": float(np.abs(u).max())}
 
 
 def clear_forbidden_zone(f, outside, m):
@@ -334,8 +329,9 @@ def _dirichlet_setup(op, complement, n, h, backend, source):
     complement; the source is a bump centred source[0] box radii along the
     first axis (in the plane z = 0 on the axisym backend) with radius
     source[1] box radii, cleared of the forbidden zone.  Returns the grid,
-    the domain nodes, their radii and the solve, which yields u on the grid
-    and a dict of the (r, z) solver's report, empty on the Cartesian backend.
+    the domain nodes, their radii and the solve, which yields u on the grid;
+    on the axisym backend a dict passed to it as `info` receives the (r, z)
+    solver's report.
     """
     offset, radius = (s * BOX_RADIUS for s in source)
     extent = int(round(BOX_RADIUS / h))
@@ -347,18 +343,14 @@ def _dirichlet_setup(op, complement, n, h, backend, source):
         rad2 = R**2 + Z**2
         outside = grid.mask_from_region(complement) | (rad2 > (0.98 * BOX_RADIUS) ** 2)
         f = clear_forbidden_zone(_bump_of((R - offset) ** 2 + Z**2, radius), outside, op.m)
-
-        def solve():
-            info = {}
-            return radial.axisym_dirichlet(op.m, n, outside, f, grid, info=info), info
-
-        return grid, ~outside, np.sqrt(rad2), solve
+        return (grid, ~outside, np.sqrt(rad2),
+                lambda info=None: radial.axisym_dirichlet(op.m, n, outside, f, grid, info=info))
     grid = Grid(n, h, extent)
     omega = Mask(grid, Ball(BOX_RADIUS * 0.98).mask(grid).where & ~complement.mask(grid).where)
     center = np.zeros(n)
     center[0] = offset
     f = clear_forbidden_zone(bump(grid, center, radius), ~omega.where, op.m)
-    return grid, omega.where, grid.radii(), lambda: (dirichlet_solve(op, omega, f)[0], {})
+    return grid, omega.where, grid.radii(), lambda info=None: dirichlet_solve(op, omega, f)[0]
 
 
 def _ladder_shortfall(h_values, rho_levels):
@@ -406,8 +398,12 @@ def regularity_probe(op, complement, n, h_values=(1 / 8, 1 / 16, 1 / 32),
     shortfall = _ladder_shortfall(h_values, rho_levels)
     if shortfall is not None:
         return ProbeReport("inconclusive", [], float("nan"), [shortfall])
-    tables = [_sup_table(solve(), h, domain, radii, rho_levels)
-              for h, (_, domain, radii, solve) in zip(h_values, setups)]
+    tables = []
+    for h, (_, domain, radii, solve) in zip(h_values, setups):
+        info = {}
+        tables.append(_sup_table(solve(info), h, domain, radii, rho_levels))
+        if info:
+            tables[-1]["solver"] = info
 
     floor = 1e-3 * max(t["u_max"] for t in tables)
     fine = tables[-1]
@@ -483,7 +479,7 @@ def decay_check(op, complement, n, R=0.25, grid_h=1 / 16):
         raise InputError("source overlaps B_2R; enlarge the box or shrink R")
     grid, domain, radii, solve = _dirichlet_setup(op, complement, n, grid_h, "cartesian",
                                                   DECAY_SOURCE)
-    u, _ = solve()
+    u = solve()
     ann = domain & (radii > R) & (radii <= 2 * R)
     m_r = float(R ** (-n) * grid.h**n * (u[ann] ** 2).sum())
 

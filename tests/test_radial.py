@@ -170,17 +170,16 @@ def test_vcycle_is_symmetric_positive_definite(m, n):
 
 
 # the CG iterations of these Dirichlet solves with the l1-Jacobi V-cycle at
-# rtol 1e-10, the smoother the Chebyshev one replaced
-@pytest.mark.parametrize("region, m, n, l1_jacobi_iterations",
+# rtol 1e-10, as measured before the solver reported them
+@pytest.mark.parametrize("region, m, n, iterations",
                          [(Cone(np.pi / 3), 1, 3, 10), (Cusp("exponential", 1.0), 1, 3, 14),
                           (Cone(np.pi / 3), 2, 5, 29), (Cusp("exponential", 1.0), 2, 5, 39)])
-def test_axisym_dirichlet_needs_no_more_iterations_than_l1_jacobi(region, m, n,
-                                                                   l1_jacobi_iterations):
+def test_axisym_dirichlet_iterations_do_not_grow(region, m, n, iterations):
     ag, outside, source = _probe_problem(region, n, 128)
     info = {}
     axisym_dirichlet(m, n, outside, source, ag, info=info)
     assert info["levels"] == 2
-    assert 0 < info["iterations"] <= l1_jacobi_iterations
+    assert 0 < info["iterations"] <= iterations
 
 
 def test_solver_reports_reach_the_series_probe_and_wiener_summary(tmp_path):

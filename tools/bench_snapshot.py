@@ -1,13 +1,13 @@
 """Record the benchmark of one checkout in a BENCH_<tag>.json file.
 
-    python3 tools/bench_snapshot.py --out BENCH_35.json [--repeat 5] [--root .]
+    python3 tools/bench_snapshot.py --out BENCH_35.json [--root .]
 
 For each workload of the checkout's BENCHMARK.json, runs its perfbench/run.py
---repeat times untraced, at the file's run_seconds, and once traced at
---seconds 0 --trace 1, one run after the other.  The file holds, per workload, the median, the
-range and every value of each end-to-end metric over the untraced runs, the
-operations attempted and failed, and the traced run's per-layer numbers; and
-the commit and the machine: cores, Python, numpy, scipy, the BLAS numpy was
+REPEAT times untraced, at the file's run_seconds, and once traced at
+--seconds 0 --trace 1, one run after the other.  The file holds, per
+workload, the median, the range and every value of each end-to-end metric
+over the untraced runs, the operations attempted and failed, and the traced
+run's per-layer numbers; and the commit and the machine: cores, Python, numpy, scipy, the BLAS numpy was
 built with, and the *_NUM_THREADS settings of the environment (run.py itself
 limits BLAS to two threads in its workload process).  A speed claim compares
 two such files taken on the same machine.
@@ -22,6 +22,8 @@ import subprocess
 import sys
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# untraced runs per workload
+REPEAT = 11
 
 
 def _run(root, workload, seconds, trace):
@@ -49,8 +51,8 @@ def _machine():
             "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES}}
 
 
-def _workload(root, name, repeat, seconds):
-    runs = [_run(root, name, seconds, 0) for _ in range(repeat)]
+def _workload(root, name, seconds):
+    runs = [_run(root, name, seconds, 0) for _ in range(REPEAT)]
     untraced = {}
     for metric, first in runs[0]["metrics"].items():
         values = [r["metrics"][metric]["value"] for r in runs]
@@ -69,10 +71,7 @@ def main():
     ap.add_argument("--out", required=True, help="the JSON file to write")
     ap.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     help="the checkout to benchmark (default: this one)")
-    ap.add_argument("--repeat", type=int, default=5, help="untraced runs per workload")
     args = ap.parse_args()
-    if args.repeat < 1:
-        sys.exit("--repeat must be at least 1")
 
     root = os.path.abspath(args.root)
     with open(os.path.join(root, "BENCHMARK.json")) as fh:
@@ -82,11 +81,11 @@ def main():
     snapshot = {"commit": _git(root, "rev-parse", "HEAD"),
                 "dirty": bool(_git(root, "status", "--porcelain", "--untracked-files=no")),
                 "machine": _machine(),
-                "settings": {"repeat": args.repeat, "seconds": seconds},
+                "settings": {"repeat": REPEAT, "seconds": seconds},
                 "workloads": {}}
     for name in names:
         print(f"== {name}", file=sys.stderr)
-        snapshot["workloads"][name] = _workload(root, name, args.repeat, seconds)
+        snapshot["workloads"][name] = _workload(root, name, seconds)
     with open(args.out, "w") as fh:
         json.dump(snapshot, fh, indent=1, sort_keys=True)
         fh.write("\n")

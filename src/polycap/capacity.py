@@ -19,7 +19,8 @@ import numpy as np
 
 from .energy import EnergyForm
 from .errors import InputError, UnsupportedRegimeError
-from .grids import Ball, Cone, Cusp, Grid, Intersection, Mask, Ray, Region, Shell, Union
+from .grids import (Ball, Cone, Cusp, Grid, Intersection, Mask, Ray, Region, Shell, Union,
+                    as_mask)
 from .radial import AxisymGrid, axisym_capacity, axisym_energy_matrix
 from .reporting import write_csv
 from .solvers import solve_constrained
@@ -54,31 +55,24 @@ class CapacityValue:
     residual: float = 0.0  # final relative residual, the larger of two box solves
 
 
-def _one_box(target, m, grid, kind, rtol):
+def _one_box(target, m, grid, kind):
     """Capacity of `kind` ("homogeneous" or "inhomogeneous") of a Mask or
     Region target on the one box of `grid`; returns (mask, CapacityValue).
     An empty set has capacity 0; a set within 2m spacings of the box
     boundary is refused."""
-    if isinstance(target, Mask):
-        if target.grid != grid:
-            raise InputError("mask was rasterized on a different grid")
-        mask = target
-    elif isinstance(target, Region):
-        mask = target.mask(grid)
-    else:
-        raise InputError("capacity target must be a Mask or a Region")
+    mask = as_mask(target, grid)
     if mask.empty:
         return mask, CapacityValue(0.0, kind, grid.h, grid.extent)
     if np.abs(mask.points()).max() > grid.box_radius - 2 * m * grid.h:
         raise InputError("target set reaches the box boundary; enlarge the extent")
-    _, info = solve_constrained(EnergyForm(f"{kind}_m", grid, m), mask.where, 1.0, rtol=rtol)
+    _, info = solve_constrained(EnergyForm(f"{kind}_m", grid, m), mask.where, 1.0)
     out = CapacityValue(float(info["energy"]), kind, grid.h, grid.extent, float("nan"),
                         {f"extent_{grid.extent}": info["energy"]}, info["iterations"],
                         info["residual"])
     return mask, out
 
 
-def cap_m(target, m, grid, box_levels=1, rtol=1e-8):
+def cap_m(target, m, grid, box_levels=1):
     """Order-m homogeneous capacity of a compact node set.
 
     box_levels is 1 or 2.  With 2 the target region is re-rasterized on a box
@@ -93,12 +87,12 @@ def cap_m(target, m, grid, box_levels=1, rtol=1e-8):
             f"homogeneous capacity needs n > 2m (got n={n}, m={m}); "
             "use bessel_capacity for the borderline dimension"
         )
-    mask, out = _one_box(target, m, grid, "homogeneous", rtol)
+    mask, out = _one_box(target, m, grid, "homogeneous")
     if box_levels == 2 and not mask.empty:
         if not isinstance(target, Region) and mask.region is None:
             raise InputError("box extrapolation needs a geometric region target")
         region = target if isinstance(target, Region) else mask.region
-        big = _one_box(region, m, Grid(n, grid.h, 2 * grid.extent), "homogeneous", rtol)[1]
+        big = _one_box(region, m, Grid(n, grid.h, 2 * grid.extent), "homogeneous")[1]
         out.raw_values.update(big.raw_values)
         # cap(R) ~ cap_inf + c R^(2m-n)
         weight = 2.0 ** (2 * m - n)
@@ -111,7 +105,7 @@ def cap_m(target, m, grid, box_levels=1, rtol=1e-8):
 
 def bessel_capacity(target, m, grid):
     """Inhomogeneous (full Sobolev-energy) capacity, the order-2m surrogate."""
-    return _one_box(target, m, grid, "inhomogeneous", 1e-8)[1]
+    return _one_box(target, m, grid, "inhomogeneous")[1]
 
 
 @dataclass
@@ -164,9 +158,9 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
     by (h/h0)^(n-2m) for every solve, which on dyadic scales is bitwise the
     matrix a fresh assembly would give.  On that backend metadata["solver"]
     holds, per scale, the (r, z) solver reports {"iterations", "residual",
-    "levels"} of the slab and the ball, each that of the solve that gave its
-    value.  rho_list overrides the dyadic 2^-j scales.  A Cartesian grid of
-    more than 3,000,000 nodes, per scale or global, is refused with
+    "floor", "levels"} of the slab and the ball, each that of the solve that
+    gave its value.  rho_list overrides the dyadic 2^-j scales.  A Cartesian
+    grid of more than 3,000,000 nodes, per scale or global, is refused with
     UnsupportedRegimeError.
     """
     if backend not in ("auto", "axisym", "cartesian"):

@@ -183,6 +183,17 @@ class Region:
         return Mask(grid, inside, region=self)
 
 
+def as_mask(target, grid):
+    """A Region rasterized on `grid`, or a Mask of `grid` itself."""
+    if isinstance(target, Region):
+        return target.mask(grid)
+    if not isinstance(target, Mask):
+        raise InputError(f"target must be a Mask or a Region, got {type(target).__name__}")
+    if target.grid != grid:
+        raise InputError("mask was rasterized on a different grid")
+    return target
+
+
 @dataclass(frozen=True)
 class Ball(Region):
     radius: float

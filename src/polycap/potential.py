@@ -20,7 +20,7 @@ from .capacity import cap_m
 from .energy import EnergyForm
 from .errors import InputError
 from .fundsol import riesz_constant
-from .grids import Mask, Region, dilate
+from .grids import Mask, as_mask, dilate
 from .operators import multi_indices, multinomial
 from .solvers import solve_constrained
 from .stencils import apply_alpha
@@ -64,22 +64,20 @@ def gradient_magnitude(u, order, grid):
     return np.sqrt(acc)
 
 
-def capacitary_potential(op, target, grid, rtol=1e-8):
+def capacitary_potential(op, target, grid):
     """Minimize the operator energy with u = 1 on the target set."""
     if grid.n <= 2 * op.m:
         raise InputError("potentials need n > 2m")
-    mask = target.mask(grid) if isinstance(target, Region) else target
-    if mask.grid != grid:
-        raise InputError("mask was rasterized on a different grid")
+    mask = as_mask(target, grid)
     if mask.empty:
         return PotentialReport(op.name, op.m, grid.zeros(), mask, 0.0, 0.0, (0.0, 0.0),
                                {"iterations": 0, "residual": 0.0})
     form = EnergyForm("operator_form", grid, op.m, op=op)
-    u, info = solve_constrained(form, mask.where, 1.0, rtol=rtol)
+    u, info = solve_constrained(form, mask.where, 1.0)
     if form.poly is not None:
         capm = info["energy"]  # the operator form is the m-harmonic energy
     else:
-        capm = cap_m(mask, op.m, grid, rtol=rtol).value
+        capm = cap_m(mask, op.m, grid).value
     off = ~mask.where
     rng = (float(u[off].min()), float(u[off].max())) if off.any() else (1.0, 1.0)
     return PotentialReport(op.name, op.m, u, mask, float(info["energy"]), float(capm), rng,
@@ -181,7 +179,7 @@ def maximal_bound_check(op, target, grid, theta, rho, orders=(0, 1)):
     closed annulus between theta*rho and rho."""
     if not (0.0 < theta < 1.0):
         raise InputError("theta must lie in (0, 1)")
-    mask = target.mask(grid) if isinstance(target, Region) else target
+    mask = as_mask(target, grid)
     if not mask.empty:
         r = np.linalg.norm(mask.points(), axis=1)
         if r.min() < theta * rho - 1e-9 or r.max() > rho + 1e-9:
@@ -241,7 +239,7 @@ def sign_probe(op, candidates, grid):
     """
     results = {}
     for label, target in candidates.items():
-        mask = target.mask(grid) if isinstance(target, Region) else target
+        mask = as_mask(target, grid)
         report = capacitary_potential(op, mask, grid)
         v = report.u - 1.0
         v[mask.where] = 0.0

@@ -29,10 +29,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import radial
-from .capacity import annulus_series
+from .capacity import annulus_series, is_axisymmetric
 from .energy import EnergyForm, weighted_gradient_parts
 from .errors import InconclusiveError, InputError, UnsupportedRegimeError
 from .grids import Ball, Grid, Mask, axis_sum, dilate
+from .operators import polyharmonic
 from .solvers import solve_constrained
 from .stencils import apply_alpha
 
@@ -43,11 +44,11 @@ TAIL_MAX = 0.9
 GEO_FIT_MARGIN = 0.5
 
 # regularity_probe and decay_check: the radius of the box ball; the probe's
-# source bump (centre on the first axis, clear of axial cones and cusps, and
-# radius, in box radii), its trusted scales rho >= TRUST_SPACINGS * h and its
-# gates on the decay exponent; decay_check's source bump (centre offset and
-# radius in box radii, clear of B_2R), its dyadic levels and the resolution of
-# its capacity series
+# source bump (centre off the axis at z = 0, clear of axial cones and cusps,
+# and radius, in box radii), its trusted scales rho >= TRUST_SPACINGS * h and
+# its gates on the decay exponent; decay_check's source bump (centre offset
+# and radius in box radii, clear of B_2R), its dyadic levels and the
+# resolution of its capacity series
 BOX_RADIUS = 1.0
 PROBE_SOURCE_OFFSET = 0.55
 PROBE_SOURCE_RADIUS = 0.18
@@ -254,7 +255,7 @@ def wiener_classify(series):
 # -- Dirichlet solver and probes ------------------------------------------------
 
 
-def dirichlet_solve(op, omega, f, rtol=1e-8):
+def dirichlet_solve(op, omega, f):
     """Solve the variational Dirichlet problem on the open node set omega.
 
     f must vanish on the complement and its 2m-neighborhood (sources touching
@@ -271,7 +272,7 @@ def dirichlet_solve(op, omega, f, rtol=1e-8):
         raise InputError("source support touches the boundary of the domain mask")
     form = EnergyForm("operator_form", grid, op.m, op=op)
     rhs = grid.h**grid.n * f
-    u, info = solve_constrained(form, outside, 0.0, rhs=rhs, rtol=rtol)
+    u, info = solve_constrained(form, outside, 0.0, rhs=rhs)
     return u, info
 
 
@@ -293,8 +294,8 @@ def bump(grid, center, radius):
 @dataclass
 class ProbeReport:
     trend: str
-    # one dict per refinement: {"h":, "rho":, "sup":, "u_max":}, and on the
-    # axisym backend "solver", the (r, z) solver's report
+    # one dict per refinement: {"h":, "rho":, "sup":, "u_max":, "solver":},
+    # "solver" the (r, z) solver's report
     sup_tables: list
     floor: float
     notes: list = field(default_factory=list)
@@ -322,35 +323,17 @@ def clear_forbidden_zone(f, outside, m):
     return f
 
 
-def _dirichlet_setup(op, complement, n, h, backend, source):
-    """The Dirichlet problem of regularity_probe and decay_check at spacing h.
-
-    The domain is the open ball of radius 0.98 BOX_RADIUS minus the
-    complement; the source is a bump centred source[0] box radii along the
-    first axis (in the plane z = 0 on the axisym backend) with radius
-    source[1] box radii, cleared of the forbidden zone.  Returns the grid,
-    the domain nodes, their radii and the solve, which yields u on the grid;
-    on the axisym backend a dict passed to it as `info` receives the (r, z)
-    solver's report.
-    """
-    offset, radius = (s * BOX_RADIUS for s in source)
+def _probe_problem(complement, n, m, h):
+    """The probe's (r, z) grid at spacing h, its nodes outside the domain, the
+    source cleared of the forbidden zone, and the radius of every node."""
     extent = int(round(BOX_RADIUS / h))
-    if backend == "axisym":
-        if op.m > 2:
-            raise UnsupportedRegimeError("axisymmetric probe supports m <= 2")
-        grid = radial.AxisymGrid(n, h, extent, extent)
-        R, Z = np.meshgrid(grid.r, grid.z, indexing="ij")
-        rad2 = R**2 + Z**2
-        outside = grid.mask_from_region(complement) | (rad2 > (0.98 * BOX_RADIUS) ** 2)
-        f = clear_forbidden_zone(_bump_of((R - offset) ** 2 + Z**2, radius), outside, op.m)
-        return (grid, ~outside, np.sqrt(rad2),
-                lambda info=None: radial.axisym_dirichlet(op.m, n, outside, f, grid, info=info))
-    grid = Grid(n, h, extent)
-    omega = Mask(grid, Ball(BOX_RADIUS * 0.98).mask(grid).where & ~complement.mask(grid).where)
-    center = np.zeros(n)
-    center[0] = offset
-    f = clear_forbidden_zone(bump(grid, center, radius), ~omega.where, op.m)
-    return grid, omega.where, grid.radii(), lambda info=None: dirichlet_solve(op, omega, f)[0]
+    grid = radial.AxisymGrid(n, h, extent, extent)
+    R, Z = np.meshgrid(grid.r, grid.z, indexing="ij")
+    rad2 = R**2 + Z**2
+    outside = grid.mask_from_region(complement) | (rad2 > (0.98 * BOX_RADIUS) ** 2)
+    source = _bump_of((R - PROBE_SOURCE_OFFSET * BOX_RADIUS) ** 2 + Z**2,
+                      PROBE_SOURCE_RADIUS * BOX_RADIUS)
+    return grid, outside, clear_forbidden_zone(source, outside, m), np.sqrt(rad2)
 
 
 def _ladder_shortfall(h_values, rho_levels):
@@ -371,39 +354,49 @@ def _ladder_shortfall(h_values, rho_levels):
 
 
 def regularity_probe(op, complement, n, h_values=(1 / 8, 1 / 16, 1 / 32),
-                     rho_levels=(1, 2, 3, 4), backend="cartesian"):
+                     rho_levels=(1, 2, 3, 4), backend="axisym"):
     """Trend of sup |u| on shrinking balls at the origin across refinements.
 
-    The domain is the open ball of radius 0.98 BOX_RADIUS minus the complement
-    region; the source is a fixed smooth bump away from the origin, centred
-    PROBE_SOURCE_OFFSET * BOX_RADIUS along the first axis with radius
-    PROBE_SOURCE_RADIUS * BOX_RADIUS.  Scales closer than TRUST_SPACINGS grid
-    spacings to the resolution are excluded, and no verdict is issued unless
-    the trusted ladder reaches BOX_RADIUS/16.  A ladder that cannot reach it
-    at h_values[-1] is reported inconclusive before any solve, with the
-    finest spacing it would need.  Otherwise the decay exponent of sup in rho
-    over the trusted tail is then gated by PROBE_GATES: vanishing above the
-    upper gate, non-vanishing below the lower gate when the finest trusted
-    sup is refinement-stable and above the floor 1e-3 * sup|u|.  The axisym
-    backend reaches far finer spacings for bodies of revolution, which is
-    what separates the two signatures cleanly.
+    The probe solves on the (r, z) grid of `radial.axisym_dirichlet` alone,
+    whose fine spacings separate the two signatures: it raises
+    UnsupportedRegimeError unless the operator is (-Delta)^m with m <= 2,
+    n >= 3 and the complement is a body of revolution about the last axis,
+    and `backend` takes only "axisym".  The domain is the open ball of radius
+    0.98 BOX_RADIUS minus the complement; the source is a fixed smooth bump
+    in the plane z = 0, centred PROBE_SOURCE_OFFSET * BOX_RADIUS off the axis
+    with radius PROBE_SOURCE_RADIUS * BOX_RADIUS.  Scales closer than
+    TRUST_SPACINGS grid spacings to the resolution are excluded, and no
+    verdict is issued unless the trusted ladder reaches BOX_RADIUS/16.  A
+    ladder that cannot reach it at h_values[-1] is reported inconclusive
+    before any solve, with the finest spacing it would need.  Otherwise the
+    decay exponent of sup in rho over the trusted tail is then gated by
+    PROBE_GATES: vanishing above the upper gate, non-vanishing below the
+    lower gate when the finest trusted sup is refinement-stable and above the
+    floor 1e-3 * sup|u|.
 
     Marginally regular points (capacity series diverging only
     logarithmically) decay too slowly to clear the vanishing gate at any
     desk-scale ladder and probe as non-vanishing or inconclusive; the
     classifier, not this probe, is the instrument for those.
     """
-    setups = [_dirichlet_setup(op, complement, n, h, backend,
-                               (PROBE_SOURCE_OFFSET, PROBE_SOURCE_RADIUS)) for h in h_values]
+    if backend != "axisym":
+        raise InputError(f"unknown backend {backend!r}; the probe solves on the (r, z) "
+                         "grid alone (backend 'axisym')")
+    if (n < 3 or op.m > 2 or op.coefficients != polyharmonic(n, op.m).coefficients
+            or not is_axisymmetric(complement, n)):
+        raise UnsupportedRegimeError("the probe needs (-Delta)^m with m <= 2, n >= 3 and a "
+                                     "complement that is a body of revolution about the last "
+                                     "axis")
+    problems = [_probe_problem(complement, n, op.m, h) for h in h_values]
     shortfall = _ladder_shortfall(h_values, rho_levels)
     if shortfall is not None:
         return ProbeReport("inconclusive", [], float("nan"), [shortfall])
     tables = []
-    for h, (_, domain, radii, solve) in zip(h_values, setups):
+    for h, (grid, outside, f, radii) in zip(h_values, problems):
         info = {}
-        tables.append(_sup_table(solve(info), h, domain, radii, rho_levels))
-        if info:
-            tables[-1]["solver"] = info
+        tables.append(_sup_table(radial.axisym_dirichlet(op.m, n, outside, f, grid, info=info),
+                                 h, ~outside, radii, rho_levels))
+        tables[-1]["solver"] = info
 
     floor = 1e-3 * max(t["u_max"] for t in tables)
     fine = tables[-1]
@@ -413,8 +406,7 @@ def regularity_probe(op, complement, n, h_values=(1 / 8, 1 / 16, 1 / 32),
         return ProbeReport("inconclusive", tables, floor, ["need 3 trusted scales"])
     if trusted[-1][0] > BOX_RADIUS / 16.0:
         return ProbeReport("inconclusive", tables, floor,
-                           ["trusted ladder too shallow for a trend verdict; "
-                            "refine or use the axisym backend"])
+                           ["trusted ladder too shallow for a trend verdict; refine"])
     # decay exponent over the trusted tail, skipping the source-dominated
     # coarsest scale when enough levels remain
     tr = trusted[1:] if len(trusted) >= 4 else trusted
@@ -477,9 +469,13 @@ def decay_check(op, complement, n, R=0.25, grid_h=1 / 16):
     offset, radius = DECAY_SOURCE
     if (offset - radius) * BOX_RADIUS < 2 * R:
         raise InputError("source overlaps B_2R; enlarge the box or shrink R")
-    grid, domain, radii, solve = _dirichlet_setup(op, complement, n, grid_h, "cartesian",
-                                                  DECAY_SOURCE)
-    u = solve()
+    grid = Grid(n, grid_h, int(round(BOX_RADIUS / grid_h)))
+    omega = Mask(grid, Ball(BOX_RADIUS * 0.98).mask(grid).where & ~complement.mask(grid).where)
+    domain, radii = omega.where, grid.radii()
+    center = np.zeros(n)
+    center[0] = offset * BOX_RADIUS
+    f = clear_forbidden_zone(bump(grid, center, radius * BOX_RADIUS), ~domain, m)
+    u = dirichlet_solve(op, omega, f)[0]
     ann = domain & (radii > R) & (radii <= 2 * R)
     m_r = float(R ** (-n) * grid.h**n * (u[ann] ** 2).sum())
 

@@ -12,9 +12,10 @@ unconstrained operator itself, and its inverse restricted to the free nodes
 is the exact inverse Schur complement.  For m >= 2 the zero-extended
 (-Delta_h)^m differs from (-Delta_h^D)^m near the box faces, so the DST round
 is only spectrally equivalent to it.  That keeps iteration counts nearly
-independent of the grid size.  There is no fallback solve.  The CG loop
-itself, `_pcg`, updates its vectors in place and also serves the
-multigrid-preconditioned (r, z) solver of `radial`.
+independent of the grid size.  There is no fallback solve, and every
+caller gets the one tolerance _CG_RTOL.  The CG loop itself, `_pcg`,
+updates its vectors in place and also serves the multigrid-preconditioned
+(r, z) solver of `radial`, which has its own tolerance.
 
 Balls, annuli, cones and their sources are even under reflection through
 the coordinate planes of the centred box.  A symmetric problem separates
@@ -66,7 +67,9 @@ from .errors import ConvergenceError, InputError
 from .grids import axis_sum
 
 _MAX_DOUBLINGS = 200
-# solve_constrained raises ConvergenceError after this many CG iterations
+# solve_constrained stops when the residual reaches _CG_RTOL times its
+# initial norm, and raises ConvergenceError after _CG_MAXITER CG iterations
+_CG_RTOL = 1e-8
 _CG_MAXITER = 2000
 
 
@@ -170,13 +173,13 @@ def _reflect(v, axes, width):
                   mode="reflect")
 
 
-def solve_constrained(form, fixed_where, fixed_values, rhs=None, rtol=1e-8):
+def solve_constrained(form, fixed_where, fixed_values, rhs=None):
     """Minimize the form with u[fixed] = values; returns (u, info).
 
     rhs, if given, adds a linear term -<rhs, u> so the stationarity system is
     A u = rhs on the free nodes.  Preconditioned CG with the residual, the
     preconditioned residual and A p zeroed on the fixed nodes stops when the
-    residual reaches `rtol` times its initial norm, and raises
+    residual reaches _CG_RTOL times its initial norm, and raises
     ConvergenceError after _CG_MAXITER iterations.  The loop runs on the half
     grid of the axes in info["mirror_axes"] (see the module docstring).
     info["residual"] is the true relative residual of the returned u and
@@ -229,7 +232,7 @@ def solve_constrained(form, fixed_where, fixed_values, rhs=None, rtol=1e-8):
     z, q = np.zeros(x.shape), np.zeros(x.shape)
     iterations = _pcg(lambda p: np.multiply(apply_half(p, scale), scale_free, out=q),
                       lambda v: np.multiply(precond(v), free, out=z),
-                      x, r, rtol, r0, _CG_MAXITER)
+                      x, r, _CG_RTOL, r0, _CG_MAXITER)
     uh = np.where(fixed, uh, x / scale)
     au = apply_half(uh)
     res = float(np.linalg.norm((b - au) * scale_free) / max(r0, 1e-300))

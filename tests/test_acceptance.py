@@ -30,12 +30,12 @@ pytestmark = pytest.mark.slow
 FOUR_PI = 4.0 * np.pi
 
 
-def _ball_cap(h, box, rtol=1e-8):
+def _ball_cap(h, box):
     grid = Grid(3, h, int(round(box / h)))
     mask = Ball(1.0).mask(grid)
     form = EnergyForm("homogeneous_m", grid, 1)
     t0 = time.time()
-    _, info = solve_constrained(form, mask.where, 1.0, rtol=rtol)
+    _, info = solve_constrained(form, mask.where, 1.0)
     return info["energy"], time.time() - t0
 
 

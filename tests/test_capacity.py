@@ -53,9 +53,11 @@ _ANISOTROPIC = EllipticOperator(3, 1, {
     pytest.param("homogeneous_m", 2, None, "shifted_ball", (0, 1), id="m2_ball_off_centre_in_z"),
     pytest.param("homogeneous_m", 2, None, "ball_and_node", (), id="m2_ball_and_one_node"),
 ])
-def test_constrained_solve_matches_direct(kind, m, op, problem, axes):
+def test_constrained_solve_matches_direct(monkeypatch, kind, m, op, problem, axes):
     from scipy.sparse.linalg import spsolve
 
+    rtol = 1e-10
+    monkeypatch.setattr(solvers, "_CG_RTOL", rtol)
     # the 2-d axis of 629 nodes takes scipy.fft: the DST-I, 2 (629 + 1) =
     # 2^2 3^2 5 7, or on the half grid the DCT pair of length 315 = 3^2 5 7
     grid = Grid(3, 0.25, 6) if op is None or op.n == 3 else Grid(2, 0.02, 314)
@@ -75,8 +77,7 @@ def test_constrained_solve_matches_direct(kind, m, op, problem, axes):
         if problem == "ball_and_node":
             # off every centre plane, so it breaks all three reflections
             fixed[7, 8, 9] = True
-    rtol = 1e-10
-    u, info = solve_constrained(form, fixed, values, rhs=rhs, rtol=rtol)
+    u, info = solve_constrained(form, fixed, values, rhs=rhs)
     assert info["mirror_axes"] == axes
     A = form.tosparse()
     free = ~fixed.ravel()
@@ -92,7 +93,7 @@ def test_constrained_solve_matches_direct(kind, m, op, problem, axes):
 
 @pytest.mark.parametrize("m,op,axes", [(2, None, (0, 1, 2)), (1, _ANISOTROPIC, (2,))],
                          ids=["homogeneous_m2", "anisotropic"])
-def test_folded_solve_repeats_the_whole_grid_iterations(m, op, axes):
+def test_folded_solve_repeats_the_whole_grid_iterations(monkeypatch, m, op, axes):
     # the plain whole-grid loop: PCG on every node with the full DST round
     grid = Grid(3, 0.25, 6)
     form = EnergyForm("homogeneous_m" if op is None else "operator_form", grid, m, op=op)
@@ -103,7 +104,8 @@ def test_folded_solve_repeats_the_whole_grid_iterations(m, op, axes):
     precond = solvers._dst_round(form, ())
     whole = solvers._pcg(lambda p: form.apply(p) * free, lambda v: precond(v) * free,
                          x, r, 1e-10, float(np.linalg.norm(r)), 200)
-    u, info = solve_constrained(form, fixed, 1.0, rtol=1e-10)
+    monkeypatch.setattr(solvers, "_CG_RTOL", 1e-10)
+    u, info = solve_constrained(form, fixed, 1.0)
     assert info["mirror_axes"] == axes
     assert info["iterations"] == whole <= 200
     # the same iterates up to rounding: the two loops sum in another order

@@ -4,7 +4,7 @@ import pytest
 from polycap import (Ball, Box, Cone, Cusp, Grid, InputError, Intersection, Mask,
                      Ray, Shell, Union, UnsupportedRegimeError, mask_from_csv,
                      region_from_dict)
-from polycap.grids import MAX_NODES, dilate
+from polycap.grids import MAX_NODES, as_mask, dilate
 from polycap.radial import AxisymGrid
 from polycap.reporting import write_csv
 
@@ -102,6 +102,25 @@ def test_mask_set_operations_and_subset():
     g = Grid(2, 0.5, 4)
     with pytest.raises(InputError):
         Mask(g, np.zeros((3, 3), dtype=bool))
+
+
+def test_as_mask_takes_a_region_or_a_mask_of_the_grid():
+    from polycap import capacitary_potential, laplacian, maximal_bound_check, sign_probe
+
+    g = Grid(3, 0.25, 4)
+    mask = as_mask(Ball(0.5), g)
+    assert mask.grid == g and np.array_equal(mask.where, Ball(0.5).mask(g).where)
+    assert as_mask(mask, g) is mask
+    with pytest.raises(InputError, match="different grid"):
+        as_mask(mask, Grid(3, 0.25, 5))
+    # a bare node array is neither: every caller refuses it before any solve
+    with pytest.raises(InputError, match="got ndarray"):
+        as_mask(mask.where, g)
+    for call in (lambda t: capacitary_potential(laplacian(3), t, g),
+                 lambda t: maximal_bound_check(laplacian(3), t, g, 0.5, 1.0),
+                 lambda t: sign_probe(laplacian(3), {"K": t}, g)):
+        with pytest.raises(InputError, match="Mask or a Region"):
+            call(mask.where)
 
 
 def test_dilate_does_not_wrap_across_faces():

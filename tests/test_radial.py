@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polycap import (Ball, Cone, ConvergenceError, Cusp, Intersection, annulus_series, cli,
-                     laplacian, radial, regularity_probe)
+                     laplacian, radial, regularity_probe, solvers)
 from polycap.radial import (AxisymGrid, RadialGrid, axisym_capacity, axisym_dirichlet,
                             axisym_energy_matrix, radial_energy_matrix, sphere_surface)
 
@@ -187,7 +187,8 @@ def test_solver_reports_reach_the_series_probe_and_wiener_summary(tmp_path):
     small = annulus_series(Cone(np.pi / 3), 1, 3, j_range=(0, 1), nodes_per_rho=12,
                            backend="axisym")
     assert small.metadata["solver"] == [
-        {part: {"iterations": 0, "residual": pytest.approx(0.0, abs=1e-12), "levels": 0}
+        {part: {"iterations": 0, "residual": pytest.approx(0.0, abs=1e-12),
+                "floor": pytest.approx(0.0, abs=1e-12), "levels": 0}
          for part in ("slab", "ball")}] * 2
     rep = regularity_probe(laplacian(3), Cone(np.pi / 3), 3, h_values=(1 / 32, 1 / 64, 1 / 128),
                            backend="axisym")
@@ -217,3 +218,25 @@ def test_axisym_non_convergence_is_typed(monkeypatch, tmp_path):
                      "axisym", "--nodes-per-rho", "24", "--j-max", "1", "--out", str(out)])
     assert code == 4
     assert not (out / "summary.json").exists() and not (out / "series.csv").exists()
+
+
+def test_axisym_solve_stopping_above_its_floor_is_typed(monkeypatch, tmp_path):
+    ag, outside, source = _probe_problem(Cone(np.pi / 3), 3, 64)
+    info = {}
+    axisym_dirichlet(1, 3, outside, source, ag, info=info)
+    assert info["levels"] == 1 and 0.0 < info["floor"]
+    assert info["residual"] <= max(radial._CG_RTOL, info["floor"])
+
+    # CG stopped at a recursive residual of 1e-4 leaves a true residual far above
+    # both the tolerance and the rounding floor
+    def early_stop(apply, precond, x, r, rtol, scale, maxiter):
+        return solvers._pcg(apply, precond, x, r, 1e-4, scale, maxiter)
+
+    monkeypatch.setattr(radial, "_pcg", early_stop)
+    with pytest.raises(ConvergenceError, match="above both the tolerance"):
+        axisym_dirichlet(1, 3, outside, source, ag)
+    out = tmp_path / "wiener"
+    code = cli.main(["wiener", "--m", "1", "--n", "3", "--domain", "cone:60", "--backend",
+                     "axisym", "--nodes-per-rho", "24", "--j-max", "1", "--out", str(out)])
+    assert code == 4
+    assert not (out / "summary.json").exists()

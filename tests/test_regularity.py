@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from polycap import (Ball, Cone, Cusp, Grid, InputError, Mask,
+from polycap import (Ball, Cone, Cusp, EllipticOperator, Grid, InputError, Mask,
                      UnsupportedRegimeError, annulus_series, bump, cusp_criterion,
                      decay_check, dirichlet_solve, laplacian, polyharmonic,
                      regularity_probe, wiener_classify)
+from polycap import solvers
 from polycap.capacity import AnnulusCapacitySeries
-from polycap.grids import dilate
+from polycap.grids import Ray, dilate
 
 
 CLOSED_FORM_CASES = [
@@ -170,7 +171,8 @@ def test_dirichlet_zero_source_zero_solution():
     assert np.all(u == 0.0)
 
 
-def test_dirichlet_linearity():
+def test_dirichlet_linearity(monkeypatch):
+    monkeypatch.setattr(solvers, "_CG_RTOL", 1e-12)
     g = Grid(2, 0.1, 12)
     interior = np.zeros(g.shape, dtype=bool)
     interior[3:-3, 3:-3] = True
@@ -179,23 +181,24 @@ def test_dirichlet_linearity():
     f2 = bump(g, (-0.3, 0.3), 0.2)
     for f in (f1, f2):
         f[dilate(~omega.where, 2)] = 0.0
-    u1, _ = dirichlet_solve(laplacian(2), omega, f1, rtol=1e-12)
-    u2, _ = dirichlet_solve(laplacian(2), omega, f2, rtol=1e-12)
-    u12, _ = dirichlet_solve(laplacian(2), omega, f1 + f2, rtol=1e-12)
+    u1, _ = dirichlet_solve(laplacian(2), omega, f1)
+    u2, _ = dirichlet_solve(laplacian(2), omega, f2)
+    u12, _ = dirichlet_solve(laplacian(2), omega, f1 + f2)
     scale = np.abs(u12).max()
     assert np.abs(u12 - u1 - u2).max() <= 1e-9 * scale
 
 
-def test_dirichlet_galerkin_orthogonality():
+def test_dirichlet_galerkin_orthogonality(monkeypatch):
     from polycap.energy import EnergyForm
 
+    monkeypatch.setattr(solvers, "_CG_RTOL", 1e-12)
     g = Grid(2, 0.1, 12)
     interior = np.zeros(g.shape, dtype=bool)
     interior[3:-3, 3:-3] = True
     omega = Mask(g, interior)
     f = bump(g, (0.3, 0.2), 0.25)
     f[dilate(~omega.where, 2)] = 0.0
-    u, _ = dirichlet_solve(laplacian(2), omega, f, rtol=1e-12)
+    u, _ = dirichlet_solve(laplacian(2), omega, f)
     form = EnergyForm("operator_form", g, 1, op=laplacian(2))
     resid = form.apply(u) - g.h**2 * f
     rng = np.random.default_rng(0)
@@ -253,18 +256,40 @@ def test_probe_shallow_ladder_inconclusive():
     assert rep.trend == "inconclusive"
 
 
-@pytest.mark.parametrize("backend", ["cartesian", "axisym"])
-def test_probe_unreachable_ladder_skips_solves(monkeypatch, backend):
+def test_probe_unreachable_ladder_skips_solves(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("the probe solved a ladder that cannot give a verdict")
 
-    monkeypatch.setattr("polycap.regularity.dirichlet_solve", no_solve)
     monkeypatch.setattr("polycap.radial.axisym_dirichlet", no_solve)
-    rep = regularity_probe(laplacian(3), Cone(np.pi / 3), 3, backend=backend)
+    rep = regularity_probe(laplacian(3), Cone(np.pi / 3), 3)
     assert rep.trend == "inconclusive"
     assert rep.sup_tables == []
     # 3 trusted scales down to rho = 1/16 need 6 h <= 1/16 at the finest spacing
     assert rep.notes[0].endswith(f"h <= {1 / 96:.6g}")
+
+
+# the criterion-9 ladder: each of these problems is refused before any solve
+@pytest.mark.parametrize("op, complement, n", [
+    # about the first axis, not the last: rasterised on the (r, z) grid it would
+    # be a different set, and the probe would call its vertex "non-vanishing"
+    (laplacian(3), Ray(axis=0), 3),
+    (laplacian(3), Ball(0.2, (0.3, 0.0, 0.0)), 3),
+    # a body of revolution about the last axis, in a dimension without an (r, z) reduction
+    (laplacian(2), Ray(axis=1), 2),
+    # the (r, z) energy is that of (-Delta)^m, so another operator would be probed
+    # as the Laplacian
+    (EllipticOperator(3, 1, {((1, 0, 0), (1, 0, 0)): 1.0, ((0, 1, 0), (0, 1, 0)): 2.0,
+                             ((0, 0, 1), (0, 0, 1)): 0.5}), Cone(np.pi / 3), 3),
+], ids=["ray_about_x", "off_axis_ball", "n_2", "anisotropic"])
+def test_probe_refuses_problems_the_rz_grid_cannot_hold(op, complement, n):
+    with pytest.raises(UnsupportedRegimeError, match="body of revolution"):
+        regularity_probe(op, complement, n, h_values=(1 / 64, 1 / 128, 1 / 256),
+                         rho_levels=(1, 2, 3, 4, 5, 6, 7))
+
+
+def test_probe_refuses_a_cartesian_backend():
+    with pytest.raises(InputError, match="backend 'cartesian'"):
+        regularity_probe(laplacian(3), Cone(np.pi / 3), 3, backend="cartesian")
 
 
 def test_decay_check_cone_and_stability():

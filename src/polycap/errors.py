@@ -20,5 +20,5 @@ class InconclusiveError(RuntimeError):
 
 class ConvergenceError(InconclusiveError):
     """An iterative solver stopped at its iteration limit short of the requested
-    tolerance, or ended with a true residual above both that tolerance and
-    its rounding floor (exit code 4)."""
+    tolerance, or ended with a true residual above twice the larger of that
+    tolerance and its rounding floor (exit code 4)."""

@@ -61,16 +61,18 @@ _COARSE_MAX = 3000
 # recursive residual.  The capacity potentials of the four test_radial probe
 # problems (h = 1/128) end 7.3e-11, 9.5e-10, 4.0e-11 and 8.6e-11 from a direct
 # solve, their Dirichlet solves 7.3e-13 to 3.7e-11.  _solve_free checks the
-# true residual against max(_CG_RTOL, floor), with floor = eps ||A||_inf
+# true residual against 2 max(_CG_RTOL, floor), with floor = eps ||A||_inf
 # ||x||_inf / ||b||_inf: for m = 2 the true residual stops at a rounding
 # floor that grows about 16x per halving of h, so the (2,5) cone and (2,6)
 # exponential cusp probes end at 8e-9 and 1.4e-8 at h = 1/256, above the
-# tolerance and below their floors.  Over the 223 (r, z) solves of the tier-1
-# tests and the benchmark operations, run at 1 and at 2 BLAS threads (whose
-# iterates differ in the last digits), the largest ratio of true residual to
-# that bound is 0.958: an m = 2 series solve on 96 x 193 nodes that ends at
-# 9.6e-11.  So the check has about 4% of margin.  The largest problems
-# measured need about 60 iterations
+# tolerance and below their floors.  The factor 2 is headroom for the drift
+# of the recursive residual that stops CG from the true one, which differs
+# between hosts and BLAS thread counts.  Over the 223 (r, z) solves of the
+# tier-1 tests and the benchmark operations, run at 1 and at 2 BLAS threads,
+# the largest ratio of true residual to that bound is 0.479: an m = 2 series
+# solve on 96 x 193 nodes that ends at 9.6e-11.  A stalled CG, stopped at a
+# residual of 1e-4, is far above it.  The largest problems measured need
+# about 60 iterations
 _CG_RTOL = 1e-10
 _CG_MAXITER = 300
 # _hierarchy forms each coarse matrix this many coarse rows at a time
@@ -441,7 +443,7 @@ def _solve_free(A, b, shape, free):
     iterations, 0 levels).  A larger one starts from the V-cycle of b and
     runs CG with one V-cycle per iteration to ||r|| <= _CG_RTOL ||b||.
     ConvergenceError after _CG_MAXITER iterations, or when the true residual
-    exceeds max(_CG_RTOL, floor)."""
+    exceeds 2 max(_CG_RTOL, floor)."""
     levels, lu = _hierarchy(A, free, shape)
     scale = float(np.linalg.norm(b))
     iterations = 0
@@ -457,9 +459,10 @@ def _solve_free(A, b, shape, free):
     residual = float(np.linalg.norm(b - A @ x)) / max(scale, 1e-300)
     floor = float(np.finfo(float).eps * norm * np.abs(x).max(initial=0.0)
                   / max(np.abs(b).max(initial=0.0), 1e-300))
-    if residual > max(_CG_RTOL, floor):
+    if residual > 2 * max(_CG_RTOL, floor):
         raise ConvergenceError(f"(r, z) solve ended at a true residual {residual:.3g} above "
-                               f"both the tolerance {_CG_RTOL:g} and its floor {floor:.3g}")
+                               f"both the tolerance {_CG_RTOL:g} and its floor {floor:.3g} "
+                               "by more than a factor 2")
     return x, {"iterations": iterations, "residual": residual, "floor": floor,
                "levels": len(levels)}
 

@@ -1,6 +1,6 @@
 """Which code of src/polycap the benchmark, the README examples and the demos run.
 
-    python3 tools/traffic.py [--root .] [--skip benchmark,readme,demos]
+    python3 tools/traffic.py [--root .]
 
 Runs, in this one process and under a line tracer (sys.settrace):
 - the `run` of every operation of every workload in perfbench/workloads.py,
@@ -214,13 +214,10 @@ def report(src, tracer):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=".", help="the checkout to trace (default: .)")
-    parser.add_argument("--skip", default="",
-                        help="comma-separated parts to leave out: benchmark, readme, demos")
     args = parser.parse_args(argv)
     root = os.path.realpath(args.root)
     src = os.path.join(root, "src", "polycap")
     sys.path.insert(0, os.path.join(root, "src"))
-    skip = {s for s in args.skip.split(",") if s}
     tracer, failures, counts = LineTracer(src), [], {}
     with tempfile.TemporaryDirectory(prefix="polycap-traffic-") as tmp:
         with tracer.active():
@@ -228,9 +225,8 @@ def main(argv=None):
 
             for part, run in (("benchmark", _benchmark), ("readme", _readme),
                               ("demos", _demos)):
-                if part not in skip:
-                    os.makedirs(os.path.join(tmp, part))
-                    counts[part] = run(root, os.path.join(tmp, part), failures)
+                os.makedirs(os.path.join(tmp, part))
+                counts[part] = run(root, os.path.join(tmp, part), failures)
     print("traced: " + ", ".join(f"{n} {part}" for part, n in counts.items()))
     for line in failures:
         print("FAILED " + line)

@@ -15,7 +15,8 @@ by the multinomial theorem the homogeneous form is exactly h^(n-2m) L^m on the
 zero-extended lattice, L = -Delta_h the undivided (2n+1)-point Laplacian, the
 inhomogeneous one is sum_k h^(n-2k) L^k, and the operator form of the
 (-Delta)^m table is the homogeneous one.  These kinds keep the polynomial's
-coefficients: `apply` runs Horner's rule with m Laplacian passes, `tosparse`
+coefficients: `apply` runs Horner's rule with m Laplacian passes, in work
+arrays from `workspace` that a caller such as the CG loop reuses, `tosparse`
 sums powers of a sparse L, and the DST-I preconditioner of `solvers`
 evaluates them (`dst_poly`) at the Dirichlet eigenvalues.  Any other
 operator form is sum c[a,b] (d^a)^T d^b folded into one offset ->
@@ -120,20 +121,36 @@ class EnergyForm:
             raise InputError("grid function shape does not match the grid")
         return float((u * self.apply(u)).sum())
 
-    def apply(self, u):
-        """Matrix-free A u with quad(u) == sum(u * apply(u))."""
+    def workspace(self, shape):
+        """Work arrays with which `apply` on grid functions of `shape` runs
+        Horner's rule of a polynomial form without allocating; None for a
+        folded stencil, whose apply allocates its result."""
+        if self._stencil is not None:
+            return None
+        pad = self._pad
+        # two Horner buffers, and the zero-padded argument when pad > 0
+        return np.zeros((3 if pad else 2,) + tuple(s + 2 * pad for s in shape))
+
+    def apply(self, u, work=None):
+        """Matrix-free A u with quad(u) == sum(u * apply(u)).  Given work
+        from workspace(u.shape), a polynomial form returns a view into it
+        that the next call with the same work overwrites."""
         u = np.asarray(u, dtype=float)
         if self._stencil is not None:
             return apply_stencil(u, self._stencil)
         m, pad = self.m, self._pad
-        up = np.pad(u, pad) if pad else u
-        out = self.poly[m] * up
-        buf = np.empty_like(up)
+        out, buf, *padded = self.workspace(u.shape) if work is None else work
+        inner = tuple(slice(pad, pad + s) for s in u.shape)
+        up = u
+        if pad:
+            up = padded[0]
+            up[inner] = u
+        np.multiply(up, self.poly[m], out=out)
         for c in reversed(self.poly[:m]):
             out, buf = neg_laplacian(out, buf), out
             if c:
-                out += c * up
-        return out[tuple(slice(pad, pad + s) for s in u.shape)]
+                out += np.multiply(up, c, out=buf)
+        return out[inner]
 
     def reflection_invariant(self, axis):
         """Whether A commutes with the reflection x_axis -> -x_axis of the box:

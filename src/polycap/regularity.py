@@ -267,13 +267,14 @@ def dirichlet_solve(op, omega, f):
     if f.shape != grid.shape:
         raise InputError("source shape does not match the grid")
     outside = ~omega.where
-    banned = dilate(outside, 2 * op.m)
-    if np.any(f[banned] != 0.0):
+    if np.any(f[dilate(outside, 2 * op.m)] != 0.0):
         raise InputError("source support touches the boundary of the domain mask")
     form = EnergyForm("operator_form", grid, op.m, op=op)
     rhs = grid.h**grid.n * f
-    u, info = solve_constrained(form, outside, 0.0, rhs=rhs)
-    return u, info
+    # a caller that passes its source as a temporary keeps one full-grid
+    # copy alive during the solve, not two
+    del f
+    return solve_constrained(form, outside, 0.0, rhs=rhs)
 
 
 def _bump_of(dist2, radius):
@@ -447,13 +448,6 @@ class DecayReport:
     notes: list = field(default_factory=list)
 
 
-def _weighted_energy_densities(u, m, grid):
-    """(c, d*d*w) per weighted_gradient_parts term, d = d^alpha u: the
-    weighted energy on a node set sel is sum_terms c * sum over sel of d*d*w."""
-    return [(c, np.square(apply_alpha(u, alpha)) * w)
-            for alpha, c, w in weighted_gradient_parts(grid, m)]
-
-
 def decay_check(op, complement, n, R=0.25, grid_h=1 / 16):
     """Fit the exponential capacity-decay bound on a solution that is
     operator-harmonic near the origin.
@@ -464,6 +458,11 @@ def decay_check(op, complement, n, R=0.25, grid_h=1 / 16):
     are evaluated at the dyadic radii rho = R 2^-level, level in DECAY_LEVELS,
     and c2 is the slope of -log(left / M_R) against the capacity integral,
     whose annulus series runs at DECAY_NODES_PER_RHO nodes per rho.
+
+    The annulus and ball masks are formed before the solve, so no radius
+    grid and no second copy of the source is alive during it, and each
+    weighted-gradient density is summed over the balls as it is formed: the
+    solve's half-grid arrays set the memory peak.
     """
     m = op.m
     offset, radius = DECAY_SOURCE
@@ -471,32 +470,34 @@ def decay_check(op, complement, n, R=0.25, grid_h=1 / 16):
         raise InputError("source overlaps B_2R; enlarge the box or shrink R")
     grid = Grid(n, grid_h, int(round(BOX_RADIUS / grid_h)))
     omega = Mask(grid, Ball(BOX_RADIUS * 0.98).mask(grid).where & ~complement.mask(grid).where)
-    domain, radii = omega.where, grid.radii()
+    domain = omega.where
+    rhos = [R * 2.0 ** (-lev) for lev in DECAY_LEVELS]
+    radii = grid.radii()
+    ann = domain & (radii > R) & (radii <= 2 * R)
+    balls = [domain & (radii <= rho) for rho in rhos]
+    # a full float grid the solve does not need
+    del radii
     center = np.zeros(n)
     center[0] = offset * BOX_RADIUS
-    f = clear_forbidden_zone(bump(grid, center, radius * BOX_RADIUS), ~domain, m)
-    u = dirichlet_solve(op, omega, f)[0]
-    ann = domain & (radii > R) & (radii <= 2 * R)
+    # passed on as a temporary, so dirichlet_solve holds its only reference
+    u = dirichlet_solve(op, omega, clear_forbidden_zone(
+        bump(grid, center, radius * BOX_RADIUS), ~domain, m))[0]
     m_r = float(R ** (-n) * grid.h**n * (u[ann] ** 2).sum())
 
-    rhos, sups, energies, caps_int = [], [], [], []
     # per-scale capacities of the complement slabs feeding the integral,
     # computed at the actual radii tau = R 2^-i
     tau_list = [R * 2.0 ** (-i) for i in range(max(DECAY_LEVELS) + 1)]
     series = annulus_series(complement, m, n, nodes_per_rho=DECAY_NODES_PER_RHO,
                             backend="auto", rho_list=tau_list)
     w_terms = series.weighted_terms()
-    densities = _weighted_energy_densities(u, m, grid)
-    for lev in DECAY_LEVELS:
-        rho = R * 2.0 ** (-lev)
-        sel = domain & (radii <= rho)
-        sup2 = float(np.abs(u[sel]).max() ** 2) if sel.any() else 0.0
-        en = sum(c * float(np.where(sel, dens, 0.0).sum()) for c, dens in densities)
-        integral = float(np.log(2.0) * w_terms[:lev].sum())
-        rhos.append(rho)
-        sups.append(sup2)
-        energies.append(en)
-        caps_int.append(integral)
+    sups = [float(np.abs(u[sel]).max() ** 2) if sel.any() else 0.0 for sel in balls]
+    energies = [0.0] * len(balls)
+    for alpha, c, w in weighted_gradient_parts(grid, m):
+        dens = np.square(apply_alpha(u, alpha))
+        dens *= w
+        for i, sel in enumerate(balls):
+            energies[i] += c * float(np.where(sel, dens, 0.0).sum())
+    caps_int = [float(np.log(2.0) * w_terms[:lev].sum()) for lev in DECAY_LEVELS]
 
     left = np.array(sups) + np.array(energies)
     ivals = np.array(caps_int)

@@ -14,8 +14,10 @@ at once.
 """
 
 import dataclasses
+import functools
 import json
 import os
+import platform
 
 import numpy as np
 
@@ -25,6 +27,8 @@ from .operators import SYMBOL_CONVENTION
 
 # write_csv renders and writes this many rows at a time
 _CSV_BLOCK_ROWS = 8192
+# the BLAS thread settings, which can change the last bits of a solve
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _sanitize(obj):
@@ -75,12 +79,39 @@ def write_csv(path, header, table):
             fh.write((line * cells.shape[0]) % tuple(cells.ravel().tolist()))
 
 
+@functools.cache
+def _scipy_version():
+    """scipy's version from its package metadata, which imports no scipy;
+    looked up once per process, since a lookup scans sys.path (about 5 ms)."""
+    from importlib import metadata
+
+    try:
+        return metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        return None
+
+
+def environment():
+    """What a bitwise rerun depends on besides the configuration: the Python,
+    numpy and scipy versions, the BLAS numpy was built with, and the BLAS
+    thread settings of the environment (None where unset)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": _scipy_version(),
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "threads": {name: os.environ.get(name) for name in _THREAD_VARIABLES}}
+
+
 def write_manifest(outdir, resolved_config):
+    """manifest.json: the tool, its version and symbol convention, the run's
+    configuration, which --config reads back, and its environment, which
+    --config ignores."""
     manifest = {
         "tool": "polycap",
         "version": __version__,
         "symbol_convention": SYMBOL_CONVENTION,
         "config": resolved_config,
+        "environment": environment(),
     }
     write_json(os.path.join(outdir, "manifest.json"), manifest)
     return manifest

@@ -1,9 +1,10 @@
 """Constrained quadratic minimization and the banded generalized eigensolver.
 
 Capacity and potential problems reduce to: minimize u.A u over grid functions
-with prescribed values on a node set.  The free-node system is solved by
-one preconditioned conjugate gradient loop on grid-shaped arrays, masked to
-zero on the fixed nodes, so no free vector is gathered or scattered.  For
+with one prescribed scalar value on a node set.  The free-node system is
+solved by one preconditioned conjugate gradient loop on grid-shaped arrays,
+masked to zero on the fixed nodes (a boolean mask), so no free vector is
+gathered or scattered.  For
 the polyharmonic energy kinds the unconstrained operator is a power of the
 compact discrete Laplacian, so one DST-I round per iteration (transform,
 divide by the spectrum, transform back) inverts the matching power of the
@@ -32,6 +33,15 @@ folded centre plane.  A node off the centre planes of k folded axes stands
 for 2^k nodes; the loop runs on sqrt(multiplicity) times u, where plain dot
 products are the whole-grid ones, so the step lengths, the stopping test
 and the iteration counts are those of the whole grid up to rounding.
+
+Only the returned field covers the whole grid.  The start (the fixed value
+on the fixed nodes, 0 elsewhere) is built on the half grid, the CG iterate
+becomes the returned half field in place, and every array the loop touches
+is allocated once per solve: the CG vectors, the ghost array, the Horner
+buffers of a polynomial form (`EnergyForm.workspace`) and the two buffers
+between which the dense DST passes alternate.  So with a polynomial form
+on the dense route a CG iteration allocates nothing, and the memory of a
+solve is a fixed count of half-grid arrays whatever its iteration count.
 
 The DST round is the tensor-product "fast diagonalization" of Lynch, Rice &
 Thomas (Numer. Math. 6, 1964), one factor per axis: a transform, its
@@ -90,42 +100,54 @@ def _sine_matrix(N):
 def _axis_factors(N, folded):
     """(transform, inverse, eigenvalues of -D2 at its modes) of the DST round
     on one axis of N nodes, or on its half grid when folded; the maps act on
-    the last axis (see the module docstring)."""
+    the last axis of w and take a flat buffer `out` of w's size, which the
+    dense route writes into and scipy.fft's ignores (see the module
+    docstring)."""
     lam = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, N + 1) / (N + 1)))[::2 if folded else 1]
     if N > _DENSE_MAX_AXIS:
         from scipy.fft import dct, dst
 
         if folded:
-            return (lambda w: dct(w, 3, norm="ortho"),
-                    lambda w: dct(w, 2, norm="ortho"), lam)
-        return (lambda w: dst(w, 1, norm="ortho"),) * 2 + (lam,)
+            return (lambda w, out: dct(w, 3, norm="ortho"),
+                    lambda w, out: dct(w, 2, norm="ortho"), lam)
+        return (lambda w, out: dst(w, 1, norm="ortho"),) * 2 + (lam,)
     mat = _sine_matrix(N)
     if folded:
         # rows of the half nodes, weighted by sqrt(mult); odd-mode columns
         e = N // 2
         mat = np.ascontiguousarray(mat[e:, ::2] * np.sqrt(np.r_[1.0, np.full(e, 2.0)])[:, None])
     inv = mat.T
-    return (lambda w: w @ mat), (lambda w: w @ inv), lam
+    return (lambda w, out: np.matmul(w, mat, out=out.reshape(w.shape)),
+            lambda w, out: np.matmul(w, inv, out=out.reshape(w.shape)), lam)
 
 
-def _passes(v, maps):
-    """maps[k] applied to axis k of v: each pass maps the first axis and
-    leaves it last, so after v.ndim passes the axes are back in order."""
-    shape = v.shape
-    for k, f in enumerate(maps):
-        v = f(v.reshape(shape[k], -1).T)
+def _passes(v, forward, inverse, spec, bufs):
+    """inverse(forward(v) / spec), forward[k] and inverse[k] applied to axis
+    k of v.  Each pass maps the first axis and leaves it last, so after
+    v.ndim passes the axes are back in order; pass j writes into bufs[j % 2]
+    where its map can, so the round allocates nothing on the dense route."""
+    shape, n = v.shape, v.ndim
+    for j, f in enumerate(forward + inverse):
+        if j == n:
+            v = v.reshape(shape)
+            v /= spec
+        v = f(v.reshape(shape[j % n], -1).T, bufs[j % 2])
     return v.reshape(shape)
 
 
 def _dst_round(form, axes):
     """The inverse of the DST model on the half grid of `axes`: transform,
     divide by the form's polynomial at the sums of the axis eigenvalues,
-    transform back."""
+    transform back.  The returned map's result is one of two buffers that
+    it allocates here, once, and overwrites on its next call."""
     forward, inverse, lams = zip(*(_axis_factors(N, a in axes)
                                    for a, N in enumerate(form.grid.shape)))
     lam = axis_sum(lams)
     spec = sum(c * lam**k for k, c in enumerate(form.dst_poly) if c)
-    return lambda v: _passes(_passes(v, forward) / spec, inverse)
+    # the dense passes write into these; scipy.fft's return new arrays
+    bufs = (np.empty((2, spec.size)) if form.grid.shape[0] <= _DENSE_MAX_AXIS
+            else (None, None))
+    return lambda v: _passes(v, forward, inverse, spec, bufs)
 
 
 def _pcg(apply, precond, x, r, rtol, scale, maxiter):
@@ -173,8 +195,9 @@ def _reflect(v, axes, width):
                   mode="reflect")
 
 
-def solve_constrained(form, fixed_where, fixed_values, rhs=None):
-    """Minimize the form with u[fixed] = values; returns (u, info).
+def solve_constrained(form, fixed_where, fixed_value, rhs=None):
+    """Minimize the form with u = fixed_value, a scalar, on the nodes
+    fixed_where; returns (u, info).
 
     rhs, if given, adds a linear term -<rhs, u> so the stationarity system is
     A u = rhs on the free nodes.  Preconditioned CG with the residual, the
@@ -189,12 +212,23 @@ def solve_constrained(form, fixed_where, fixed_values, rhs=None):
     fixed_where = np.asarray(fixed_where, dtype=bool)
     if fixed_where.shape != grid.shape:
         raise InputError("constraint mask shape does not match the grid")
-    u = grid.zeros()
-    u[fixed_where] = fixed_values
+    if np.ndim(fixed_value) != 0:
+        raise InputError("the fixed value must be a scalar")
     source = None if rhs is None else np.asarray(rhs, dtype=float)
-    axes = _mirror_axes(form, (fixed_where, u, source))
-    n, e, m = grid.n, grid.extent, form.m
-    half = tuple(slice(e if a in axes else 0, None) for a in range(n))
+    axes = _mirror_axes(form, (fixed_where, source))
+    half = tuple(slice(grid.extent if a in axes else 0, None) for a in range(grid.n))
+    uh, info = _solve_half(form, fixed_where[half], float(fixed_value),
+                           0.0 if source is None else source[half], axes)
+    return _reflect(uh, axes, grid.extent), info
+
+
+def _solve_half(form, fixed, value, b, axes):
+    """The CG solve of solve_constrained on the half grid of `axes`, given
+    the fixed nodes and the source b there; returns the half field and the
+    info dict.  Its arrays are allocated before the loop, which allocates
+    nothing with a polynomial form on the dense DST route, and are freed on
+    return, before the caller builds the whole-grid field."""
+    n, e, m = form.grid.n, form.grid.extent, form.m
     inner = tuple(slice(m if a in axes else 0, None) for a in range(n))
     # a half-grid node off the centre plane of a folded axis stands for two
     mult1 = np.r_[1.0, np.full(e, 2.0)]
@@ -204,41 +238,59 @@ def solve_constrained(form, fixed_where, fixed_values, rhs=None):
     scale = np.sqrt(mult)
     # the half grid with m even ghost layers before each folded centre plane:
     # they carry every stencil across it
-    ghost = np.zeros([e + 1 + m if a in axes else grid.shape[a] for a in range(n)])
+    ghost = np.zeros([e + 1 + m if a in axes else form.grid.shape[a] for a in range(n)])
     ghost_inner = ghost[inner]
+    work = form.workspace(ghost.shape)
     mirrors = [(tuple(slice(0, m) if k == a else slice(None) for k in range(n)),
                 tuple(slice(2 * m, m, -1) if k == a else slice(None) for k in range(n)))
                for a in axes]
 
     def apply_half(v, divisor=1.0):
-        """A (v / divisor) on the half grid; dividing by 1.0 is exact."""
+        """A (v / divisor) on the half grid, a view into `work`; dividing by
+        1.0 is exact."""
         np.divide(v, divisor, out=ghost_inner)
         # one axis after the other, as np.pad(mode="reflect") fills the corners
         for layers, mirror in mirrors:
             ghost[layers] = ghost[mirror]
-        return form.apply(ghost)[inner]
+        return form.apply(ghost, work)[inner]
 
-    fixed = fixed_where[half]
-    free = (~fixed).astype(float)
-    scale_free = scale * free
-    b = 0.0 if source is None else source[half]
-    uh = u[half]
+    def masked_residual(au, out):
+        """(b - au) sqrt(mult), zero on the fixed nodes, into out."""
+        np.subtract(b, au, out=out)
+        out *= scale
+        out *= free
+        return out
+
+    free = ~fixed
+    # the start: the fixed value on the fixed nodes, 0 on the free ones
+    x = np.where(fixed, value, 0.0)
+    r = masked_residual(apply_half(x), np.empty(x.shape))
+    r0 = float(np.linalg.norm(r))
     # the loop runs on sqrt(mult) * u, where its dot products are the
     # whole-grid ones
-    x = uh * scale
-    r = (b - apply_half(uh)) * scale_free
-    r0 = float(np.linalg.norm(r))
+    x *= scale
     precond = _dst_round(form, axes)
-    z, q = np.zeros(x.shape), np.zeros(x.shape)
-    iterations = _pcg(lambda p: np.multiply(apply_half(p, scale), scale_free, out=q),
-                      lambda v: np.multiply(precond(v), free, out=z),
-                      x, r, _CG_RTOL, r0, _CG_MAXITER)
-    uh = np.where(fixed, uh, x / scale)
-    au = apply_half(uh)
-    res = float(np.linalg.norm((b - au) * scale_free) / max(r0, 1e-300))
-    info = {"iterations": iterations, "residual": res,
-            "energy": float((uh * au * mult).sum()), "mirror_axes": axes}
-    return _reflect(uh, axes, e), info
+    q = np.empty(x.shape)
+
+    def apply(p):
+        np.multiply(apply_half(p, scale), scale, out=q)
+        return np.multiply(q, free, out=q)
+
+    def precond_free(v):
+        z = precond(v)
+        z *= free
+        return z
+
+    iterations = _pcg(apply, precond_free, x, r, _CG_RTOL, r0, _CG_MAXITER)
+    # x becomes the half field in place; r and q are free to reuse
+    x /= scale
+    x[fixed] = value
+    au = apply_half(x)
+    res = float(np.linalg.norm(masked_residual(au, r)) / max(r0, 1e-300))
+    np.multiply(x, au, out=q)
+    q *= mult
+    return x, {"iterations": iterations, "residual": res, "energy": float(q.sum()),
+               "mirror_axes": axes}
 
 
 def _upper_band(M, u):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,41 @@ def test_folded_solve_repeats_the_whole_grid_iterations(monkeypatch, m, op, axes
     assert np.abs(u - x).max() <= 1e-9
 
 
+def test_solve_refuses_a_fixed_value_that_is_not_a_scalar():
+    # the mirror check reads the mask and the source, not a start array
+    grid = Grid(3, 0.25, 6)
+    form = EnergyForm("homogeneous_m", grid, 1)
+    fixed = Ball(0.5).mask(grid).where
+    for values in (np.ones(grid.shape), np.array([1.0]), [1.0]):
+        with pytest.raises(InputError, match="scalar"):
+            solve_constrained(form, fixed, values)
+    u, info = solve_constrained(form, fixed, np.float64(1.0))
+    assert np.array_equal(u, solve_constrained(form, fixed, 1.0)[0])
+
+
+def test_mirrored_solve_memory_does_not_grow_with_its_iterations(monkeypatch):
+    grid = Grid(3, 0.0625, 24)
+    form = EnergyForm("homogeneous_m", grid, 2)
+    fixed = Ball(0.5).mask(grid).where
+    solve_constrained(form, fixed, 1.0)
+    peaks, iterations = [], []
+    for rtol in (1e-3, 1e-12):
+        monkeypatch.setattr(solvers, "_CG_RTOL", rtol)
+        tracemalloc.start()
+        try:
+            _, info = solve_constrained(form, fixed, 1.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert info["mirror_axes"] == (0, 1, 2)
+        iterations.append(info["iterations"])
+    assert iterations[0] <= 5 and iterations[1] >= 25
+    # every array of the loop is allocated before it, so the peak stays
+    # within a small part of one half-grid array (25^3 doubles); Python's
+    # free lists still grow by a few bytes per iteration
+    assert abs(peaks[1] - peaks[0]) < 8 * 25**3 / 32
+
+
 @pytest.mark.parametrize("n,N", [(3, 33), (5, 11)])
 def test_dense_sine_round_matches_scipy_fft(n, N):
     import scipy.fft as sfft
@@ -121,8 +158,12 @@ def test_dense_sine_round_matches_scipy_fft(n, N):
     spec = 1.0 + rng.random((N,) * n)
     ref = sfft.idstn(sfft.dstn(v, type=1, norm="ortho") / spec, type=1, norm="ortho")
     forward, inverse, _ = solvers._axis_factors(N, False)
-    dense = solvers._passes(solvers._passes(v, [forward] * n) / spec, [inverse] * n)
+    bufs = np.empty((2, v.size))
+    dense = solvers._passes(v, (forward,) * n, (inverse,) * n, spec, bufs)
     assert np.abs(dense - ref).max() <= 1e-13 * np.abs(ref).max()
+    # the round writes into the two buffers and leaves its input alone
+    assert np.shares_memory(dense, bufs)
+    assert np.array_equal(v, np.random.default_rng(n).standard_normal((N,) * n))
 
 
 @pytest.mark.parametrize("N", [601, 1025])
@@ -137,7 +178,8 @@ def test_folded_dct_round_matches_the_odd_sine_block(N):
     spec = 1.0 + rng.random((3, e + 1))
     forward, inverse, lam = solvers._axis_factors(N, True)
     ref = ((v @ odd) / spec) @ odd.T
-    assert np.abs(inverse(forward(v) / spec) - ref).max() <= 1e-13 * np.abs(ref).max()
+    got = inverse(forward(v, None) / spec, None)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
     assert np.array_equal(lam, solvers._axis_factors(N, False)[2][::2])
 
 

@@ -1,8 +1,10 @@
 import filecmp
 import json
 import os
+import platform
 import subprocess
 import sys
+from importlib import metadata
 
 import numpy as np
 import pytest
@@ -72,6 +74,39 @@ def test_capacity_run_and_manifest_rerun_bitwise(tmp_path, cli_env):
     assert r.returncode == 0, r.stderr
     assert filecmp.cmp(tmp_path / "runA" / "summary.json",
                        tmp_path / "runB" / "summary.json", shallow=False)
+
+
+def test_manifest_records_the_environment_and_reruns_bitwise(tmp_path, cli_env):
+    env = dict(cli_env, OPENBLAS_NUM_THREADS="1")
+    env.pop("MKL_NUM_THREADS", None)
+    r = run_cli(["dirichlet", "--preset", "laplacian", "--n", "2", "--h", "0.1",
+                 "--extent", "10", "--out", "e1"], tmp_path, env)
+    assert r.returncode == 0, r.stderr
+    with open(tmp_path / "e1" / "manifest.json") as fh:
+        manifest = json.load(fh)
+    assert manifest["environment"] == {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "scipy": metadata.version("scipy"),
+        "blas": {key: np.show_config(mode="dicts")["Build Dependencies"]["blas"][key]
+                 for key in ("name", "version")},
+        "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": env.get("OMP_NUM_THREADS"),
+                    "MKL_NUM_THREADS": None}}
+    # --config reads the configuration alone, so an edited environment changes nothing
+    manifest["environment"] = {"python": "0.0", "threads": {"OMP_NUM_THREADS": "64"}}
+    with open(tmp_path / "edited.json", "w") as fh:
+        json.dump(manifest, fh)
+    r = run_cli(["--config", str(tmp_path / "edited.json"), "dirichlet", "--out", "e2"],
+                tmp_path, env)
+    assert r.returncode == 0, r.stderr
+    outputs = sorted(p.name for p in (tmp_path / "e1").iterdir() if p.name != "manifest.json")
+    assert "summary.json" in outputs and any(name.endswith(".csv") for name in outputs)
+    for name in outputs:
+        assert filecmp.cmp(tmp_path / "e1" / name, tmp_path / "e2" / name, shallow=False), name
+    with open(tmp_path / "e2" / "manifest.json") as fh:
+        rerun = json.load(fh)
+    assert rerun["environment"]["python"] == platform.python_version()
+    assert {k: v for k, v in rerun["config"].items() if k != "out"} == \
+        {k: v for k, v in manifest["config"].items() if k != "out"}
 
 
 def test_manifest_with_seed_key_reruns(tmp_path, cli_env):

@@ -213,6 +213,13 @@ def test_forms_match_multi_index_definition(kind, n, m, extent, op):
     want = (ref @ u.ravel()).reshape(grid.shape)
     got = form.apply(u)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # work arrays reused from call to call give the same bits
+    work = form.workspace(grid.shape)
+    for v in (np.ones(grid.shape), u):
+        reused = form.apply(v, work)
+    assert np.array_equal(reused, got)
+    assert (work is None) == (op is not None and form.poly is None)
+    assert work is None or np.shares_memory(reused, work)
     assert form.quad(u) == float((u * got).sum())
     assert form.quad(u) == pytest.approx(float(u.ravel() @ want.ravel()), rel=1e-14)
     mat = form.tosparse()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from polycap import (Ball, Cone, Cusp, EllipticOperator, Grid, InputError, Mask,
                      UnsupportedRegimeError, annulus_series, bump, cusp_criterion,
                      decay_check, dirichlet_solve, laplacian, polyharmonic,
                      regularity_probe, wiener_classify)
-from polycap import solvers
+from polycap import regularity, solvers
 from polycap.capacity import AnnulusCapacitySeries
 from polycap.grids import Ray, dilate
 
@@ -298,6 +300,36 @@ def test_decay_check_cone_and_stability():
     b = decay_check(laplacian(3), Cone(np.pi / 4), 3, R=0.25, grid_h=1 / 48)
     assert b.passed
     assert b.c2 == pytest.approx(a.c2, rel=0.30)
+
+
+def test_decay_check_memory_is_a_count_of_half_grid_arrays(monkeypatch):
+    axes = []
+
+    def solve(*args, **kwargs):
+        u, info = solvers.solve_constrained(*args, **kwargs)
+        axes.append(info["mirror_axes"])
+        return u, info
+
+    monkeypatch.setattr(regularity, "solve_constrained", solve)
+    # a coarser run first, so the traced one imports nothing
+    decay_check(laplacian(3), Cone(np.pi / 4), 3, R=0.25, grid_h=1 / 16)
+    tracemalloc.start()
+    try:
+        decay_check(laplacian(3), Cone(np.pi / 4), 3, R=0.25, grid_h=1 / 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the source sits on the x_1 axis and the cone about the x_3 axis, so the
+    # solve folds x_2 alone: its half grid has 65 x 33 x 65 nodes
+    assert axes == [(1,), (1,)]
+    half = 8 * 65 * 33 * 65
+    # the arrays alive while CG runs, in half-grid float arrays: the vectors
+    # x, r, p and q (4); the DST round's two buffers and its spectrum (3);
+    # the ghost array and the Laplacian's two Horner buffers, one ghost layer
+    # larger (3); the full-grid source (2); the boolean masks of the domain,
+    # the fixed nodes, the annulus and the three balls, a quarter each, and
+    # the free mask (2); and one for the ghost layers and everything smaller
+    assert peak < (4 + 3 + 3 + 2 + 2 + 1) * half
 
 
 def test_decay_check_refuses_an_erased_source():

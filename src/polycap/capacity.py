@@ -19,28 +19,13 @@ import numpy as np
 
 from .energy import EnergyForm
 from .errors import InputError, UnsupportedRegimeError
-from .grids import (Ball, Cone, Cusp, Grid, Intersection, Mask, Ray, Region, Shell, Union,
-                    as_mask)
-from .radial import AxisymGrid, axisym_capacity, axisym_energy_matrix
+from .grids import Ball, Cusp, Grid, Intersection, Mask, Region, Union, as_mask
+from .radial import AxisymGrid, axisym_capacity, axisym_energy_matrix, axisym_refusal
 from .reporting import write_csv
 from .solvers import solve_constrained
 
 # annulus_series: the box radius of every per-scale grid, in units of rho
 BOX_FACTOR = 3.0
-
-
-def is_axisymmetric(region, n):
-    """True when the region is a declared body of revolution about the last axis."""
-    if isinstance(region, Ball):
-        c = region.center
-        return not c or all(v == 0.0 for v in c[:-1])
-    if isinstance(region, (Shell, Cone, Cusp)):
-        return True
-    if isinstance(region, Ray):
-        return region.axis == n - 1
-    if isinstance(region, (Union, Intersection)):
-        return all(is_axisymmetric(p, n) for p in region.parts)
-    return False
 
 
 @dataclass
@@ -146,22 +131,25 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
     `complement` is the Region describing the closed complement of the domain.
     For n > 2m each scale has its own grid, a dilation of the first with
     nodes_per_rho nodes per rho and round(BOX_FACTOR * nodes_per_rho) across
-    the box radius; backend "axisym" restricts to bodies of revolution but
-    covers every dimension the classifier needs, "cartesian" is the general
-    path.  For n = 2m the inhomogeneous surrogate is used on
-    one global grid whose box stays at unit scale, since the borderline
-    capacity is not dilation invariant.  A node set met at an earlier scale is
-    not solved again: the homogeneous energies at spacing h are h^(n-2m) times
-    one lattice form, so its stored capacity is scaled by (h/h0)^(n-2m), a
-    power of two for dyadic scales and 1 on the global grid.  For the same
-    reason the (r, z) energy matrix is assembled once per series and scaled
-    by (h/h0)^(n-2m) for every solve, which on dyadic scales is bitwise the
-    matrix a fresh assembly would give.  On that backend metadata["solver"]
-    holds, per scale, the (r, z) solver reports {"iterations", "residual",
-    "floor", "levels"} of the slab and the ball, each that of the solve that
-    gave its value.  rho_list overrides the dyadic 2^-j scales.  A Cartesian
-    grid of more than 3,000,000 nodes, per scale or global, is refused with
-    UnsupportedRegimeError.
+    the box radius.  Backend "auto" runs on the (r, z) grid wherever
+    radial.axisym_refusal admits (m, n, complement), which covers every
+    dimension the classifier needs, and on the Cartesian grid elsewhere;
+    "axisym" and "cartesian" force one of them, and a forced "axisym" that
+    cannot run raises UnsupportedRegimeError.  For n = 2m the inhomogeneous
+    surrogate is used on one global Cartesian grid whose box stays at unit
+    scale, since the borderline capacity is not dilation invariant.
+    metadata["backend"] names the grid that ran.  A node set met at an
+    earlier scale is not solved again: the homogeneous energies at spacing h
+    are h^(n-2m) times one lattice form, so its stored capacity is scaled by
+    (h/h0)^(n-2m), a power of two for dyadic scales and 1 on the global
+    grid.  For the same reason the (r, z) energy matrix is assembled once per
+    series and scaled by (h/h0)^(n-2m) for every solve, which on dyadic
+    scales is bitwise the matrix a fresh assembly would give.  On that
+    backend metadata["solver"] holds, per scale, the (r, z) solver reports
+    {"iterations", "residual", "floor", "levels"} of the slab and the ball,
+    each that of the solve that gave its value.  rho_list overrides the
+    dyadic 2^-j scales.  A Cartesian grid of more than 3,000,000 nodes, per
+    scale or global, is refused with UnsupportedRegimeError.
     """
     if backend not in ("auto", "axisym", "cartesian"):
         raise InputError(f"unknown backend {backend!r}; have auto, axisym, cartesian")
@@ -178,33 +166,26 @@ def annulus_series(complement, m, n, j_range=(0, 8), backend="auto",
     if any(b >= a for a, b in zip(rho_values, rho_values[1:])):
         raise InputError("scales must be strictly decreasing")
     kind = "inhomogeneous" if n == 2 * m else "homogeneous"
-    meta = {"backend": backend, "nodes_per_rho": nodes_per_rho, "box_factor": BOX_FACTOR,
-            "node_counts": []}
-    use_axisym = False
+    # why the series cannot run on the (r, z) grid, or None when it can
+    refusal = ("the n = 2m series runs on one global Cartesian grid" if n == 2 * m
+               else axisym_refusal(m, n, complement))
+    if backend == "axisym" and refusal is not None:
+        raise UnsupportedRegimeError(f"the axisymmetric backend cannot run this series: {refusal}")
+    use_axisym = refusal is None and backend != "cartesian"
+    meta = {"backend": "axisym" if use_axisym else "cartesian",
+            "nodes_per_rho": nodes_per_rho, "box_factor": BOX_FACTOR, "node_counts": []}
     if n == 2 * m:
         # one global grid, box at the unit scale, resolve the finest scale
         h = min(rho_values) / max(4, nodes_per_rho // 2)
         extent = int(round(2.0 * max(rho_values) / h))
     else:
-        use_axisym = backend == "axisym" or (
-            backend == "auto" and n >= 3 and m <= 2 and is_axisymmetric(complement, n)
-        )
-        if backend == "axisym" and not is_axisymmetric(complement, n):
-            raise InputError("the axisymmetric backend needs a body of revolution about the "
-                             "last axis")
-        if use_axisym and m > 2:
-            raise UnsupportedRegimeError("axisymmetric backend supports m <= 2")
         extent = int(round(BOX_FACTOR * nodes_per_rho))
-        meta["backend"] = "axisym" if use_axisym else "cartesian"
         meta["resolved"] = []
         if use_axisym:
             meta["solver"] = []
     if not use_axisym and (2 * extent + 1) ** n > 3_000_000:
-        hint = ""
-        if n == 2 * m:
-            hint = " or the scale range"
-        elif m <= 2 and is_axisymmetric(complement, n):
-            hint = " or use the axisymmetric backend"
+        hint = (" or the scale range" if n == 2 * m else
+                " or use the axisymmetric backend" if refusal is None else "")
         raise UnsupportedRegimeError(
             f"Cartesian grid would have {(2*extent+1)**n} nodes (limit 3,000,000); "
             f"reduce nodes_per_rho{hint}")

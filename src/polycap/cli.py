@@ -193,7 +193,6 @@ def _run_positivity(cfg):
 def _run_wiener(cfg):
     series = annulus_series(cfg["domain"], cfg["m"], cfg["n"],
                             j_range=(cfg.get("j_min", 0), cfg.get("j_max", 8)),
-                            backend=cfg.get("backend", "auto"),
                             nodes_per_rho=cfg.get("nodes_per_rho", 12))
     verdict = wiener_classify(series)
     series_to_csv(series, os.path.join(cfg["out"], "series.csv"))
@@ -287,8 +286,7 @@ SUBCOMMANDS = {
     "positivity": _subcommand(_run_positivity, **_MN, channels=_INT, window=_SCALE, dt=_SCALE,
                               require_verdict=_SWITCH),
     "wiener": _subcommand(_run_wiener, **_MN, domain=Setting(_parse_domain, required=True),
-                          j_min=_INT, j_max=_INT, backend=_STR, nodes_per_rho=_INT,
-                          require_verdict=_SWITCH),
+                          j_min=_INT, j_max=_INT, nodes_per_rho=_INT, require_verdict=_SWITCH),
     "cusp": _subcommand(_run_cusp, **_MN, kind=_STR, p=Setting(float, read_if=_POWER),
                         a=Setting(float, read_if=_EXPONENTIAL)),
     "dirichlet": _subcommand(_run_dirichlet, **_OPERATOR, h=_SCALE, extent=_INT,

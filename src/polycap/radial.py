@@ -8,8 +8,8 @@ Two reductions of the polyharmonic energy are provided:
   (even m) or |grad (-Delta)^((m-1)/2) u|^2 (odd m) for compactly supported u;
 
 * a two-dimensional (r, z) solver for bodies of revolution about the last
-  axis, for m = 1 and m = 2, using the cylindrical form of the gradient and
-  Hessian tensor norms.
+  axis, for m = 1 and m = 2 in n >= 3 (the one reach rule `axisym_refusal`),
+  using the cylindrical form of the gradient and Hessian tensor norms.
 
 Both use a staggered radial grid r_i = (i + 1/2) h with even reflection at
 the axis, so the singular weight never hits a node.  Every difference
@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError, UnsupportedRegimeError
+from .grids import Ball, Cone, Cusp, Intersection, Ray, Shell, Union
 from .solvers import _pcg
 
 # (r, z) free blocks of up to this many unknowns are factorised directly, and
@@ -268,6 +269,34 @@ def radial_ball_potential(m, n, ball_radius, h, box):
 # -- 2-D axisymmetric ---------------------------------------------------------
 
 
+def is_axisymmetric(region, n):
+    """True when the region is a declared body of revolution about the last axis."""
+    if isinstance(region, Ball):
+        c = region.center
+        return not c or all(v == 0.0 for v in c[:-1])
+    if isinstance(region, (Shell, Cone, Cusp)):
+        return True
+    if isinstance(region, Ray):
+        return region.axis == n - 1
+    if isinstance(region, (Union, Intersection)):
+        return all(is_axisymmetric(p, n) for p in region.parts)
+    return False
+
+
+def axisym_refusal(m, n, region=None):
+    """Why the (r, z) grid cannot hold the order-m problem in R^n on
+    `region`, or None when it can.  This is the one reach rule of the (r, z)
+    grid: the energy of m = 1 and m = 2, in n >= 3, on bodies of revolution
+    about the last axis; a region of None is not tested."""
+    if m not in (1, 2):
+        return f"the (r, z) grid holds m = 1 and m = 2, not m = {m}"
+    if n < 3:
+        return f"the (r, z) reduction needs n >= 3, not n = {n}"
+    if region is not None and not is_axisymmetric(region, n):
+        return "the (r, z) grid needs a body of revolution about the last axis"
+    return None
+
+
 @dataclass(frozen=True)
 class AxisymGrid:
     """Half-plane grid: r staggered at (i+1/2)h, z node-centered on [-Z, Z]."""
@@ -322,8 +351,9 @@ def axisym_energy_matrix(ag, m):
     """
     from scipy.sparse import diags, identity, kron
 
-    if m not in (1, 2):
-        raise UnsupportedRegimeError("axisymmetric solver supports m = 1 and m = 2")
+    reason = axisym_refusal(m, ag.n)
+    if reason is not None:
+        raise UnsupportedRegimeError(reason)
     Nr, Nz = ag.shape
     n, h = ag.n, ag.h
     meas = sphere_surface(n - 1) * h * h
@@ -474,11 +504,13 @@ def axisym_capacity(region, m, n, h, r_box, *, energy=None, info=None):
     axisym_energy_matrix when the caller already has it (annulus_series
     scales one assembly to every scale); None assembles it here.  A dict
     passed as `info` receives the solver's report (see _solve_free); an
-    empty target is no solve, 0 iterations and 0 levels."""
-    if n < 3:
-        raise UnsupportedRegimeError("axisymmetric reduction needs n >= 3")
-    ag = AxisymGrid(n, h, int(round(r_box / h)), int(round(r_box / h)))
+    empty target is no solve, 0 iterations and 0 levels.  A problem that
+    axisym_refusal turns away raises UnsupportedRegimeError."""
     is_mask = isinstance(region, np.ndarray)
+    reason = axisym_refusal(m, n, None if is_mask else region)
+    if reason is not None:
+        raise UnsupportedRegimeError(reason)
+    ag = AxisymGrid(n, h, int(round(r_box / h)), int(round(r_box / h)))
     fixed = np.asarray(region, dtype=bool) if is_mask else ag.mask_from_region(region)
     if fixed.shape != ag.shape:
         raise InputError("node mask does not match the (r, z) grid")

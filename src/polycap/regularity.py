@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import radial
-from .capacity import annulus_series, is_axisymmetric
+from .capacity import annulus_series
 from .energy import EnergyForm, weighted_gradient_parts
 from .errors import InconclusiveError, InputError, UnsupportedRegimeError
 from .grids import Ball, Grid, Mask, axis_sum, dilate
@@ -360,10 +360,11 @@ def regularity_probe(op, complement, n, h_values=(1 / 8, 1 / 16, 1 / 32),
 
     The probe solves on the (r, z) grid of `radial.axisym_dirichlet` alone,
     whose fine spacings separate the two signatures: it raises
-    UnsupportedRegimeError unless the operator is (-Delta)^m with m <= 2,
-    n >= 3 and the complement is a body of revolution about the last axis,
-    and `backend` takes only "axisym".  The domain is the open ball of radius
-    0.98 BOX_RADIUS minus the complement; the source is a fixed smooth bump
+    UnsupportedRegimeError unless the operator is (-Delta)^m and
+    `radial.axisym_refusal` admits (m, n, complement): m <= 2, n >= 3 and a
+    body of revolution about the last axis.  `backend` takes only "axisym".
+    The domain is the open ball of radius 0.98 BOX_RADIUS minus the
+    complement; the source is a fixed smooth bump
     in the plane z = 0, centred PROBE_SOURCE_OFFSET * BOX_RADIUS off the axis
     with radius PROBE_SOURCE_RADIUS * BOX_RADIUS.  Scales closer than
     TRUST_SPACINGS grid spacings to the resolution are excluded, and no
@@ -383,8 +384,8 @@ def regularity_probe(op, complement, n, h_values=(1 / 8, 1 / 16, 1 / 32),
     if backend != "axisym":
         raise InputError(f"unknown backend {backend!r}; the probe solves on the (r, z) "
                          "grid alone (backend 'axisym')")
-    if (n < 3 or op.m > 2 or op.coefficients != polyharmonic(n, op.m).coefficients
-            or not is_axisymmetric(complement, n)):
+    if (radial.axisym_refusal(op.m, n, complement) is not None
+            or op.coefficients != polyharmonic(n, op.m).coefficients):
         raise UnsupportedRegimeError("the probe needs (-Delta)^m with m <= 2, n >= 3 and a "
                                      "complement that is a body of revolution about the last "
                                      "axis")

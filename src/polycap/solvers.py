@@ -1,4 +1,4 @@
-"""Constrained quadratic minimization and the banded generalized eigensolver.
+"""Constrained quadratic minimization and the generalized eigensolver.
 
 Capacity and potential problems reduce to: minimize u.A u over grid functions
 with one prescribed scalar value on a node set.  The free-node system is
@@ -58,17 +58,14 @@ route there; longer axes (769 to 1537 nodes on the n = 2m series grids) take
 scipy.fft's DST-I, or folded its DCT-III and DCT-II, which win there.  Both
 routes apply the same linear map up to rounding.
 
-The positivity channels need the smallest eigenvalue of a pencil A x =
-lambda B x of banded symmetric matrices with B positive definite.  By
-Sylvester's law of inertia A - sigma B is positive definite exactly when
-sigma lies below the whole spectrum, so one banded Cholesky factorisation
-decides which side of sigma the smallest eigenvalue lies on; bisection on
-that test brackets it, and inverse iteration with the last successful
-factor yields the eigenvector.
+The positivity tests take the smallest eigenpair of a channel pencil A x =
+lambda B x as their reference: LAPACK's symmetric-definite driver dsygvx
+(Anderson et al., LAPACK Users' Guide, 3rd ed., SIAM 1999), through
+scipy.linalg.eigh, on the densified pencil.
 
-scipy (scipy.fft on the long axes, scipy.linalg and scipy.sparse in the
-eigensolver) is imported by the functions that use it, so a Cartesian solve
-on axes of up to _DENSE_MAX_AXIS nodes loads no scipy module.
+scipy (scipy.fft on the long axes, scipy.linalg in the eigensolver) is
+imported by the functions that use it, so a Cartesian solve on axes of up
+to _DENSE_MAX_AXIS nodes loads no scipy module.
 """
 
 import numpy as np
@@ -76,7 +73,6 @@ import numpy as np
 from .errors import ConvergenceError, InputError
 from .grids import axis_sum
 
-_MAX_DOUBLINGS = 200
 # solve_constrained stops when the residual reaches _CG_RTOL times its
 # initial norm, and raises ConvergenceError after _CG_MAXITER CG iterations
 _CG_RTOL = 1e-8
@@ -189,10 +185,16 @@ def _mirror_axes(form, arrays):
                  and all(x is None or np.array_equal(x, np.flip(x, a)) for x in arrays))
 
 
-def _reflect(v, axes, width):
-    """v continued evenly by `width` layers before index 0 of each of `axes`."""
-    return np.pad(v, [(width, 0) if a in axes else (0, 0) for a in range(v.ndim)],
-                  mode="reflect")
+def _even_extend(v, axes, width):
+    """v with its first `width` layers along each of `axes` set, in place, to
+    their mirror images v[width - k] = v[width + k], axis after axis as
+    np.pad(mode="reflect") pads, so the corners are mirrored too.  One layer
+    at a time, so numpy's copy of an overlapping source is one layer."""
+    for a in axes:
+        w = np.moveaxis(v, a, 0)
+        for k in range(1, width + 1):
+            w[width - k] = w[width + k]
+    return v
 
 
 def solve_constrained(form, fixed_where, fixed_value, rhs=None):
@@ -219,7 +221,9 @@ def solve_constrained(form, fixed_where, fixed_value, rhs=None):
     half = tuple(slice(grid.extent if a in axes else 0, None) for a in range(grid.n))
     uh, info = _solve_half(form, fixed_where[half], float(fixed_value),
                            0.0 if source is None else source[half], axes)
-    return _reflect(uh, axes, grid.extent), info
+    u = np.empty(grid.shape)
+    u[half] = uh
+    return _even_extend(u, axes, grid.extent), info
 
 
 def _solve_half(form, fixed, value, b, axes):
@@ -241,18 +245,12 @@ def _solve_half(form, fixed, value, b, axes):
     ghost = np.zeros([e + 1 + m if a in axes else form.grid.shape[a] for a in range(n)])
     ghost_inner = ghost[inner]
     work = form.workspace(ghost.shape)
-    mirrors = [(tuple(slice(0, m) if k == a else slice(None) for k in range(n)),
-                tuple(slice(2 * m, m, -1) if k == a else slice(None) for k in range(n)))
-               for a in axes]
 
     def apply_half(v, divisor=1.0):
         """A (v / divisor) on the half grid, a view into `work`; dividing by
         1.0 is exact."""
         np.divide(v, divisor, out=ghost_inner)
-        # one axis after the other, as np.pad(mode="reflect") fills the corners
-        for layers, mirror in mirrors:
-            ghost[layers] = ghost[mirror]
-        return form.apply(ghost, work)[inner]
+        return form.apply(_even_extend(ghost, axes, m), work)[inner]
 
     def masked_residual(au, out):
         """(b - au) sqrt(mult), zero on the fixed nodes, into out."""
@@ -293,74 +291,15 @@ def _solve_half(form, fixed, value, b, axes):
                "mirror_axes": axes}
 
 
-def _upper_band(M, u):
-    """LAPACK upper-band storage: ab[u + i - j, j] = M[i, j] for i <= j."""
-    keep = M.row <= M.col
-    ab = np.zeros((u + 1, M.shape[1]))
-    np.add.at(ab, (u + M.row[keep] - M.col[keep], M.col[keep]), M.data[keep])
-    return ab
-
-
-def _cholesky_or_none(ab):
-    from scipy.linalg import LinAlgError, cholesky_banded
+def smallest_generalized_eig(A, B):
+    """Smallest eigenpair (lambda, x) of A x = lambda B x for sparse symmetric
+    A and symmetric positive definite B, from one LAPACK call on the
+    densified pencil; raises InputError when B is not positive definite."""
+    from scipy.linalg import LinAlgError, eigh
 
     try:
-        return cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+        w, x = eigh(A.toarray(), B.toarray(), subset_by_index=[0, 0])
     except LinAlgError:
-        return None
-
-
-def smallest_generalized_eig(A, B):
-    """Smallest eigenpair of A x = lambda B x for banded symmetric A and
-    symmetric positive definite B; returns (lambda, x).
-
-    Only the upper triangles are read, into LAPACK band storage whose
-    half-bandwidth u is the largest offset of either matrix.  A banded
-    Cholesky factorisation of A - sigma B (O(N u^2)) succeeds exactly when
-    lambda_min > sigma (Sylvester's law of inertia).  The Rayleigh quotient
-    of a fixed start vector bounds lambda_min from above, doubling steps
-    below it find a lower bound, bisection on the Cholesky test closes the
-    bracket to 1e-14 of the spectral scale, and three steps of inverse
-    iteration with the factor at the lower end give the vector.  Raises
-    InputError when B is not positive definite.
-    """
-    from scipy.linalg import cho_solve_banded
-    from scipy.sparse import coo_array
-
-    A, B = coo_array(A), coo_array(B)
-    u = max(int(np.max(M.col - M.row, initial=0)) for M in (A, B))
-    a, b = _upper_band(A, u), _upper_band(B, u)
-    if _cholesky_or_none(b.copy()) is None:
-        raise InputError("the right-hand form of the eigenproblem is not positive definite")
-
-    def rayleigh(x):
-        return float(x @ (A @ x)) / float(x @ (B @ x))
-
-    size = a.shape[1]
-    hi = rayleigh(np.sin(np.pi * np.arange(1, size + 1) / (size + 1)))
-    # the largest Rayleigh quotient of a coordinate vector sets the spectral scale
-    scale = float(np.abs(a[u] / b[u]).max())
-    step = max(abs(hi), scale) or 1.0
-    for _ in range(_MAX_DOUBLINGS):
-        lo = hi - step
-        factor = _cholesky_or_none(a - lo * b)
-        if factor is not None:
-            break
-        step *= 2.0
-    else:
-        raise InputError("no lower bound for the smallest eigenvalue was found")
-    while hi - lo > 1e-14 * max(abs(lo), abs(hi), scale):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        trial = _cholesky_or_none(a - mid * b)
-        if trial is None:
-            hi = mid
-        else:
-            lo, factor = mid, trial
-    # a start vector that is neither even nor odd reaches both kinds of mode
-    x = np.linspace(1.0, 2.0, size)
-    for _ in range(3):
-        x = cho_solve_banded((factor, False), B @ x, check_finite=False)
-        x /= np.linalg.norm(x)
-    return rayleigh(x), x
+        raise InputError("the right-hand form of the eigenproblem is not positive "
+                         "definite") from None
+    return float(w[0]), x[:, 0]

@@ -8,9 +8,8 @@ from polycap import (Ball, Box, Cone, ConvergenceError, Cusp, EllipticOperator, 
                      Union, UnsupportedRegimeError, annulus_series, bessel_capacity, bump,
                      cap_m, laplacian, solve_constrained)
 from polycap import solvers
-from polycap.capacity import is_axisymmetric
 from polycap.radial import (AxisymGrid, axisym_capacity, axisym_energy_matrix,
-                            ball_potential_exact, radial_ball_potential)
+                            ball_potential_exact, is_axisymmetric, radial_ball_potential)
 
 
 def test_empty_target_is_zero():
@@ -282,6 +281,23 @@ def test_annulus_series_union_with_an_off_axis_ball_takes_the_cartesian_backend(
 def test_annulus_series_rejects_unknown_backend():
     with pytest.raises(InputError):
         annulus_series(Cone(np.pi / 3), 1, 3, backend="bogus")
+
+
+def test_n_2m_series_records_the_cartesian_grid_it_runs_on():
+    # the README's wiener --m 1 --n 2 example: one global Cartesian grid
+    s = annulus_series(Ray(axis=1), 1, 2, j_range=(0, 5))
+    assert s.metadata["backend"] == "cartesian"
+
+
+@pytest.mark.parametrize("region, m, n, reason", [
+    (Ray(axis=1), 1, 2, "n = 2m series runs on one global Cartesian grid"),
+    (Ray(axis=0), 1, 3, "body of revolution about the last axis"),
+    (Union((Cone(np.pi / 4), Ball(0.05, (0.3, 0.0, 0.0)))), 1, 3, "body of revolution"),
+    (Cone(np.pi / 4), 3, 7, "m = 1 and m = 2, not m = 3"),
+], ids=["n_2m", "ray_about_x", "off_axis_ball", "m_3"])
+def test_forced_axisym_series_the_rz_grid_cannot_hold_is_unsupported(region, m, n, reason):
+    with pytest.raises(UnsupportedRegimeError, match=reason):
+        annulus_series(region, m, n, j_range=(0, 2), backend="axisym")
 
 
 @pytest.mark.parametrize("region, m, n, npr, backend, solves", [

@@ -198,8 +198,8 @@ def test_solver_reports_reach_the_series_probe_and_wiener_summary(tmp_path):
     assert all(s["residual"] < 1e-9 for s in solver)
 
     out = tmp_path / "wiener"
-    assert cli.main(["wiener", "--m", "1", "--n", "3", "--domain", "cone:60", "--backend",
-                     "axisym", "--nodes-per-rho", "24", "--j-max", "1", "--out", str(out)]) == 0
+    assert cli.main(["wiener", "--m", "1", "--n", "3", "--domain", "cone:60", "--nodes-per-rho",
+                     "24", "--j-max", "1", "--out", str(out)]) == 0
     with open(out / "summary.json") as fh:
         reports = json.load(fh)["truncation"]["metadata"]["solver"]
     assert len(reports) == 2
@@ -214,8 +214,8 @@ def test_axisym_non_convergence_is_typed(monkeypatch, tmp_path):
         axisym_dirichlet(1, 3, outside, source, ag)
     # a series whose scale grids exceed the coarse limit exits 4 and writes no results
     out = tmp_path / "wiener"
-    code = cli.main(["wiener", "--m", "1", "--n", "3", "--domain", "cone:60", "--backend",
-                     "axisym", "--nodes-per-rho", "24", "--j-max", "1", "--out", str(out)])
+    code = cli.main(["wiener", "--m", "1", "--n", "3", "--domain", "cone:60", "--nodes-per-rho",
+                     "24", "--j-max", "1", "--out", str(out)])
     assert code == 4
     assert not (out / "summary.json").exists() and not (out / "series.csv").exists()
 
@@ -236,7 +236,7 @@ def test_axisym_solve_stopping_above_its_floor_is_typed(monkeypatch, tmp_path):
     with pytest.raises(ConvergenceError, match="above both the tolerance"):
         axisym_dirichlet(1, 3, outside, source, ag)
     out = tmp_path / "wiener"
-    code = cli.main(["wiener", "--m", "1", "--n", "3", "--domain", "cone:60", "--backend",
-                     "axisym", "--nodes-per-rho", "24", "--j-max", "1", "--out", str(out)])
+    code = cli.main(["wiener", "--m", "1", "--n", "3", "--domain", "cone:60", "--nodes-per-rho",
+                     "24", "--j-max", "1", "--out", str(out)])
     assert code == 4
     assert not (out / "summary.json").exists()

@@ -59,7 +59,7 @@ scipy.fft's DST-I, or folded its DCT-III and DCT-II, which win there.  Both
 routes apply the same linear map up to rounding.
 
 The positivity tests take the smallest eigenpair of a channel pencil A x =
-lambda B x as their reference: LAPACK's symmetric-definite driver dsygvx
+lambda B x as their reference: LAPACK's symmetric-definite routine dsygvx
 (Anderson et al., LAPACK Users' Guide, 3rd ed., SIAM 1999), through
 scipy.linalg.eigh, on the densified pencil.
 

@@ -54,16 +54,6 @@ def _check_fits(grid, m):
         )
 
 
-def staggered_radii(grid, alpha):
-    """Node radii shifted by h/2 along axes where alpha is odd.
-
-    Odd-order differences live at half-offset points; evaluating radial
-    weights there keeps weighted sums second-order accurate.
-    """
-    ax = grid.axis_coords()
-    return np.sqrt(axis_sum([(ax + (0.5 * grid.h if a % 2 else 0.0)) ** 2 for a in alpha]))
-
-
 def _fold(op, scale):
     """Offset table of scale * sum c[a,b] (d^a)^T d^b over the symmetric table.
 
@@ -189,13 +179,21 @@ class EnergyForm:
 def weighted_gradient_parts(grid, m):
     """Parts (alpha, k!/alpha! h^(n-2k), w) of the weighted gradient sum
     sum_{1<=|alpha|=k<=m} c ||d^alpha u||^2 w on `grid`, one per multi-index,
-    where w is |x|^(2k-n) at the staggered points of alpha and 0 at x = 0."""
+    where w is |x|^(2k-n) at the staggered points of alpha and 0 at x = 0.
+    Each w is formed in place in one whole-grid array."""
     n, h = grid.n, grid.h
+    ax = grid.axis_coords()
     for k in range(1, m + 1):
         for alpha in multi_indices(n, k):
-            w = staggered_radii(grid, alpha)
+            # odd-order differences live half a step along their axes; taking
+            # the weight there keeps the weighted sums second-order accurate
+            squares = [(ax + (0.5 * h if a % 2 else 0.0)) ** 2 for a in alpha]
+            w = axis_sum(squares)
+            np.sqrt(w, out=w)
             with np.errstate(divide="ignore"):
-                w = np.where(w > 0, w ** (2 * k - n), 0.0)
+                w **= 2 * k - n
+            # |x| is 0 only where every coordinate is
+            w[np.ix_(*[sq == 0.0 for sq in squares])] = 0.0
             yield alpha, multinomial(alpha) * h ** (n - 2 * k), w
 
 

@@ -30,10 +30,16 @@ Other symbols (m >= 2 without a rotation axis) are refused.  For
 (-Delta)^m the exact positive constant Gamma(n/2-m)/(4^m pi^(n/2) (m-1)!)
 is the calibration oracle.
 
+The Gauss-Legendre and Gauss-Jacobi rules of the plane-wave route depend
+only on their node counts (and n for Jacobi), so each is built once per
+process by _gauss_legendre and _gauss_jacobi and returned as read-only
+arrays that callers only read.
+
 scipy.special (gamma, roots_jacobi) is imported by the functions that use it,
 so importing polycap loads no scipy module.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -161,6 +167,26 @@ def _contour_radius(P):
     return min(_PW_RADIUS, 0.5 * gap.min(initial=np.inf))
 
 
+@functools.cache
+def _gauss_legendre(count):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per count and
+    read-only."""
+    x, w = np.polynomial.legendre.leggauss(count)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+@functools.cache
+def _gauss_jacobi(count, a):
+    """Gauss-Jacobi nodes and weights for the weight (1 - x^2)^a on [-1, 1],
+    built once per (count, a) and read-only."""
+    from scipy.special import roots_jacobi
+
+    x, w = roots_jacobi(count, a, a)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _t_rule(s, r, count, tail_count):
     """Nodes and weights that apply the t-functional of the plane-wave formula
     to G, which must be analytic in the disk |t| <= r; the nodes on its
@@ -175,11 +201,11 @@ def _t_rule(s, r, count, tail_count):
     # residue at 0 and the finite part over [-r, r] is the integral along the
     # upper half circle; the tails r <= |t| <= 1 are taken in t = cos(phi),
     # which makes R = sin(phi) smooth up to t = 1
-    x, w = np.polynomial.legendre.leggauss(count)
+    x, w = _gauss_legendre(count)
     arc = r * np.exp(0.5j * math.pi * (1.0 - x))
     arc_w = -0.5j * math.pi * w * arc ** (1 - s)
     end = math.acos(r)
-    x, w = np.polynomial.legendre.leggauss(tail_count)
+    x, w = _gauss_legendre(tail_count)
     phi = 0.5 * end * (x + 1.0)
     tail_w = end * w * np.sin(phi) * np.cos(phi) ** -s
     return (np.concatenate([arc, np.cos(phi)]),
@@ -191,13 +217,13 @@ def _planewave_alpha_profile(op, axis, alphas, refine=1, shrink=1):
     `refine` and the circle of the t-rule shrunk by `shrink`; also returns the
     absolute sum (2 pi)^-n sum |w G| of each value, the scale its rounding
     error is relative to."""
-    from scipy.special import gamma as _gamma, roots_jacobi
+    from scipy.special import gamma as _gamma
 
     n, m = op.n, op.m
     count, tail_count, slice_count = (refine * c for c in _PW_NODES)
     P = _axial_symbol(op, axis)
     t, tw = _t_rule(n - 2 * m, _contour_radius(P) / shrink, count, tail_count)
-    x, xw = roots_jacobi(slice_count, n / 2.0 - 2.0, n / 2.0 - 2.0)
+    x, xw = _gauss_jacobi(slice_count, n / 2.0 - 2.0)
     R = np.sqrt(1.0 - t * t)
     # G(t) = |S^(n-3)| int_{-R}^{R} (R^2 - v^2)^((n-4)/2) / P(a) dv, with
     # a = t cos(alpha) + v sin(alpha); at v = R x the weight is R^(n-3) times

@@ -361,8 +361,8 @@ def regularity_probe(op, complement, n, h_values=(1 / 8, 1 / 16, 1 / 32),
     The probe solves on the (r, z) grid of `radial.axisym_dirichlet` alone,
     whose fine spacings separate the two signatures: it raises
     UnsupportedRegimeError unless the operator is (-Delta)^m and
-    `radial.axisym_refusal` admits (m, n, complement): m <= 2, n >= 3 and a
-    body of revolution about the last axis.  `backend` takes only "axisym".
+    `radial.axisym_refusal` admits (m, n, complement), with the rule's own
+    reason when it does not.  `backend` takes only "axisym".
     The domain is the open ball of radius 0.98 BOX_RADIUS minus the
     complement; the source is a fixed smooth bump
     in the plane z = 0, centred PROBE_SOURCE_OFFSET * BOX_RADIUS off the axis
@@ -384,11 +384,12 @@ def regularity_probe(op, complement, n, h_values=(1 / 8, 1 / 16, 1 / 32),
     if backend != "axisym":
         raise InputError(f"unknown backend {backend!r}; the probe solves on the (r, z) "
                          "grid alone (backend 'axisym')")
-    if (radial.axisym_refusal(op.m, n, complement) is not None
-            or op.coefficients != polyharmonic(n, op.m).coefficients):
-        raise UnsupportedRegimeError("the probe needs (-Delta)^m with m <= 2, n >= 3 and a "
-                                     "complement that is a body of revolution about the last "
-                                     "axis")
+    refusal = radial.axisym_refusal(op.m, n, complement)
+    if refusal is not None:
+        raise UnsupportedRegimeError(f"the probe solves on the (r, z) grid: {refusal}")
+    if op.coefficients != polyharmonic(n, op.m).coefficients:
+        raise UnsupportedRegimeError("the probe's (r, z) energy is that of (-Delta)^m; it "
+                                     "cannot probe another operator")
     problems = [_probe_problem(complement, n, op.m, h) for h in h_values]
     shortfall = _ladder_shortfall(h_values, rho_levels)
     if shortfall is not None:

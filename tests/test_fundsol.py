@@ -244,6 +244,28 @@ def test_mn8_profile_attains_both_signs():
     assert equator[0] > 0.0
 
 
+def _profile_bits(prof):
+    data = {k: np.asarray(v).tobytes() for k, v in prof.model_data.items()}
+    return prof.values.tobytes(), np.float64(prof.error_estimate).tobytes(), data
+
+
+@pytest.mark.slow
+def test_cached_quadrature_rules_are_bitwise_unchanged(monkeypatch):
+    # the rules' __wrapped__ builds every rule afresh on each call
+    ops = [laplacian(3), laplacian(4), polyharmonic(5, 2), mn8_operator()]
+    cached = [_profile_bits(compute_profile(op)) for op in ops]
+    monkeypatch.setattr(fundsol, "_gauss_legendre", fundsol._gauss_legendre.__wrapped__)
+    monkeypatch.setattr(fundsol, "_gauss_jacobi", fundsol._gauss_jacobi.__wrapped__)
+    assert [_profile_bits(compute_profile(op)) for op in ops] == cached
+
+
+def test_cached_quadrature_rules_are_read_only():
+    for x, w in (fundsol._gauss_legendre(32), fundsol._gauss_jacobi(160, 0.5)):
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.0
+
+
 def test_regime_and_ellipticity_guards():
     with pytest.raises(UnsupportedRegimeError):
         compute_profile(polyharmonic(4, 2))

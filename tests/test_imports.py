@@ -45,6 +45,23 @@ def test_cartesian_dirichlet_run_loads_no_scipy(cli_env, tmp_path):
     assert (tmp_path / "dir" / "summary.json").exists()
 
 
+def test_profile_rules_are_built_once_per_process(cli_env, tmp_path):
+    # the mn8 profile (n = 8, even s = 4) takes two Gauss-Legendre rules and one
+    # Gauss-Jacobi rule for its base rule and the same at doubled counts for
+    # its error estimate; a second profile builds none
+    code = ("import json, polycap\nfrom polycap import fundsol\n"
+            "rules = (fundsol._gauss_legendre, fundsol._gauss_jacobi)\n"
+            "info = lambda: [rule.cache_info()[:2] for rule in rules]\n"
+            "seen = [info()]\n"
+            "for _ in range(2):\n"
+            "    polycap.compute_profile(polycap.mn8_operator())\n"
+            "    seen.append(info())\n"
+            "print(json.dumps(seen))")
+    # (hits, misses) of each rule: after import, after one profile, after two
+    assert json.loads(_fresh(code, cli_env, tmp_path)) == [
+        [[0, 0], [0, 0]], [[0, 4], [0, 2]], [[4, 4], [2, 2]]]
+
+
 def _results():
     cap, _, u = pc.axisym_capacity(pc.Ball(0.5), 1, 3, 0.1, 2.0)
     profile = pc.compute_profile(pc.laplacian(3))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -270,21 +271,25 @@ def test_probe_unreachable_ladder_skips_solves(monkeypatch):
     assert rep.notes[0].endswith(f"h <= {1 / 96:.6g}")
 
 
-# the criterion-9 ladder: each of these problems is refused before any solve
-@pytest.mark.parametrize("op, complement, n", [
+# the criterion-9 ladder: each of these problems is refused before any solve,
+# with the reason of radial.axisym_refusal or, for another operator, its own
+@pytest.mark.parametrize("op, complement, n, phrase", [
     # about the first axis, not the last: rasterised on the (r, z) grid it would
     # be a different set, and the probe would call its vertex "non-vanishing"
-    (laplacian(3), Ray(axis=0), 3),
-    (laplacian(3), Ball(0.2, (0.3, 0.0, 0.0)), 3),
+    (laplacian(3), Ray(axis=0), 3, "body of revolution"),
+    (laplacian(3), Ball(0.2, (0.3, 0.0, 0.0)), 3, "body of revolution"),
     # a body of revolution about the last axis, in a dimension without an (r, z) reduction
-    (laplacian(2), Ray(axis=1), 2),
+    (laplacian(2), Ray(axis=1), 2, "needs n >= 3, not n = 2"),
     # the (r, z) energy is that of (-Delta)^m, so another operator would be probed
     # as the Laplacian
     (EllipticOperator(3, 1, {((1, 0, 0), (1, 0, 0)): 1.0, ((0, 1, 0), (0, 1, 0)): 2.0,
-                             ((0, 0, 1), (0, 0, 1)): 0.5}), Cone(np.pi / 3), 3),
-], ids=["ray_about_x", "off_axis_ball", "n_2", "anisotropic"])
-def test_probe_refuses_problems_the_rz_grid_cannot_hold(op, complement, n):
-    with pytest.raises(UnsupportedRegimeError, match="body of revolution"):
+                             ((0, 0, 1), (0, 0, 1)): 0.5}), Cone(np.pi / 3), 3,
+     "cannot probe another operator"),
+    # the (r, z) energy exists for m = 1 and m = 2 only
+    (polyharmonic(7, 3), Cone(np.pi / 3), 7, "holds m = 1 and m = 2, not m = 3"),
+], ids=["ray_about_x", "off_axis_ball", "n_2", "anisotropic", "m_3"])
+def test_probe_refuses_problems_the_rz_grid_cannot_hold(op, complement, n, phrase):
+    with pytest.raises(UnsupportedRegimeError, match=re.escape(phrase)):
         regularity_probe(op, complement, n, h_values=(1 / 64, 1 / 128, 1 / 256),
                          rho_levels=(1, 2, 3, 4, 5, 6, 7))
 

@@ -1,7 +1,7 @@
 """Record the benchmark of one checkout, or of a change and its parent, in a
 BENCH_<tag>.json file.
 
-    python3 tools/bench_snapshot.py --out BENCH_37.json [--root .] [--parent CHECKOUT]
+    python3 tools/bench_snapshot.py --out BENCH_40.json [--root .] [--parent CHECKOUT]
 
 For each workload of the checkout's BENCHMARK.json, runs its perfbench/run.py
 REPEAT times untraced, at the file's run_seconds, and once traced at
@@ -9,10 +9,13 @@ REPEAT times untraced, at the file's run_seconds, and once traced at
 alternate as REPEAT pairs per workload, the parent first in odd pairs (the
 first, third, ...), and each checkout makes one traced run.  The file holds,
 per workload and checkout, the median, the range and every value of each
-end-to-end metric over the untraced runs, the operations attempted and
-failed, and the traced run's per-layer numbers; with --parent, the parent's
-numbers sit under "parent" and "pairs" counts, per end-to-end metric, the
-pairs each side won by BENCHMARK.json's direction (ties count for neither).
+end-to-end metric over the untraced runs, the median over those runs of
+each operation's time (the `op_s` that run.py writes to
+.perfbench_runs/<workload>-seed0-trace0-result.json), the operations
+attempted and failed, and the traced run's per-layer numbers; with
+--parent, the parent's numbers sit under "parent" and "pairs" counts, per
+end-to-end metric, the pairs each side won by BENCHMARK.json's direction
+(ties count for neither).
 It also holds the commits and the machine: cores, and the Python, numpy,
 scipy and BLAS versions and the *_NUM_THREADS settings that
 polycap.reporting.environment records in every manifest (run.py itself
@@ -37,7 +40,13 @@ def _run(root, workload, seconds, trace):
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, stdout=subprocess.PIPE, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not trace:
+        # run.py keeps each operation's median time of the round in its result file
+        path = os.path.join(root, ".perfbench_runs", f"{workload}-seed0-trace0-result.json")
+        with open(path) as fh:
+            result["op_s"] = json.load(fh)["op_s"]
+    return result
 
 
 def _git(root, *args):
@@ -65,7 +74,8 @@ def _side(runs, traced):
         values = [r["metrics"][metric]["value"] for r in runs]
         untraced[metric] = {"unit": first["unit"], "median": statistics.median(values),
                             "min": min(values), "max": max(values), "values": values}
-    return {"untraced": untraced,
+    op_s = {op: statistics.median(r["op_s"][op] for r in runs) for op in runs[0]["op_s"]}
+    return {"untraced": untraced, "op_s": op_s,
             "correct": all(r["correct"] for r in runs) and traced["correct"],
             "attempted": sum(r["attempted"] for r in runs),
             "failed": sum(r["failed"] for r in runs),

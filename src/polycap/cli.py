@@ -89,9 +89,10 @@ def _flag(value):
 
 
 def _grid(cfg, n, box):
-    """Grid of spacing h (default 0.1) and the given extent, else box / h nodes."""
+    """Grid of spacing h (default 0.1) with round(box / h) nodes each side of
+    the origin, box the --box setting (default `box`)."""
     h = cfg.get("h", 0.1)
-    return Grid(n, h, cfg.get("extent", round(box / h)))
+    return Grid(n, h, round(cfg.get("box", box) / h))
 
 
 def _write_field(path, grid, u):
@@ -139,7 +140,7 @@ def _run_fundsol(cfg):
 def _run_capacity(cfg):
     op = _resolve_operator(cfg)
     m = op.m
-    grid = _grid(cfg, op.n, cfg.get("box", 4.0))
+    grid = _grid(cfg, op.n, 4.0)
     if cfg.get("mask_csv"):
         target = mask_from_csv(grid, cfg["mask_csv"])
     elif "ball" in cfg:
@@ -161,7 +162,7 @@ def _run_capacity(cfg):
 
 def _run_potential(cfg):
     op = _resolve_operator(cfg)
-    grid = _grid(cfg, op.n, cfg.get("box", 4.0))
+    grid = _grid(cfg, op.n, 4.0)
     if cfg.get("mask_csv"):
         target = mask_from_csv(grid, cfg["mask_csv"])
     else:
@@ -276,11 +277,11 @@ SUBCOMMANDS = {
     "symbol-check": _subcommand(_run_symbol_check, **_OPERATOR, samples=_INT),
     "fundsol": _subcommand(_run_fundsol, **_OPERATOR,
                            directions=Setting(_integer, positive=True)),
-    "capacity": _subcommand(_run_capacity, **_OPERATOR, h=_SCALE, extent=_INT, box=_FLOAT,
+    "capacity": _subcommand(_run_capacity, **_OPERATOR, h=_SCALE, box=_FLOAT,
                             ball=Setting(float, read_if=_BALL),
                             domain=Setting(_parse_domain, read_if=_DOMAIN), mask_csv=_STR,
                             kind=_STR, box_levels=Setting(_integer, read_if=_HOMOGENEOUS)),
-    "potential": _subcommand(_run_potential, **_OPERATOR, h=_SCALE, extent=_INT, box=_FLOAT,
+    "potential": _subcommand(_run_potential, **_OPERATOR, h=_SCALE, box=_FLOAT,
                              ball=Setting(float, read_if=_BALL), mask_csv=_STR,
                              checks=Setting(_checks), enclosing=Setting(float, read_if=_LOWER)),
     "positivity": _subcommand(_run_positivity, **_MN, channels=_INT, window=_SCALE, dt=_SCALE,
@@ -289,7 +290,7 @@ SUBCOMMANDS = {
                           j_min=_INT, j_max=_INT, nodes_per_rho=_INT, require_verdict=_SWITCH),
     "cusp": _subcommand(_run_cusp, **_MN, kind=_STR, p=Setting(float, read_if=_POWER),
                         a=Setting(float, read_if=_EXPONENTIAL)),
-    "dirichlet": _subcommand(_run_dirichlet, **_OPERATOR, h=_SCALE, extent=_INT,
+    "dirichlet": _subcommand(_run_dirichlet, **_OPERATOR, h=_SCALE, box=_FLOAT,
                              domain=Setting(_parse_domain)),
     "decay": _subcommand(_run_decay, **_OPERATOR, domain=Setting(_parse_domain, required=True),
                          R=_SCALE, inv_h=Setting(_integer, positive=True),

@@ -13,11 +13,15 @@ Two reductions of the polyharmonic energy are provided:
 
 Both use a staggered radial grid r_i = (i + 1/2) h with even reflection at
 the axis, so the singular weight never hits a node.  Every difference
-operator is built from a few 1-D integer matrices: the face difference F
-(rows at the r-faces (i + 1) h, the outer face seeing the zero exterior), the
-z-face difference with both outer faces, and the second differences along r
-(reflecting at the axis) and z.  The radial Laplacian is the conservative
-F^T diag(face^(n-1)) F over the node weights r^(n-1).  Every weight of the
+operator is built from two 1-D integer matrices, the face differences of
+`_face_differences`: F along r, with rows at the N faces (i + 1) h off the
+axis (the outer one seeing the zero exterior), and Fz along z, with both
+outer faces.  The axis face carries the weight 0^(n-1) = 0, so it has no
+row.  The second differences are -F^T F, whose first row is the even axis
+ghost u_(-1) = u_0, and -Fz^T Fz; each enters an energy squared, so its sign
+is dropped.  The radial Laplacian is the conservative F^T diag(face^(n-1)) F
+over the node weights r^(n-1), and the 1-D energy is core^T diag(w) core
+with core its (m // 2)-th power, times F / h for odd m.  Every weight of the
 (r, z) energy depends on r alone, so each of its terms factors as
 kron(D_r^T diag(w) D_r, D_z^T D_z) (Van Loan, J. Comput. Appl. Math. 123,
 2000): the energy is assembled from 1-D products, two Kronecker products for
@@ -100,64 +104,41 @@ class RadialGrid:
 
     @property
     def faces(self):
-        # face j sits between nodes j-1 and j at radius j*h; face 0 is the axis
-        return self.h * np.arange(self.nodes + 1)
+        # the N faces off the axis: face j sits between nodes j - 1 and j at radius j h
+        return self.h * np.arange(1, self.nodes + 1)
 
 
-def _face_difference(N):
-    """u_(i+1) - u_i at the faces (i + 1) h, i < N, with u_N = 0 outside."""
+def _face_differences(Nr, Nz=None):
+    """F: u_(i+1) - u_i at the r-faces (i + 1) h, i < Nr, with u_Nr = 0
+    outside; with Nz also Fz: u_j - u_(j-1) at the z-faces j = 0..Nz, both
+    outer faces against the zero exterior."""
     from scipy.sparse import diags
 
-    return diags([-1.0, 1.0], [0, 1], shape=(N, N), format="csr")
-
-
-def _second_difference(N, reflect=False):
-    """u_(i+1) - 2 u_i + u_(i-1) with zero exterior; `reflect` sets the even
-    axis ghost u_(-1) = u_0."""
-    from scipy.sparse import diags
-
-    main = np.full(N, -2.0)
-    if reflect:
-        main[0] = -1.0
-    return diags([1.0, main, 1.0], [-1, 0, 1], shape=(N, N), format="csr")
-
-
-def _radial_gradient_matrix(rg):
-    """Forward difference at every face; the axis face carries no energy."""
-    from scipy.sparse import csr_matrix, vstack
-
-    return vstack([csr_matrix((1, rg.nodes)), _face_difference(rg.nodes)]).tocsr() / rg.h
-
-
-def _radial_laplacian_matrix(rg):
-    """Conservative radial Laplacian with even reflection at the axis."""
-    from scipy.sparse import diags
-
-    F = _face_difference(rg.nodes)
-    flux = F.T @ diags(rg.faces[1:] ** (rg.n - 1)) @ F
-    return (diags(-1.0 / (rg.h * rg.h * rg.r ** (rg.n - 1))) @ flux).tocsr()
+    F = diags([-1.0, 1.0], [0, 1], shape=(Nr, Nr), format="csr")
+    if Nz is None:
+        return F
+    return F, diags([1.0, -1.0], [0, -1], shape=(Nz + 1, Nz), format="csr")
 
 
 def radial_energy_matrix(m, rg):
-    """Sparse matrix of the order-m homogeneous energy for radial functions."""
+    """Sparse matrix of the order-m homogeneous energy for radial functions:
+    core^T diag(w) core, with core the (m // 2)-th power of the conservative
+    radial Laplacian, times F / h for odd m, and w = omega h r^(n-1) at the
+    nodes, or at the faces for odd m."""
     from scipy.sparse import diags, identity
 
-    n = rg.n
-    omega = sphere_surface(n)
-    lap = _radial_laplacian_matrix(rg)
-    if m % 2 == 0:
-        core = identity(rg.nodes, format="csr")
-        for _ in range(m // 2):
-            core = lap @ core
-        w = diags(rg.r ** (n - 1)) * (omega * rg.h)
-        return (core.T @ w @ core).tocsr()
-    grad = _radial_gradient_matrix(rg)
+    n, h = rg.n, rg.h
+    F = _face_differences(rg.nodes)
+    flux = F.T @ diags(rg.faces ** (n - 1)) @ F
+    lap = (diags(-1.0 / (h * h * rg.r ** (n - 1))) @ flux).tocsr()
     core = identity(rg.nodes, format="csr")
-    for _ in range((m - 1) // 2):
+    for _ in range(m // 2):
         core = lap @ core
-    gw = diags(rg.faces ** (n - 1)) * (omega * rg.h)
-    op = grad @ core
-    return (op.T @ gw @ op).tocsr()
+    radii = rg.r
+    if m % 2:
+        core, radii = (F / h) @ core, rg.faces
+    w = diags(radii ** (n - 1)) * (sphere_surface(n) * h)
+    return (core.T @ w @ core).tocsr()
 
 
 def ball_potential_exact(m, n, ball_radius=1.0):
@@ -359,23 +340,21 @@ def axisym_energy_matrix(ag, m):
     meas = sphere_surface(n - 1) * h * h
     rface = (np.arange(Nr) + 1.0) * h
     cell = _cell_measure(ag)
-    F, I = _face_difference(Nr), identity(Nr, format="csr")
-    # z-faces j = 0..Nz, including both outer faces against the zero exterior
-    Fz = diags([1.0, -1.0], [0, -1], shape=(Nz + 1, Nz), format="csr")
+    F, Fz = _face_differences(Nr, Nz)
+    I, Dzz = identity(Nr, format="csr"), Fz.T @ Fz
 
     def r_factor(D, w):
         return D.T @ diags(w) @ D
 
     if m == 1:
         terms = [(r_factor(F / h, meas * rface ** (n - 2)), identity(Nz)),
-                 (r_factor(I / h, cell), Fz.T @ Fz)]
+                 (r_factor(I / h, cell), Dzz)]
     else:
         h2 = h * h
-        Szz = _second_difference(Nz)
-        terms = [(r_factor(_second_difference(Nr, reflect=True) / h2, cell)
+        terms = [(r_factor(F.T @ F / h2, cell)
                   + r_factor(F / h, (n - 2.0) * meas * rface ** (n - 4)), identity(Nz)),
-                 (r_factor(I / h2, cell), Szz.T @ Szz),
-                 (r_factor(F / h2, 2.0 * meas * rface ** (n - 2)), Fz.T @ Fz)]
+                 (r_factor(I / h2, cell), Dzz.T @ Dzz),
+                 (r_factor(F / h2, 2.0 * meas * rface ** (n - 2)), Dzz)]
     A = kron(*terms[0], format="csr")
     for R, Z in terms[1:]:
         A = A + kron(R, Z, format="csr")

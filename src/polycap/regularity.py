@@ -497,8 +497,14 @@ def decay_check(op, complement, n, R=0.25, grid_h=1 / 16):
     for alpha, c, w in weighted_gradient_parts(grid, m):
         dens = np.square(apply_alpha(u, alpha))
         dens *= w
+        # the spent weight takes each ball's part of the density, zero
+        # elsewhere: the array np.where(sel, dens, 0.0) would allocate
         for i, sel in enumerate(balls):
-            energies[i] += c * float(np.where(sel, dens, 0.0).sum())
+            np.copyto(w, 0.0)
+            np.copyto(w, dens, where=sel)
+            energies[i] += c * float(w.sum())
+        # neither outlives its part while the next weight is formed
+        del dens, w
     caps_int = [float(np.log(2.0) * w_terms[:lev].sum()) for lev in DECAY_LEVELS]
 
     left = np.array(sups) + np.array(energies)

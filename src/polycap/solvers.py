@@ -189,9 +189,10 @@ def _even_extend(v, axes, width):
     """v with its first `width` layers along each of `axes` set, in place, to
     their mirror images v[width - k] = v[width + k], axis after axis as
     np.pad(mode="reflect") pads, so the corners are mirrored too.  One layer
-    at a time, so numpy's copy of an overlapping source is one layer."""
+    at a time, so numpy's copy of an overlapping source is one layer; the
+    swapped view builds no index tuple, so a CG iteration creates none."""
     for a in axes:
-        w = np.moveaxis(v, a, 0)
+        w = v.swapaxes(0, a)
         for k in range(1, width + 1):
             w[width - k] = w[width + k]
     return v

@@ -18,6 +18,8 @@ Application uses zero extension outside the array, matching functions that
 vanish outside the computational box.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import InputError
@@ -149,12 +151,18 @@ def sparse_stencil(shape, entries):
     return mat.tocsr()
 
 
+@functools.cache
+def _axis_halves(ndim):
+    """Per axis, the index tuples (lo, hi) of all nodes but the last and all
+    but the first, built once per ndim so a Laplacian pass creates none."""
+    return tuple(((slice(None),) * axis + (slice(None, -1),),
+                  (slice(None),) * axis + (slice(1, None),)) for axis in range(ndim))
+
+
 def neg_laplacian(v, out):
     """out = -Delta_h v, undivided, with zero extension; out must not alias v."""
     np.multiply(v, 2.0 * v.ndim, out=out)
-    for axis in range(v.ndim):
-        lo = (slice(None),) * axis + (slice(None, -1),)
-        hi = (slice(None),) * axis + (slice(1, None),)
+    for lo, hi in _axis_halves(v.ndim):
         out[lo] -= v[hi]
         out[hi] -= v[lo]
     return out

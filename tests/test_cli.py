@@ -81,7 +81,7 @@ def test_manifest_records_the_environment_and_reruns_bitwise(tmp_path, cli_env):
     env = dict(cli_env, OPENBLAS_NUM_THREADS="1")
     env.pop("MKL_NUM_THREADS", None)
     r = run_cli(["dirichlet", "--preset", "laplacian", "--n", "2", "--h", "0.1",
-                 "--extent", "10", "--out", "e1"], tmp_path, env)
+                 "--box", "1", "--out", "e1"], tmp_path, env)
     assert r.returncode == 0, r.stderr
     with open(tmp_path / "e1" / "manifest.json") as fh:
         manifest = json.load(fh)
@@ -226,7 +226,7 @@ def test_wiener_oversized_borderline_grid_exits_3(tmp_path, cli_env):
      "--box", "4"],
     ["potential", "--preset", "laplacian", "--n", "5", "--ball", "1.0", "--h", "0.05",
      "--box", "4"],
-    ["dirichlet", "--preset", "laplacian", "--n", "5", "--h", "0.02", "--extent", "50"],
+    ["dirichlet", "--preset", "laplacian", "--n", "5", "--h", "0.02", "--box", "1"],
     ["decay", "--preset", "polyharmonic", "--m", "2", "--n", "5", "--domain", "cone:45"],
 ], ids=["capacity", "potential", "dirichlet", "decay"])
 def test_oversized_cartesian_grid_exits_3(tmp_path, cli_env, args):
@@ -253,7 +253,7 @@ def test_symbol_check_with_operator_file(tmp_path, cli_env):
 
 def test_dirichlet_subcommand(tmp_path, cli_env):
     r = run_cli(["dirichlet", "--preset", "laplacian", "--n", "2", "--h", "0.1",
-                 "--extent", "10", "--out", "d"], tmp_path, cli_env)
+                 "--box", "1", "--out", "d"], tmp_path, cli_env)
     assert r.returncode == 0, r.stderr
     assert os.path.exists(tmp_path / "d" / "solution.csv")
 
@@ -324,7 +324,7 @@ def assert_one_line_exit_2(r):
 @pytest.mark.parametrize("args", [
     ["decay", "--preset", "polyharmonic", "--m", "2", "--n", "5", "--domain", "cone:45",
      "--inv-h", "8"],
-    ["dirichlet", "--preset", "laplacian", "--n", "2", "--h", "0.1", "--extent", "10",
+    ["dirichlet", "--preset", "laplacian", "--n", "2", "--h", "0.1", "--box", "1",
      "--domain", "ball:0.9"],
 ], ids=["decay", "dirichlet"])
 def test_source_erased_by_the_forbidden_zone_exits_2(tmp_path, cli_env, args):
@@ -359,7 +359,7 @@ def test_domain_spec_of_no_cusp_exits_2_with_the_region_message(tmp_path, cli_en
 
 
 def test_json_domain_spec_matches_the_ball_flag_and_reruns_bitwise(tmp_path, cli_env):
-    grid = ["capacity", "--preset", "laplacian", "--n", "3", "--h", "0.25", "--extent", "8"]
+    grid = ["capacity", "--preset", "laplacian", "--n", "3", "--h", "0.25", "--box", "2"]
     r = run_cli(grid + ["--ball", "0.5", "--out", "ball"], tmp_path, cli_env)
     assert r.returncode == 0, r.stderr
     r = run_cli(grid + ["--domain", '{"kind": "ball", "radius": 0.5}', "--out", "json"],
@@ -387,7 +387,7 @@ def test_missing_required_setting_exits_2(tmp_path, cli_env, args):
 
 
 @pytest.mark.parametrize("args", [
-    ["dirichlet", "--preset", "laplacian", "--n", "2", "--box", "2"],
+    ["dirichlet", "--preset", "laplacian", "--n", "2", "--extent", "10"],
     ["cusp", "--m", "2", "--n", "6", "--domain", "cone:45"],
     ["positivity", "--m", "2", "--n", "8", "--grid"],  # no prefix matching
     ["potential", "--preset", "laplacian", "--n", "3", "--checks", "decya"],
@@ -409,8 +409,11 @@ def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, cli_env, args):
     # a forced "cartesian" ignored would silently change the rerun
     ({"subcommand": "wiener", "m": 1, "n": 3, "domain": "cone:45", "backend": "cartesian"},
      "backend"),
+    # as would an extent ignored next to --box, which sets the grid
+    ({"subcommand": "capacity", "preset": "laplacian", "n": 3, "ball": 0.5, "h": 0.25,
+      "box": 2.0, "extent": 8}, "extent"),
 ], ids=["misspelt_key", "retired_key", "int_as_text", "int_as_word", "switch_as_text",
-        "retired_backend"])
+        "retired_backend", "retired_extent"])
 def test_config_key_not_read_or_of_wrong_type_exits_2(tmp_path, cli_env, config, named):
     with open(tmp_path / "c.json", "w") as fh:
         json.dump(config, fh)
@@ -426,7 +429,7 @@ def test_each_subcommand_takes_only_the_flags_of_its_table_row():
     parser = cli._build_parser()
     rows = {name: settings for name, (_, settings) in cli.SUBCOMMANDS.items()}
     all_keys = set().union(*rows.values())
-    assert sum(map(len, rows.values())) == 75
+    assert sum(map(len, rows.values())) == 73
     for name, settings in rows.items():
         for key in settings:
             value = [] if settings[key].cast is cli._flag else ["1"]
@@ -529,7 +532,7 @@ def test_cusp_tabulated_without_a_table_exits_2(tmp_path, cli_env):
 @pytest.mark.parametrize("levels", ["0", "-1", "3"])
 def test_capacity_box_levels_other_than_1_or_2_exit_2(tmp_path, cli_env, levels):
     r = run_cli(["capacity", "--preset", "laplacian", "--n", "3", "--ball", "0.5", "--h", "0.25",
-                 "--extent", "4", "--box-levels", levels, "--out", "o"], tmp_path, cli_env)
+                 "--box", "1", "--box-levels", levels, "--out", "o"], tmp_path, cli_env)
     assert_one_line_exit_2(r)
     assert "box_levels" in r.stderr
     assert not os.path.exists(tmp_path / "o" / "summary.json")
@@ -540,7 +543,7 @@ def test_mask_csv_blank_rows_are_skipped_and_short_rows_exit_2(tmp_path, cli_env
     for name, text in [("plain", "x1,x2,x3\n0,0,0\n"), ("blank", "x1,x2,x3\n\n0,0,0\n\n")]:
         (tmp_path / f"{name}.csv").write_text(text)
         r = run_cli(["capacity", "--preset", "laplacian", "--n", "3", "--h", "0.5",
-                     "--extent", "4", "--mask-csv", f"{name}.csv", "--out", name],
+                     "--box", "2", "--mask-csv", f"{name}.csv", "--out", name],
                     tmp_path, cli_env)
         assert r.returncode == 0, r.stderr
         with open(tmp_path / name / "summary.json") as fh:
@@ -550,7 +553,7 @@ def test_mask_csv_blank_rows_are_skipped_and_short_rows_exit_2(tmp_path, cli_env
                              ("nan", "nan,0,0", "non-finite")]:
         (tmp_path / f"{name}.csv").write_text(f"x1,x2,x3\n{row}\n")
         r = run_cli(["capacity", "--preset", "laplacian", "--n", "3", "--h", "0.5",
-                     "--extent", "4", "--mask-csv", f"{name}.csv", "--out", name],
+                     "--box", "2", "--mask-csv", f"{name}.csv", "--out", name],
                     tmp_path, cli_env)
         assert_one_line_exit_2(r)
         assert named in r.stderr

@@ -35,7 +35,7 @@ def test_import_loads_no_scipy(cli_env, tmp_path):
 
 
 def test_cartesian_dirichlet_run_loads_no_scipy(cli_env, tmp_path):
-    argv = ["dirichlet", "--preset", "laplacian", "--n", "2", "--h", "0.1", "--extent", "10",
+    argv = ["dirichlet", "--preset", "laplacian", "--n", "2", "--h", "0.1", "--box", "1",
             "--out", str(tmp_path / "dir")]
     out = _fresh("import sys, json\nfrom polycap import cli\n"
                  f"code = cli.main({argv!r})\n"

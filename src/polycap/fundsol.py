@@ -33,7 +33,10 @@ is the calibration oracle.
 The Gauss-Legendre and Gauss-Jacobi rules of the plane-wave route depend
 only on their node counts (and n for Jacobi), so each is built once per
 process by _gauss_legendre and _gauss_jacobi and returned as read-only
-arrays that callers only read.
+arrays that callers only read.  compute_profile fits the axial symbol and
+picks the circle once for both rules, and each rule evaluates its slice
+values 1/P(a^2) in place in two complex (t, x) buffers allocated per call:
+the operations of Polynomial.__call__ in its order, so bitwise its values.
 
 scipy.special (gamma, roots_jacobi) is imported by the functions that use it,
 so importing polycap loads no scipy module.
@@ -212,17 +215,21 @@ def _t_rule(s, r, count, tail_count):
             _gamma(s) * math.cos(math.pi * s / 2.0) * np.concatenate([arc_w, tail_w]))
 
 
-def _planewave_alpha_profile(op, axis, alphas, refine=1, shrink=1):
-    """F on rays at angles alpha from the axis, with every node count times
-    `refine` and the circle of the t-rule shrunk by `shrink`; also returns the
-    absolute sum (2 pi)^-n sum |w G| of each value, the scale its rounding
-    error is relative to."""
+def _planewave_alpha_profile(op, P, radius, alphas, refine=1):
+    """F on rays at angles alpha from the axis, for the axial symbol P of op
+    (_axial_symbol), with every node count times `refine` and the circle of
+    the t-rule of the given radius; also returns the absolute sum
+    (2 pi)^-n sum |w G| of each value, the scale its rounding error is
+    relative to.
+
+    The slice values 1/P(a^2) are evaluated in place in two (t, x) buffers
+    per call: the operations of Polynomial.__call__ (mapdomain, then Horner
+    in polyval) in its order, so they are bitwise its values."""
     from scipy.special import gamma as _gamma
 
     n, m = op.n, op.m
     count, tail_count, slice_count = (refine * c for c in _PW_NODES)
-    P = _axial_symbol(op, axis)
-    t, tw = _t_rule(n - 2 * m, _contour_radius(P) / shrink, count, tail_count)
+    t, tw = _t_rule(n - 2 * m, radius, count, tail_count)
     x, xw = _gauss_jacobi(slice_count, n / 2.0 - 2.0)
     R = np.sqrt(1.0 - t * t)
     # G(t) = |S^(n-3)| int_{-R}^{R} (R^2 - v^2)^((n-4)/2) / P(a) dv, with
@@ -230,10 +237,25 @@ def _planewave_alpha_profile(op, axis, alphas, refine=1, shrink=1):
     # the Gauss-Jacobi one in x.  The (2 pi)^-n of F is folded into G here.
     scale = (2.0 * math.pi**(n / 2.0 - 1.0) / _gamma(n / 2.0 - 1.0) * R ** (n - 3)
              * (2.0 * math.pi) ** -n)
+    off, scl = P.mapparms()
+    c = P.coef
+    a = np.empty((t.size, x.size), dtype=complex)
+    y = np.empty_like(a)
     values, sizes = np.empty(len(alphas)), np.empty(len(alphas))
     for i, alpha in enumerate(alphas):
-        a = t[:, None] * math.cos(alpha) + np.outer(R * math.sin(alpha), x)
-        G = scale * ((1.0 / P(a * a)) @ xw)
+        np.multiply((R * math.sin(alpha))[:, None], x, out=a)
+        a += (t * math.cos(alpha))[:, None]
+        a *= a
+        a *= scl
+        a += off
+        # the accumulator stays the left factor: with fused multiply-adds a
+        # complex product is not commutative in its last bit
+        y.fill(c[-1])
+        for ck in c[-2::-1]:
+            y *= a
+            y += ck
+        np.divide(1.0, y, out=y)
+        G = scale * (y @ xw)
         values[i] = (G @ tw).real
         sizes[i] = np.abs(G) @ np.abs(tw)
     return values, sizes
@@ -245,12 +267,12 @@ _ALPHAS = np.linspace(0.0, math.pi / 2.0, 121)
 _PROBES = [0, len(_ALPHAS) // 2, len(_ALPHAS) - 1]
 
 
-def _planewave_error(op, axis, base, size):
+def _planewave_error(op, P, radius, base, size):
     """1.5 times the largest change of the probe values `base` under a rule
     with doubled node counts on a circle of half the radius, plus a thousand
     ulps of their absolute sums `size` for rounding.  A zero of P that slipped
     between the two circles would show as a residue-sized change."""
-    fine, _ = _planewave_alpha_profile(op, axis, _ALPHAS[_PROBES], refine=2, shrink=2)
+    fine, _ = _planewave_alpha_profile(op, P, radius / 2, _ALPHAS[_PROBES], refine=2)
     rounding = 1e3 * np.finfo(float).eps * float(size.max())
     return 1.5 * float(np.abs(fine - base).max()) + rounding
 
@@ -319,16 +341,20 @@ def compute_profile(op, direction_count=None):
             )
         method, model = "closed-form", "quadratic"
         mdata, est = _quadratic_kernel(op)
-    elif axis == n:
-        axis = n - 1
-        f_alpha, size = _planewave_alpha_profile(op, axis, _ALPHAS[_PROBES])
-        est = _planewave_error(op, axis, f_alpha, size)
-        method, model, mdata = "planewave", "constant", {"constant": float(f_alpha[1])}
     else:
-        f_alpha, size = _planewave_alpha_profile(op, axis, _ALPHAS)
-        est = _planewave_error(op, axis, f_alpha[_PROBES], size[_PROBES])
-        method, model = "planewave", "axisymmetric"
-        mdata = {"axis": axis, "alpha": _ALPHAS, "f_alpha": f_alpha}
+        # one fit of the axial symbol and one circle serve both rules; a fully
+        # isotropic symbol (axis n) is fitted along the last axis
+        P = _axial_symbol(op, min(axis, n - 1))
+        radius = _contour_radius(P)
+        if axis == n:
+            f_alpha, size = _planewave_alpha_profile(op, P, radius, _ALPHAS[_PROBES])
+            est = _planewave_error(op, P, radius, f_alpha, size)
+            method, model, mdata = "planewave", "constant", {"constant": float(f_alpha[1])}
+        else:
+            f_alpha, size = _planewave_alpha_profile(op, P, radius, _ALPHAS)
+            est = _planewave_error(op, P, radius, f_alpha[_PROBES], size[_PROBES])
+            method, model = "planewave", "axisymmetric"
+            mdata = {"axis": axis, "alpha": _ALPHAS, "f_alpha": f_alpha}
     profile = SphereProfile(dirs, None, 2 * m - n, op.name or "operator", method, est,
                             model, mdata)
     profile.values = profile.value_at_directions(dirs)

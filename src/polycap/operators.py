@@ -12,6 +12,7 @@ into P) is recorded as ``SYMBOL_CONVENTION`` and echoed in every run
 manifest and operator description file.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -85,8 +86,10 @@ class EllipticOperator:
 
     # -- symbol -----------------------------------------------------------
 
+    @functools.cached_property
     def _terms(self):
-        """(exponents, coefficients) of P as a plain polynomial in xi."""
+        """(exponents, coefficients) of P as a plain polynomial in xi, built
+        once per operator and read-only."""
         table = {}
         for (alpha, beta), v in self.coefficients.items():
             exp = tuple(a + b for a, b in zip(alpha, beta))
@@ -94,6 +97,7 @@ class EllipticOperator:
             table[exp] = table.get(exp, 0.0) + w
         exps = np.array(sorted(table), dtype=np.int64)
         coefs = np.array([table[tuple(e)] for e in exps], dtype=float)
+        exps.flags.writeable = coefs.flags.writeable = False
         return exps, coefs
 
     def symbol(self, xi):
@@ -105,7 +109,7 @@ class EllipticOperator:
             )
         if not np.all(np.isfinite(xi)):
             raise InputError("symbol point has non-finite entries")
-        exps, coefs = self._terms()
+        exps, coefs = self._terms
         # xi[..., None, :] ** exps -> (..., nterms, n)
         powers = xi[..., None, :] ** exps[None, :, :]
         return (powers.prod(axis=-1) * coefs).sum(axis=-1)

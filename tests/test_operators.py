@@ -24,6 +24,15 @@ def test_symbol_homogeneity():
             assert abs(scaled - t ** (2 * op.m) * base) <= 1e-10 * t ** (2 * op.m) * abs(base)
 
 
+def test_symbol_terms_are_built_once_and_read_only():
+    for op in (laplacian(4), polyharmonic(5, 2), mn8_operator()):
+        exps, coefs = op._terms
+        assert op._terms is op._terms
+        assert not exps.flags.writeable and not coefs.flags.writeable
+        fresh = EllipticOperator._terms.func(op)
+        assert exps.tobytes() == fresh[0].tobytes() and coefs.tobytes() == fresh[1].tobytes()
+
+
 def test_symmetrization_idempotent():
     e1 = (1, 0)
     e2 = (0, 1)

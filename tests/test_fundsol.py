@@ -301,8 +301,8 @@ def test_fft_backend_refuses_five_dimensions():
 
 
 def _reference_alpha_profile(op, axis, alphas, refine=1, shrink=1):
-    # the rule as it was before the slice values were evaluated in place:
-    # 1/P(a^2) through Polynomial.__call__, with fresh temporaries per angle
+    # reference rule: 1/P(a^2) through Polynomial.__call__, with fresh
+    # temporaries at every angle
     from scipy.special import gamma
 
     n, m = op.n, op.m

@@ -112,9 +112,8 @@ def _write_field(path, grid, u):
 
 def _run_symbol_check(cfg):
     op = _resolve_operator(cfg)
-    samples = cfg.get("samples", 1024)
-    ok, worst, direction = check_ellipticity(op, samples)
-    dirs = unit_directions(op.n, min(samples, 512))
+    ok, worst, direction = check_ellipticity(op)
+    dirs = unit_directions(op.n, 512)
     vals = op.symbol(dirs)
     write_csv(os.path.join(cfg["out"], "symbol_samples.csv"),
               [f"d{i+1}" for i in range(op.n)] + ["P"],
@@ -122,13 +121,13 @@ def _run_symbol_check(cfg):
     write_json(os.path.join(cfg["out"], "summary.json"), {
         "operator": op.name, "n": op.n, "m": op.m, "elliptic": ok,
         "min_symbol_on_sphere": worst, "worst_direction": list(direction),
-        "samples": samples,
+        "samples": 1024,  # check_ellipticity's default
     })
 
 
 def _run_fundsol(cfg):
     op = _resolve_operator(cfg)
-    profile = compute_profile(op, direction_count=cfg.get("directions"))
+    profile = compute_profile(op)
     profile.to_csv(os.path.join(cfg["out"], "profile.csv"))
     write_json(os.path.join(cfg["out"], "summary.json"), {
         "operator": op.name, "n": op.n, "m": op.m,
@@ -174,15 +173,14 @@ def _run_potential(cfg):
     if "decay" in checks:
         summary["gradient_decay"] = gradient_decay_check(report)
     if "lower" in checks:
-        summary["lower_bound"] = lower_bound_check(report, cfg.get("enclosing", 1.0))
+        farthest = np.linalg.norm(report.mask.points(), axis=1).max(initial=0.0)
+        summary["lower_bound"] = lower_bound_check(report, float(farthest))
     write_json(os.path.join(cfg["out"], "summary.json"), summary)
     _write_field(os.path.join(cfg["out"], "potential.csv"), grid, report.u)
 
 
 def _run_positivity(cfg):
-    channels = range(cfg["channels"] + 1) if "channels" in cfg else None
-    verdict = channel_positivity(cfg["m"], cfg["n"], channels, cfg.get("window", 60.0),
-                                 cfg.get("dt", 0.1))
+    verdict = channel_positivity(cfg["m"], cfg["n"])
     if verdict.witness is not None:
         vals = np.asarray(verdict.witness["values"]).ravel()
         write_csv(os.path.join(cfg["out"], "witness.csv"), ["index", "value"],
@@ -263,7 +261,6 @@ _MN = {"m": Setting(_integer, required=True), "n": Setting(_integer, required=Tr
 _BALL = ("with --mask-csv", lambda cfg: "mask_csv" not in cfg)
 _DOMAIN = ("with --ball or --mask-csv", lambda cfg: not {"ball", "mask_csv"} & set(cfg))
 _HOMOGENEOUS = ("with --kind inhomogeneous", lambda cfg: cfg.get("kind") != "inhomogeneous")
-_LOWER = ("without lower in --checks", lambda cfg: "lower" in cfg.get("checks", ()))
 _POWER = ("unless --kind power", lambda cfg: cfg.get("kind", "power") == "power")
 _EXPONENTIAL = ("unless --kind exponential", lambda cfg: cfg.get("kind") == "exponential")
 
@@ -274,18 +271,16 @@ def _subcommand(handler, **settings):
 
 
 SUBCOMMANDS = {
-    "symbol-check": _subcommand(_run_symbol_check, **_OPERATOR, samples=_INT),
-    "fundsol": _subcommand(_run_fundsol, **_OPERATOR,
-                           directions=Setting(_integer, positive=True)),
+    "symbol-check": _subcommand(_run_symbol_check, **_OPERATOR),
+    "fundsol": _subcommand(_run_fundsol, **_OPERATOR),
     "capacity": _subcommand(_run_capacity, **_OPERATOR, h=_SCALE, box=_FLOAT,
                             ball=Setting(float, read_if=_BALL),
                             domain=Setting(_parse_domain, read_if=_DOMAIN), mask_csv=_STR,
                             kind=_STR, box_levels=Setting(_integer, read_if=_HOMOGENEOUS)),
     "potential": _subcommand(_run_potential, **_OPERATOR, h=_SCALE, box=_FLOAT,
                              ball=Setting(float, read_if=_BALL), mask_csv=_STR,
-                             checks=Setting(_checks), enclosing=Setting(float, read_if=_LOWER)),
-    "positivity": _subcommand(_run_positivity, **_MN, channels=_INT, window=_SCALE, dt=_SCALE,
-                              require_verdict=_SWITCH),
+                             checks=Setting(_checks)),
+    "positivity": _subcommand(_run_positivity, **_MN, require_verdict=_SWITCH),
     "wiener": _subcommand(_run_wiener, **_MN, domain=Setting(_parse_domain, required=True),
                           j_min=_INT, j_max=_INT, nodes_per_rho=_INT, require_verdict=_SWITCH),
     "cusp": _subcommand(_run_cusp, **_MN, kind=_STR, p=Setting(float, read_if=_POWER),

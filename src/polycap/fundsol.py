@@ -33,8 +33,9 @@ is the calibration oracle.
 The Gauss-Legendre and Gauss-Jacobi rules of the plane-wave route depend
 only on their node counts (and n for Jacobi), so each is built once per
 process by _gauss_legendre and _gauss_jacobi and returned as read-only
-arrays that callers only read.  compute_profile fits the axial symbol and
-picks the circle once for both rules, and each rule evaluates its slice
+arrays that callers only read, as operators.unit_directions builds the
+sphere directions.  compute_profile fits the axial symbol and picks the
+circle once for both rules, and each rule evaluates its slice
 values 1/P(a^2) in place in two complex (t, x) buffers allocated per call:
 the operations of Polynomial.__call__ in its order, so bitwise its values.
 
@@ -298,7 +299,7 @@ def _quadratic_kernel(op):
 # -- public entry -------------------------------------------------------------
 
 
-def compute_profile(op, direction_count=None):
+def compute_profile(op):
     """Sphere profile of the fundamental solution of an elliptic operator.
 
     The operator alone picks the route.  A symbol rotation invariant about a
@@ -317,8 +318,8 @@ def compute_profile(op, direction_count=None):
 
     Raises UnsupportedRegimeError for n <= 2m and for a symbol of order four
     or more without a rotation axis, and InputError for a symbol that is not
-    positive on the sphere (decided exactly for m = 1).  direction_count
-    sets how many sphere directions `values` holds.
+    positive on the sphere (decided exactly for m = 1).  `values` holds the
+    kernel on unit_directions(n, 2^10) for n <= 4 and (n, 2^12) above.
     """
     n, m = op.n, op.m
     if n <= 2 * m:
@@ -329,9 +330,7 @@ def compute_profile(op, direction_count=None):
     if not ok:
         raise InputError(f"operator is not elliptic (P = {worst:.3e} along {wdir})")
 
-    if direction_count is None:
-        direction_count = 2**10 if n <= 4 else 2**12
-    dirs = unit_directions(n, direction_count)
+    dirs = unit_directions(n, 2**10 if n <= 4 else 2**12)
     axis = _isotropy_axis(op)
     if axis is None:
         if m > 1:

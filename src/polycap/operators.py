@@ -174,12 +174,14 @@ def preset_operator(name, n=None, m=None):
 # -- direction sampling ----------------------------------------------------
 
 
+@functools.cache
 def unit_directions(n, count):
     """Deterministic low-discrepancy set of unit vectors in R^n.
 
     A Kronecker sequence on [0,1)^n is pushed through the inverse normal CDF
     and normalized, which equidistributes on the sphere; the 2n signed
     coordinate axes are appended so axis-aligned anisotropy is always sampled.
+    Built once per (n, count) and read-only.
     """
     if count < 0:
         raise InputError("direction count must be nonnegative")
@@ -193,7 +195,9 @@ def unit_directions(n, count):
     norms[norms == 0.0] = 1.0
     dirs = z / norms[:, None]
     axes = np.vstack([np.eye(n), -np.eye(n)])
-    return np.vstack([axes, dirs]) if count else axes
+    out = np.vstack([axes, dirs]) if count else axes
+    out.flags.writeable = False
+    return out
 
 
 def quadratic_form_matrix(op):

@@ -35,6 +35,10 @@ from .fundsol import riesz_constant
 
 # a quotient below -VIOLATION_EPS is a candidate violation
 VIOLATION_EPS = 1e-8
+# the channels swept, and the t = log r window and spacing of the witness grid
+CHANNELS = range(13)
+WITNESS_WINDOW = 60.0
+WITNESS_DT = 0.1
 
 
 def _lam_poly(k, n, shift):
@@ -239,40 +243,33 @@ def _revalidate_witness(form, tau, f):
     return q_fine, q_spec
 
 
-def channel_positivity(m, n, channels=None, t_window=60.0, dt=0.1):
+def channel_positivity(m, n):
     """Channel-by-channel positivity verdict for (-Delta)^m with its kernel
     weight.
 
     Each channel's quotient is the exact infimum of its symbol ratio
     (`min_symbol_quotient`); the verdict is "violated" when the smallest is
-    below -VIOLATION_EPS.  When the smallest sits at one of the two highest
-    channels swept, the sweep extends to twice the highest.  `t_window` and `dt` set
-    only the witness grid: a packet at the minimising frequency whose dt-grid
-    quotient is re-validated on the dt/2 grid and spectrally.  If any of the
-    three is not negative the verdict is "inconclusive"."""
+    below -VIOLATION_EPS.  When the smallest over CHANNELS sits at one of its
+    two highest, the sweep extends to twice the highest.  WITNESS_WINDOW and
+    WITNESS_DT set only the witness grid: a packet at the minimising frequency
+    whose dt-grid quotient is re-validated on the dt/2 grid and spectrally.
+    If any of the three is not negative the verdict is "inconclusive"."""
     if n <= 2 * m:
         raise UnsupportedRegimeError("weighted positivity is posed for n > 2m")
-    if channels is None:
-        channels = list(range(0, 13))
-    channels = sorted(set(int(k) for k in channels))
-    if not channels or channels[0] < 0:
-        raise InputError("channel list must be nonempty and nonnegative")
-
-    quots = {k: min_symbol_quotient(m, n, k) for k in channels}
-    kmin = min(quots, key=quots.get)
+    quots = {k: min_symbol_quotient(m, n, k) for k in CHANNELS}
+    kmin, top = min(quots, key=quots.get), max(quots)
     notes = []
-    if kmin >= channels[-1] - 1 and 0 < channels[-1] < 40:
-        quots.update((k, min_symbol_quotient(m, n, k))
-                     for k in range(channels[-1] + 1, 2 * channels[-1] + 1))
-        notes.append(f"channel guard extended the sweep to k <= {2 * channels[-1]}")
+    if kmin >= top - 1:
+        quots.update((k, min_symbol_quotient(m, n, k)) for k in range(top + 1, 2 * top + 1))
+        notes.append(f"channel guard extended the sweep to k <= {2 * top}")
         kmin = min(quots, key=quots.get)
 
-    resolution = {"t_window": t_window, "dt": dt, "channels": sorted(quots),
+    resolution = {"t_window": WITNESS_WINDOW, "dt": WITNESS_DT, "channels": sorted(quots),
                   "eps": VIOLATION_EPS}
     vmin, status, witness = quots[kmin], "positive_at_resolution", None
     if vmin < -VIOLATION_EPS:
         tau = _symbol_infimum(m, n, kmin)[1]
-        form = ChannelForm(m, n, kmin, t_window, dt)
+        form = ChannelForm(m, n, kmin, WITNESS_WINDOW, WITNESS_DT)
         f = _packet(form, tau)
         # largest entry +1, so the witness is fixed in sign and scale
         f /= f[np.argmax(np.abs(f))]
@@ -282,7 +279,7 @@ def channel_positivity(m, n, channels=None, t_window=60.0, dt=0.1):
             status = "violated"
             witness = {"channel": kmin, "tau": tau, "quotient": q_grid,
                        "quotient_fine_grid": q_fine, "quotient_spectral": q_spec,
-                       "t_window": t_window, "dt": dt, "values": f}
+                       "t_window": WITNESS_WINDOW, "dt": WITNESS_DT, "values": f}
         else:
             status = "inconclusive"
             notes.append(f"witness failed re-validation (grid {q_grid:.3e}, "

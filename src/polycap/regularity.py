@@ -354,8 +354,8 @@ def _ladder_shortfall(h_values, rho_levels):
             f"{h_values[-1]:.6g}; it needs a finest spacing h <= {need / TRUST_SPACINGS:.6g}")
 
 
-def regularity_probe(op, complement, n, h_values=(1 / 8, 1 / 16, 1 / 32),
-                     rho_levels=(1, 2, 3, 4), backend="axisym"):
+def regularity_probe(op, complement, n, h_values=(1 / 64, 1 / 128, 1 / 256),
+                     rho_levels=(1, 2, 3, 4, 5, 6, 7), backend="axisym"):
     """Trend of sup |u| on shrinking balls at the origin across refinements.
 
     The probe solves on the (r, z) grid of `radial.axisym_dirichlet` alone,
@@ -368,9 +368,10 @@ def regularity_probe(op, complement, n, h_values=(1 / 8, 1 / 16, 1 / 32),
     in the plane z = 0, centred PROBE_SOURCE_OFFSET * BOX_RADIUS off the axis
     with radius PROBE_SOURCE_RADIUS * BOX_RADIUS.  Scales closer than
     TRUST_SPACINGS grid spacings to the resolution are excluded, and no
-    verdict is issued unless the trusted ladder reaches BOX_RADIUS/16.  A
-    ladder that cannot reach it at h_values[-1] is reported inconclusive
-    before any solve, with the finest spacing it would need.  Otherwise the
+    verdict is issued unless the trusted ladder reaches BOX_RADIUS/16, as the
+    default (h = 1/64, 1/128, 1/256, rho levels 1..7) does.  A ladder that
+    cannot reach it at h_values[-1] is reported inconclusive before any
+    problem is rasterised, with the finest spacing it would need.  Otherwise the
     decay exponent of sup in rho over the trusted tail is then gated by
     PROBE_GATES: vanishing above the upper gate, non-vanishing below the
     lower gate when the finest trusted sup is refinement-stable and above the
@@ -390,10 +391,10 @@ def regularity_probe(op, complement, n, h_values=(1 / 8, 1 / 16, 1 / 32),
     if op.coefficients != polyharmonic(n, op.m).coefficients:
         raise UnsupportedRegimeError("the probe's (r, z) energy is that of (-Delta)^m; it "
                                      "cannot probe another operator")
-    problems = [_probe_problem(complement, n, op.m, h) for h in h_values]
     shortfall = _ladder_shortfall(h_values, rho_levels)
     if shortfall is not None:
         return ProbeReport("inconclusive", [], float("nan"), [shortfall])
+    problems = [_probe_problem(complement, n, op.m, h) for h in h_values]
     tables = []
     for h, (grid, outside, f, radii) in zip(h_values, problems):
         info = {}
@@ -450,7 +451,7 @@ class DecayReport:
     notes: list = field(default_factory=list)
 
 
-def decay_check(op, complement, n, R=0.25, grid_h=1 / 16):
+def decay_check(op, complement, n, R=0.25, grid_h=1 / 24):
     """Fit the exponential capacity-decay bound on a solution that is
     operator-harmonic near the origin.
 

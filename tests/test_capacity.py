@@ -125,6 +125,7 @@ def test_solve_refuses_a_fixed_value_that_is_not_a_scalar():
     assert np.array_equal(u, solve_constrained(form, fixed, 1.0)[0])
 
 
+@pytest.mark.memory
 def test_mirrored_solve_memory_does_not_grow_with_its_iterations(monkeypatch):
     grid = Grid(3, 0.0625, 24)
     form = EnergyForm("homogeneous_m", grid, 2)

@@ -143,19 +143,6 @@ def test_positivity_subcommand_violated_with_witness(tmp_path, cli_env):
         assert filecmp.cmp(tmp_path / "pos" / name, tmp_path / "pos2" / name, shallow=False)
 
 
-def test_positivity_keeps_zero_channels_and_witness_grid(tmp_path, cli_env):
-    r = run_cli(["positivity", "--m", "2", "--n", "8", "--channels", "0", "--window", "30",
-                 "--dt", "0.2", "--out", "p0"], tmp_path, cli_env)
-    assert r.returncode == 0, r.stderr
-    with open(tmp_path / "p0" / "summary.json") as fh:
-        data = json.load(fh)
-    assert data["resolution"]["channels"] == [0]
-    assert (data["resolution"]["t_window"], data["resolution"]["dt"]) == (30.0, 0.2)
-    assert (data["witness"]["t_window"], data["witness"]["dt"]) == (30.0, 0.2)
-    witness = np.loadtxt(tmp_path / "p0" / "witness.csv", delimiter=",", skiprows=1)
-    assert witness.shape[0] == 151
-
-
 def test_wiener_subcommand(tmp_path, cli_env):
     r = run_cli(["wiener", "--m", "1", "--n", "3", "--domain", "cone:45",
                  "--j-max", "7", "--nodes-per-rho", "8", "--out", "w"],
@@ -184,6 +171,7 @@ CONE_WIENER = ["wiener", "--m", "1", "--n", "3", "--domain", "cone:45"]
     CONE_WIENER + ["--nodes-per-rho", "0"],
     CONE_WIENER + ["--nodes-per-rho", "-3"],
     ["capacity", "--preset", "laplacian", "--n", "3", "--ball", "1.0", "--h", "0"],
+    # positivity takes no --dt or --window: its witness grid is fixed
     ["positivity", "--m", "2", "--n", "8", "--dt", "0"],
     ["positivity", "--m", "2", "--n", "8", "--dt", "-0.1"],
     ["positivity", "--m", "2", "--n", "8", "--window", "0"],
@@ -293,6 +281,16 @@ def test_potential_subcommand(tmp_path, cli_env):
     assert data["range_check"]["passed"] is True
     assert 0.0 < data["residual"] < 1e-7
     assert os.path.exists(tmp_path / "p" / "potential.csv")
+
+
+def test_potential_lower_check_encloses_k_in_its_farthest_node(tmp_path, cli_env):
+    # the lower-bound check weights by |y| + d, d the radius of K's farthest node
+    r = run_cli(["potential", "--preset", "laplacian", "--n", "3", "--ball", "0.5",
+                 "--h", "0.25", "--box", "2.5", "--checks", "lower", "--out", "p"],
+                tmp_path, cli_env)
+    assert r.returncode == 0, r.stderr
+    with open(tmp_path / "p" / "summary.json") as fh:
+        assert json.load(fh)["lower_bound"]["enclosing_radius"] == 0.5
 
 
 def test_decay_subcommand(tmp_path, cli_env):
@@ -412,8 +410,18 @@ def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, cli_env, args):
     # as would an extent ignored next to --box, which sets the grid
     ({"subcommand": "capacity", "preset": "laplacian", "n": 3, "ball": 0.5, "h": 0.25,
       "box": 2.0, "extent": 8}, "extent"),
+    # resolution knobs that no program path set: each now fixed or worked out from
+    # the problem, so a manifest carrying one no longer reruns
+    ({"subcommand": "symbol-check", "preset": "laplacian", "n": 3, "samples": 64}, "samples"),
+    ({"subcommand": "fundsol", "preset": "laplacian", "n": 3, "directions": 64}, "directions"),
+    ({"subcommand": "positivity", "m": 2, "n": 8, "channels": 4}, "channels"),
+    ({"subcommand": "positivity", "m": 2, "n": 8, "window": 30.0}, "window"),
+    ({"subcommand": "positivity", "m": 2, "n": 8, "dt": 0.2}, "dt"),
+    ({"subcommand": "potential", "preset": "laplacian", "n": 3, "checks": "lower",
+      "enclosing": 2.0}, "enclosing"),
 ], ids=["misspelt_key", "retired_key", "int_as_text", "int_as_word", "switch_as_text",
-        "retired_backend", "retired_extent"])
+        "retired_backend", "retired_extent", "retired_samples", "retired_directions",
+        "retired_channels", "retired_window", "retired_dt", "retired_enclosing"])
 def test_config_key_not_read_or_of_wrong_type_exits_2(tmp_path, cli_env, config, named):
     with open(tmp_path / "c.json", "w") as fh:
         json.dump(config, fh)
@@ -429,7 +437,7 @@ def test_each_subcommand_takes_only_the_flags_of_its_table_row():
     parser = cli._build_parser()
     rows = {name: settings for name, (_, settings) in cli.SUBCOMMANDS.items()}
     all_keys = set().union(*rows.values())
-    assert sum(map(len, rows.values())) == 73
+    assert sum(map(len, rows.values())) == 67
     for name, settings in rows.items():
         for key in settings:
             value = [] if settings[key].cast is cli._flag else ["1"]
@@ -493,8 +501,6 @@ def test_integer_setting_refuses_bools_and_fractions(tmp_path, cli_env, value):
 
 
 @pytest.mark.parametrize("args", [
-    ["potential", "--preset", "laplacian", "--n", "3", "--enclosing", "2"],
-    ["potential", "--preset", "laplacian", "--n", "3", "--checks", "decay", "--enclosing", "2"],
     ["capacity", "--preset", "laplacian", "--n", "3", "--ball", "1", "--kind", "inhomogeneous",
      "--box-levels", "2"],
     ["capacity", "--preset", "laplacian", "--n", "3", "--ball", "1", "--domain", "ball:0.5"],
@@ -502,8 +508,7 @@ def test_integer_setting_refuses_bools_and_fractions(tmp_path, cli_env, value):
     ["cusp", "--m", "1", "--n", "4", "--a", "1"],
     ["cusp", "--m", "1", "--n", "4", "--kind", "exponential", "--p", "3"],
     ["cusp", "--m", "1", "--n", "4", "--kind", "tabulated", "--p", "3"],
-], ids=["enclosing_without_checks", "enclosing_without_lower", "box_levels_inhomogeneous",
-        "domain_with_ball", "a_with_power", "a_with_default_power", "p_with_exponential",
+], ids=["box_levels_inhomogeneous", "domain_with_ball", "a_with_power", "a_with_default_power", "p_with_exponential",
         "p_with_tabulated"])
 def test_setting_the_chosen_branch_does_not_read_exits_2(tmp_path, cli_env, args):
     r = run_cli(args + ["--out", "o"], tmp_path, cli_env)

@@ -336,6 +336,7 @@ def test_in_place_slice_values_are_bitwise_polynomial_calls(op):
         assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
+@pytest.mark.memory
 def test_planewave_profile_memory_is_two_slice_buffers():
     op = laplacian(4)
     compute_profile(op)

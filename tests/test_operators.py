@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from polycap import (EllipticOperator, InputError, check_ellipticity, fourier_kernel_probe,
-                     laplacian, load_operator, mn8_operator, polyharmonic, save_operator)
+                     laplacian, load_operator, mn8_operator, polyharmonic, save_operator,
+                     unit_directions)
 
 
 def test_symbol_values():
@@ -31,6 +32,15 @@ def test_symbol_terms_are_built_once_and_read_only():
         assert not exps.flags.writeable and not coefs.flags.writeable
         fresh = EllipticOperator._terms.func(op)
         assert exps.tobytes() == fresh[0].tobytes() and coefs.tobytes() == fresh[1].tobytes()
+
+
+def test_unit_directions_are_built_once_and_read_only():
+    for n, count in [(3, 0), (5, 128), (8, 4096)]:
+        dirs = unit_directions(n, count)
+        assert unit_directions(n, count) is dirs
+        assert not dirs.flags.writeable
+        fresh = unit_directions.__wrapped__(n, count)
+        assert dirs.tobytes() == fresh.tobytes()
 
 
 def test_symmetrization_idempotent():

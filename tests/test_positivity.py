@@ -123,14 +123,18 @@ def test_higher_order_violations_ship_negative_witnesses(m, n):
 
 
 @pytest.mark.parametrize("m,n", [(2, 6), (2, 8)])
-def test_channel_guard_extends_a_sweep_that_ends_at_its_minimum(m, n):
+def test_channel_guard_extends_a_sweep_that_ends_at_its_minimum(monkeypatch, m, n):
     # the smallest quotient of the sweep [0, 1] sits at one of its two
     # highest channels, so the sweep goes on to twice the highest, and the
     # verdict is the default sweep's
-    guarded = channel_positivity(m, n, channels=[0, 1])
+    from polycap import positivity
+
+    default = channel_positivity(m, n)
+    monkeypatch.setattr(positivity, "CHANNELS", range(2))
+    guarded = channel_positivity(m, n)
     assert guarded.resolution["channels"] == [0, 1, 2]
     assert guarded.notes == ["channel guard extended the sweep to k <= 2"]
-    assert guarded.status == channel_positivity(m, n).status
+    assert guarded.status == default.status
 
 
 def test_failed_revalidation_is_inconclusive(monkeypatch, tmp_path):

@@ -249,8 +249,15 @@ def test_probe_verdicts_axisym():
 
 
 def test_probe_zero_source_region_error():
+    # on a ladder that can reach a verdict; an unreachable one is refused first
     with pytest.raises(InputError):
-        regularity_probe(laplacian(3), Ball(2.0), 3, h_values=(1 / 8, 1 / 16, 1 / 32))
+        regularity_probe(laplacian(3), Ball(2.0), 3)
+
+
+def test_probe_reports_an_unreachable_ladder_before_rasterising():
+    # Ball(2.0) erases the source on any grid, which only a rasterised problem shows
+    rep = regularity_probe(laplacian(3), Ball(2.0), 3, h_values=(1 / 8, 1 / 16, 1 / 32))
+    assert rep.trend == "inconclusive" and rep.sup_tables == []
 
 
 def test_probe_shallow_ladder_inconclusive():
@@ -264,7 +271,8 @@ def test_probe_unreachable_ladder_skips_solves(monkeypatch):
         raise AssertionError("the probe solved a ladder that cannot give a verdict")
 
     monkeypatch.setattr("polycap.radial.axisym_dirichlet", no_solve)
-    rep = regularity_probe(laplacian(3), Cone(np.pi / 3), 3)
+    rep = regularity_probe(laplacian(3), Cone(np.pi / 3), 3, h_values=(1 / 8, 1 / 16, 1 / 32),
+                           rho_levels=(1, 2, 3, 4))
     assert rep.trend == "inconclusive"
     assert rep.sup_tables == []
     # 3 trusted scales down to rho = 1/16 need 6 h <= 1/16 at the finest spacing
@@ -307,6 +315,7 @@ def test_decay_check_cone_and_stability():
     assert b.c2 == pytest.approx(a.c2, rel=0.30)
 
 
+@pytest.mark.memory
 def test_decay_check_memory_is_a_count_of_half_grid_arrays(monkeypatch):
     axes = []
 

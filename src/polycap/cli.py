@@ -23,7 +23,7 @@ from .capacity import annulus_series, bessel_capacity, cap_m, series_to_csv
 from .errors import ConfigurationError, InconclusiveError, InputError, UnsupportedRegimeError
 from .fundsol import compute_profile, sign_summary
 from .grids import Ball, Cusp, Grid, Mask, mask_from_csv, region_from_dict
-from .operators import check_ellipticity, load_operator, preset_operator, unit_directions
+from .operators import SPHERE_SAMPLES, check_ellipticity, load_operator, preset_operator
 from .positivity import channel_positivity
 from .potential import (capacitary_potential, gradient_decay_check, lower_bound_check,
                         range_check)
@@ -113,15 +113,15 @@ def _write_field(path, grid, u):
 def _run_symbol_check(cfg):
     op = _resolve_operator(cfg)
     ok, worst, direction = check_ellipticity(op)
-    dirs = unit_directions(op.n, 512)
-    vals = op.symbol(dirs)
+    dirs, vals = op.sphere_sample
     write_csv(os.path.join(cfg["out"], "symbol_samples.csv"),
               [f"d{i+1}" for i in range(op.n)] + ["P"],
               np.column_stack([dirs, vals]))
     write_json(os.path.join(cfg["out"], "summary.json"), {
         "operator": op.name, "n": op.n, "m": op.m, "elliptic": ok,
         "min_symbol_on_sphere": worst, "worst_direction": list(direction),
-        "samples": 1024,  # check_ellipticity's default
+        # the m = 1 verdict is the exact smallest eigenvalue: nothing is sampled
+        "samples": 0 if op.m == 1 else SPHERE_SAMPLES,
     })
 
 
@@ -256,7 +256,8 @@ class Setting(NamedTuple):
 _INT, _FLOAT, _STR, _SWITCH = Setting(_integer), Setting(float), Setting(str), Setting(_flag)
 _SCALE = Setting(float, positive=True)  # sizes or divides a grid
 _OPERATOR = {"preset": _STR, "operator_file": _STR, "n": _INT, "m": _INT}
-_MN = {"m": Setting(_integer, required=True), "n": Setting(_integer, required=True)}
+_MN = {"m": Setting(_integer, positive=True, required=True),
+       "n": Setting(_integer, positive=True, required=True)}
 # (branch, test) for a setting the handler reads only where test(cfg) holds
 _BALL = ("with --mask-csv", lambda cfg: "mask_csv" not in cfg)
 _DOMAIN = ("with --ball or --mask-csv", lambda cfg: not {"ball", "mask_csv"} & set(cfg))

@@ -125,10 +125,9 @@ def sign_summary(profile):
 def _isotropy_axis(op):
     """None if P is anisotropic; n (meaning fully isotropic) or the first axis
     whose _axial_symbol, the plane-wave route's polynomial in the squared axis
-    component, reproduces P on the directions unit_directions(n, 128) to
-    1e-12 of max|P| (about a thousand times the rounding of the fit)."""
-    dirs = unit_directions(op.n, 128)
-    vals = op.symbol(dirs)
+    component, reproduces P on op.sphere_sample to 1e-12 of max|P| (about a
+    thousand times the rounding of the fit)."""
+    dirs, vals = op.sphere_sample
     if np.allclose(vals, vals.mean(), rtol=1e-10, atol=0.0):
         return op.n
     tol = 1e-12 * np.abs(vals).max()
@@ -326,7 +325,7 @@ def compute_profile(op):
         raise UnsupportedRegimeError(
             f"profile needs n > 2m (logarithmic regime excluded); got n={n}, m={m}"
         )
-    ok, worst, wdir = check_ellipticity(op, 512)
+    ok, worst, wdir = check_ellipticity(op)
     if not ok:
         raise InputError(f"operator is not elliptic (P = {worst:.3e} along {wdir})")
 

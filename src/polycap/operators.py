@@ -20,11 +20,13 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, UnsupportedRegimeError
 
 SYMBOL_CONVENTION = "P(xi) = (-1)^m L(xi), positive on nonzero xi"
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+# Kronecker directions of EllipticOperator.sphere_sample, besides the 2n axes
+SPHERE_SAMPLES = 1024
 
 
 def multi_indices(n, k):
@@ -114,6 +116,17 @@ class EllipticOperator:
         powers = xi[..., None, :] ** exps[None, :, :]
         return (powers.prod(axis=-1) * coefs).sum(axis=-1)
 
+    @functools.cached_property
+    def sphere_sample(self):
+        """(unit_directions(n, SPHERE_SAMPLES), P on them): the one sample of
+        P on the unit sphere that the ellipticity check, the rotation-axis
+        test of the kernel route and symbol-check read, built on first use
+        and read-only."""
+        dirs = unit_directions(self.n, SPHERE_SAMPLES)
+        vals = self.symbol(dirs)
+        vals.flags.writeable = False
+        return dirs, vals
+
 
 # -- presets ---------------------------------------------------------------
 
@@ -181,10 +194,16 @@ def unit_directions(n, count):
     A Kronecker sequence on [0,1)^n is pushed through the inverse normal CDF
     and normalized, which equidistributes on the sphere; the 2n signed
     coordinate axes are appended so axis-aligned anisotropy is always sampled.
-    Built once per (n, count) and read-only.
+    The rows of unit_directions(n, k) are the first 2n + k rows of
+    unit_directions(n, K) for every k < K, bitwise.  Built once per
+    (n, count) and read-only; one Kronecker stride per prime of _PRIMES
+    bounds n at 16 (UnsupportedRegimeError above).
     """
     if count < 0:
         raise InputError("direction count must be nonnegative")
+    if n > len(_PRIMES):
+        raise UnsupportedRegimeError(
+            f"sphere directions are built for n <= {len(_PRIMES)}; got n={n}")
     alphas = np.array([math.sqrt(p) % 1.0 for p in _PRIMES[:n]])
     j = np.arange(1, count + 1)[:, None]
     u = (j * alphas[None, :] + 0.5) % 1.0
@@ -211,25 +230,22 @@ def quadratic_form_matrix(op):
     return A
 
 
-def check_ellipticity(op, samples=1024):
+def check_ellipticity(op):
     """Minimum of P on the unit sphere; (-1)^m L(xi) > 0 must hold for all xi != 0.
 
     Returns (is_elliptic, min_value, worst_direction).  For m = 1 the answer
     is exact: the minimum of xi^T A xi on the sphere is the smallest
     eigenvalue of A, reached at its eigenvector, and one within rounding of
-    zero is not counted positive.  For m >= 2, P is sampled on `samples`
-    unit directions: a positive verdict is evidence at the sampled
-    resolution, not a proof; a nonpositive sample is a certified
-    counterexample.
+    zero is not counted positive.  For m >= 2 it is the minimum over
+    op.sphere_sample, the 2n axes and SPHERE_SAMPLES Kronecker directions:
+    a positive verdict is evidence at the sampled resolution, not a proof;
+    a nonpositive sample is a certified counterexample.
     """
-    if samples < 1:
-        raise InputError("need at least one sample")
     if op.m == 1:
         lam, vec = np.linalg.eigh(quadratic_form_matrix(op))
         floor = op.n * np.finfo(float).eps * float(np.abs(lam).max())
         return bool(lam[0] > floor), float(lam[0]), vec[:, 0]
-    dirs = unit_directions(op.n, samples)
-    vals = op.symbol(dirs)
+    dirs, vals = op.sphere_sample
     k = int(np.argmin(vals))
     return bool(vals[k] > 0.0), float(vals[k]), dirs[k].copy()
 

@@ -26,8 +26,8 @@ def cli_env():
 def rotated_indefinite_operator():
     """P(xi) = xi^T A xi with A = Q diag(1, 1, -1e-4) Q^T for a random rotation Q.
 
-    P is negative in one direction off every coordinate axis; 512 sampled
-    unit directions miss it (their minimum is +1.9e-4).
+    P is negative in one direction off every coordinate axis; the sphere
+    sample's 2n + 1024 directions miss it (their minimum is +1.9e-4).
     """
     q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
     A = q @ np.diag([1.0, 1.0, -1e-4]) @ q.T

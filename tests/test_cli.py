@@ -176,6 +176,11 @@ CONE_WIENER = ["wiener", "--m", "1", "--n", "3", "--domain", "cone:45"]
     ["positivity", "--m", "2", "--n", "8", "--dt", "-0.1"],
     ["positivity", "--m", "2", "--n", "8", "--window", "0"],
     ["positivity", "--m", "2", "--n", "8", "--window", "-5"],
+    # orders and dimensions below 1
+    ["positivity", "--m", "0", "--n", "3"],
+    ["wiener", "--m", "0", "--n", "3", "--domain", "cone:45"],
+    ["wiener", "--m", "1", "--n", "-3", "--domain", "cone:45"],
+    ["cusp", "--m", "0", "--n", "3"],
 ])
 def test_non_positive_scale_settings_exit_2(tmp_path, cli_env, args):
     r = run_cli(args + ["--out", "bad"], tmp_path, cli_env)
@@ -237,6 +242,35 @@ def test_symbol_check_with_operator_file(tmp_path, cli_env):
     with open(tmp_path / "s" / "summary.json") as fh:
         data = json.load(fh)
     assert data["elliptic"] is True and data["n"] == 8
+
+
+def test_symbol_check_csv_holds_the_rows_of_its_verdict(tmp_path, cli_env):
+    r = run_cli(["symbol-check", "--preset", "polyharmonic", "--n", "5", "--m", "2",
+                 "--out", "s"], tmp_path, cli_env)
+    assert r.returncode == 0, r.stderr
+    with open(tmp_path / "s" / "summary.json") as fh:
+        data = json.load(fh)
+    table = np.loadtxt(tmp_path / "s" / "symbol_samples.csv", delimiter=",", skiprows=1)
+    assert table.shape == (2 * 5 + 1024, 5 + 1) and data["samples"] == 1024
+    assert table[:, -1].min() == data["min_symbol_on_sphere"]
+
+
+def test_symbol_check_of_a_second_order_symbol_samples_nothing(tmp_path, cli_env):
+    # the m = 1 verdict is the exact smallest eigenvalue of the symbol's matrix
+    r = run_cli(["symbol-check", "--preset", "laplacian", "--n", "3", "--out", "s"],
+                tmp_path, cli_env)
+    assert r.returncode == 0, r.stderr
+    with open(tmp_path / "s" / "summary.json") as fh:
+        assert json.load(fh)["samples"] == 0
+
+
+@pytest.mark.parametrize("subcommand", ["symbol-check", "fundsol"])
+def test_dimension_past_the_sphere_directions_exits_3(tmp_path, cli_env, subcommand):
+    r = run_cli([subcommand, "--preset", "laplacian", "--n", "17", "--out", "o"],
+                tmp_path, cli_env)
+    assert r.returncode == 3, r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1, r.stderr
+    assert "n <= 16" in r.stderr
 
 
 def test_dirichlet_subcommand(tmp_path, cli_env):

@@ -227,6 +227,23 @@ def test_isotropy_axis_picks_the_route(op, axis):
     assert fundsol._isotropy_axis(op) == axis
 
 
+def test_warm_profile_evaluates_the_symbol_only_for_its_axial_fit(monkeypatch):
+    # the sphere sample is taken once per operator; a second profile of the
+    # same instance evaluates P only on the m + 1 points of _axial_symbol
+    op = polyharmonic(5, 2)
+    compute_profile(op)
+    points = []
+    symbol = EllipticOperator.symbol
+
+    def counted(self, xi):
+        points.append(np.asarray(xi)[..., 0].size)
+        return symbol(self, xi)
+
+    monkeypatch.setattr(EllipticOperator, "symbol", counted)
+    compute_profile(op)
+    assert points and max(points) <= op.m + 1
+
+
 def test_laplacian4_fft_calibrated():
     prof = compute_profile(laplacian(4))
     assert np.abs(prof.values / riesz_constant(1, 4) - 1.0).max() <= 1e-12
@@ -287,7 +304,7 @@ def test_regime_and_ellipticity_guards():
 
 def test_second_order_ellipticity_is_decided_exactly(rotated_indefinite_operator):
     op = rotated_indefinite_operator
-    ok, worst, direction = check_ellipticity(op, 512)
+    ok, worst, direction = check_ellipticity(op)
     assert not ok and worst == pytest.approx(-1e-4, rel=1e-9)
     assert op.symbol(direction[None])[0] == pytest.approx(worst, rel=1e-9)
     with pytest.raises(InputError):

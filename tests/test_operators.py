@@ -4,6 +4,7 @@ import pytest
 from polycap import (EllipticOperator, InputError, check_ellipticity, fourier_kernel_probe,
                      laplacian, load_operator, mn8_operator, polyharmonic, save_operator,
                      unit_directions)
+from polycap.operators import SPHERE_SAMPLES
 
 
 def test_symbol_values():
@@ -32,6 +33,10 @@ def test_symbol_terms_are_built_once_and_read_only():
         assert not exps.flags.writeable and not coefs.flags.writeable
         fresh = EllipticOperator._terms.func(op)
         assert exps.tobytes() == fresh[0].tobytes() and coefs.tobytes() == fresh[1].tobytes()
+        dirs, vals = op.sphere_sample
+        assert op.sphere_sample[1] is vals and dirs is unit_directions(op.n, SPHERE_SAMPLES)
+        assert not vals.flags.writeable
+        assert vals.tobytes() == op.symbol(dirs).tobytes()
 
 
 def test_unit_directions_are_built_once_and_read_only():
@@ -41,6 +46,15 @@ def test_unit_directions_are_built_once_and_read_only():
         assert not dirs.flags.writeable
         fresh = unit_directions.__wrapped__(n, count)
         assert dirs.tobytes() == fresh.tobytes()
+
+
+def test_fewer_directions_are_a_bitwise_prefix_of_the_sphere_sample():
+    # so a caller that sampled fewer directions finds every nonpositive value
+    # it found before in the one sphere sample
+    for n in (2, 3, 5, 7, 8):
+        full = unit_directions(n, SPHERE_SAMPLES)
+        for k in (0, 1, 128, 500, 512, 600, 1000, SPHERE_SAMPLES - 1):
+            assert unit_directions(n, k).tobytes() == full[:2 * n + k].tobytes()
 
 
 def test_symmetrization_idempotent():
@@ -57,9 +71,9 @@ def test_symmetrization_idempotent():
 
 
 def test_ellipticity_verdicts():
-    ok, val, _ = check_ellipticity(polyharmonic(5, 2), 1000)
+    ok, val, _ = check_ellipticity(polyharmonic(5, 2))
     assert ok and val == pytest.approx(1.0, abs=1e-12)
-    ok, _, _ = check_ellipticity(mn8_operator(), 600)
+    ok, _, _ = check_ellipticity(mn8_operator())
     assert ok
     # P = xi_1^4 - |xi|^4 vanishes on the first axis and is negative off it
     bad_coeffs = dict(polyharmonic(2, 2).coefficients)
@@ -67,7 +81,7 @@ def test_ellipticity_verdicts():
     e11 = ((2, 0), (2, 0))
     neg[e11] = neg.get(e11, 0.0) + 1.0
     bad = EllipticOperator(2, 2, neg)
-    ok, val, _ = check_ellipticity(bad, 500)
+    ok, val, _ = check_ellipticity(bad)
     assert not ok and val <= 0.0
 
 

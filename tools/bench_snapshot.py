@@ -21,10 +21,20 @@ scipy and BLAS versions and the *_NUM_THREADS settings that
 polycap.reporting.environment records in every manifest (run.py itself
 limits BLAS to two threads in its workload process).  A speed claim quotes
 such a file.
+
+With --parent, after writing the file it prints a Markdown table with one
+row per workload and end-to-end metric: each side's median [range], the
+change in percent, the pairs won by each side, the parent's interquartile
+range over its median, and a status against the metric's bound in
+BENCHMARK.json: "past bound" when the change's median is worse than the
+parent's by more than the bound, else "unresolved" when the parent's IQR
+exceeds the bound and not every change run is better than every parent
+run, else "within bound".
 """
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -110,6 +120,49 @@ def _workload(roots, name, seconds, better):
     return out
 
 
+def _ratio(x, base):
+    return x / base if base else (0.0 if x == 0 else math.inf)
+
+
+def _spread(values, median):
+    """Interquartile range over the median (statistics.quantiles' default
+    method: with 11 runs, the 3rd and 9th smallest)."""
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return _ratio(q3 - q1, median)
+
+
+def _status(parent, change, sign, bound):
+    """The row status of one metric; sign is +1 where lower is better."""
+    if _ratio(sign * (change["median"] - parent["median"]), parent["median"]) > bound:
+        return "past bound"
+    every_run_better = all(sign * (p - c) > 0
+                           for c in change["values"] for p in parent["values"])
+    if _spread(parent["values"], parent["median"]) > bound and not every_run_better:
+        return "unresolved"
+    return "within bound"
+
+
+def _table(snapshot, end_to_end):
+    """The Markdown comparison table of a snapshot made with --parent."""
+    def cell(m):
+        return f"{m['median']:.4g} [{m['min']:.4g}–{m['max']:.4g}]"
+
+    lines = ["| workload | metric | parent | change | change % | pairs won (change/parent) "
+             "| parent IQR / median | status |", "|" + " --- |" * 8]
+    for name, w in snapshot["workloads"].items():
+        for metric in end_to_end:
+            key, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+            parent, change = w["parent"]["untraced"][key], w["untraced"][key]
+            pct = 100.0 * _ratio(change["median"] - parent["median"], parent["median"])
+            won = w["pairs"][key]
+            lines.append(
+                f"| {name} | {key} | {cell(parent)} | {cell(change)} | {pct:+.1f}% "
+                f"| {won['change']}/{won['parent']} "
+                f"| {100.0 * _spread(parent['values'], parent['median']):.1f}% "
+                f"| {_status(parent, change, sign, metric['bound'])} |")
+    return "\n".join(lines)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--out", required=True, help="the JSON file to write")
@@ -136,6 +189,8 @@ def main():
     with open(args.out, "w") as fh:
         json.dump(snapshot, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    if "parent" in roots:
+        print(_table(snapshot, benchmark["end_to_end"]))
 
 
 if __name__ == "__main__":

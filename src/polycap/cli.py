@@ -256,8 +256,8 @@ class Setting(NamedTuple):
 _INT, _FLOAT, _STR, _SWITCH = Setting(_integer), Setting(float), Setting(str), Setting(_flag)
 _SCALE = Setting(float, positive=True)  # sizes or divides a grid
 _OPERATOR = {"preset": _STR, "operator_file": _STR, "n": _INT, "m": _INT}
-_MN = {"m": Setting(_integer, positive=True, required=True),
-       "n": Setting(_integer, positive=True, required=True)}
+_ORDER = Setting(_integer, positive=True, required=True)
+_MN = {"m": _ORDER, "n": _ORDER}
 # (branch, test) for a setting the handler reads only where test(cfg) holds
 _BALL = ("with --mask-csv", lambda cfg: "mask_csv" not in cfg)
 _DOMAIN = ("with --ball or --mask-csv", lambda cfg: not {"ball", "mask_csv"} & set(cfg))

@@ -255,9 +255,9 @@ class Setting(NamedTuple):
 
 _INT, _FLOAT, _STR, _SWITCH = Setting(_integer), Setting(float), Setting(str), Setting(_flag)
 _SCALE = Setting(float, positive=True)  # sizes or divides a grid
-_OPERATOR = {"preset": _STR, "operator_file": _STR, "n": _INT, "m": _INT}
-_ORDER = Setting(_integer, positive=True, required=True)
-_MN = {"m": _ORDER, "n": _ORDER}
+_ORDER = Setting(_integer, positive=True)  # a half-order m or a dimension n
+_OPERATOR = {"preset": _STR, "operator_file": _STR, "n": _ORDER, "m": _ORDER}
+_MN = {"m": _ORDER._replace(required=True), "n": _ORDER._replace(required=True)}
 # (branch, test) for a setting the handler reads only where test(cfg) holds
 _BALL = ("with --mask-csv", lambda cfg: "mask_csv" not in cfg)
 _DOMAIN = ("with --ball or --mask-csv", lambda cfg: not {"ball", "mask_csv"} & set(cfg))

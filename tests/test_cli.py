@@ -181,6 +181,8 @@ CONE_WIENER = ["wiener", "--m", "1", "--n", "3", "--domain", "cone:45"]
     ["wiener", "--m", "0", "--n", "3", "--domain", "cone:45"],
     ["wiener", "--m", "1", "--n", "-3", "--domain", "cone:45"],
     ["cusp", "--m", "0", "--n", "3"],
+    ["symbol-check", "--preset", "polyharmonic", "--n", "3", "--m", "-1"],
+    ["fundsol", "--preset", "polyharmonic", "--n", "9", "--m", "-1"],
 ])
 def test_non_positive_scale_settings_exit_2(tmp_path, cli_env, args):
     r = run_cli(args + ["--out", "bad"], tmp_path, cli_env)

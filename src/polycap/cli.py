@@ -23,7 +23,8 @@ from .capacity import annulus_series, bessel_capacity, cap_m, series_to_csv
 from .errors import ConfigurationError, InconclusiveError, InputError, UnsupportedRegimeError
 from .fundsol import compute_profile, sign_summary
 from .grids import Ball, Cusp, Grid, Mask, mask_from_csv, region_from_dict
-from .operators import SPHERE_SAMPLES, check_ellipticity, load_operator, preset_operator
+from .operators import (check_ellipticity, ellipticity_samples, load_operator,
+                        preset_operator)
 from .positivity import channel_positivity
 from .potential import (capacitary_potential, gradient_decay_check, lower_bound_check,
                         range_check)
@@ -120,8 +121,7 @@ def _run_symbol_check(cfg):
     write_json(os.path.join(cfg["out"], "summary.json"), {
         "operator": op.name, "n": op.n, "m": op.m, "elliptic": ok,
         "min_symbol_on_sphere": worst, "worst_direction": list(direction),
-        # the m = 1 verdict is the exact smallest eigenvalue: nothing is sampled
-        "samples": 0 if op.m == 1 else SPHERE_SAMPLES,
+        "samples": ellipticity_samples(op),
     })
 
 

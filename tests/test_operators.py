@@ -39,6 +39,18 @@ def test_symbol_terms_are_built_once_and_read_only():
         assert vals.tobytes() == op.symbol(dirs).tobytes()
 
 
+def test_symbol_is_bitwise_each_term_raised_to_its_exponents():
+    # the per-coordinate power table must not move a bit of P: the sphere
+    # sample, the ellipticity verdict and the kernel route read its values
+    rng = np.random.default_rng(5)
+    for op in (laplacian(3), polyharmonic(5, 2), polyharmonic(7, 3), mn8_operator()):
+        exps, coefs = op._terms
+        for xi in (unit_directions(op.n, SPHERE_SAMPLES), rng.standard_normal((500, op.n)),
+                   rng.standard_normal((3, 7, op.n)), rng.standard_normal((op.m + 1, op.n))):
+            each_term = ((xi[..., None, :] ** exps[None, :, :]).prod(axis=-1) * coefs).sum(axis=-1)
+            assert op.symbol(xi).tobytes() == each_term.tobytes()
+
+
 def test_unit_directions_are_built_once_and_read_only():
     for n, count in [(3, 0), (5, 128), (8, 4096)]:
         dirs = unit_directions(n, count)

@@ -18,9 +18,10 @@ The operator alone picks one of two routes:
   most 0.2 and small enough that the zeros of P stay outside, so G is
   analytic inside.  No special function, no cut-off.  The profile depends
   only on the angle alpha from the axis and is evaluated on 121 angles in
-  [0, pi/2], or at the probe angles 0, pi/4, pi/2 alone for a fully isotropic
-  symbol.  error_estimate compares the rule at the probe angles with one of
-  doubled node counts on a circle of half the radius.
+  [0, pi/2], or at pi/4 alone for a fully isotropic symbol, whose G(t) does
+  not depend on alpha.  error_estimate compares the rule at the probe angles
+  0, pi/4, pi/2 (at pi/4 alone for an isotropic symbol) with one of doubled
+  node counts on a circle of half the radius.
 
 * second-order symbols without such an axis, P(xi) = xi^T A xi: the Newton
   kernel pulled back by A^(1/2), exact up to rounding,
@@ -262,17 +263,19 @@ def _planewave_alpha_profile(op, P, radius, alphas, refine=1):
 
 
 # angles from the symmetry axis at which axisymmetric profiles are evaluated,
-# and the indices of the probe angles 0, pi/4 and pi/2 of the error estimate
+# and the indices of the probe angles 0, pi/4 and pi/2 of their error
+# estimate; an isotropic profile is evaluated at pi/4 alone
 _ALPHAS = np.linspace(0.0, math.pi / 2.0, 121)
 _PROBES = [0, len(_ALPHAS) // 2, len(_ALPHAS) - 1]
 
 
-def _planewave_error(op, P, radius, base, size):
-    """1.5 times the largest change of the probe values `base` under a rule
-    with doubled node counts on a circle of half the radius, plus a thousand
-    ulps of their absolute sums `size` for rounding.  A zero of P that slipped
-    between the two circles would show as a residue-sized change."""
-    fine, _ = _planewave_alpha_profile(op, P, radius / 2, _ALPHAS[_PROBES], refine=2)
+def _planewave_error(op, P, radius, alphas, base, size):
+    """1.5 times the largest change of the values `base` at the angles
+    `alphas` under a rule with doubled node counts on a circle of half the
+    radius, plus a thousand ulps of their absolute sums `size` for rounding.
+    A zero of P that slipped between the two circles would show as a
+    residue-sized change."""
+    fine, _ = _planewave_alpha_profile(op, P, radius / 2, alphas, refine=2)
     rounding = 1e3 * np.finfo(float).eps * float(size.max())
     return 1.5 * float(np.abs(fine - base).max()) + rounding
 
@@ -303,12 +306,13 @@ def compute_profile(op):
 
     The operator alone picks the route.  A symbol rotation invariant about a
     coordinate axis takes the plane-wave formula in every n >= 3 (method
-    "planewave").  A fully isotropic one gives angular_model "constant": the
-    quadrature runs at the probe angles 0, pi/4 and pi/2, and the pi/4 value
-    fills every direction.  An axisymmetric one gives angular_model
-    "axisymmetric", interpolated from 121 angles.  error_estimate compares
-    the rule at the probe angles with one of doubled node counts on a circle
-    of half the radius.
+    "planewave").  A fully isotropic one gives angular_model "constant": its
+    slice integral G(t) does not depend on the angle, so the quadrature runs
+    at pi/4 alone and that value fills every direction.  An axisymmetric one
+    gives angular_model "axisymmetric", interpolated from 121 angles.
+    error_estimate compares the rule at pi/4 (isotropic) or at the probe
+    angles 0, pi/4 and pi/2 with one of doubled node counts on a circle of
+    half the radius.
 
     A second-order symbol without such an axis, P(xi) = xi^T A xi, takes the
     closed form (method "closed-form", angular_model "quadratic" with A^-1
@@ -344,15 +348,16 @@ def compute_profile(op):
         # isotropic symbol (axis n) is fitted along the last axis
         P = _axial_symbol(op, min(axis, n - 1))
         radius = _contour_radius(P)
+        # a fully isotropic G(t) does not depend on the angle: both rules run
+        # at pi/4 alone, the one value reported
+        alphas, probes = (_ALPHAS[_PROBES[1:2]], [0]) if axis == n else (_ALPHAS, _PROBES)
+        f_alpha, size = _planewave_alpha_profile(op, P, radius, alphas)
+        est = _planewave_error(op, P, radius, alphas[probes], f_alpha[probes], size[probes])
+        method = "planewave"
         if axis == n:
-            f_alpha, size = _planewave_alpha_profile(op, P, radius, _ALPHAS[_PROBES])
-            est = _planewave_error(op, P, radius, f_alpha, size)
-            method, model, mdata = "planewave", "constant", {"constant": float(f_alpha[1])}
+            model, mdata = "constant", {"constant": float(f_alpha[0])}
         else:
-            f_alpha, size = _planewave_alpha_profile(op, P, radius, _ALPHAS)
-            est = _planewave_error(op, P, radius, f_alpha[_PROBES], size[_PROBES])
-            method, model = "planewave", "axisymmetric"
-            mdata = {"axis": axis, "alpha": _ALPHAS, "f_alpha": f_alpha}
+            model, mdata = "axisymmetric", {"axis": axis, "alpha": _ALPHAS, "f_alpha": f_alpha}
     profile = SphereProfile(dirs, None, 2 * m - n, op.name or "operator", method, est,
                             model, mdata)
     profile.values = profile.value_at_directions(dirs)

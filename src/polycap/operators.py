@@ -174,18 +174,22 @@ _PRESETS = {
 
 
 def preset_operator(name, n=None, m=None):
-    """Named operator presets: laplacian, polyharmonic, biharmonic, mn8."""
+    """Named operator presets: laplacian, polyharmonic, biharmonic, mn8.
+
+    An explicit n or m that the preset does not take (laplacian has m = 1,
+    biharmonic m = 2, mn8 n = 8 and m = 2) is an InputError."""
     if name not in _PRESETS:
         raise InputError(f"unknown operator preset {name!r}; have {sorted(_PRESETS)}")
-    kwargs = {}
-    if n is not None:
-        kwargs["n"] = int(n)
-    if m is not None:
-        kwargs["m"] = int(m)
+    kwargs = {key: int(v) for key, v in (("n", n), ("m", m)) if v is not None}
     try:
-        return _PRESETS[name](**kwargs)
+        op = _PRESETS[name](**kwargs)
     except TypeError as exc:
         raise InputError(f"preset {name!r} needs explicit parameters: {exc}") from exc
+    for key, value in kwargs.items():
+        if getattr(op, key) != value:
+            raise InputError(f"preset {name!r} has {key} = {getattr(op, key)}; "
+                             f"got {key} = {value}")
+    return op
 
 
 # -- direction sampling ----------------------------------------------------

@@ -233,6 +233,27 @@ def test_oversized_cartesian_grid_exits_3(tmp_path, cli_env, args):
     assert not os.path.exists(tmp_path / "o" / "summary.json")
 
 
+@pytest.mark.parametrize("args, setting", [
+    (["symbol-check", "--preset", "mn8", "--n", "5"], "n = 5"),
+    (["symbol-check", "--preset", "laplacian", "--n", "3", "--m", "2"], "m = 2"),
+    (["fundsol", "--preset", "biharmonic", "--n", "5", "--m", "3"], "m = 3"),
+], ids=["mn8_n", "laplacian_m", "biharmonic_m"])
+def test_preset_setting_it_does_not_take_exits_2(tmp_path, cli_env, args, setting):
+    r = run_cli(args + ["--out", "o"], tmp_path, cli_env)
+    assert_one_line_exit_2(r)
+    assert setting in r.stderr
+    assert not os.path.exists(tmp_path / "o" / "summary.json")
+
+
+def test_preset_setting_it_takes_changes_nothing(tmp_path, cli_env):
+    runs = {"plain": [], "explicit": ["--n", "8", "--m", "2"]}
+    for out, extra in runs.items():
+        r = run_cli(["symbol-check", "--preset", "mn8", *extra, "--out", out], tmp_path, cli_env)
+        assert r.returncode == 0, r.stderr
+    assert filecmp.cmp(tmp_path / "plain" / "summary.json",
+                       tmp_path / "explicit" / "summary.json", shallow=False)
+
+
 def test_symbol_check_with_operator_file(tmp_path, cli_env):
     from polycap import mn8_operator, save_operator
 

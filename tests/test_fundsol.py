@@ -72,6 +72,38 @@ def test_planewave_error_estimate_covers_the_axis(op):
     assert diff <= prof.error_estimate <= 1e-10 * np.abs(prof.values).max()
 
 
+@pytest.mark.parametrize("op, calls", [
+    (laplacian(3), [(1, 1), (1, 2)]),
+    (polyharmonic(5, 2), [(1, 1), (1, 2)]),
+    (mn8_operator(), [(121, 1), (3, 2)]),
+], ids=["laplacian3", "biharmonic5", "mn8"])
+def test_planewave_rules_run_at_the_angles_reported(monkeypatch, op, calls):
+    # an isotropic constant is the pi/4 value alone, so the base and the
+    # doubled rule each run at that one angle; an axisymmetric profile runs
+    # the base rule on every angle and the doubled one at the three probes
+    seen, rule = [], fundsol._planewave_alpha_profile
+
+    def recording(op, P, radius, alphas, refine=1):
+        seen.append((len(alphas), refine))
+        return rule(op, P, radius, alphas, refine)
+
+    monkeypatch.setattr(fundsol, "_planewave_alpha_profile", recording)
+    compute_profile(op)
+    assert seen == calls
+
+
+ISOTROPIC = [laplacian(n) for n in range(3, 7)] + [
+    polyharmonic(n, m) for n, m in [(5, 2), (6, 2), (7, 3), (8, 3), (9, 4)]]
+
+
+@pytest.mark.parametrize("op", ISOTROPIC, ids=[f"n{op.n}m{op.m}" for op in ISOTROPIC])
+def test_isotropic_constant_is_the_rule_at_pi_over_4(op):
+    prof = compute_profile(op)
+    at_pi_4, _ = _rule_on_axis(op, op.n - 1, [fundsol._ALPHAS[fundsol._PROBES[1]]])
+    assert prof.model_data["constant"] == at_pi_4[0]
+    assert prof.error_estimate >= abs(prof.model_data["constant"] - riesz_constant(op.m, op.n))
+
+
 def _stiff_axis_operator(c):
     # c xi_8^4 + |xi|^4 in R^8, the mn8 family; on the axis 1/P = 1/(c t^4 + 1)
     # has poles at |t| = c^(-1/4), inside a circle of radius 0.2 for c > 625

@@ -30,6 +30,14 @@ BENCHMARK.json: "past bound" when the change's median is worse than the
 parent's by more than the bound, else "unresolved" when the parent's IQR
 exceeds the bound and not every change run is better than every parent
 run, else "within bound".
+
+After the workloads, each `polycap ...` example of the change's README runs
+REPEAT times per checkout as one cold `python -m polycap` process of that
+checkout's src/, its --out sent to a temporary directory, in alternating
+pairs as above: the CLI's own traffic, one fresh process per run.  The file
+holds every wall time under "readme", per example; with --parent a second
+table follows, per example: each side's median [range], the change in
+percent and the pairs won.
 """
 
 import argparse
@@ -39,6 +47,10 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
+
+from traffic import readme_examples
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # untraced runs per workload and checkout
@@ -59,6 +71,17 @@ def _run(root, workload, seconds, trace):
     return result
 
 
+def _cold_run(root, argv):
+    """Wall seconds of one `python -m polycap` process of root's src/ on argv,
+    its --out in a fresh temporary directory."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    with tempfile.TemporaryDirectory(prefix="polycap-readme-") as tmp:
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-m", "polycap", *argv, "--out", os.path.join(tmp, "o")],
+                       cwd=root, env=env, stdout=subprocess.DEVNULL, check=True)
+        return time.perf_counter() - start
+
+
 def _git(root, *args):
     return subprocess.run(["git", *args], cwd=root, stdout=subprocess.PIPE, text=True,
                           check=True).stdout.strip()
@@ -77,13 +100,17 @@ def _machine():
             **environment()}
 
 
+def _stats(values):
+    return {"median": statistics.median(values), "min": min(values), "max": max(values),
+            "values": values}
+
+
 def _side(runs, traced):
     """The numbers of one checkout: untraced statistics and the traced layers."""
     untraced = {}
     for metric, first in runs[0]["metrics"].items():
         values = [r["metrics"][metric]["value"] for r in runs]
-        untraced[metric] = {"unit": first["unit"], "median": statistics.median(values),
-                            "min": min(values), "max": max(values), "values": values}
+        untraced[metric] = {"unit": first["unit"], **_stats(values)}
     op_s = {op: statistics.median(r["op_s"][op] for r in runs) for op in runs[0]["op_s"]}
     return {"untraced": untraced, "op_s": op_s,
             "correct": all(r["correct"] for r in runs) and traced["correct"],
@@ -92,31 +119,54 @@ def _side(runs, traced):
             "traced": {metric: m["value"] for metric, m in traced["metrics"].items()}}
 
 
+def _wins(change, parent, sign):
+    """The pairs of values won by each side, sign +1 where lower is better;
+    ties count for neither."""
+    pairs = list(zip(change, parent))
+    change_won = sum(sign * (p - c) > 0 for c, p in pairs)
+    parent_won = sum(sign * (c - p) > 0 for c, p in pairs)
+    return {"change": change_won, "parent": parent_won,
+            "ties": len(pairs) - change_won - parent_won}
+
+
 def _pairs(change, parent, better):
-    """Per end-to-end metric, the pairs won by each side; ties count for neither."""
-    wins = {}
-    for metric, sign in better.items():
-        pairs = list(zip(change["untraced"][metric]["values"],
-                         parent["untraced"][metric]["values"]))
-        change_won = sum(sign * (p - c) > 0 for c, p in pairs)
-        parent_won = sum(sign * (c - p) > 0 for c, p in pairs)
-        wins[metric] = {"change": change_won, "parent": parent_won,
-                        "ties": len(pairs) - change_won - parent_won}
-    return wins
+    """Per end-to-end metric, the pairs won by each side."""
+    return {metric: _wins(change["untraced"][metric]["values"],
+                          parent["untraced"][metric]["values"], sign)
+            for metric, sign in better.items()}
 
 
-def _workload(roots, name, seconds, better):
-    """roots maps "change" and, optionally, "parent" to a checkout."""
-    runs = {side: [] for side in roots}
+def _alternate(roots, run):
+    """REPEAT results of run(root) per side of roots, in alternating pairs."""
+    results = {side: [] for side in roots}
     for pair in range(REPEAT):
         # the parent runs first in the odd pairs, counted from 1
         for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
             if side in roots:
-                runs[side].append(_run(roots[side], name, seconds, 0))
+                results[side].append(run(roots[side]))
+    return results
+
+
+def _workload(roots, name, seconds, better):
+    """roots maps "change" and, optionally, "parent" to a checkout."""
+    runs = _alternate(roots, lambda root: _run(root, name, seconds, 0))
     out = _side(runs["change"], _run(roots["change"], name, 0, 1))
     if "parent" in roots:
         out["parent"] = _side(runs["parent"], _run(roots["parent"], name, 0, 1))
         out["pairs"] = _pairs(out, out["parent"], better)
+    return out
+
+
+def _readme(roots):
+    """Per README example of the change, the wall seconds of its cold runs
+    per side, and with a parent the pairs won."""
+    out = {}
+    for argv in readme_examples(roots["change"]):
+        print(f"== polycap {' '.join(argv)}", file=sys.stderr)
+        times = _alternate(roots, lambda root: _cold_run(root, argv))
+        out[" ".join(argv)] = row = {side: _stats(v) for side, v in times.items()}
+        if "parent" in roots:
+            row["pairs"] = _wins(times["change"], times["parent"], 1)
     return out
 
 
@@ -142,11 +192,12 @@ def _status(parent, change, sign, bound):
     return "within bound"
 
 
+def _cell(m):
+    return f"{m['median']:.4g} [{m['min']:.4g}–{m['max']:.4g}]"
+
+
 def _table(snapshot, end_to_end):
     """The Markdown comparison table of a snapshot made with --parent."""
-    def cell(m):
-        return f"{m['median']:.4g} [{m['min']:.4g}–{m['max']:.4g}]"
-
     lines = ["| workload | metric | parent | change | change % | pairs won (change/parent) "
              "| parent IQR / median | status |", "|" + " --- |" * 8]
     for name, w in snapshot["workloads"].items():
@@ -156,10 +207,22 @@ def _table(snapshot, end_to_end):
             pct = 100.0 * _ratio(change["median"] - parent["median"], parent["median"])
             won = w["pairs"][key]
             lines.append(
-                f"| {name} | {key} | {cell(parent)} | {cell(change)} | {pct:+.1f}% "
+                f"| {name} | {key} | {_cell(parent)} | {_cell(change)} | {pct:+.1f}% "
                 f"| {won['change']}/{won['parent']} "
                 f"| {100.0 * _spread(parent['values'], parent['median']):.1f}% "
                 f"| {_status(parent, change, sign, metric['bound'])} |")
+    return "\n".join(lines)
+
+
+def _readme_table(snapshot):
+    """The Markdown table of the README examples' cold wall seconds."""
+    lines = ["| README example | parent s | change s | change % | pairs won (change/parent) |",
+             "|" + " --- |" * 5]
+    for example, row in snapshot["readme"].items():
+        parent, change = row["parent"], row["change"]
+        pct = 100.0 * _ratio(change["median"] - parent["median"], parent["median"])
+        lines.append(f"| `{example}` | {_cell(parent)} | {_cell(change)} | {pct:+.1f}% "
+                     f"| {row['pairs']['change']}/{row['pairs']['parent']} |")
     return "\n".join(lines)
 
 
@@ -186,11 +249,14 @@ def main():
     for name in names:
         print(f"== {name}", file=sys.stderr)
         snapshot["workloads"][name] = _workload(roots, name, seconds, better)
+    snapshot["readme"] = _readme(roots)
     with open(args.out, "w") as fh:
         json.dump(snapshot, fh, indent=1, sort_keys=True)
         fh.write("\n")
     if "parent" in roots:
         print(_table(snapshot, benchmark["end_to_end"]))
+        print()
+        print(_readme_table(snapshot))
 
 
 if __name__ == "__main__":

@@ -123,27 +123,28 @@ def _benchmark(root, tmp, failures):
     return count
 
 
-def _readme_examples(root):
+def readme_examples(root):
     """The argument lists of the `polycap ...` lines in the README's fenced
-    code blocks."""
+    code blocks, without their `--out DIR`."""
     examples, fenced = [], False
     with open(os.path.join(root, "README.md")) as fh:
         for line in fh:
             if line.startswith("```"):
                 fenced = not fenced
             elif fenced and line.startswith("polycap "):
-                examples.append(shlex.split(line)[1:])
+                argv = shlex.split(line)[1:]
+                if "--out" in argv:
+                    i = argv.index("--out")
+                    argv = argv[:i] + argv[i + 2:]
+                examples.append(argv)
     return examples
 
 
 def _readme(root, tmp, failures):
     from polycap import cli
 
-    examples = _readme_examples(root)
+    examples = readme_examples(root)
     for k, argv in enumerate(examples):
-        if "--out" in argv:
-            i = argv.index("--out")
-            argv = argv[:i] + argv[i + 2:]
         argv = argv + ["--out", os.path.join(tmp, f"readme_{k}")]
 
         def run(argv=argv):
